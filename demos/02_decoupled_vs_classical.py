@@ -1,8 +1,9 @@
 """Decoupled iteration against the classical oracle, side by side.
 
 The decoupled form never touches an n x n iterate: it extends block
-bases by one propagator product per new block and rebuilds a small
-anti-diagonal kernel.  Evaluated densely, its iterates must equal the
+bases by one propagator product per new block and keeps only the
+distinct blocks (moments) of its block Hankel kernel, from which the
+kernel is assembled when an iterate is asked for.  Evaluated densely, its iterates must equal the
 classical coupled recursions exactly (up to roundoff) -- that identity
 is the whole point, and this script shows it on a random instance of
 each family.
@@ -16,6 +17,7 @@ from dsda import (
     bsep_sda_step,
     care_init,
     dare_init,
+    dsda_assemble,
     dsda_eval_A,
     dsda_eval_G,
     dsda_eval_H,
@@ -76,12 +78,16 @@ for _ in range(4):
           f"   (F)         {rel(dsda_eval_A(state), oracle.e_k):.2e} (E)"
           f"      {state.basis_cols}")
 
-print("\nThe kernel never recomputes old blocks: its off-diagonal")
-print("quadrants are the previous kernel, shared bit for bit:")
-prev = state.y
+print("\nThe state keeps moments, not kernels: a step only appends new")
+print("moments, so the assembled kernel's off-diagonal quadrants are the")
+print("previous kernel, shared bit for bit:")
+prev = dsda_assemble(state, "Y")
 state = dsda_sym_step(state)
+y = dsda_assemble(state, "Y")
 half_r, half_c = prev.shape
+print(f"  {state.t_moments.shape[0]} moments of shape "
+      f"{state.t_moments.shape[1:]} stand for a {y.shape[0]}x{y.shape[1]} kernel")
 print("  top-right  quadrant identical:",
-      np.array_equal(state.y[:half_r, half_c:], prev))
+      np.array_equal(y[:half_r, half_c:], prev))
 print("  bottom-left quadrant identical:",
-      np.array_equal(state.y[half_r:, :half_c], prev))
+      np.array_equal(y[half_r:, :half_c], prev))

@@ -28,6 +28,7 @@ from .decoupled import (
     LowRankSolution,
     bsep_eigen_extract,
     bsep_eval_F,
+    dsda_assemble,
     dsda_eval_A,
     dsda_eval_G,
     dsda_eval_H,
@@ -57,14 +58,7 @@ from .errors import (
     SolverError,
     UnsupportedFieldError,
 )
-from .matkit import (
-    SmwFactors,
-    frobenius_norm,
-    numerical_rank,
-    smw_inverse,
-    solve_general,
-    solve_spd,
-)
+from .matkit import frobenius_norm, numerical_rank, solve_general, solve_spd
 from .mmio import load_matrix_market, save_matrix_market
 from .problems import (
     BsepProblem,
@@ -89,17 +83,17 @@ __all__ = [
     "DareProblem", "DimensionMismatchError", "DsdaMareState", "DsdaSymState",
     "InvalidShiftError", "IterationRecord", "LowRankSolution", "MareProblem",
     "MareSdaState", "NotSpdError", "ParseError", "RankDeficientFactorError",
-    "SingularMatrixError", "SmwFactors", "SolveConfig", "SolverError",
-    "SymSdaState", "UnsupportedFieldError",
+    "SingularMatrixError", "SolveConfig", "SolverError", "SymSdaState",
+    "UnsupportedFieldError",
     "assemble_problem", "bsep_eigen_extract", "bsep_eval_F", "bsep_increment",
     "bsep_init", "bsep_sda_step", "care_init", "care_residual", "dare_init",
-    "dare_residual", "dsda_eval_A", "dsda_eval_G", "dsda_eval_H",
-    "dsda_mare_eval", "dsda_mare_init", "dsda_mare_step", "dsda_sym_init",
-    "dsda_sym_step", "family_of", "frobenius_norm", "gen_random_bsep",
-    "gen_random_care", "gen_random_dare", "gen_random_mare",
-    "gen_scalar_suite", "load_config", "load_matrix_market", "mare_init",
-    "mare_residual", "mare_sda_step", "numerical_rank",
-    "reduce_control_weight", "save_matrix_market", "smw_inverse",
+    "dare_residual", "dsda_assemble", "dsda_eval_A", "dsda_eval_G",
+    "dsda_eval_H", "dsda_mare_eval", "dsda_mare_init", "dsda_mare_step",
+    "dsda_sym_init", "dsda_sym_step", "family_of", "frobenius_norm",
+    "gen_random_bsep", "gen_random_care", "gen_random_dare",
+    "gen_random_mare", "gen_scalar_suite", "load_config",
+    "load_matrix_market", "mare_init", "mare_residual", "mare_sda_step",
+    "numerical_rank", "reduce_control_weight", "save_matrix_market",
     "solve_driver", "solve_general", "solve_spd", "subspace_angle",
     "sym_sda_step",
 ]

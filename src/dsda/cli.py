@@ -23,7 +23,7 @@ import json
 import os
 import sys
 
-from .config import load_config
+from .config import read_config
 from .decoupled import DEFAULT_COLUMN_BUDGET, bsep_eigen_extract
 from .driver import ConvergenceReport, SolveConfig, family_of, solve_driver
 from .errors import SolverError
@@ -130,9 +130,10 @@ def _resolve_column_budget(flag_value, config_value) -> int:
 
 def _cmd_solve(args) -> int:
     file_cfg = None
+    file_keys: frozenset[str] = frozenset()
     paths: dict[str, str] = {}
     if args.config:
-        file_cfg, paths = load_config(args.config)
+        file_cfg, paths, file_keys = read_config(args.config)
 
     family = args.family or (file_cfg.family if file_cfg else None)
     if family is None:
@@ -160,8 +161,8 @@ def _cmd_solve(args) -> int:
     problem = assemble_problem(family, matrices, gamma=gamma, alpha=alpha,
                                beta=beta)
 
-    file_budget = (base.column_budget
-                   if base.column_budget != defaults.column_budget else None)
+    file_budget = (base.column_budget if "column_budget" in file_keys
+                   else None)
     cfg = SolveConfig(
         tol=args.tol if args.tol is not None else base.tol,
         max_iter=args.max_iter if args.max_iter is not None else base.max_iter,

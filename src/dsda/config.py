@@ -38,6 +38,13 @@ def _parse_int(key: str, raw: str) -> int:
 
 def load_config(path) -> tuple[SolveConfig, dict[str, str]]:
     """Parse a config file into a validated SolveConfig plus matrix paths."""
+    cfg, paths, _ = read_config(path)
+    return cfg, paths
+
+
+def read_config(path) -> tuple[SolveConfig, dict[str, str], frozenset[str]]:
+    """:func:`load_config` plus the driver keys the file sets, which tells
+    a key set to its default value from one left unset."""
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -59,6 +66,7 @@ def load_config(path) -> tuple[SolveConfig, dict[str, str]]:
 
     if "family" not in values:
         raise ConfigError(f"{path}: missing required key 'family'")
+    scalar_keys = frozenset(k for k in values if k in _SCALAR_KEYS)
     family = values.pop("family")
     if family not in FAMILY_MATRIX_KEYS:
         raise ConfigError(f"unknown family '{family}'")
@@ -84,4 +92,4 @@ def load_config(path) -> tuple[SolveConfig, dict[str, str]]:
 
     cfg = SolveConfig(**kwargs)
     cfg.validate()
-    return cfg, paths
+    return cfg, paths, scalar_keys

@@ -1,13 +1,19 @@
-"""Decoupled doubling with growing block bases and small kernels.
+"""Decoupled doubling with growing block bases and block Hankel kernels.
 
 Instead of iterating two to four coupled dense matrices, each doubling
-step here only extends block bases (one propagator product per new
-block) and rebuilds a small kernel matrix by an anti-diagonal block
-recursion:
+step only extends block bases, one propagator product per new block.
+The bases span block Krylov spaces, u_i = P^i u_0 and v_j = (P^T)^j v_0,
+so block (i, j) of T_k = Uhat_k^T Vhat_k is the moment
+M_{i+j} = u_0^T (P^T)^(i+j) v_0, and the kernel recursion
 
-    Y_k = [[0, Y_{k-1}], [Y_{k-1}, mu * T_{k-1}]],   T_k = Uhat_k^T Vhat_k.
+    Y_k = [[0, Y_{k-1}], [Y_{k-1}, mu * T_{k-1}]]
 
-All iterates of the classical recursions are then available on demand:
+makes Y_k block Hankel too: block (i, j) is 0 when i + j < 2^k - 1, the
+seed Y_0 when i + j = 2^k - 1 and mu * M_{i+j-2^k} beyond.  A state
+keeps only Y_0 and the moments M_0 ... M_{2^(k+1)-2}; each step appends
+the new ones with one product of the last new left block and the new
+right basis, and :func:`dsda_assemble` builds Y or T on demand.  All
+iterates of the classical recursions then follow:
 
     H_k = c * Vhat (I + sigma Y^T Y)^-1 Vhat^T
     G_k = c * Uhat (I + sigma Y Y^T)^-1 Uhat^T
@@ -15,9 +21,9 @@ All iterates of the classical recursions are then available on demand:
 
 with family parameters (c, mu, sigma) = (1, 1, +1) for DARE,
 (2g, 2g, +1) for CARE and (2a, -2a, -1) for the Bethe-Salpeter problem,
-whose F_k carries an extra minus sign.  DARE is seeded with a zero
-Y_0 so the same recursion covers all three.  The four-matrix family
-keeps two kernels Y, Z and four bases (Uhat, Vhat, What, Qhat) with
+whose F_k carries an extra minus sign.  The four-matrix family keeps
+two kernels Y, Z (seeds plus moments of Qhat^T What and Vhat^T Uhat,
+with mu = -s) and four bases (Uhat, Vhat, What, Qhat) with
 
     H_k = s * Uhat (I - Y Z)^-1 Qhat^T,   G_k = s * What (I - Z Y)^-1 Vhat^T,
 
@@ -28,7 +34,8 @@ The closed-form statements for the one-kernel families are usually
 quoted for k >= 2 with the first step written out separately; here the
 k = 0 state is arranged so the same recursion covers every step (the
 discrete-time family is seeded with a zero kernel, which makes the
-first rebuilt kernel come out right).
+first rebuilt kernel come out right).  The growing bases follow Li, Chu,
+Lin & Weng, J. Comput. Appl. Math. 237 (2013).
 
 The classical module computes identical matrices by the coupled dense
 recursions; the test suite holds the two against each other.
@@ -36,8 +43,7 @@ recursions; the test suite holds the two against each other.
 
 from __future__ import annotations
 
-import logging
-import warnings
+import dataclasses
 from dataclasses import dataclass
 from typing import Literal
 
@@ -51,10 +57,8 @@ from .errors import (
     RankDeficientFactorError,
     SingularMatrixError,
 )
-from .matkit import frobenius_norm, numerical_rank, solve_general
+from .matkit import lu_factor_checked, numerical_rank, solve_general
 from .problems import BsepProblem, CareProblem, DareProblem, MareProblem
-
-log = logging.getLogger(__name__)
 
 #: Default cap on basis columns; the bases double every step and no
 #: truncation is performed, so runaway growth must fail cleanly.
@@ -103,18 +107,6 @@ def _factor_spd(kern: np.ndarray) -> tuple:
         raise NotSpdError(str(exc)) from exc
 
 
-def _factor_general(kern: np.ndarray) -> tuple:
-    if kern.shape[0] == 0:
-        return (kern, np.zeros(0, dtype=np.int32))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(kern, check_finite=False)
-    if np.min(np.abs(np.diag(lu))) <= 1e-14 * frobenius_norm(kern):
-        raise SingularMatrixError(
-            f"{kern.shape[0]}x{kern.shape[1]} kernel is numerically singular")
-    return (lu, piv)
-
-
 def _pow2k(m: np.ndarray, k: int) -> np.ndarray:
     """m raised to the power 2^k by repeated squaring."""
     out = m.copy()
@@ -129,19 +121,19 @@ def _pow2k(m: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DsdaSymState:
-    """Growing bases, kernel and cached Gram block for one-kernel families.
+    """Growing bases, kernel seed and Gram moments for one-kernel families.
 
-    ``uhat`` is n x (2^k m), ``vhat`` n x (2^k l), ``y`` (2^k m) x (2^k l)
-    and ``tcache`` holds ``uhat.T @ vhat``, extended incrementally.  For
-    the Bethe-Salpeter family ``uhat`` is the entrywise conjugate of
-    ``vhat`` and ``tcache`` therefore equals ``vhat^H vhat``.
+    ``uhat`` is n x (2^k m), ``vhat`` n x (2^k l) and ``y0`` m x l.
+    ``t_moments[i + j]`` is block (i, j) of ``uhat.T @ vhat``, 2^(k+1) - 1
+    blocks in all.  For the Bethe-Salpeter family ``uhat`` is the
+    entrywise conjugate of ``vhat``, so these are blocks of ``vhat^H vhat``.
     """
 
     family: Literal["dare", "care", "bsep"]
     uhat: np.ndarray
     vhat: np.ndarray
-    y: np.ndarray
-    tcache: np.ndarray
+    y0: np.ndarray
+    t_moments: np.ndarray
     propagator: np.ndarray
     scale: float
     multiplier: float
@@ -161,9 +153,8 @@ def dsda_sym_init(p: CareProblem | DareProblem | BsepProblem) -> DsdaSymState:
         # Zero seed: the generic recursion then reproduces
         # Y_1 = [[0, 0], [0, B^T C^T]] because T_0 = B^T C^T.
         y0 = np.zeros((u0.shape[1], v0.shape[1]))
-        return DsdaSymState("dare", u0, v0, y0, u0.T @ v0, p.a.copy(),
-                            scale=1.0, multiplier=1.0, sigma=+1, k=0)
-    if isinstance(p, CareProblem):
+        family, prop, c, mu, sigma = "dare", p.a.copy(), 1.0, 1.0, +1
+    elif isinstance(p, CareProblem):
         n = p.n
         gamma = p.gamma
         a_g = p.a - gamma * np.eye(n)
@@ -171,10 +162,8 @@ def dsda_sym_init(p: CareProblem | DareProblem | BsepProblem) -> DsdaSymState:
         v0 = solve_general(a_g.T, p.c.T)
         y0 = p.b.T @ v0
         prop = np.eye(n) + 2.0 * gamma * solve_general(a_g, np.eye(n))
-        return DsdaSymState("care", u0, v0, y0, u0.T @ v0, prop,
-                            scale=2.0 * gamma, multiplier=2.0 * gamma,
-                            sigma=+1, k=0)
-    if isinstance(p, BsepProblem):
+        family, c, mu, sigma = "care", 2.0 * gamma, 2.0 * gamma, +1
+    elif isinstance(p, BsepProblem):
         n = p.n
         alpha = p.alpha
         s_a = alpha * np.eye(n) - p.a
@@ -184,33 +173,55 @@ def dsda_sym_init(p: CareProblem | DareProblem | BsepProblem) -> DsdaSymState:
         a_alpha = np.eye(n) - 2.0 * alpha * sa_inv
         prop = a_alpha.conj()               # V grows with conj(A_alpha)
         u0 = v0.conj()
-        return DsdaSymState("bsep", u0, v0, y0, u0.T @ v0, prop,
-                            scale=2.0 * alpha, multiplier=-2.0 * alpha,
-                            sigma=-1, k=0)
-    raise TypeError(f"unsupported problem type {type(p).__name__}")
+        family, c, mu, sigma = "bsep", 2.0 * alpha, -2.0 * alpha, -1
+    else:
+        raise TypeError(f"unsupported problem type {type(p).__name__}")
+    return DsdaSymState(family, u0, v0, y0, (u0.T @ v0)[None], prop,
+                        scale=c, multiplier=mu, sigma=sigma, k=0)
 
 
 def dsda_sym_step(s: DsdaSymState,
                   column_budget: int = DEFAULT_COLUMN_BUDGET) -> DsdaSymState:
-    """Double the bases, extend the Gram cache, rebuild the kernel."""
-    blocks = 2 ** s.k
-    m = s.uhat.shape[1] // blocks
-    l = s.vhat.shape[1] // blocks
-    if 2 * blocks * max(m, l) > column_budget:
+    """Double the bases and append the new Gram moments."""
+    m, l = s.y0.shape
+
+    def grow(blocks):
+        if s.family == "bsep":
+            v_new = _extend_basis(s.vhat, s.propagator, blocks, l)
+            return v_new.conj(), v_new
+        return (_extend_basis(s.uhat, s.propagator, blocks, m),
+                _extend_basis(s.vhat, s.propagator.T, blocks, l))
+
+    (u_new, v_new), (t_new,) = _double(s.k, column_budget, grow,
+                                       ((s.t_moments, 0, 1),))
+    return dataclasses.replace(s, uhat=u_new, vhat=v_new, t_moments=t_new,
+                               k=s.k + 1)
+
+
+def _double(k: int, column_budget: int, grow, products):
+    """Budget check, basis growth and moment append shared by all families.
+
+    ``grow(blocks)`` returns the bases with ``blocks = b = 2^k`` new
+    blocks appended.  ``products`` lists each moment stack with the
+    positions of its left and right basis in that tuple.  The last left
+    block of the doubled bases is u_{2b-1}, so its products with
+    v_0 ... v_{2b-1} are exactly the new moments M_{2b-1} ... M_{4b-2}.
+    """
+    blocks = 2 ** k
+    width = max(max(moments.shape[1:]) for moments, _, _ in products)
+    if 2 * blocks * width > column_budget:
         raise BudgetExceededError(
-            f"doubling to {2 * blocks * max(m, l)} columns exceeds the "
+            f"doubling to {2 * blocks * width} columns exceeds the "
             f"budget of {column_budget}")
-    y_new = np.block([[np.zeros_like(s.y), s.y],
-                      [s.y, s.multiplier * s.tcache]])
-    if s.family == "bsep":
-        v_new = _extend_basis(s.vhat, s.propagator, blocks, l)
-        u_new = v_new.conj()
-    else:
-        v_new = _extend_basis(s.vhat, s.propagator.T, blocks, l)
-        u_new = _extend_basis(s.uhat, s.propagator, blocks, m)
-    t_new = _extend_gram(s.tcache, s.uhat, s.vhat, u_new, v_new)
-    return DsdaSymState(s.family, u_new, v_new, y_new, t_new, s.propagator,
-                        s.scale, s.multiplier, s.sigma, s.k + 1)
+    bases = grow(blocks)
+    stacks = []
+    for moments, i, j in products:
+        _, wl, wr = moments.shape
+        last = bases[i][:, bases[i].shape[1] - wl:]
+        new = last.T @ bases[j]
+        stacks.append(np.concatenate(
+            [moments, new.reshape(wl, 2 * blocks, wr).transpose(1, 0, 2)]))
+    return bases, stacks
 
 
 def _extend_basis(basis: np.ndarray, prop: np.ndarray, blocks: int,
@@ -224,21 +235,46 @@ def _extend_basis(basis: np.ndarray, prop: np.ndarray, blocks: int,
     return np.hstack([basis] + new)
 
 
-def _extend_gram(t_old: np.ndarray, u_old: np.ndarray, v_old: np.ndarray,
-                 u_full: np.ndarray, v_full: np.ndarray) -> np.ndarray:
-    """Grow ``uhat.T @ vhat``, reusing the previous block verbatim."""
-    wu = u_old.shape[1]
-    wv = v_old.shape[1]
-    u_add = u_full[:, wu:]
-    v_add = v_full[:, wv:]
-    return np.block([[t_old, u_old.T @ v_add],
-                     [u_add.T @ v_old, u_add.T @ v_add]])
+def dsda_assemble(s: DsdaSymState | DsdaMareState, which: str) -> np.ndarray:
+    """Kernel ``"Y"`` or ``"Z"``, or Gram block ``"T"`` or ``"S"``, of a state.
+
+    T is ``uhat.T @ vhat`` for the one-kernel families and
+    ``qhat.T @ what`` for the four-matrix family, whose Z and S
+    (``vhat.T @ uhat``) complete the set.  Each is block Hankel: block
+    (i, j) is entry i + j of a sequence built from the state's seed and
+    moments, gathered in one vectorised copy that keeps the dtype.
+    """
+    if which in ("Y", "T"):
+        seed, seq = s.y0, s.t_moments
+    elif which in ("Z", "S") and isinstance(s, DsdaMareState):
+        seed, seq = s.z0, s.s_moments
+    else:
+        raise ValueError(f"which must name a matrix of the state; got {which!r}")
+    b = 2 ** s.k
+    if which in ("Y", "Z"):
+        pad = np.zeros((b - 1,) + seed.shape, dtype=np.result_type(seed, seq))
+        seq = np.concatenate([pad, seed[None], s.multiplier * seq[:b - 1]])
+    _, r, c = seq.shape
+    windows = np.lib.stride_tricks.sliding_window_view(seq, b, axis=0)
+    return windows.transpose(0, 1, 3, 2).reshape(b * r, b * c)
 
 
-def _sym_kernel(s: DsdaSymState, side: str) -> np.ndarray:
+def _sym_kernel(y: np.ndarray, sigma: int, side: str) -> np.ndarray:
     if side == "right":
-        return np.eye(s.y.shape[1], dtype=s.y.dtype) + s.sigma * (s.y.T @ s.y)
-    return np.eye(s.y.shape[0], dtype=s.y.dtype) + s.sigma * (s.y @ s.y.T)
+        return np.eye(y.shape[1], dtype=y.dtype) + sigma * (y.T @ y)
+    return np.eye(y.shape[0], dtype=y.dtype) + sigma * (y @ y.T)
+
+
+def _sym_solution(s: DsdaSymState, y: np.ndarray, side: str) -> LowRankSolution:
+    """``sigma c * B (I + sigma K)^-1 B^T``: B = Vhat, K = Y^T Y on the
+    right side, B = Uhat, K = Y Y^T on the left; factored by kernel kind."""
+    basis = s.vhat if side == "right" else s.uhat
+    kern = _sym_kernel(y, s.sigma, side)
+    if s.sigma == +1:
+        return LowRankSolution(s.scale, basis, basis, kern,
+                               _factor_spd(kern), "cholesky")
+    return LowRankSolution(-s.scale, basis, basis, kern,
+                           lu_factor_checked(kern), "lu")
 
 
 def dsda_eval_H(s: DsdaSymState) -> LowRankSolution:
@@ -246,9 +282,7 @@ def dsda_eval_H(s: DsdaSymState) -> LowRankSolution:
     if s.sigma != +1:
         raise DimensionMismatchError(
             "H evaluation applies to the DARE/CARE kernel; use bsep_eval_F")
-    kern = _sym_kernel(s, "right")
-    return LowRankSolution(s.scale, s.vhat, s.vhat, kern,
-                           _factor_spd(kern), "cholesky")
+    return _sym_solution(s, dsda_assemble(s, "Y"), "right")
 
 
 def dsda_eval_G(s: DsdaSymState) -> LowRankSolution:
@@ -256,18 +290,14 @@ def dsda_eval_G(s: DsdaSymState) -> LowRankSolution:
     if s.sigma != +1:
         raise DimensionMismatchError(
             "G evaluation applies to the DARE/CARE kernel")
-    kern = _sym_kernel(s, "left")
-    return LowRankSolution(s.scale, s.uhat, s.uhat, kern,
-                           _factor_spd(kern), "cholesky")
+    return _sym_solution(s, dsda_assemble(s, "Y"), "left")
 
 
 def bsep_eval_F(s: DsdaSymState) -> LowRankSolution:
     """F_k = -2 alpha Vhat (I - Y^T Y)^-1 Vhat^T (plain transposes)."""
     if s.family != "bsep":
         raise DimensionMismatchError("F evaluation applies to the BSEP family")
-    kern = _sym_kernel(s, "right")
-    return LowRankSolution(-s.scale, s.vhat, s.vhat, kern,
-                           _factor_general(kern), "lu")
+    return _sym_solution(s, dsda_assemble(s, "Y"), "right")
 
 
 def dsda_eval_A(s: DsdaSymState) -> np.ndarray:
@@ -283,13 +313,8 @@ def dsda_eval_A(s: DsdaSymState) -> np.ndarray:
             f"n <= {DENSE_EVAL_MAX_DIM}, got n = {n}")
     base = s.propagator.conj() if s.family == "bsep" else s.propagator
     power = _pow2k(base, s.k)
-    kern = _sym_kernel(s, "left")
-    if s.sigma == +1:
-        corr = scipy.linalg.cho_solve(_factor_spd(kern), s.y @ s.vhat.T,
-                                      check_finite=False)
-    else:
-        corr = scipy.linalg.lu_solve(_factor_general(kern), s.y @ s.vhat.T,
-                                     check_finite=False)
+    y = dsda_assemble(s, "Y")
+    corr = _sym_solution(s, y, "left").solve_kernel(y @ s.vhat.T)
     return power - s.scale * (s.uhat @ corr)
 
 
@@ -299,7 +324,7 @@ def kernel_extreme_eigenvalues(s: DsdaSymState) -> tuple[float, float]:
     Conditioning diagnostic: without truncation the kernel degrades as k
     grows, and this is the number to watch.
     """
-    kern = _sym_kernel(s, "right")
+    kern = _sym_kernel(dsda_assemble(s, "Y"), s.sigma, "right")
     if s.family == "bsep":
         w = np.linalg.eigvals(kern)
         mags = np.abs(w)
@@ -375,24 +400,33 @@ def subspace_angle(w: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DsdaMareState:
-    """Four growing bases and the kernel pair (Y, Z) for the MARE family."""
+    """Four growing bases, kernel seeds and Gram moments for the MARE family.
 
-    uhat: np.ndarray    # m x (2^k m1)
-    vhat: np.ndarray    # m x (2^k n1)
-    what: np.ndarray    # n x (2^k n1)
-    qhat: np.ndarray    # n x (2^k m1)
-    y: np.ndarray       # (2^k m1) x (2^k n1)
-    z: np.ndarray       # (2^k n1) x (2^k m1)
-    tcache: np.ndarray  # qhat.T @ what
-    scache: np.ndarray  # vhat.T @ uhat
-    prop_a: np.ndarray  # m x m
-    prop_d: np.ndarray  # n x n
+    The kernels Y and Z are assembled by :func:`dsda_assemble` from the
+    seeds and the moments, as for the one-kernel families, with
+    multiplier -s.
+    """
+
+    uhat: np.ndarray       # m x (2^k m1)
+    vhat: np.ndarray       # m x (2^k n1)
+    what: np.ndarray       # n x (2^k n1)
+    qhat: np.ndarray       # n x (2^k m1)
+    y0: np.ndarray         # m1 x n1
+    z0: np.ndarray         # n1 x m1
+    t_moments: np.ndarray  # (2^(k+1) - 1) x m1 x n1 blocks of qhat.T @ what
+    s_moments: np.ndarray  # (2^(k+1) - 1) x n1 x m1 blocks of vhat.T @ uhat
+    prop_a: np.ndarray     # m x m
+    prop_d: np.ndarray     # n x n
     shift_sum: float
     k: int = 0
 
     @property
     def basis_cols(self) -> int:
         return self.uhat.shape[1]
+
+    @property
+    def multiplier(self) -> float:
+        return -self.shift_sum
 
 
 def _check_full_column_rank(mat: np.ndarray, name: str) -> None:
@@ -429,33 +463,29 @@ def dsda_mare_init(p: MareProblem, mode: str = "sda") -> DsdaMareState:
     prop_a = np.eye(m) - s * solve_general(a_b, np.eye(m))
     prop_d = np.eye(n) - s * solve_general(d_a, np.eye(n))
     return DsdaMareState(u0, v0, w0, q0, y0, z0,
-                         tcache=q0.T @ w0, scache=v0.T @ u0,
+                         t_moments=(q0.T @ w0)[None],
+                         s_moments=(v0.T @ u0)[None],
                          prop_a=prop_a, prop_d=prop_d, shift_sum=s, k=0)
 
 
 def dsda_mare_step(s: DsdaMareState,
                    column_budget: int = DEFAULT_COLUMN_BUDGET) -> DsdaMareState:
-    """Double the four bases and rebuild both kernels."""
-    blocks = 2 ** s.k
-    m1 = s.uhat.shape[1] // blocks
-    n1 = s.vhat.shape[1] // blocks
-    if 2 * blocks * max(m1, n1) > column_budget:
-        raise BudgetExceededError(
-            f"doubling to {2 * blocks * max(m1, n1)} columns exceeds the "
-            f"budget of {column_budget}")
-    y_new = np.block([[np.zeros_like(s.y), s.y],
-                      [s.y, -s.shift_sum * s.tcache]])
-    z_new = np.block([[np.zeros_like(s.z), s.z],
-                      [s.z, -s.shift_sum * s.scache]])
-    u_new = _extend_basis(s.uhat, s.prop_a, blocks, m1)
-    v_new = _extend_basis(s.vhat, s.prop_a.T, blocks, n1)
-    w_new = _extend_basis(s.what, s.prop_d, blocks, n1)
-    q_new = _extend_basis(s.qhat, s.prop_d.T, blocks, m1)
-    t_new = _extend_gram(s.tcache, s.qhat, s.what, q_new, w_new)
-    s_new = _extend_gram(s.scache, s.vhat, s.uhat, v_new, u_new)
-    return DsdaMareState(u_new, v_new, w_new, q_new, y_new, z_new,
-                         t_new, s_new, s.prop_a, s.prop_d, s.shift_sum,
-                         s.k + 1)
+    """Double the four bases and append the new moments of both Gram blocks."""
+    m1, n1 = s.y0.shape
+
+    def grow(blocks):
+        return (_extend_basis(s.uhat, s.prop_a, blocks, m1),
+                _extend_basis(s.vhat, s.prop_a.T, blocks, n1),
+                _extend_basis(s.what, s.prop_d, blocks, n1),
+                _extend_basis(s.qhat, s.prop_d.T, blocks, m1))
+
+    # T pairs (qhat, what), S pairs (vhat, uhat).
+    (u_new, v_new, w_new, q_new), (t_new, s_new) = _double(
+        s.k, column_budget, grow,
+        ((s.t_moments, 3, 2), (s.s_moments, 1, 0)))
+    return dataclasses.replace(s, uhat=u_new, vhat=v_new, what=w_new,
+                               qhat=q_new, t_moments=t_new, s_moments=s_new,
+                               k=s.k + 1)
 
 
 def dsda_mare_eval(s: DsdaMareState, which: str):
@@ -465,28 +495,23 @@ def dsda_mare_eval(s: DsdaMareState, which: str):
     ``"E"`` return dense matrices (validation-guarded like
     :func:`dsda_eval_A`).
     """
-    wy = s.y.shape[0]
-    wz = s.z.shape[0]
+    if which not in ("H", "G", "F", "E"):
+        raise ValueError(f"which must be one of H, G, F, E; got {which!r}")
+    if which in ("F", "E") and max(s.prop_a.shape[0],
+                                   s.prop_d.shape[0]) > DENSE_EVAL_MAX_DIM:
+        raise BudgetExceededError(
+            f"dense propagator-power evaluation is guarded to "
+            f"n <= {DENSE_EVAL_MAX_DIM}")
+    y = dsda_assemble(s, "Y")
+    z = dsda_assemble(s, "Z")
+    first, second = (y, z) if which in ("H", "F") else (z, y)
+    kern = np.eye(first.shape[0]) - first @ second
+    factor = lu_factor_checked(kern)
     if which == "H":
-        kern = np.eye(wy) - s.y @ s.z
-        return LowRankSolution(s.shift_sum, s.uhat, s.qhat, kern,
-                               _factor_general(kern), "lu")
+        return LowRankSolution(s.shift_sum, s.uhat, s.qhat, kern, factor, "lu")
     if which == "G":
-        kern = np.eye(wz) - s.z @ s.y
-        return LowRankSolution(s.shift_sum, s.what, s.vhat, kern,
-                               _factor_general(kern), "lu")
-    if which in ("F", "E"):
-        if max(s.prop_a.shape[0], s.prop_d.shape[0]) > DENSE_EVAL_MAX_DIM:
-            raise BudgetExceededError(
-                f"dense propagator-power evaluation is guarded to "
-                f"n <= {DENSE_EVAL_MAX_DIM}")
-        if which == "F":
-            kern = np.eye(wy) - s.y @ s.z
-            corr = scipy.linalg.lu_solve(_factor_general(kern),
-                                         s.y @ s.vhat.T, check_finite=False)
-            return _pow2k(s.prop_a, s.k) - s.shift_sum * (s.uhat @ corr)
-        kern = np.eye(wz) - s.z @ s.y
-        corr = scipy.linalg.lu_solve(_factor_general(kern),
-                                     s.z @ s.qhat.T, check_finite=False)
-        return _pow2k(s.prop_d, s.k) - s.shift_sum * (s.what @ corr)
-    raise ValueError(f"which must be one of H, G, F, E; got {which!r}")
+        return LowRankSolution(s.shift_sum, s.what, s.vhat, kern, factor, "lu")
+    prop, basis, rhs = ((s.prop_a, s.uhat, y @ s.vhat.T) if which == "F"
+                        else (s.prop_d, s.what, z @ s.qhat.T))
+    corr = scipy.linalg.lu_solve(factor, rhs, check_finite=False)
+    return _pow2k(prop, s.k) - s.shift_sum * (basis @ corr)

@@ -7,7 +7,8 @@ the family's convergence measure drops below tolerance, the iteration
 cap or column budget is hit, or a kernel turns numerically singular.
 Numerical failures never escape: they terminate the loop with the
 matching report status and the last successful iterate is kept as the
-final solution.
+final solution.  An iterate or residual with non-finite entries counts
+as numerical singularity.
 """
 
 from __future__ import annotations
@@ -214,6 +215,8 @@ class _Run:
 
     def measure(self, state) -> tuple[np.ndarray, float]:
         dense = self._evaluate(state)
+        if not np.all(np.isfinite(dense)):
+            raise SingularMatrixError("iterate has non-finite entries")
         if self.family == "care":
             res = care_residual(self.problem, dense)
         elif self.family == "dare":
@@ -223,6 +226,8 @@ class _Run:
         else:
             res = bsep_increment(dense, self.prev_dense)
             self.prev_dense = dense
+        if not np.isfinite(res):
+            raise SingularMatrixError(f"residual is {res}")
         return dense, res
 
     def basis_cols(self, state) -> int:
@@ -250,11 +255,12 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
     run = _Run(p, cfg)
     records: list[IterationRecord] = []
     final_dense: np.ndarray | None = None
+    final_lowrank: LowRankSolution | None = None
 
     def report(status: str) -> ConvergenceReport:
         assert status in STATUSES
         return ConvergenceReport(tuple(records), status, final_dense,
-                                 run.lowrank, run.family, cfg.method, cfg)
+                                 final_lowrank, run.family, cfg.method, cfg)
 
     try:
         state = run.init_state()
@@ -263,7 +269,7 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
     except BudgetExceededError:
         return report("BudgetExceeded")
     if run.family == "bsep":
-        final_dense = run.prev_dense
+        final_dense, final_lowrank = run.prev_dense, run.lowrank
 
     for _ in range(cfg.max_iter):
         started = time.perf_counter()
@@ -275,7 +281,7 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
         except (SingularMatrixError, NotSpdError):
             return report("SingularEncountered")
         elapsed_ms = (time.perf_counter() - started) * 1000.0
-        final_dense = dense
+        final_dense, final_lowrank = dense, run.lowrank
         records.append(IterationRecord(
             k=state.k,
             residual=residual,

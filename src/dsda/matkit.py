@@ -1,17 +1,16 @@
 """Dense linear-algebra kernel.
 
-Small-matrix primitives the doubling iterations are built from: a
-Sherman-Morrison-Woodbury inverse, symmetric-positive-definite and
-pivoted general solves, the Frobenius norm and an SVD-based numerical
-rank.  Everything works on plain 2-D numpy arrays (real float64, or
-complex128 where noted) and raises the package exceptions on failure
-instead of letting numpy/scipy errors escape.
+Small-matrix primitives the doubling iterations are built from:
+symmetric-positive-definite and pivoted general solves with one
+singularity test, the Frobenius norm and an SVD-based numerical rank.
+Everything works on plain 2-D numpy arrays (real float64, or complex128
+where noted) and raises the package exceptions on failure instead of
+letting numpy/scipy errors escape.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -72,15 +71,33 @@ def numerical_rank(m, rel_tol: float | None = None) -> int:
     return int(np.count_nonzero(sigma > rel_tol * smax))
 
 
-def solve_general(k, b) -> np.ndarray:
-    """Solve ``K X = B`` for square K by pivoted LU elimination.
+def lu_factor_checked(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pivoted LU factors ``(lu, piv)`` of a square array.
 
     Raises
     ------
     SingularMatrixError
-        If any pivot falls below ``SINGULARITY_RTOL * ||K||_F``, which
-        signals a violation of the standing nonsingularity assumptions
-        of the doubling recursions.
+        If any pivot falls below ``SINGULARITY_RTOL * ||K||_F`` or is
+        NaN, which signals a violation of the standing nonsingularity
+        assumptions of the doubling recursions.
+    """
+    if k.shape[0] == 0:
+        return k, np.zeros(0, dtype=np.int32)
+    with warnings.catch_warnings():
+        # Exactly-zero pivots are reported by the threshold check below.
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(k, check_finite=False)
+    pivot_floor = SINGULARITY_RTOL * frobenius_norm(k)
+    if not np.min(np.abs(np.diag(lu))) > pivot_floor:
+        raise SingularMatrixError(
+            f"pivot below {pivot_floor:.3e} in {k.shape[0]}x{k.shape[1]} matrix")
+    return lu, piv
+
+
+def solve_general(k, b) -> np.ndarray:
+    """Solve ``K X = B`` for square K by pivoted LU elimination.
+
+    Raises ``SingularMatrixError`` as :func:`lu_factor_checked` does.
     """
     kk = as_matrix(k, "K")
     bb = as_matrix(b, "B")
@@ -91,15 +108,7 @@ def solve_general(k, b) -> np.ndarray:
             f"K has {kk.shape[0]} rows but B has {bb.shape[0]}")
     if kk.shape[0] == 0:
         return np.zeros_like(bb)
-    with warnings.catch_warnings():
-        # Exactly-zero pivots are reported by the threshold check below.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(kk, check_finite=False)
-    pivot_floor = SINGULARITY_RTOL * frobenius_norm(kk)
-    if np.min(np.abs(np.diag(lu))) <= pivot_floor:
-        raise SingularMatrixError(
-            f"pivot below {pivot_floor:.3e} in {kk.shape[0]}x{kk.shape[1]} solve")
-    return scipy.linalg.lu_solve((lu, piv), bb, check_finite=False)
+    return scipy.linalg.lu_solve(lu_factor_checked(kk), bb, check_finite=False)
 
 
 def solve_spd(k, b) -> np.ndarray:
@@ -123,52 +132,3 @@ def solve_spd(k, b) -> np.ndarray:
     except scipy.linalg.LinAlgError as exc:
         raise NotSpdError(str(exc)) from exc
     return scipy.linalg.cho_solve((c, low), bb, check_finite=False)
-
-
-@dataclass(frozen=True)
-class SmwFactors:
-    """Factors of a Woodbury-structured matrix ``M + U D V^T``.
-
-    ``m`` is n x n and invertible, ``u`` is n x p, ``d`` is p x p and
-    invertible, ``v`` is n x p.
-    """
-
-    m: np.ndarray
-    u: np.ndarray
-    d: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", as_matrix(self.m, "M"))
-        object.__setattr__(self, "u", as_matrix(self.u, "U"))
-        object.__setattr__(self, "d", as_matrix(self.d, "D"))
-        object.__setattr__(self, "v", as_matrix(self.v, "V"))
-        n = self.m.shape[0]
-        if self.m.shape != (n, n):
-            raise DimensionMismatchError(f"M must be square, got {self.m.shape}")
-        if self.d.shape[0] != self.d.shape[1]:
-            raise DimensionMismatchError(
-                f"D must be square for the update formula, got {self.d.shape}")
-        p = self.d.shape[0]
-        if self.u.shape != (n, p) or self.v.shape != (n, p):
-            raise DimensionMismatchError(
-                f"U and V must be {n}x{p}, got {self.u.shape} and {self.v.shape}")
-
-
-def smw_inverse(f: SmwFactors) -> np.ndarray:
-    """Invert ``M + U D V^T`` by the Sherman-Morrison-Woodbury update.
-
-    Computes ``M^-1 - M^-1 U (D^-1 + V^T M^-1 U)^-1 V^T M^-1``.  Both
-    required inverses go through :func:`solve_general`, so a pivot
-    failure in either surfaces as ``SingularMatrixError``.
-    """
-    n = f.m.shape[0]
-    p = f.d.shape[0]
-    m_inv = solve_general(f.m, np.eye(n, dtype=f.m.dtype))
-    if p == 0:
-        return m_inv
-    d_inv = solve_general(f.d, np.eye(p, dtype=f.d.dtype))
-    minv_u = m_inv @ f.u
-    vt_minv = f.v.T @ m_inv
-    core = d_inv + f.v.T @ minv_u
-    return m_inv - minv_u @ solve_general(core, vt_minv)

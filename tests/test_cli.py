@@ -95,6 +95,20 @@ class TestSolve:
         code = run_cli(solve_args(care_files, "--column-budget", "4096"))
         assert code == 0
 
+    def test_config_default_budget_beats_env(self, care_files, tmp_path,
+                                            monkeypatch):
+        # A file that sets the default value still sets the key.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"family = care\ngamma = 1.0\ncolumn_budget = 4096\n"
+                       f"A = {care_files['A']}\nB = {care_files['B']}\n"
+                       f"C = {care_files['C']}\n")
+        monkeypatch.setenv("RICCATI_COLUMN_BUDGET", "2")
+        out_path = tmp_path / "report.json"
+        code = run_cli(["solve", "--config", str(cfg), "--output", "json",
+                        "--out-path", str(out_path)])
+        assert code == 0
+        assert json.loads(out_path.read_text())["config"]["column_budget"] == 4096
+
     def test_bad_env_budget(self, care_files, monkeypatch, capsys):
         monkeypatch.setenv("RICCATI_COLUMN_BUDGET", "plenty")
         code = run_cli(solve_args(care_files))

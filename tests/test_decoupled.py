@@ -15,6 +15,7 @@ from dsda.classical import (
 from dsda.decoupled import (
     bsep_eigen_extract,
     bsep_eval_F,
+    dsda_assemble,
     dsda_eval_A,
     dsda_eval_G,
     dsda_eval_H,
@@ -59,14 +60,14 @@ class TestSymInit:
     def test_dare_k0_reproduces_h0(self):
         p = gen_random_dare(5, 2, 2, seed=1)
         s = dsda_sym_init(p)
-        assert np.array_equal(s.y, np.zeros((2, 2)))
+        assert np.array_equal(dsda_assemble(s, "Y"), np.zeros((2, 2)))
         assert rel_err(dsda_eval_H(s).dense(), p.c.T @ p.c) <= 1e-14
         assert rel_err(dsda_eval_G(s).dense(), p.b @ p.b.T) <= 1e-14
         assert np.allclose(dsda_eval_A(s), p.a)
 
     def test_care_scalar(self):
         s = dsda_sym_init(SCALAR_CARE)
-        assert s.y == pytest.approx(np.array([[-0.5]]))
+        assert dsda_assemble(s, "Y") == pytest.approx(np.array([[-0.5]]))
         assert dsda_eval_H(s).dense() == pytest.approx(np.array([[0.4]]))
         # Cayley image of a = -1 at gamma = 1 vanishes; the starting
         # iterate A_0 itself carries the rank-one correction on top.
@@ -78,7 +79,7 @@ class TestSymInit:
         p = BsepProblem(np.diag([-1.0, -2.0]).astype(complex),
                         np.zeros((2, 0)), alpha=1.0)
         s = dsda_sym_init(p)
-        assert s.y.shape == (0, 0)
+        assert dsda_assemble(s, "Y").shape == (0, 0)
         assert np.array_equal(bsep_eval_F(s).dense(),
                               np.zeros((2, 2), dtype=complex))
 
@@ -86,13 +87,15 @@ class TestSymInit:
 class TestSymStep:
     def test_scalar_dare_first_step(self):
         s = dsda_sym_step(dsda_sym_init(SCALAR_DARE))
-        assert np.array_equal(s.y, np.array([[0.0, 0.0], [0.0, 1.0]]))
+        assert np.array_equal(dsda_assemble(s, "Y"),
+                              np.array([[0.0, 0.0], [0.0, 1.0]]))
         assert np.array_equal(s.vhat, np.array([[1.0, 0.5]]))
         assert dsda_eval_H(s).dense() == pytest.approx(np.array([[1.125]]))
 
     def test_scalar_care_first_step(self):
         s = dsda_sym_step(dsda_sym_init(SCALAR_CARE))
-        assert np.allclose(s.y, np.array([[0.0, -0.5], [-0.5, 0.5]]))
+        assert np.allclose(dsda_assemble(s, "Y"),
+                           np.array([[0.0, -0.5], [-0.5, 0.5]]))
         # 2 gamma * Vhat (I + Y^T Y)^-1 Vhat^T = 0.75 / 1.8125
         assert dsda_eval_H(s).dense() == pytest.approx(
             np.array([[0.41379310344827586]]))
@@ -115,23 +118,38 @@ class TestSymStep:
     def test_y_structure_is_shared_exactly(self):
         s = dsda_sym_init(gen_random_care(6, 2, 1, seed=9))
         for _ in range(3):
-            prev_y = s.y
-            prev_t = s.tcache
+            prev_y = dsda_assemble(s, "Y")
+            prev_t = dsda_assemble(s, "T")
             s = dsda_sym_step(s)
+            y = dsda_assemble(s, "Y")
             hw = prev_y.shape[0]
             hl = prev_y.shape[1]
-            assert np.array_equal(s.y[:hw, hl:], prev_y)
-            assert np.array_equal(s.y[hw:, :hl], prev_y)
-            assert np.array_equal(s.y[:hw, :hl], np.zeros_like(prev_y))
-            assert np.array_equal(s.y[hw:, hl:], s.multiplier * prev_t)
+            assert np.array_equal(y[:hw, hl:], prev_y)
+            assert np.array_equal(y[hw:, :hl], prev_y)
+            assert np.array_equal(y[:hw, :hl], np.zeros_like(prev_y))
+            assert np.array_equal(y[hw:, hl:], s.multiplier * prev_t)
             # Old Gram block reused verbatim
-            assert np.array_equal(s.tcache[:hw, :hl], prev_t)
+            assert np.array_equal(dsda_assemble(s, "T")[:hw, :hl], prev_t)
 
-    def test_gram_cache_matches_full_product(self):
-        s = dsda_sym_init(gen_random_care(6, 2, 2, seed=13))
+    @pytest.mark.parametrize("case", ["care", "dare", "bsep", "mare-sda",
+                                      "mare-adda"])
+    def test_gram_cache_matches_full_product(self, case):
+        family, _, mode = case.partition("-")
+        if family == "mare":
+            s = dsda_mare_init(gen_random_mare(6, 5, 2, 2, seed=13), mode=mode)
+            step = dsda_mare_step
+            products = {"T": ("qhat", "what"), "S": ("vhat", "uhat")}
+        else:
+            s = dsda_sym_init({"care": gen_random_care(6, 2, 2, seed=13),
+                               "dare": gen_random_dare(6, 2, 2, seed=13),
+                               "bsep": gen_random_bsep(6, 2, seed=13)}[family])
+            step = dsda_sym_step
+            products = {"T": ("uhat", "vhat")}
         for _ in range(3):
-            s = dsda_sym_step(s)
-            assert rel_err(s.tcache, s.uhat.T @ s.vhat) <= 1e-13
+            s = step(s)
+            for which, (left, right) in products.items():
+                full = getattr(s, left).T @ getattr(s, right)
+                assert rel_err(dsda_assemble(s, which), full) <= 1e-13
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -352,7 +370,7 @@ class TestMareDecoupled:
         p = MareProblem(a, d, np.zeros((2, 0)), np.zeros((2, 0)),
                         np.zeros((2, 0)), np.zeros((2, 0)))
         s = dsda_mare_init(p)
-        assert s.y.shape == (0, 0)
+        assert dsda_assemble(s, "Y").shape == (0, 0)
         assert np.array_equal(dsda_mare_eval(s, "H").dense(), np.zeros((2, 2)))
         s = dsda_mare_step(s)
         assert np.array_equal(dsda_mare_eval(s, "H").dense(), np.zeros((2, 2)))
@@ -386,7 +404,8 @@ class TestMareDecoupled:
                           gamma=gamma, alpha=gamma, beta=gamma)
         s_sda = dsda_mare_init(p_g, mode="sda")
         s_adda = dsda_mare_init(p_g, mode="adda")
-        for name in ("uhat", "vhat", "what", "qhat", "y", "z"):
+        for name in ("uhat", "vhat", "what", "qhat", "y0", "z0",
+                     "t_moments", "s_moments"):
             assert np.array_equal(getattr(s_sda, name), getattr(s_adda, name))
 
     def test_rank_deficient_factor_rejected(self):

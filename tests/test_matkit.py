@@ -1,46 +1,8 @@
 import numpy as np
 import pytest
 
-from dsda.errors import DimensionMismatchError, NotSpdError, SingularMatrixError
-from dsda.matkit import (
-    SmwFactors,
-    frobenius_norm,
-    numerical_rank,
-    smw_inverse,
-    solve_general,
-    solve_spd,
-)
-
-
-class TestSmwInverse:
-    def test_scalar(self):
-        # (2 + 1*1*1)^-1 = 1/3
-        out = smw_inverse(SmwFactors([[2.0]], [[1.0]], [[1.0]], [[1.0]]))
-        assert out == pytest.approx(np.array([[1.0 / 3.0]]))
-
-    def test_zero_update_is_plain_inverse(self):
-        f = SmwFactors(np.eye(2), np.zeros((2, 1)), np.eye(1), np.zeros((2, 1)))
-        assert np.allclose(smw_inverse(f), np.eye(2))
-
-    def test_random_residual(self):
-        rng = np.random.default_rng(5)
-        m = rng.standard_normal((5, 5)) + 5.0 * np.eye(5)
-        u = rng.standard_normal((5, 2))
-        d = np.eye(2) + 0.1 * rng.standard_normal((2, 2))
-        v = rng.standard_normal((5, 2))
-        r = smw_inverse(SmwFactors(m, u, d, v))
-        resid = (m + u @ d @ v.T) @ r - np.eye(5)
-        assert frobenius_norm(resid) <= 1e-12
-
-    def test_singular_m(self):
-        f = SmwFactors(np.zeros((2, 2)), np.zeros((2, 1)), np.eye(1),
-                       np.zeros((2, 1)))
-        with pytest.raises(SingularMatrixError):
-            smw_inverse(f)
-
-    def test_rectangular_d_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            SmwFactors(np.eye(2), np.ones((2, 2)), np.ones((2, 1)), np.ones((2, 1)))
+from dsda.errors import NotSpdError, SingularMatrixError
+from dsda.matkit import frobenius_norm, numerical_rank, solve_general, solve_spd
 
 
 class TestSolveSpd:

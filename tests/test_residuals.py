@@ -160,6 +160,33 @@ class TestSolveDriver:
         report = solve_driver(SCALAR_CARE, SolveConfig(gamma=2.0))
         assert report.status == "Converged"
 
+    @pytest.mark.parametrize("method", ["sda", "dsda"])
+    def test_overflowing_iterate_ends_singular_keeping_last_finite(self, method):
+        # Not stabilizable: the iterate grows until its dense form
+        # overflows, and the residual must not see the inf entries.
+        p = DareProblem(np.diag([3.0, 0.5]), [[0.0], [1.0]], [[1.0, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = solve_driver(p, SolveConfig(method=method, max_iter=30))
+        assert report.status == "SingularEncountered"
+        assert report.iterations
+        last = solve_driver(p, SolveConfig(method=method,
+                                           max_iter=len(report.iterations)))
+        assert last.status == "MaxIter"
+        assert np.array_equal(report.final_solution, last.final_solution)
+        if method == "dsda":
+            assert np.array_equal(report.final_lowrank.dense(),
+                                  report.final_solution)
+
+    @pytest.mark.parametrize("method", ["sda", "dsda"])
+    def test_nonfinite_residual_ends_singular(self, method):
+        p = CareProblem([[-1e150]], [[1e150]], [[1e150]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = solve_driver(p, SolveConfig(method=method))
+        assert report.status == "SingularEncountered"
+        assert all(math.isfinite(rec.residual) for rec in report.iterations)
+        assert (report.final_solution is None
+                or np.all(np.isfinite(report.final_solution)))
+
     def test_report_is_well_formed(self):
         p = gen_random_care(8, 2, 2, seed=9)
         report = solve_driver(p, SolveConfig())
