@@ -12,36 +12,36 @@ import tempfile
 from dsda import load_matrix_market, save_matrix_market
 from dsda.cli import run_cli
 
-workdir = tempfile.mkdtemp(prefix="dsda-demo-")
-print("working in", workdir)
+with tempfile.TemporaryDirectory(prefix="dsda-demo-") as workdir:
+    print("working in", workdir)
 
-# 1. Generate a discrete-time instance with matrices + config on disk.
-code = run_cli(["gen", "--family", "dare", "--seed", "7",
-                "--out-dir", workdir, "--n", "12", "--m", "2", "--l", "2"])
-print("gen exit code:", code)
-print("files:", sorted(os.listdir(workdir)))
+    # 1. Generate a discrete-time instance with matrices + config on disk.
+    code = run_cli(["gen", "--family", "dare", "--seed", "7",
+                    "--out-dir", workdir, "--n", "12", "--m", "2", "--l", "2"])
+    print("gen exit code:", code)
+    print("files:", sorted(os.listdir(workdir)))
 
-# Array-format files round-trip bit for bit.
-a = load_matrix_market(os.path.join(workdir, "A.mtx"))
-save_matrix_market(os.path.join(workdir, "A_copy.mtx"), a)
-print("reload is bit-identical:",
-      open(os.path.join(workdir, "A.mtx")).read().splitlines()[2:]
-      == open(os.path.join(workdir, "A_copy.mtx")).read().splitlines()[1:])
+    # Array-format files round-trip bit for bit.
+    a = load_matrix_market(os.path.join(workdir, "A.mtx"))
+    save_matrix_market(os.path.join(workdir, "A_copy.mtx"), a)
+    print("reload is bit-identical:",
+          open(os.path.join(workdir, "A.mtx")).read().splitlines()[2:]
+          == open(os.path.join(workdir, "A_copy.mtx")).read().splitlines()[1:])
 
-# 2. Solve from the generated config, JSON report to a file.
-report_path = os.path.join(workdir, "report.json")
-code = run_cli(["solve", "--config", os.path.join(workdir, "problem.cfg"),
-                "--output", "json", "--out-path", report_path])
-print("\nsolve exit code:", code, "(0 = Converged, 2 = MaxIter,"
-      " 3 = BudgetExceeded, 4 = SingularEncountered)")
+    # 2. Solve from the generated config, JSON report to a file.
+    report_path = os.path.join(workdir, "report.json")
+    code = run_cli(["solve", "--config", os.path.join(workdir, "problem.cfg"),
+                    "--output", "json", "--out-path", report_path])
+    print("\nsolve exit code:", code, "(0 = Converged, 2 = MaxIter,"
+          " 3 = BudgetExceeded, 4 = SingularEncountered)")
 
-payload = json.loads(open(report_path).read())
-print("status:", payload["status"])
-print("  k residual        rank cols")
-for rec in payload["iterations"]:
-    print(f"  {rec['k']} {rec['residual']:.6e} {rec['rank']:4d} "
-          f"{rec['basis_cols']:4d}")
+    payload = json.loads(open(report_path).read())
+    print("status:", payload["status"])
+    print("  k residual        rank cols")
+    for rec in payload["iterations"]:
+        print(f"  {rec['k']} {rec['residual']:.6e} {rec['rank']:4d} "
+              f"{rec['basis_cols']:4d}")
 
-# 3. The same solve, CSV to stdout (residuals at 4 significant digits).
-print("\nCSV form:")
-run_cli(["solve", "--config", os.path.join(workdir, "problem.cfg")])
+    # 3. The same solve, CSV to stdout (residuals at 4 significant digits).
+    print("\nCSV form:")
+    run_cli(["solve", "--config", os.path.join(workdir, "problem.cfg")])

@@ -97,6 +97,21 @@ class LowRankSolution:
         """Materialize the iterate as a full matrix."""
         return self.scale * (self.left @ self.solve_kernel(self.right.T))
 
+    def core(self) -> np.ndarray:
+        """``scale * R_l kernel^-1 R_r^T`` with the triangular factors of
+        thin QRs ``left = Q_l R_l`` and ``right = Q_r R_r``.
+
+        The iterate is ``Q_l core conj(Q_r)^H`` with orthonormal columns
+        on both sides, so the core has its nonzero singular values (and,
+        for a real iterate with ``right is left`` and a symmetric kernel,
+        its nonzero eigenvalues) at the cost of QRs of the bases, not of
+        an n x n decomposition.
+        """
+        r_left = np.linalg.qr(self.left, mode="r")
+        r_right = (r_left if self.right is self.left
+                   else np.linalg.qr(self.right, mode="r"))
+        return self.scale * (r_left @ self.solve_kernel(r_right.T))
+
 
 def _factor_spd(kern: np.ndarray) -> tuple:
     try:

@@ -28,7 +28,7 @@ from .errors import (
     NotSpdError,
     SingularMatrixError,
 )
-from .matkit import numerical_rank
+from .matkit import EPS, numerical_rank
 from .problems import BsepProblem, CareProblem, DareProblem, MareProblem, Problem
 from .residuals import bsep_increment, care_residual, dare_residual, mare_residual
 
@@ -37,6 +37,9 @@ log = logging.getLogger(__name__)
 FAMILIES = ("care", "dare", "mare", "bsep")
 METHODS = ("sda", "dsda", "adda")
 STATUSES = ("Converged", "MaxIter", "BudgetExceeded", "SingularEncountered")
+
+#: Numerical failures that end a run as ``SingularEncountered``.
+_SINGULAR = (SingularMatrixError, NotSpdError, np.linalg.LinAlgError)
 
 #: How many times the shift is doubled when a Bethe-Salpeter
 #: initialization hits a numerically singular matrix.
@@ -74,6 +77,13 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One completed doubling.
+
+    ``elapsed_ms`` is the wall time of the step, the evaluation of the
+    iterate, its residual and its rank; set-up before the first step is
+    not part of any record.
+    """
+
     k: int
     residual: float
     rank: int
@@ -230,6 +240,21 @@ class _Run:
             raise SingularMatrixError(f"residual is {res}")
         return dense, res
 
+    def rank(self, dense: np.ndarray) -> int:
+        """Numerical rank of the iterate at the SVD cutoff of ``dense``.
+
+        A decoupled iterate whose basis is at most half its order is
+        measured on its small factored core; any other on ``dense``
+        itself.  The real symmetric iterates of CARE and DARE are
+        measured by eigenvalue magnitudes, the others by singular values.
+        """
+        sol = self.lowrank
+        operand = dense
+        if sol is not None and 2 * sol.basis_cols <= min(dense.shape):
+            operand = sol.core()
+        return numerical_rank(operand, EPS * max(dense.shape),
+                              hermitian=self.family in ("care", "dare"))
+
     def basis_cols(self, state) -> int:
         if self.decoupled:
             return state.basis_cols
@@ -264,7 +289,7 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
 
     try:
         state = run.init_state()
-    except (SingularMatrixError, NotSpdError):
+    except _SINGULAR:
         return report("SingularEncountered")
     except BudgetExceededError:
         return report("BudgetExceeded")
@@ -276,16 +301,17 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
         try:
             state = run.step(state)
             dense, residual = run.measure(state)
+            rank = run.rank(dense)
         except BudgetExceededError:
             return report("BudgetExceeded")
-        except (SingularMatrixError, NotSpdError):
+        except _SINGULAR:
             return report("SingularEncountered")
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         final_dense, final_lowrank = dense, run.lowrank
         records.append(IterationRecord(
             k=state.k,
             residual=residual,
-            rank=numerical_rank(dense),
+            rank=rank,
             basis_cols=run.basis_cols(state),
             elapsed_ms=elapsed_ms,
         ))

@@ -438,3 +438,42 @@ class TestMareDecoupled:
         s = dsda_mare_init(gen_random_mare(6, 6, 2, 2, seed=4))
         with pytest.raises(BudgetExceededError):
             dsda_mare_step(s, column_budget=2)
+
+
+def _low_rank_iterates(steps):
+    """(label, LowRankSolution) of each family after ``steps`` doublings."""
+    def sym(p, evaluate):
+        s = dsda_sym_init(p)
+        for _ in range(steps):
+            s = dsda_sym_step(s)
+        return evaluate(s)
+
+    s = dsda_mare_init(gen_random_mare(14, 18, 2, 3, seed=1), mode="adda")
+    for _ in range(steps):
+        s = dsda_mare_step(s)
+    return [("care", sym(gen_random_care(16, 2, 3, seed=3), dsda_eval_H)),
+            ("dare", sym(gen_random_dare(16, 3, 2, seed=4), dsda_eval_H)),
+            ("bsep", sym(gen_random_bsep(16, 2, seed=5), bsep_eval_F)),
+            ("mare-H", dsda_mare_eval(s, "H")),
+            ("mare-G", dsda_mare_eval(s, "G"))]
+
+
+class TestLowRankCore:
+    @pytest.mark.parametrize("steps", [1, 3])   # narrow, then wider than n
+    def test_core_has_the_nonzero_singular_values(self, steps):
+        for label, sol in _low_rank_iterates(steps):
+            want = np.linalg.svd(sol.dense(), compute_uv=False)
+            got = np.linalg.svd(sol.core(), compute_uv=False)
+            r = min(len(want), len(got))
+            assert np.max(np.abs(got[:r] - want[:r])) <= 1e-12 * want[0], label
+            assert np.all(want[r:] <= 1e-12 * want[0]), label
+
+    def test_symmetric_core_has_the_eigenvalues(self):
+        for label, sol in _low_rank_iterates(1)[:2]:
+            core = sol.core()
+            assert np.allclose(core, core.T, rtol=0.0,
+                               atol=1e-13 * np.abs(core).max()), label
+            want = np.linalg.eigvalsh(sol.dense())
+            got = np.linalg.eigvalsh(core)
+            assert np.allclose(got, want[-len(got):], rtol=0.0,
+                               atol=1e-12 * np.abs(want).max()), label

@@ -71,6 +71,26 @@ class TestFrobeniusNorm:
     def test_complex(self):
         assert frobenius_norm(np.array([[3.0 + 4.0j]])) == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e160, 1e300])
+    def test_no_overflow_or_underflow(self, scale):
+        m = scale * np.array([[3.0, 0.0], [0.0, 4.0]])
+        assert frobenius_norm(m) == pytest.approx(5.0 * scale)
+
+    def test_nonfinite_propagates(self):
+        assert np.isnan(frobenius_norm(np.array([[1.0, np.nan]])))
+        assert frobenius_norm(np.array([[1.0, np.inf]])) == np.inf
+
+
+class TestHugeEntries:
+    def test_solve_above_square_overflow(self):
+        # The pivot floor scales with ||K||_F, whose square overflows here.
+        assert solve_general([[-1e160]], [[1.0]])[0, 0] == pytest.approx(-1e-160)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_k_is_singular(self, bad):
+        with pytest.raises(SingularMatrixError):
+            solve_general([[1.0, 0.0], [0.0, bad]], np.eye(2))
+
 
 class TestNumericalRank:
     def test_tiny_singular_value_dropped(self):
@@ -99,3 +119,47 @@ class TestNumericalRank:
     def test_rel_tol_validation(self):
         with pytest.raises(ValueError):
             numerical_rank(np.eye(2), rel_tol=1.5)
+
+
+class TestHermitianRank:
+    """``hermitian=True`` counts |eigenvalues| against the same cutoff."""
+
+    @staticmethod
+    def sym_with_spectrum(eigs, seed):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((len(eigs), len(eigs))))
+        m = (q * eigs) @ q.T
+        return (m + m.T) / 2.0
+
+    @pytest.mark.parametrize("eigs", [
+        [3.0, 1.0, 1e-3, 0.0, 0.0, 0.0],           # psd, rank 3
+        [5.0, -2.0, 1e-8, -1e-9, 0.0, 0.0],        # indefinite, rank 4
+        [1.0, -1.0, 1e-17, -1e-18, 0.0, 0.0],      # indefinite, rank 2
+        [-4.0, -1.0, -0.5, -0.25, -0.1, -0.01],    # negative definite
+    ])
+    def test_matches_svd_rank(self, eigs):
+        m = self.sym_with_spectrum(np.array(eigs), seed=len(eigs))
+        assert numerical_rank(m, hermitian=True) == numerical_rank(m)
+
+    def test_random_symmetric_low_rank(self):
+        rng = np.random.default_rng(4)
+        for rank in (1, 3, 7):
+            f = rng.standard_normal((12, rank))
+            signs = np.where(np.arange(rank) % 2, -1.0, 1.0)
+            m = (f * signs) @ f.T
+            assert numerical_rank(m, hermitian=True) == numerical_rank(m) == rank
+
+    def test_zero_matrix(self):
+        assert numerical_rank(np.zeros((5, 5)), hermitian=True) == 0
+
+    def test_explicit_rel_tol(self):
+        m = self.sym_with_spectrum(np.array([-1.0, 1e-4, 1e-7, 0.0]), seed=2)
+        for rel_tol, want in ((1e-3, 1), (1e-5, 2), (1e-9, 3)):
+            assert numerical_rank(m, rel_tol, hermitian=True) == want
+            assert numerical_rank(m, rel_tol) == want
+
+    def test_complex_hermitian(self):
+        rng = np.random.default_rng(8)
+        f = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+        m = f @ f.conj().T
+        assert numerical_rank(m, hermitian=True) == numerical_rank(m) == 2

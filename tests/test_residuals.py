@@ -1,15 +1,19 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from dsda.driver import ConvergenceReport, SolveConfig, solve_driver
+from dsda import driver
+from dsda.driver import STATUSES, ConvergenceReport, SolveConfig, solve_driver
 from dsda.errors import ConfigError
+from dsda.matkit import EPS
 from dsda.problems import (
     BsepProblem,
     CareProblem,
     DareProblem,
     MareProblem,
+    gen_random_bsep,
     gen_random_care,
     gen_random_dare,
     gen_random_mare,
@@ -179,13 +183,44 @@ class TestSolveDriver:
 
     @pytest.mark.parametrize("method", ["sda", "dsda"])
     def test_nonfinite_residual_ends_singular(self, method):
-        p = CareProblem([[-1e150]], [[1e150]], [[1e150]])
+        # C^T C overflows, so the residual of dsda's first (finite)
+        # iterate is NaN; sda overflows earlier, in its initial kernel.
+        p = CareProblem([[-1e200]], [[1e200]], [[1e200]])
         with np.errstate(over="ignore", invalid="ignore"):
             report = solve_driver(p, SolveConfig(method=method))
         assert report.status == "SingularEncountered"
         assert all(math.isfinite(rec.residual) for rec in report.iterations)
         assert (report.final_solution is None
                 or np.all(np.isfinite(report.final_solution)))
+
+    @pytest.mark.parametrize("method", ["sda", "dsda"])
+    @pytest.mark.parametrize("scale", [1e150, 1e160])
+    def test_huge_entries_end_in_a_status(self, method, scale):
+        # Squares of these entries overflow; the run must still end in a
+        # status with finite residuals instead of raising.
+        p = CareProblem([[-scale]], [[scale]], [[scale]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = solve_driver(p, SolveConfig(method=method,
+                                                 column_budget=256))
+        assert report.status in STATUSES
+        assert all(math.isfinite(rec.residual) for rec in report.iterations)
+        assert (report.final_solution is None
+                or np.all(np.isfinite(report.final_solution)))
+
+    def test_elapsed_ms_covers_the_rank(self, monkeypatch):
+        pause_s = 0.02
+        rank = driver.numerical_rank
+
+        def slow_rank(*args, **kwargs):
+            time.sleep(pause_s)
+            return rank(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "numerical_rank", slow_rank)
+        report = solve_driver(gen_random_care(8, 2, 2, seed=9),
+                              SolveConfig(max_iter=3, tol=1e-30))
+        assert len(report.iterations) == 3
+        assert all(rec.elapsed_ms >= 1000.0 * pause_s
+                   for rec in report.iterations)
 
     def test_report_is_well_formed(self):
         p = gen_random_care(8, 2, 2, seed=9)
@@ -197,3 +232,53 @@ class TestSolveDriver:
         assert all(a <= b for a, b in zip(cols, cols[1:]))
         assert report.status in ("Converged", "MaxIter", "BudgetExceeded",
                                  "SingularEncountered")
+
+
+# (family, instance, methods).  Each decoupled run has steps whose basis
+# is at most half the iterate's order (rank from the factored core) and
+# steps whose basis is wider (rank from the dense iterate).  Under sda
+# the care instance has a singular value 1.0019 times the cutoff at
+# k = 4, which eigvalsh puts just below it.
+RANK_ROUTE_CASES = [
+    ("care", gen_random_care(40, 4, 3, 5), ("sda", "dsda")),
+    ("dare", gen_random_dare(40, 3, 3, 2), ("sda", "dsda")),
+    ("mare", gen_random_mare(30, 36, 2, 3, 1), ("sda", "dsda", "adda")),
+    ("bsep", gen_random_bsep(30, 2, 4), ("sda", "dsda")),
+]
+
+
+@pytest.mark.parametrize("problem,method", [
+    pytest.param(p, method, id=f"{family}-{method}")
+    for family, p, methods in RANK_ROUTE_CASES for method in methods])
+def test_rank_matches_svd_of_dense_iterate(problem, method, monkeypatch):
+    calls = []
+    rank = driver.numerical_rank
+
+    def spy(operand, rel_tol=None, **kwargs):
+        calls.append((operand.shape, rel_tol))
+        return rank(operand, rel_tol, **kwargs)
+
+    monkeypatch.setattr(driver, "numerical_rank", spy)
+    report = solve_driver(problem, SolveConfig(method=method))
+    monkeypatch.undo()
+    assert report.iterations
+    assert len(calls) == len(report.iterations)
+    factored = set()
+    for i, (rec, (operand_shape, rel_tol)) in enumerate(
+            zip(report.iterations, calls)):
+        dense = solve_driver(problem, SolveConfig(
+            method=method, max_iter=i + 1)).final_solution
+        # Either route counts against the cutoff of the dense iterate.
+        assert rel_tol == EPS * max(dense.shape)
+        small = method != "sda" and 2 * rec.basis_cols <= min(dense.shape)
+        assert (operand_shape != dense.shape) == small
+        factored.add(small)
+        sigma = np.linalg.svd(dense, compute_uv=False)
+        cutoff = EPS * max(dense.shape) * sigma[0]
+        svd_rank = int(np.count_nonzero(sigma > cutoff))
+        # The two routes may round a singular value at the cutoff
+        # differently; any other disagreement is an error.
+        assert rec.rank == svd_rank or np.any(
+            np.abs(sigma / cutoff - 1.0) < 0.01), (rec.k, rec.rank, svd_rank)
+    if method != "sda":
+        assert factored == {True, False}
