@@ -12,8 +12,8 @@ makes Y_k block Hankel too: block (i, j) is 0 when i + j < 2^k - 1, the
 seed Y_0 when i + j = 2^k - 1 and mu * M_{i+j-2^k} beyond.  A state
 keeps only Y_0 and the moments M_0 ... M_{2^(k+1)-2}; each step appends
 the new ones with one product of the last new left block and the new
-right basis, and :func:`dsda_assemble` builds Y or T on demand.  All
-iterates of the classical recursions then follow:
+right basis, and :func:`dsda_assemble` builds Y or T on demand for
+validation.  All iterates of the classical recursions then follow:
 
     H_k = c * Vhat (I + sigma Y^T Y)^-1 Vhat^T
     G_k = c * Uhat (I + sigma Y Y^T)^-1 Uhat^T
@@ -29,6 +29,19 @@ with mu = -s) and four bases (Uhat, Vhat, What, Qhat) with
 
 where the shift sum s is 2g for plain doubling and alpha + beta for the
 alternating-directional variant.
+
+The evaluators never assemble Y or Z.  With b = 2^k, the last block row
+and column of Y both hold the tail h_{b-1} ... h_{2b-2} of its sequence
+(the seed and the first b - 1 scaled moments).  For block-Hankel X and W
+whose sequences vanish below index b - 1, as Y and Z do, block (i, j)
+of XW is sum_p x_{i+p} w_{p+j}, so
+
+    (XW)_{i+1,j+1} = (XW)_{i,j} + x_{b+i} w_{b+j}
+
+and XW is the block-diagonal prefix sum of the product of X's last
+block column and W's last block row.  Each of Y^T Y, Y Y^T, Y Z and
+Z Y is thus one thin product, O(cols^2 width) instead of O(cols^3);
+only the factorization of the cols x cols kernel stays cubic.
 
 The closed-form statements for the one-kernel families are usually
 quoted for k >= 2 with the first step written out separately; here the
@@ -72,15 +85,14 @@ DENSE_EVAL_MAX_DIM = 512
 class LowRankSolution:
     """Factored iterate ``scale * left @ kernel^-1 @ right.T``.
 
-    The kernel is stored together with its factorization (Cholesky for
-    the SPD kernels of the symmetric families, pivoted LU otherwise) so
+    Only the kernel's factorization is kept (Cholesky for the SPD
+    kernels of the symmetric families, pivoted LU otherwise), so
     repeated evaluation does not refactor.
     """
 
     scale: float
     left: np.ndarray
     right: np.ndarray
-    kernel: np.ndarray
     factor: tuple
     factor_kind: Literal["cholesky", "lu"]
 
@@ -94,7 +106,17 @@ class LowRankSolution:
         return scipy.linalg.lu_solve(self.factor, rhs, check_finite=False)
 
     def dense(self) -> np.ndarray:
-        """Materialize the iterate as a full matrix."""
+        """Materialize the iterate as a full matrix.
+
+        A symmetric iterate with a Cholesky factor ``L L^T`` is formed as
+        ``W^T W`` with ``W = L^-1 left^T``: one triangular solve and a
+        symmetric rank-k product, whose result is exactly symmetric.
+        """
+        if self.factor_kind == "cholesky" and self.right is self.left:
+            c, lower = self.factor
+            w = scipy.linalg.solve_triangular(c, self.left.T, lower=lower,
+                                              check_finite=False)
+            return self.scale * (w.T @ w)
         return self.scale * (self.left @ self.solve_kernel(self.right.T))
 
     def core(self) -> np.ndarray:
@@ -114,8 +136,10 @@ class LowRankSolution:
 
 
 def _factor_spd(kern: np.ndarray) -> tuple:
+    """Cholesky factor of an evaluator-owned kernel, written over it."""
     try:
-        return scipy.linalg.cho_factor(kern, lower=True, check_finite=False)
+        return scipy.linalg.cho_factor(kern, lower=True, overwrite_a=True,
+                                       check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         # Cannot happen in exact arithmetic for I + Y^T Y; reaching this
         # signals severe ill-conditioning of the untruncated kernel.
@@ -274,22 +298,55 @@ def dsda_assemble(s: DsdaSymState | DsdaMareState, which: str) -> np.ndarray:
     return windows.transpose(0, 1, 3, 2).reshape(b * r, b * c)
 
 
-def _sym_kernel(y: np.ndarray, sigma: int, side: str) -> np.ndarray:
-    if side == "right":
-        return np.eye(y.shape[1], dtype=y.dtype) + sigma * (y.T @ y)
-    return np.eye(y.shape[0], dtype=y.dtype) + sigma * (y @ y.T)
+def _edges(s: DsdaSymState | DsdaMareState,
+           which: str) -> tuple[np.ndarray, np.ndarray]:
+    """Last block column and last block row of kernel ``"Y"`` or ``"Z"``.
+
+    Both hold the tail h_{b-1} ... h_{2b-2} of the kernel's sequence,
+    the seed followed by the first b - 1 scaled moments: stacked
+    vertically (b r x c) and side by side (r x b c).
+    """
+    seed, seq = (s.y0, s.t_moments) if which == "Y" else (s.z0, s.s_moments)
+    b = 2 ** s.k
+    tail = np.concatenate([seed[None], s.multiplier * seq[:b - 1]])
+    _, r, c = tail.shape
+    return tail.reshape(b * r, c), tail.transpose(1, 0, 2).reshape(r, b * c)
 
 
-def _sym_solution(s: DsdaSymState, y: np.ndarray, side: str) -> LowRankSolution:
+def _hankel_kernel(col: np.ndarray, row: np.ndarray, blocks: int,
+                   sigma: int) -> np.ndarray:
+    """``I + sigma X W`` from X's last block column and W's last block row.
+
+    X and W are block Hankel with ``blocks`` block rows and sequences
+    that vanish below index ``blocks - 1``, so XW is the block-diagonal
+    prefix sum of ``col @ row`` (see the module docstring).  The sums
+    run on the product's own buffer, built transposed so the returned
+    kernel is Fortran-ordered and a factorization can overwrite it; a
+    ``col`` that is ``row.T`` (or the reverse) gives an exactly
+    symmetric kernel.
+    """
+    out_t = row.T @ col.T
+    g = out_t.reshape(blocks, out_t.shape[0] // blocks,
+                      blocks, out_t.shape[1] // blocks)
+    for i in range(1, blocks):
+        g[i, :, 1:] += g[i - 1, :, :-1]
+    if sigma < 0:
+        np.negative(out_t, out=out_t)
+    out_t.reshape(-1)[::out_t.shape[0] + 1] += 1.0
+    return out_t.T
+
+
+def _sym_solution(s: DsdaSymState, side: str) -> LowRankSolution:
     """``sigma c * B (I + sigma K)^-1 B^T``: B = Vhat, K = Y^T Y on the
     right side, B = Uhat, K = Y Y^T on the left; factored by kernel kind."""
-    basis = s.vhat if side == "right" else s.uhat
-    kern = _sym_kernel(y, s.sigma, side)
+    col, row = _edges(s, "Y")
+    basis, x = (s.vhat, row.T) if side == "right" else (s.uhat, col)
+    kern = _hankel_kernel(x, x.T, 2 ** s.k, s.sigma)
     if s.sigma == +1:
-        return LowRankSolution(s.scale, basis, basis, kern,
-                               _factor_spd(kern), "cholesky")
-    return LowRankSolution(-s.scale, basis, basis, kern,
-                           lu_factor_checked(kern), "lu")
+        return LowRankSolution(s.scale, basis, basis, _factor_spd(kern),
+                               "cholesky")
+    return LowRankSolution(-s.scale, basis, basis,
+                           lu_factor_checked(kern, overwrite_a=True), "lu")
 
 
 def dsda_eval_H(s: DsdaSymState) -> LowRankSolution:
@@ -297,7 +354,7 @@ def dsda_eval_H(s: DsdaSymState) -> LowRankSolution:
     if s.sigma != +1:
         raise DimensionMismatchError(
             "H evaluation applies to the DARE/CARE kernel; use bsep_eval_F")
-    return _sym_solution(s, dsda_assemble(s, "Y"), "right")
+    return _sym_solution(s, "right")
 
 
 def dsda_eval_G(s: DsdaSymState) -> LowRankSolution:
@@ -305,14 +362,14 @@ def dsda_eval_G(s: DsdaSymState) -> LowRankSolution:
     if s.sigma != +1:
         raise DimensionMismatchError(
             "G evaluation applies to the DARE/CARE kernel")
-    return _sym_solution(s, dsda_assemble(s, "Y"), "left")
+    return _sym_solution(s, "left")
 
 
 def bsep_eval_F(s: DsdaSymState) -> LowRankSolution:
     """F_k = -2 alpha Vhat (I - Y^T Y)^-1 Vhat^T (plain transposes)."""
     if s.family != "bsep":
         raise DimensionMismatchError("F evaluation applies to the BSEP family")
-    return _sym_solution(s, dsda_assemble(s, "Y"), "right")
+    return _sym_solution(s, "right")
 
 
 def dsda_eval_A(s: DsdaSymState) -> np.ndarray:
@@ -328,8 +385,8 @@ def dsda_eval_A(s: DsdaSymState) -> np.ndarray:
             f"n <= {DENSE_EVAL_MAX_DIM}, got n = {n}")
     base = s.propagator.conj() if s.family == "bsep" else s.propagator
     power = _pow2k(base, s.k)
-    y = dsda_assemble(s, "Y")
-    corr = _sym_solution(s, y, "left").solve_kernel(y @ s.vhat.T)
+    rhs = dsda_assemble(s, "Y") @ s.vhat.T
+    corr = _sym_solution(s, "left").solve_kernel(rhs)
     return power - s.scale * (s.uhat @ corr)
 
 
@@ -339,7 +396,8 @@ def kernel_extreme_eigenvalues(s: DsdaSymState) -> tuple[float, float]:
     Conditioning diagnostic: without truncation the kernel degrades as k
     grows, and this is the number to watch.
     """
-    kern = _sym_kernel(dsda_assemble(s, "Y"), s.sigma, "right")
+    row = _edges(s, "Y")[1]
+    kern = _hankel_kernel(row.T, row, 2 ** s.k, s.sigma)
     if s.family == "bsep":
         w = np.linalg.eigvals(kern)
         mags = np.abs(w)
@@ -417,9 +475,8 @@ def subspace_angle(w: np.ndarray, z: np.ndarray) -> np.ndarray:
 class DsdaMareState:
     """Four growing bases, kernel seeds and Gram moments for the MARE family.
 
-    The kernels Y and Z are assembled by :func:`dsda_assemble` from the
-    seeds and the moments, as for the one-kernel families, with
-    multiplier -s.
+    The kernels Y and Z follow from the seeds and the moments, as for
+    the one-kernel families, with multiplier -s.
     """
 
     uhat: np.ndarray       # m x (2^k m1)
@@ -517,16 +574,16 @@ def dsda_mare_eval(s: DsdaMareState, which: str):
         raise BudgetExceededError(
             f"dense propagator-power evaluation is guarded to "
             f"n <= {DENSE_EVAL_MAX_DIM}")
-    y = dsda_assemble(s, "Y")
-    z = dsda_assemble(s, "Z")
-    first, second = (y, z) if which in ("H", "F") else (z, y)
-    kern = np.eye(first.shape[0]) - first @ second
-    factor = lu_factor_checked(kern)
+    first, second = ("Y", "Z") if which in ("H", "F") else ("Z", "Y")
+    kern = _hankel_kernel(_edges(s, first)[0], _edges(s, second)[1],
+                          2 ** s.k, -1)
+    factor = lu_factor_checked(kern, overwrite_a=True)
     if which == "H":
-        return LowRankSolution(s.shift_sum, s.uhat, s.qhat, kern, factor, "lu")
+        return LowRankSolution(s.shift_sum, s.uhat, s.qhat, factor, "lu")
     if which == "G":
-        return LowRankSolution(s.shift_sum, s.what, s.vhat, kern, factor, "lu")
-    prop, basis, rhs = ((s.prop_a, s.uhat, y @ s.vhat.T) if which == "F"
-                        else (s.prop_d, s.what, z @ s.qhat.T))
+        return LowRankSolution(s.shift_sum, s.what, s.vhat, factor, "lu")
+    prop, basis, other = ((s.prop_a, s.uhat, s.vhat) if which == "F"
+                          else (s.prop_d, s.what, s.qhat))
+    rhs = dsda_assemble(s, first) @ other.T
     corr = scipy.linalg.lu_solve(factor, rhs, check_finite=False)
     return _pow2k(prop, s.k) - s.shift_sum * (basis @ corr)

@@ -94,8 +94,12 @@ def numerical_rank(m, rel_tol: float | None = None, *,
     return int(np.count_nonzero(sigma > rel_tol * smax))
 
 
-def lu_factor_checked(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def lu_factor_checked(k: np.ndarray, *,
+                      overwrite_a: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Pivoted LU factors ``(lu, piv)`` of a square array.
+
+    With ``overwrite_a`` the factors may be written over K (they are
+    when K is Fortran-ordered); otherwise K is left untouched.
 
     Raises
     ------
@@ -114,7 +118,8 @@ def lu_factor_checked(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with warnings.catch_warnings():
         # Exactly-zero pivots are reported by the threshold check below.
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(k, check_finite=False)
+        lu, piv = scipy.linalg.lu_factor(k, overwrite_a=overwrite_a,
+                                         check_finite=False)
     pivot_floor = SINGULARITY_RTOL * norm
     if not np.min(np.abs(np.diag(lu))) > pivot_floor:
         raise SingularMatrixError(

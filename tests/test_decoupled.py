@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dsda import decoupled
 from dsda.classical import (
     bsep_init,
     bsep_sda_step,
@@ -13,6 +16,8 @@ from dsda.classical import (
     sym_sda_step,
 )
 from dsda.decoupled import (
+    _edges,
+    _hankel_kernel,
     bsep_eigen_extract,
     bsep_eval_F,
     dsda_assemble,
@@ -477,3 +482,122 @@ class TestLowRankCore:
             got = np.linalg.eigvalsh(core)
             assert np.allclose(got, want[-len(got):], rtol=0.0,
                                atol=1e-12 * np.abs(want).max()), label
+
+
+def _structured_kernels(s):
+    """{label: (structured kernel, I + sigma X W from assembled X, W)}."""
+    b = 2 ** s.k
+    y = dsda_assemble(s, "Y")
+    y_col, y_row = _edges(s, "Y")
+    if isinstance(s, decoupled.DsdaMareState):
+        z = dsda_assemble(s, "Z")
+        z_col, z_row = _edges(s, "Z")
+        return {"YZ": (_hankel_kernel(y_col, z_row, b, -1),
+                       np.eye(y.shape[0]) - y @ z),
+                "ZY": (_hankel_kernel(z_col, y_row, b, -1),
+                       np.eye(z.shape[0]) - z @ y)}
+    return {"YtY": (_hankel_kernel(y_row.T, y_row, b, s.sigma),
+                    np.eye(y.shape[1]) + s.sigma * (y.T @ y)),
+            "YYt": (_hankel_kernel(y_col, y_col.T, b, s.sigma),
+                    np.eye(y.shape[0]) + s.sigma * (y @ y.T))}
+
+
+def _hankel(seq, b):
+    """Block-Hankel matrix with block (i, j) = seq[i + j], b x b blocks."""
+    _, r, c = seq.shape
+    blocks = seq[np.add.outer(np.arange(b), np.arange(b))]
+    return blocks.transpose(0, 2, 1, 3).reshape(b * r, b * c)
+
+
+class TestHankelKernel:
+    @pytest.mark.parametrize("case", ["care", "dare", "bsep", "mare-sda",
+                                      "mare-adda", "mare-zero-b",
+                                      "mare-zero-c"])
+    def test_matches_product_of_assembled_kernels(self, case):
+        family, _, mode = case.partition("-")
+        if family == "mare":
+            p = gen_random_mare(6, 5, 2, 3, seed=21)
+            if mode == "zero-b":
+                p = MareProblem(p.a, p.d, np.zeros((6, 0)), np.zeros((5, 0)),
+                                p.c_l, p.c_r)
+            elif mode == "zero-c":
+                p = MareProblem(p.a, p.d, p.b_l, p.b_r, np.zeros((5, 0)),
+                                np.zeros((6, 0)))
+            s = dsda_mare_init(p, mode="sda" if "zero" in mode else mode)
+            step = dsda_mare_step
+        else:
+            s = dsda_sym_init({"care": gen_random_care(6, 2, 3, seed=21),
+                               "dare": gen_random_dare(6, 3, 2, seed=21),
+                               "bsep": gen_random_bsep(6, 2, seed=21)}[family])
+            step = dsda_sym_step
+        for k in range(6):
+            if k:
+                s = step(s)
+            for label, (got, want) in _structured_kernels(s).items():
+                assert got.shape == want.shape, (k, label)
+                assert got.dtype == want.dtype, (k, label)
+                assert rel_err(got, want) <= 1e-13, (k, label)
+                if family in ("care", "dare"):
+                    assert np.array_equal(got, got.T), (k, label)
+
+    def test_zero_width_kernels(self):
+        p0 = gen_random_mare(6, 5, 2, 3, seed=21)
+        p = MareProblem(p0.a, p0.d, np.zeros((6, 0)), np.zeros((5, 0)),
+                        np.zeros((5, 0)), np.zeros((6, 0)))
+        s = dsda_mare_step(dsda_mare_step(dsda_mare_init(p)))
+        for got, want in _structured_kernels(s).values():
+            assert got.shape == want.shape == (0, 0)
+
+    def test_evaluators_do_not_assemble(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluator assembled a kernel")
+
+        sym = [dsda_sym_step(dsda_sym_step(dsda_sym_init(p))) for p in
+               (gen_random_care(6, 2, 2, seed=1),
+                gen_random_dare(6, 2, 2, seed=1),
+                gen_random_bsep(6, 2, seed=1))]
+        mare = dsda_mare_step(dsda_mare_init(gen_random_mare(5, 4, 2, 1,
+                                                             seed=1)))
+        monkeypatch.setattr(decoupled, "dsda_assemble", refuse)
+        for s in sym[:2]:
+            dsda_eval_H(s)
+            dsda_eval_G(s)
+            kernel_extreme_eigenvalues(s)
+        bsep_eval_F(sym[2])
+        kernel_extreme_eigenvalues(sym[2])
+        dsda_mare_eval(mare, "H")
+        dsda_mare_eval(mare, "G")
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_b=st.integers(0, 6), r=st.integers(0, 4), c1=st.integers(0, 4),
+           is_complex=st.booleans(), sigma=st.sampled_from([-1, 1]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_prefix_sum_identity(self, log_b, r, c1, is_complex, sigma, seed):
+        # X is b r x b c1, W is b c1 x b r, both block Hankel with
+        # sequences that vanish below index b - 1.
+        b = 2 ** log_b
+        rng = np.random.default_rng(seed)
+
+        def sequence(rows, cols):
+            seq = np.zeros((2 * b - 1, rows, cols),
+                           dtype=complex if is_complex else float)
+            seq[b - 1:] = rng.standard_normal((b, rows, cols))
+            if is_complex:
+                seq[b - 1:] += 1j * rng.standard_normal((b, rows, cols))
+            return seq
+
+        x = _hankel(sequence(r, c1), b)
+        w = _hankel(sequence(c1, r), b)
+        got = _hankel_kernel(x[:, x.shape[1] - c1:], w[w.shape[0] - c1:],
+                             b, sigma)
+        want = np.eye(b * r) + sigma * (x @ w)
+        assert rel_err(got, want) <= 1e-13
+
+
+class TestCholeskyDense:
+    def test_symmetric_iterates_match_the_general_product(self):
+        for label, sol in _low_rank_iterates(3)[:2]:
+            got = sol.dense()
+            assert np.array_equal(got, got.T), label
+            want = sol.scale * (sol.left @ sol.solve_kernel(sol.right.T))
+            assert rel_err(got, want) <= 1e-13, label

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from dsda.errors import NotSpdError, SingularMatrixError
-from dsda.matkit import frobenius_norm, numerical_rank, solve_general, solve_spd
+from dsda.matkit import (
+    frobenius_norm,
+    lu_factor_checked,
+    numerical_rank,
+    solve_general,
+    solve_spd,
+)
 
 
 class TestSolveSpd:
@@ -49,6 +55,25 @@ class TestSolveGeneral:
             x1 = solve_spd(k, b)
             x2 = solve_general(k, b)
             assert np.linalg.norm(x1 - x2) <= 1e-12 * np.linalg.norm(x1)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_leaves_its_arguments_untouched(self, order):
+        rng = np.random.default_rng(3)
+        k = np.array(rng.standard_normal((5, 5)) + 5.0 * np.eye(5), order=order)
+        b = np.array(rng.standard_normal((5, 2)), order=order)
+        k_before, b_before = k.copy(), b.copy()
+        solve_general(k, b)
+        lu_factor_checked(k)
+        assert np.array_equal(k, k_before)
+        assert np.array_equal(b, b_before)
+
+    def test_overwrite_factors_a_fortran_array_in_place(self):
+        k = np.asfortranarray(np.random.default_rng(4).standard_normal((5, 5))
+                              + 5.0 * np.eye(5))
+        want = lu_factor_checked(k)
+        lu, piv = lu_factor_checked(k, overwrite_a=True)
+        assert np.shares_memory(lu, k)
+        assert np.array_equal(lu, want[0]) and np.array_equal(piv, want[1])
 
 
 class TestFrobeniusNorm:
