@@ -58,7 +58,7 @@ from .errors import (
     SolverError,
     UnsupportedFieldError,
 )
-from .matkit import frobenius_norm, numerical_rank, solve_general, solve_spd
+from .matkit import frobenius_norm, numerical_rank, solve_general
 from .mmio import load_matrix_market, save_matrix_market
 from .problems import (
     BsepProblem,
@@ -94,6 +94,6 @@ __all__ = [
     "gen_random_mare", "gen_scalar_suite", "load_config",
     "load_matrix_market", "mare_init", "mare_residual", "mare_sda_step",
     "numerical_rank", "reduce_control_weight", "save_matrix_market",
-    "solve_driver", "solve_general", "solve_spd", "subspace_angle",
+    "solve_driver", "solve_general", "subspace_angle",
     "sym_sda_step",
 ]

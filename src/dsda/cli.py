@@ -25,17 +25,25 @@ import sys
 
 from .config import read_config
 from .decoupled import DEFAULT_COLUMN_BUDGET, bsep_eigen_extract
-from .driver import ConvergenceReport, SolveConfig, family_of, solve_driver
+from .driver import (
+    METHODS,
+    ConvergenceReport,
+    SolveConfig,
+    family_of,
+    solve_driver,
+)
 from .errors import SolverError
 from .mmio import load_matrix_market, save_matrix_market
 from .problems import (
     FAMILY_MATRIX_KEYS,
+    MATRIX_KEYS,
     assemble_problem,
     gen_random_bsep,
     gen_random_care,
     gen_random_dare,
     gen_random_mare,
     gen_scalar_suite,
+    shift_fields,
 )
 
 STATUS_EXIT_CODES = {
@@ -45,7 +53,13 @@ STATUS_EXIT_CODES = {
     "SingularEncountered": 4,
 }
 
-_MATRIX_FLAGS = ("A", "B", "C", "D", "B_l", "B_r", "C_l", "C_r", "L_B")
+#: Seeded instance of each family from the ``gen`` arguments.
+_GENERATORS = {
+    "care": lambda a: gen_random_care(a.n, a.m, a.l, a.seed),
+    "dare": lambda a: gen_random_dare(a.n, a.m, a.l, a.seed),
+    "mare": lambda a: gen_random_mare(a.m, a.n, a.m1, a.n1, a.seed),
+    "bsep": lambda a: gen_random_bsep(a.n, a.p, a.seed),
+}
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -61,9 +75,9 @@ def _build_parser() -> _CliParser:
 
     solve = sub.add_parser("solve", help="solve one problem from matrix files")
     solve.add_argument("--config", help="key=value config file")
-    solve.add_argument("--family", choices=("care", "dare", "mare", "bsep"))
-    solve.add_argument("--method", choices=("sda", "dsda", "adda"))
-    for flag in _MATRIX_FLAGS:
+    solve.add_argument("--family", choices=tuple(FAMILY_MATRIX_KEYS))
+    solve.add_argument("--method", choices=METHODS)
+    for flag in MATRIX_KEYS:
         solve.add_argument(f"--{flag}", metavar="PATH", dest=f"mat_{flag}",
                            help=f"Matrix Market file for {flag}")
     solve.add_argument("--gamma", type=float)
@@ -82,7 +96,7 @@ def _build_parser() -> _CliParser:
 
     gen = sub.add_parser("gen", help="generate a seeded random problem")
     gen.add_argument("--family", required=True,
-                     choices=("care", "dare", "mare", "bsep"))
+                     choices=tuple(FAMILY_MATRIX_KEYS))
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out-dir", required=True)
     gen.add_argument("--n", type=int, default=16)
@@ -138,7 +152,7 @@ def _cmd_solve(args) -> int:
     family = args.family or (file_cfg.family if file_cfg else None)
     if family is None:
         raise SolverError("solve needs --family (or a config file naming one)")
-    for flag in _MATRIX_FLAGS:
+    for flag in MATRIX_KEYS:
         value = getattr(args, f"mat_{flag}")
         if value is not None:
             paths[flag] = value
@@ -209,25 +223,14 @@ def _cmd_selftest(args) -> int:
 
 def _cmd_gen(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
+    p = _GENERATORS[args.family](args)
     lines = [f"family = {args.family}", "method = dsda"]
-    if args.family == "care":
-        p = gen_random_care(args.n, args.m, args.l, args.seed)
-        matrices = {"A": p.a, "B": p.b, "C": p.c}
-        lines.append(f"gamma = {p.gamma}")
-    elif args.family == "dare":
-        p = gen_random_dare(args.n, args.m, args.l, args.seed)
-        matrices = {"A": p.a, "B": p.b, "C": p.c}
-    elif args.family == "mare":
-        p = gen_random_mare(args.m, args.n, args.m1, args.n1, args.seed)
-        matrices = {"A": p.a, "D": p.d, "B_l": p.b_l, "B_r": p.b_r,
-                    "C_l": p.c_l, "C_r": p.c_r}
-    else:
-        p = gen_random_bsep(args.n, args.p, args.seed)
-        matrices = {"A": p.a, "L_B": p.l_b}
-        lines.append(f"alpha = {p.alpha}")
-    for key, mat in matrices.items():
+    lines += [f"{name} = {getattr(p, name)}" for name in shift_fields(p)
+              if getattr(p, name) is not None]
+    for key in FAMILY_MATRIX_KEYS[args.family]:
         fname = f"{key}.mtx"
-        save_matrix_market(os.path.join(args.out_dir, fname), mat,
+        save_matrix_market(os.path.join(args.out_dir, fname),
+                           getattr(p, key.lower()),
                            comment=f"seeded {args.family} instance, "
                                    f"seed={args.seed}")
         lines.append(f"{key} = {fname}")

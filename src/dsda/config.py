@@ -15,11 +15,10 @@ import os
 
 from .driver import SolveConfig
 from .errors import ConfigError
-from .problems import FAMILY_MATRIX_KEYS
+from .problems import FAMILY_MATRIX_KEYS, MATRIX_KEYS, SHIFTS
 
-_MATRIX_KEYS = ("A", "B", "C", "D", "B_l", "B_r", "C_l", "C_r", "L_B")
 _SCALAR_KEYS = ("family", "method", "tol", "max_iter", "column_budget",
-                "gamma", "alpha", "beta")
+                *SHIFTS)
 
 
 def _parse_float(key: str, raw: str) -> float:
@@ -56,7 +55,7 @@ def read_config(path) -> tuple[SolveConfig, dict[str, str], frozenset[str]]:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in _SCALAR_KEYS and key not in _MATRIX_KEYS:
+            if key not in _SCALAR_KEYS and key not in MATRIX_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
             if key in values:
                 raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
@@ -81,13 +80,13 @@ def read_config(path) -> tuple[SolveConfig, dict[str, str], frozenset[str]]:
     if "column_budget" in values:
         kwargs["column_budget"] = _parse_int("column_budget",
                                              values.pop("column_budget"))
-    for key in ("gamma", "alpha", "beta"):
+    for key in SHIFTS:
         if key in values:
             kwargs[key] = _parse_float(key, values.pop(key))
 
     base = os.path.dirname(os.path.abspath(path))
     paths = {key: os.path.join(base, values.pop(key))
-             for key in list(values) if key in _MATRIX_KEYS}
+             for key in list(values) if key in MATRIX_KEYS}
     assert not values, "key filter above is exhaustive"
 
     cfg = SolveConfig(**kwargs)

@@ -9,14 +9,21 @@ Numerical failures never escape: they terminate the loop with the
 matching report status and the last successful iterate is kept as the
 final solution.  An iterate or residual with non-finite entries counts
 as numerical singularity.
+
+Family and method differ only in data: one table maps each (family,
+method) pair to its init, step, iterate and residual functions, and
+one loop runs them all.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
+import operator
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,12 +36,11 @@ from .errors import (
     SingularMatrixError,
 )
 from .matkit import EPS, numerical_rank
-from .problems import BsepProblem, CareProblem, DareProblem, MareProblem, Problem
+from .problems import FAMILY_MATRIX_KEYS, FAMILY_TYPES, Problem, shift_fields
 from .residuals import bsep_increment, care_residual, dare_residual, mare_residual
 
 log = logging.getLogger(__name__)
 
-FAMILIES = ("care", "dare", "mare", "bsep")
 METHODS = ("sda", "dsda", "adda")
 STATUSES = ("Converged", "MaxIter", "BudgetExceeded", "SingularEncountered")
 
@@ -70,9 +76,10 @@ class SolveConfig:
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got "
                               f"'{self.method}'")
-        if self.family is not None and self.family not in FAMILIES:
-            raise ConfigError(f"family must be one of {FAMILIES}, got "
-                              f"'{self.family}'")
+        if self.family is not None and self.family not in FAMILY_MATRIX_KEYS:
+            raise ConfigError(f"family must be one of "
+                              f"{tuple(FAMILY_MATRIX_KEYS)}, "
+                              f"got '{self.family}'")
 
 
 @dataclass(frozen=True)
@@ -106,159 +113,89 @@ class ConvergenceReport:
         return self.status == "Converged"
 
 
+_FAMILY_OF_TYPE = {t: family for family, t in FAMILY_TYPES.items()}
+
+
 def family_of(p: Problem) -> str:
-    if isinstance(p, CareProblem):
-        return "care"
-    if isinstance(p, DareProblem):
-        return "dare"
-    if isinstance(p, MareProblem):
-        return "mare"
-    if isinstance(p, BsepProblem):
-        return "bsep"
-    raise ConfigError(f"unsupported problem type {type(p).__name__}")
+    try:
+        return _FAMILY_OF_TYPE[type(p)]
+    except KeyError:
+        raise ConfigError(
+            f"unsupported problem type {type(p).__name__}") from None
 
 
-def _apply_shift_overrides(p: Problem, cfg: SolveConfig) -> Problem:
-    if isinstance(p, CareProblem) and cfg.gamma is not None:
-        return dataclasses.replace(p, gamma=cfg.gamma)
-    if isinstance(p, MareProblem):
-        updates = {}
-        if cfg.gamma is not None:
-            updates["gamma"] = cfg.gamma
-        if cfg.alpha is not None:
-            updates["alpha"] = cfg.alpha
-        if cfg.beta is not None:
-            updates["beta"] = cfg.beta
-        return dataclasses.replace(p, **updates) if updates else p
-    if isinstance(p, BsepProblem) and cfg.alpha is not None:
-        return dataclasses.replace(p, alpha=cfg.alpha)
-    return p
+class _Method(NamedTuple):
+    """How one (family, method) pair starts, doubles, evaluates, measures."""
+
+    init: Callable      # problem -> state
+    step: Callable      # state -> state
+    iterate: Callable   # state -> dense H (F for bsep) or its LowRankSolution
+    residual: Callable  # (problem, dense iterate, previous one) -> float
 
 
-def _init_with_bsep_retry(p: BsepProblem, build):
-    """Double alpha up to BSEP_SHIFT_RETRIES times while ``build`` is singular.
+def _methods(column_budget: int) -> dict[tuple[str, str], _Method]:
+    """The (family, method) table; ``adda`` exists for ``mare`` only.
 
-    ``build`` must construct the starting state and evaluate F_0, since
-    an inadmissible shift can surface in either place.  Returns the
-    build result together with the problem instance that succeeded.
+    Built per solve, so that every function is the module attribute as
+    it stands when the run starts.
     """
-    attempt = p
-    for retry in range(BSEP_SHIFT_RETRIES + 1):
-        try:
-            return build(attempt), attempt
-        except SingularMatrixError:
-            if retry == BSEP_SHIFT_RETRIES:
-                raise
-            attempt = dataclasses.replace(attempt, alpha=2.0 * attempt.alpha)
-            log.debug("bsep init singular; retrying with alpha = %g",
-                      attempt.alpha)
-    raise AssertionError("unreachable")
+    def equation(residual):
+        return lambda p, x, _previous: residual(p, x)
+
+    def increment(_p, f, previous):
+        return bsep_increment(f, previous)
+
+    care, dare, mare = map(equation, (care_residual, dare_residual,
+                                      mare_residual))
+    h_k, f_k = operator.attrgetter("h_k"), operator.attrgetter("f_k")
+    sym_step = functools.partial(decoupled.dsda_sym_step,
+                                 column_budget=column_budget)
+    mare_step = functools.partial(decoupled.dsda_mare_step,
+                                  column_budget=column_budget)
+    mare_h = functools.partial(decoupled.dsda_mare_eval, which="H")
+    sym_sda = classical.sym_sda_step
+    return {
+        ("care", "sda"): _Method(classical.care_init, sym_sda, h_k, care),
+        ("care", "dsda"): _Method(decoupled.dsda_sym_init, sym_step,
+                                  decoupled.dsda_eval_H, care),
+        ("dare", "sda"): _Method(classical.dare_init, sym_sda, h_k, dare),
+        ("dare", "dsda"): _Method(decoupled.dsda_sym_init, sym_step,
+                                  decoupled.dsda_eval_H, dare),
+        ("mare", "sda"): _Method(classical.mare_init,
+                                 classical.mare_sda_step, h_k, mare),
+        ("mare", "dsda"): _Method(decoupled.dsda_mare_init, mare_step,
+                                  mare_h, mare),
+        ("mare", "adda"): _Method(
+            functools.partial(decoupled.dsda_mare_init, mode="adda"),
+            mare_step, mare_h, mare),
+        ("bsep", "sda"): _Method(classical.bsep_init,
+                                 classical.bsep_sda_step, f_k, increment),
+        ("bsep", "dsda"): _Method(decoupled.dsda_sym_init, sym_step,
+                                  decoupled.bsep_eval_F, increment),
+    }
 
 
-class _Run:
-    """Family/method strategy bound to one problem instance."""
+def _forms(iterate) -> tuple[LowRankSolution | None, np.ndarray]:
+    """The factored form of an iterate (None for a dense one), and its
+    dense form."""
+    if isinstance(iterate, LowRankSolution):
+        return iterate, iterate.dense()
+    return None, iterate
 
-    def __init__(self, p: Problem, cfg: SolveConfig):
-        self.cfg = cfg
-        self.family = family_of(p)
-        self.problem = p
-        self.prev_dense: np.ndarray | None = None
-        self.lowrank: LowRankSolution | None = None
-        method = cfg.method
-        if method == "adda" and self.family != "mare":
-            raise ConfigError("method 'adda' applies to the mare family only")
-        self.decoupled = method in ("dsda", "adda")
-        self.mode = "adda" if method == "adda" else "sda"
 
-    # -- lifecycle ---------------------------------------------------------
+def _rank(dense: np.ndarray, lowrank: LowRankSolution | None,
+          hermitian: bool) -> int:
+    """Numerical rank of the iterate at the SVD cutoff of ``dense``.
 
-    def init_state(self):
-        p = self.problem
-        if self.family == "bsep":
-            init = (decoupled.dsda_sym_init if self.decoupled
-                    else classical.bsep_init)
-
-            def build(prob):
-                st = init(prob)
-                return st, self._evaluate(st)
-
-            (state, f0), used = _init_with_bsep_retry(p, build)
-            self.problem = used
-            self.prev_dense = f0    # seeds the increment measure
-            return state
-        if self.family == "mare":
-            if self.decoupled:
-                state = decoupled.dsda_mare_init(p, mode=self.mode)
-            else:
-                state = classical.mare_init(p, mode=self.mode)
-        elif self.decoupled:
-            state = decoupled.dsda_sym_init(p)
-        elif self.family == "care":
-            state = classical.care_init(p)
-        else:
-            state = classical.dare_init(p)
-        return state
-
-    def step(self, state):
-        if not self.decoupled:
-            if self.family == "mare":
-                return classical.mare_sda_step(state)
-            if self.family == "bsep":
-                return classical.bsep_sda_step(state)
-            return classical.sym_sda_step(state)
-        if self.family == "mare":
-            return decoupled.dsda_mare_step(state, self.cfg.column_budget)
-        return decoupled.dsda_sym_step(state, self.cfg.column_budget)
-
-    def _evaluate(self, state) -> np.ndarray:
-        """Dense current iterate (H, or F for the eigenvalue family)."""
-        if not self.decoupled:
-            return state.f_k if self.family == "bsep" else state.h_k
-        if self.family == "mare":
-            sol = decoupled.dsda_mare_eval(state, "H")
-        elif self.family == "bsep":
-            sol = decoupled.bsep_eval_F(state)
-        else:
-            sol = decoupled.dsda_eval_H(state)
-        self.lowrank = sol
-        return sol.dense()
-
-    def measure(self, state) -> tuple[np.ndarray, float]:
-        dense = self._evaluate(state)
-        if not np.all(np.isfinite(dense)):
-            raise SingularMatrixError("iterate has non-finite entries")
-        if self.family == "care":
-            res = care_residual(self.problem, dense)
-        elif self.family == "dare":
-            res = dare_residual(self.problem, dense)
-        elif self.family == "mare":
-            res = mare_residual(self.problem, dense)
-        else:
-            res = bsep_increment(dense, self.prev_dense)
-            self.prev_dense = dense
-        if not np.isfinite(res):
-            raise SingularMatrixError(f"residual is {res}")
-        return dense, res
-
-    def rank(self, dense: np.ndarray) -> int:
-        """Numerical rank of the iterate at the SVD cutoff of ``dense``.
-
-        A decoupled iterate whose basis is at most half its order is
-        measured on its small factored core; any other on ``dense``
-        itself.  The real symmetric iterates of CARE and DARE are
-        measured by eigenvalue magnitudes, the others by singular values.
-        """
-        sol = self.lowrank
-        operand = dense
-        if sol is not None and 2 * sol.basis_cols <= min(dense.shape):
-            operand = sol.core()
-        return numerical_rank(operand, EPS * max(dense.shape),
-                              hermitian=self.family in ("care", "dare"))
-
-    def basis_cols(self, state) -> int:
-        if self.decoupled:
-            return state.basis_cols
-        return (state.f_k if self.family == "bsep" else state.h_k).shape[1]
+    A decoupled iterate whose basis is at most half its order is
+    measured on its small factored core; any other on ``dense`` itself.
+    The real symmetric iterates of CARE and DARE (``hermitian``) are
+    measured by eigenvalue magnitudes, the others by singular values.
+    """
+    operand = dense
+    if lowrank is not None and 2 * lowrank.basis_cols <= min(dense.shape):
+        operand = lowrank.core()
+    return numerical_rank(operand, EPS * max(dense.shape), hermitian=hermitian)
 
 
 def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceReport:
@@ -272,12 +209,18 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
     """
     cfg = cfg or SolveConfig()
     cfg.validate()
-    if cfg.family is not None and cfg.family != family_of(p):
+    family = family_of(p)
+    if cfg.family is not None and cfg.family != family:
         raise ConfigError(
             f"config family '{cfg.family}' does not match the "
-            f"{family_of(p)} problem")
-    p = _apply_shift_overrides(p, cfg)
-    run = _Run(p, cfg)
+            f"{family} problem")
+    overrides = {name: getattr(cfg, name) for name in shift_fields(p)
+                 if getattr(cfg, name) is not None}
+    if overrides:
+        p = dataclasses.replace(p, **overrides)
+    method = _methods(cfg.column_budget).get((family, cfg.method))
+    if method is None:
+        raise ConfigError("method 'adda' applies to the mare family only")
     records: list[IterationRecord] = []
     final_dense: np.ndarray | None = None
     final_lowrank: LowRankSolution | None = None
@@ -285,37 +228,58 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
     def report(status: str) -> ConvergenceReport:
         assert status in STATUSES
         return ConvergenceReport(tuple(records), status, final_dense,
-                                 final_lowrank, run.family, cfg.method, cfg)
+                                 final_lowrank, family, cfg.method, cfg)
 
+    # The eigenvalue family measures the increment between successive
+    # iterates, so its run starts from the evaluated F_0.  An
+    # inadmissible alpha surfaces in the initial state or in F_0; while
+    # either is singular, alpha is doubled.
+    increment = family == "bsep"
+    retries = BSEP_SHIFT_RETRIES if increment else 0
     try:
-        state = run.init_state()
+        for retry in range(retries + 1):
+            try:
+                state = method.init(p)
+                if increment:
+                    final_lowrank, final_dense = _forms(method.iterate(state))
+                break
+            except SingularMatrixError:
+                if retry == retries:
+                    raise
+                p = dataclasses.replace(p, alpha=2.0 * p.alpha)
+                log.debug("bsep init singular; retrying with alpha = %g",
+                          p.alpha)
     except _SINGULAR:
         return report("SingularEncountered")
     except BudgetExceededError:
         return report("BudgetExceeded")
-    if run.family == "bsep":
-        final_dense, final_lowrank = run.prev_dense, run.lowrank
 
     for _ in range(cfg.max_iter):
         started = time.perf_counter()
         try:
-            state = run.step(state)
-            dense, residual = run.measure(state)
-            rank = run.rank(dense)
+            state = method.step(state)
+            lowrank, dense = _forms(method.iterate(state))
+            if not np.all(np.isfinite(dense)):
+                raise SingularMatrixError("iterate has non-finite entries")
+            residual = method.residual(p, dense, final_dense)
+            if not np.isfinite(residual):
+                raise SingularMatrixError(f"residual is {residual}")
+            rank = _rank(dense, lowrank, hermitian=family in ("care", "dare"))
         except BudgetExceededError:
             return report("BudgetExceeded")
         except _SINGULAR:
             return report("SingularEncountered")
         elapsed_ms = (time.perf_counter() - started) * 1000.0
-        final_dense, final_lowrank = dense, run.lowrank
+        final_dense, final_lowrank = dense, lowrank
         records.append(IterationRecord(
             k=state.k,
             residual=residual,
             rank=rank,
-            basis_cols=run.basis_cols(state),
+            basis_cols=(dense.shape[1] if lowrank is None
+                        else lowrank.basis_cols),
             elapsed_ms=elapsed_ms,
         ))
-        if run.decoupled and run.family != "mare" \
+        if isinstance(state, decoupled.DsdaSymState) \
                 and log.isEnabledFor(logging.DEBUG):
             lo, hi = decoupled.kernel_extreme_eigenvalues(state)
             log.debug("k=%d kernel eigenvalues in [%.3e, %.3e]", state.k, lo, hi)

@@ -1,14 +1,15 @@
 """Dense linear-algebra kernel.
 
-Small-matrix primitives the doubling iterations are built from:
-symmetric-positive-definite and pivoted general solves with one
-singularity test, an overflow-safe Frobenius norm and the numerical
-rank.  The rank counts the singular values above
-``eps * max(rows, cols)`` times the largest one; for a Hermitian
-matrix they are the eigenvalue magnitudes, which ``eigvalsh`` finds
-several times faster than an SVD.  Everything works on plain 2-D numpy
-arrays (real float64, or complex128 where noted) and raises the package
-exceptions on failure instead of letting numpy/scipy errors escape.
+Small-matrix primitives the doubling iterations are built from: the
+pivoted general solve with its one singularity test, an overflow-safe
+Frobenius norm and the numerical rank.  The rank counts the singular
+values above ``eps * max(rows, cols)`` times the largest one; for a
+Hermitian matrix they are the eigenvalue magnitudes, which
+``eigvalsh`` finds several times faster than an SVD.  SPD kernels are
+factored where they are built (``decoupled._factor_spd``).  Everything
+works on plain 2-D numpy arrays (real float64, or complex128 where
+noted) and raises the package exceptions on failure instead of letting
+numpy/scipy errors escape.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatchError, NotSpdError, SingularMatrixError
+from .errors import DimensionMismatchError, SingularMatrixError
 
 EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
@@ -145,25 +146,3 @@ def solve_general(k, b) -> np.ndarray:
         return np.zeros_like(bb)
     return scipy.linalg.lu_solve(lu_factor_checked(kk), bb, check_finite=False)
 
-
-def solve_spd(k, b) -> np.ndarray:
-    """Solve ``K X = B`` for symmetric (Hermitian) positive definite K.
-
-    Uses a Cholesky factorization, so the result is deterministic for a
-    fixed input.  Raises ``NotSpdError`` when a factorization pivot is
-    not positive.
-    """
-    kk = as_matrix(k, "K")
-    bb = as_matrix(b, "B")
-    if kk.shape[0] != kk.shape[1]:
-        raise DimensionMismatchError(f"K must be square, got {kk.shape}")
-    if bb.shape[0] != kk.shape[0]:
-        raise DimensionMismatchError(
-            f"K has {kk.shape[0]} rows but B has {bb.shape[0]}")
-    if kk.shape[0] == 0:
-        return np.zeros_like(bb)
-    try:
-        c, low = scipy.linalg.cho_factor(kk, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotSpdError(str(exc)) from exc
-    return scipy.linalg.cho_solve((c, low), bb, check_finite=False)

@@ -16,6 +16,7 @@ the doubling iterations by construction.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -294,7 +295,8 @@ def gen_scalar_suite() -> list[tuple[Problem, float]]:
     ]
 
 
-#: Matrix keys each family expects when assembled from files.
+#: Matrix keys each family expects when assembled from files; the
+#: problem field of each key is its lower-case name.
 FAMILY_MATRIX_KEYS = {
     "care": ("A", "B", "C"),
     "dare": ("A", "B", "C"),
@@ -302,14 +304,32 @@ FAMILY_MATRIX_KEYS = {
     "bsep": ("A", "L_B"),
 }
 
+#: Every matrix key of some family, in first-seen order.
+MATRIX_KEYS = tuple(dict.fromkeys(
+    key for keys in FAMILY_MATRIX_KEYS.values() for key in keys))
+
+#: Problem type of each family.
+FAMILY_TYPES = {"care": CareProblem, "dare": DareProblem,
+                "mare": MareProblem, "bsep": BsepProblem}
+
+#: Shift parameters; each problem type has its own subset as fields.
+SHIFTS = ("gamma", "alpha", "beta")
+
+
+def shift_fields(problem) -> tuple[str, ...]:
+    """The shifts that a problem (or problem type) has as fields."""
+    names = {f.name for f in dataclasses.fields(problem)}
+    return tuple(s for s in SHIFTS if s in names)
+
 
 def assemble_problem(family: str, matrices: dict[str, np.ndarray],
                      gamma: float | None = None, alpha: float | None = None,
                      beta: float | None = None) -> Problem:
     """Build a problem descriptor from named matrices.
 
-    Raises ``ConfigError`` when a required matrix is missing or a real
-    family receives complex data.
+    Of the shifts given, those the family's problem type has are set;
+    the others are ignored.  Raises ``ConfigError`` when a required
+    matrix is missing or a real family receives complex data.
     """
     if family not in FAMILY_MATRIX_KEYS:
         raise ConfigError(f"unknown family '{family}'")
@@ -322,15 +342,9 @@ def assemble_problem(family: str, matrices: dict[str, np.ndarray],
             if np.iscomplexobj(matrices[key]):
                 raise ConfigError(
                     f"matrix '{key}' is complex but family '{family}' is real")
-    if family == "care":
-        return CareProblem(matrices["A"], matrices["B"], matrices["C"],
-                           gamma=1.0 if gamma is None else gamma)
-    if family == "dare":
-        return DareProblem(matrices["A"], matrices["B"], matrices["C"])
-    if family == "mare":
-        return MareProblem(matrices["A"], matrices["D"],
-                           matrices["B_l"], matrices["B_r"],
-                           matrices["C_l"], matrices["C_r"],
-                           gamma=gamma, alpha=alpha, beta=beta)
-    return BsepProblem(matrices["A"], matrices["L_B"],
-                       alpha=1.0 if alpha is None else alpha)
+    problem_type = FAMILY_TYPES[family]
+    given = {"gamma": gamma, "alpha": alpha, "beta": beta}
+    shifts = {name: given[name] for name in shift_fields(problem_type)
+              if given[name] is not None}
+    return problem_type(**{key.lower(): matrices[key] for key in needed},
+                        **shifts)

@@ -1,35 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from dsda.errors import NotSpdError, SingularMatrixError
+from dsda.errors import SingularMatrixError
 from dsda.matkit import (
     frobenius_norm,
     lu_factor_checked,
     numerical_rank,
     solve_general,
-    solve_spd,
 )
-
-
-class TestSolveSpd:
-    def test_identity(self):
-        b = np.arange(6.0).reshape(3, 2)
-        assert np.array_equal(solve_spd(np.eye(3), b), b)
-
-    def test_2x2_closed_form(self):
-        k = np.array([[1.25, -0.25], [-0.25, 1.5]])
-        # det = 1.25*1.5 - 0.0625 = 1.8125, adjugate inverse by hand
-        det = 1.8125
-        expected = np.array([[1.5, 0.25], [0.25, 1.25]]) / det
-        assert np.allclose(solve_spd(k, np.eye(2)), expected, atol=1e-15)
-
-    def test_diagonal(self):
-        x = solve_spd(np.diag([2.0, 4.0]), np.array([[2.0], [4.0]]))
-        assert np.allclose(x, np.ones((2, 1)))
-
-    def test_not_spd(self):
-        with pytest.raises(NotSpdError):
-            solve_spd(np.array([[1.0, 0.0], [0.0, -1.0]]), np.eye(2))
 
 
 class TestSolveGeneral:
@@ -52,7 +31,7 @@ class TestSolveGeneral:
             w = rng.standard_normal((4, 4))
             k = w @ w.T + np.eye(4)
             b = rng.standard_normal((4, 3))
-            x1 = solve_spd(k, b)
+            x1 = scipy.linalg.solve(k, b, assume_a="pos")
             x2 = solve_general(k, b)
             assert np.linalg.norm(x1 - x2) <= 1e-12 * np.linalg.norm(x1)
 

@@ -99,11 +99,14 @@ class TestSolveConfig:
             SolveConfig(tol=0.0).validate()
 
     def test_adda_requires_mare(self):
-        with pytest.raises(ConfigError):
-            solve_driver(SCALAR_CARE, SolveConfig(method="adda"))
+        for problem in (SCALAR_CARE, SCALAR_DARE,
+                        BsepProblem([[2.0]], [[1.0]])):
+            with pytest.raises(ConfigError,
+                               match="applies to the mare family only"):
+                solve_driver(problem, SolveConfig(method="adda"))
 
     def test_family_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="does not match"):
             solve_driver(SCALAR_CARE, SolveConfig(family="dare"))
 
 
