@@ -20,7 +20,6 @@ from .classical import (
     mare_sda_step,
     sym_sda_step,
 )
-from .config import load_config
 from .decoupled import (
     DEFAULT_COLUMN_BUDGET,
     DsdaMareState,
@@ -51,9 +50,7 @@ from .errors import (
     ConfigError,
     DimensionMismatchError,
     InvalidShiftError,
-    NotSpdError,
     ParseError,
-    RankDeficientFactorError,
     SingularMatrixError,
     SolverError,
     UnsupportedFieldError,
@@ -82,8 +79,7 @@ __all__ = [
     "ConvergenceReport", "CareProblem", "DEFAULT_COLUMN_BUDGET",
     "DareProblem", "DimensionMismatchError", "DsdaMareState", "DsdaSymState",
     "InvalidShiftError", "IterationRecord", "LowRankSolution", "MareProblem",
-    "MareSdaState", "NotSpdError", "ParseError", "RankDeficientFactorError",
-    "SingularMatrixError", "SolveConfig", "SolverError", "SymSdaState",
+    "MareSdaState", "ParseError", "SingularMatrixError", "SolveConfig", "SolverError", "SymSdaState",
     "UnsupportedFieldError",
     "assemble_problem", "bsep_eigen_extract", "bsep_eval_F", "bsep_increment",
     "bsep_init", "bsep_sda_step", "care_init", "care_residual", "dare_init",
@@ -91,8 +87,7 @@ __all__ = [
     "dsda_eval_H", "dsda_mare_eval", "dsda_mare_init", "dsda_mare_step",
     "dsda_sym_init", "dsda_sym_step", "family_of", "frobenius_norm",
     "gen_random_bsep", "gen_random_care", "gen_random_dare",
-    "gen_random_mare", "gen_scalar_suite", "load_config",
-    "load_matrix_market", "mare_init", "mare_residual", "mare_sda_step",
+    "gen_random_mare", "gen_scalar_suite", "load_matrix_market", "mare_init", "mare_residual", "mare_sda_step",
     "numerical_rank", "reduce_control_weight", "save_matrix_market",
     "solve_driver", "solve_general", "subspace_angle",
     "sym_sda_step",

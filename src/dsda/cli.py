@@ -23,8 +23,8 @@ import json
 import os
 import sys
 
-from .config import read_config
-from .decoupled import DEFAULT_COLUMN_BUDGET, bsep_eigen_extract
+from .config import SETTINGS, read_config
+from .decoupled import bsep_eigen_extract
 from .driver import (
     METHODS,
     ConvergenceReport,
@@ -37,6 +37,7 @@ from .mmio import load_matrix_market, save_matrix_market
 from .problems import (
     FAMILY_MATRIX_KEYS,
     MATRIX_KEYS,
+    SHIFTS,
     assemble_problem,
     gen_random_bsep,
     gen_random_care,
@@ -108,8 +109,13 @@ def _build_parser() -> _CliParser:
     return parser
 
 
-def emit_report(report: ConvergenceReport, fmt: str, sink) -> None:
-    """Write a report as CSV (4 significant digits) or JSON (full precision)."""
+def emit_report(report: ConvergenceReport, fmt: str, sink,
+                shifts: dict | None = None) -> None:
+    """Write a report as CSV (4 significant digits) or JSON (full precision).
+
+    The JSON ``config`` echoes the solver knobs of the report and the
+    ``shifts`` the problem was built with.
+    """
     if fmt == "csv":
         sink.write("k,residual,rank,basis_cols,elapsed_ms\n")
         for rec in report.iterations:
@@ -120,51 +126,42 @@ def emit_report(report: ConvergenceReport, fmt: str, sink) -> None:
         "status": report.status,
         "family": report.family,
         "method": report.method,
-        "config": dataclasses.asdict(report.config) if report.config else None,
+        "config": ({**dataclasses.asdict(report.config), **(shifts or {})}
+                   if report.config else None),
         "iterations": [dataclasses.asdict(rec) for rec in report.iterations],
     }
     json.dump(payload, sink, indent=2)
     sink.write("\n")
 
 
-def _resolve_column_budget(flag_value, config_value) -> int:
-    if flag_value is not None:
-        return flag_value
-    if config_value is not None:
-        return config_value
+def _cmd_solve(args) -> int:
+    # Precedence: environment budget < config file < flags.  The
+    # environment is read only when neither of the others sets the
+    # budget, so a bad value there is reported only when it is used.
+    settings: dict = {}
+    paths: dict[str, str] = {}
+    if args.config:
+        settings, paths = read_config(args.config)
+    settings.update({key: getattr(args, key) for key in SETTINGS
+                     if getattr(args, key) is not None})
     env = os.environ.get("RICCATI_COLUMN_BUDGET")
-    if env is not None:
+    if env is not None and "column_budget" not in settings:
         try:
-            return int(env)
+            settings["column_budget"] = int(env)
         except ValueError:
             raise SolverError(
                 f"RICCATI_COLUMN_BUDGET must be an integer, got '{env}'") from None
-    return DEFAULT_COLUMN_BUDGET
 
-
-def _cmd_solve(args) -> int:
-    file_cfg = None
-    file_keys: frozenset[str] = frozenset()
-    paths: dict[str, str] = {}
-    if args.config:
-        file_cfg, paths, file_keys = read_config(args.config)
-
-    family = args.family or (file_cfg.family if file_cfg else None)
+    family = settings.pop("family", None)
     if family is None:
         raise SolverError("solve needs --family (or a config file naming one)")
+    shifts = {name: settings.pop(name, None) for name in SHIFTS}
+    if family == "care" and shifts["gamma"] is None:
+        raise SolverError("--gamma is required for --family care")
     for flag in MATRIX_KEYS:
         value = getattr(args, f"mat_{flag}")
         if value is not None:
             paths[flag] = value
-
-    # Flags override config-file values, which override defaults.
-    defaults = SolveConfig()
-    base = file_cfg if file_cfg is not None else defaults
-    gamma = args.gamma if args.gamma is not None else base.gamma
-    alpha = args.alpha if args.alpha is not None else base.alpha
-    beta = args.beta if args.beta is not None else base.beta
-    if family == "care" and gamma is None:
-        raise SolverError("--gamma is required for --family care")
 
     missing = [k for k in FAMILY_MATRIX_KEYS[family] if k not in paths]
     if missing:
@@ -172,25 +169,13 @@ def _cmd_solve(args) -> int:
         raise SolverError(f"family '{family}' needs matrix flags: {flags}")
     matrices = {key: load_matrix_market(paths[key])
                 for key in FAMILY_MATRIX_KEYS[family]}
-    problem = assemble_problem(family, matrices, gamma=gamma, alpha=alpha,
-                               beta=beta)
-
-    file_budget = (base.column_budget if "column_budget" in file_keys
-                   else None)
-    cfg = SolveConfig(
-        tol=args.tol if args.tol is not None else base.tol,
-        max_iter=args.max_iter if args.max_iter is not None else base.max_iter,
-        column_budget=_resolve_column_budget(args.column_budget, file_budget),
-        method=args.method or (base.method if file_cfg is not None else "dsda"),
-        family=family,
-        gamma=gamma, alpha=alpha, beta=beta,
-    )
-    report = solve_driver(problem, cfg)
+    problem = assemble_problem(family, matrices, **shifts)
+    report = solve_driver(problem, SolveConfig(**settings))
     if args.out_path:
         with open(args.out_path, "w", encoding="utf-8") as sink:
-            emit_report(report, args.output, sink)
+            emit_report(report, args.output, sink, shifts)
     else:
-        emit_report(report, args.output, sys.stdout)
+        emit_report(report, args.output, sys.stdout, shifts)
     return STATUS_EXIT_CODES[report.status]
 
 
@@ -199,8 +184,7 @@ def _cmd_selftest(args) -> int:
     for problem, target in gen_scalar_suite():
         family = family_of(problem)
         for method in ("sda", "dsda"):
-            report = solve_driver(problem, SolveConfig(method=method,
-                                                       family=family))
+            report = solve_driver(problem, SolveConfig(method=method))
             if report.final_solution is None:
                 ok = False
                 print(f"{family:4s} {method:4s} FAIL: no solution "

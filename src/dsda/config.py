@@ -1,8 +1,9 @@
 """Plain key=value configuration files.
 
 One ``key = value`` pair per line, ``#`` starts a comment.  Recognized
-keys are the driver knobs (family, method, tol, max_iter,
-column_budget, gamma, alpha, beta) and the matrix paths each family
+keys are the settings of a run -- the family, the four solver knobs
+(method, tol, max_iter, column_budget) and the shifts the family's
+problem takes (gamma, alpha, beta) -- and the matrix paths each family
 needs (A, B, C, D, B_l, B_r, C_l, C_r, L_B).  Matrix paths are resolved
 relative to the config file's directory.  Unknown keys are rejected --
 in particular anything related to basis truncation, which this package
@@ -11,39 +12,38 @@ deliberately does not implement.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 from .driver import SolveConfig
 from .errors import ConfigError
 from .problems import FAMILY_MATRIX_KEYS, MATRIX_KEYS, SHIFTS
 
-_SCALAR_KEYS = ("family", "method", "tol", "max_iter", "column_budget",
-                *SHIFTS)
+#: Type of each setting; the names double as the CLI flag destinations.
+SETTINGS = {"family": str, "method": str, "tol": float, "max_iter": int,
+            "column_budget": int, **dict.fromkeys(SHIFTS, float)}
+
+_KIND = {float: "a number", int: "an integer"}
+
+_SOLVER_KEYS = tuple(f.name for f in dataclasses.fields(SolveConfig))
 
 
-def _parse_float(key: str, raw: str) -> float:
+def _typed(key: str, raw: str):
+    kind = SETTINGS[key]
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"key '{key}' needs a number, got '{raw}'") from None
+        raise ConfigError(
+            f"key '{key}' needs {_KIND[kind]}, got '{raw}'") from None
 
 
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"key '{key}' needs an integer, got '{raw}'") from None
+def read_config(path) -> tuple[dict, dict[str, str]]:
+    """Parse a config file into its settings and its matrix paths.
 
-
-def load_config(path) -> tuple[SolveConfig, dict[str, str]]:
-    """Parse a config file into a validated SolveConfig plus matrix paths."""
-    cfg, paths, _ = read_config(path)
-    return cfg, paths
-
-
-def read_config(path) -> tuple[SolveConfig, dict[str, str], frozenset[str]]:
-    """:func:`load_config` plus the driver keys the file sets, which tells
-    a key set to its default value from one left unset."""
+    The settings hold only the keys the file sets, already typed, so a
+    key set to its default value is told from one left unset.  The
+    family must be set; the solver knobs are validated here.
+    """
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -55,7 +55,7 @@ def read_config(path) -> tuple[SolveConfig, dict[str, str], frozenset[str]]:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in _SCALAR_KEYS and key not in MATRIX_KEYS:
+            if key not in SETTINGS and key not in MATRIX_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
             if key in values:
                 raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
@@ -65,30 +65,13 @@ def read_config(path) -> tuple[SolveConfig, dict[str, str], frozenset[str]]:
 
     if "family" not in values:
         raise ConfigError(f"{path}: missing required key 'family'")
-    scalar_keys = frozenset(k for k in values if k in _SCALAR_KEYS)
-    family = values.pop("family")
-    if family not in FAMILY_MATRIX_KEYS:
-        raise ConfigError(f"unknown family '{family}'")
-
-    kwargs: dict = {"family": family}
-    if "method" in values:
-        kwargs["method"] = values.pop("method")
-    if "tol" in values:
-        kwargs["tol"] = _parse_float("tol", values.pop("tol"))
-    if "max_iter" in values:
-        kwargs["max_iter"] = _parse_int("max_iter", values.pop("max_iter"))
-    if "column_budget" in values:
-        kwargs["column_budget"] = _parse_int("column_budget",
-                                             values.pop("column_budget"))
-    for key in SHIFTS:
-        if key in values:
-            kwargs[key] = _parse_float(key, values.pop(key))
-
+    if values["family"] not in FAMILY_MATRIX_KEYS:
+        raise ConfigError(f"unknown family '{values['family']}'")
+    settings = {key: _typed(key, value) for key, value in values.items()
+                if key in SETTINGS}
+    SolveConfig(**{key: settings[key] for key in _SOLVER_KEYS
+                   if key in settings}).validate()
     base = os.path.dirname(os.path.abspath(path))
-    paths = {key: os.path.join(base, values.pop(key))
-             for key in list(values) if key in MATRIX_KEYS}
-    assert not values, "key filter above is exhaustive"
-
-    cfg = SolveConfig(**kwargs)
-    cfg.validate()
-    return cfg, paths, scalar_keys
+    paths = {key: os.path.join(base, value) for key, value in values.items()
+             if key in MATRIX_KEYS}
+    return settings, paths

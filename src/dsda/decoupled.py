@@ -66,11 +66,9 @@ import scipy.linalg
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
-    NotSpdError,
-    RankDeficientFactorError,
     SingularMatrixError,
 )
-from .matkit import lu_factor_checked, numerical_rank, solve_general
+from .matkit import lu_factor_checked, solve_general
 from .problems import BsepProblem, CareProblem, DareProblem, MareProblem
 
 #: Default cap on basis columns; the bases double every step and no
@@ -143,7 +141,8 @@ def _factor_spd(kern: np.ndarray) -> tuple:
     except scipy.linalg.LinAlgError as exc:
         # Cannot happen in exact arithmetic for I + Y^T Y; reaching this
         # signals severe ill-conditioning of the untruncated kernel.
-        raise NotSpdError(str(exc)) from exc
+        raise SingularMatrixError(
+            f"kernel is not positive definite: {exc}") from exc
 
 
 def _pow2k(m: np.ndarray, k: int) -> np.ndarray:
@@ -501,27 +500,18 @@ class DsdaMareState:
         return -self.shift_sum
 
 
-def _check_full_column_rank(mat: np.ndarray, name: str) -> None:
-    if mat.shape[1] == 0:
-        return
-    if numerical_rank(mat, rel_tol=1e-12) < mat.shape[1]:
-        raise RankDeficientFactorError(
-            f"{name} must have full column rank {mat.shape[1]}")
-
-
 def dsda_mare_init(p: MareProblem, mode: str = "sda") -> DsdaMareState:
     """Width-one starting state for the four-basis family.
 
     ``mode="sda"`` uses the single shift gamma twice; ``mode="adda"``
     uses alpha for the D side and beta for the A side.  Low-rank factors
-    must have full column rank (an all-zero B or C is expressed with
-    zero-width factors, which degrade every formula gracefully).
+    need not have full column rank: a deficient factor only adds zero
+    eigenvalues to Y Z, so I - Y Z stays nonsingular.  Zero-width
+    factors (an all-zero B or C) degrade every formula gracefully.
     """
     from .classical import resolve_mare_shifts
 
     alpha, beta = resolve_mare_shifts(p, mode)
-    for name in ("b_l", "b_r", "c_l", "c_r"):
-        _check_full_column_rank(getattr(p, name), name)
     m, n = p.m, p.n
     s = alpha + beta
     a_b = p.a + beta * np.eye(m)

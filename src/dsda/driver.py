@@ -29,14 +29,9 @@ import numpy as np
 
 from . import classical, decoupled
 from .decoupled import LowRankSolution
-from .errors import (
-    BudgetExceededError,
-    ConfigError,
-    NotSpdError,
-    SingularMatrixError,
-)
+from .errors import BudgetExceededError, ConfigError, SingularMatrixError
 from .matkit import EPS, numerical_rank
-from .problems import FAMILY_MATRIX_KEYS, FAMILY_TYPES, Problem, shift_fields
+from .problems import FAMILY_TYPES, Problem
 from .residuals import bsep_increment, care_residual, dare_residual, mare_residual
 
 log = logging.getLogger(__name__)
@@ -45,7 +40,7 @@ METHODS = ("sda", "dsda", "adda")
 STATUSES = ("Converged", "MaxIter", "BudgetExceeded", "SingularEncountered")
 
 #: Numerical failures that end a run as ``SingularEncountered``.
-_SINGULAR = (SingularMatrixError, NotSpdError, np.linalg.LinAlgError)
+_SINGULAR = (SingularMatrixError, np.linalg.LinAlgError)
 
 #: How many times the shift is doubled when a Bethe-Salpeter
 #: initialization hits a numerically singular matrix.
@@ -54,16 +49,18 @@ BSEP_SHIFT_RETRIES = 8
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Driver knobs; defaults follow the benchmark setup (tol 1e-13, 20 iterations)."""
+    """The four knobs of the iteration; defaults follow the benchmark
+    setup (tol 1e-13, 20 iterations).
+
+    Shifts are not knobs: they are part of the transformed problem and
+    live on it (``dataclasses.replace(problem, gamma=...)``), and the
+    family is the problem's type.
+    """
 
     tol: float = 1e-13
     max_iter: int = 20
     column_budget: int = decoupled.DEFAULT_COLUMN_BUDGET
     method: str = "dsda"
-    family: str | None = None
-    gamma: float | None = None
-    alpha: float | None = None
-    beta: float | None = None
 
     def validate(self) -> None:
         if not self.tol > 0.0:
@@ -76,10 +73,6 @@ class SolveConfig:
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got "
                               f"'{self.method}'")
-        if self.family is not None and self.family not in FAMILY_MATRIX_KEYS:
-            raise ConfigError(f"family must be one of "
-                              f"{tuple(FAMILY_MATRIX_KEYS)}, "
-                              f"got '{self.family}'")
 
 
 @dataclass(frozen=True)
@@ -210,14 +203,6 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
     cfg = cfg or SolveConfig()
     cfg.validate()
     family = family_of(p)
-    if cfg.family is not None and cfg.family != family:
-        raise ConfigError(
-            f"config family '{cfg.family}' does not match the "
-            f"{family} problem")
-    overrides = {name: getattr(cfg, name) for name in shift_fields(p)
-                 if getattr(cfg, name) is not None}
-    if overrides:
-        p = dataclasses.replace(p, **overrides)
     method = _methods(cfg.column_budget).get((family, cfg.method))
     if method is None:
         raise ConfigError("method 'adda' applies to the mare family only")

@@ -13,20 +13,12 @@ class SingularMatrixError(SolverError):
     """A matrix required to be invertible is numerically singular."""
 
 
-class NotSpdError(SolverError):
-    """A matrix required to be symmetric positive definite is not."""
-
-
 class InvalidShiftError(SolverError):
     """A doubling shift parameter violates its admissibility bound."""
 
 
 class BudgetExceededError(SolverError):
     """Growing the block bases would exceed the configured column budget."""
-
-
-class RankDeficientFactorError(SolverError):
-    """A supplied low-rank factor does not have full column rank."""
 
 
 class ParseError(SolverError):

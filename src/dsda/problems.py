@@ -188,9 +188,7 @@ def reduce_control_weight(b, r) -> np.ndarray:
     return b @ (v / np.sqrt(w)) @ v.T
 
 
-def gen_random_care(n: int, m: int, l: int, seed: int,
-                    band: tuple[float, float] = (0.45, 0.55),
-                    coupling: float = 0.3) -> CareProblem:
+def gen_random_care(n: int, m: int, l: int, seed: int) -> CareProblem:
     """Random stable continuous-time instance, deterministic per seed.
 
     A is symmetric negative definite (hence stable) with eigenvalues
@@ -202,32 +200,29 @@ def gen_random_care(n: int, m: int, l: int, seed: int,
         raise DimensionMismatchError("block widths must not exceed n")
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    a = -(q * rng.uniform(band[0], band[1], n)) @ q.T
+    a = -(q * rng.uniform(0.45, 0.55, n)) @ q.T
     a = (a + a.T) / 2.0
-    b = coupling * rng.standard_normal((n, m)) / math.sqrt(n)
+    b = 0.3 * rng.standard_normal((n, m)) / math.sqrt(n)
     c = rng.standard_normal((l, n)) / math.sqrt(n)
     return CareProblem(a, b, c, gamma=1.0)
 
 
-def gen_random_dare(n: int, m: int, l: int, seed: int,
-                    band: tuple[float, float] = (0.42, 0.52),
-                    coupling: float = 0.3) -> DareProblem:
+def gen_random_dare(n: int, m: int, l: int, seed: int) -> DareProblem:
     """Random discrete-time instance with symmetric A of mixed-sign
     eigenvalue magnitudes drawn from a narrow stable band."""
     if m > n or l > n:
         raise DimensionMismatchError("block widths must not exceed n")
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    lam = rng.uniform(band[0], band[1], n) * rng.choice([-1.0, 1.0], n)
+    lam = rng.uniform(0.42, 0.52, n) * rng.choice([-1.0, 1.0], n)
     a = (q * lam) @ q.T
     a = (a + a.T) / 2.0
-    b = coupling * rng.standard_normal((n, m)) / math.sqrt(n)
+    b = 0.3 * rng.standard_normal((n, m)) / math.sqrt(n)
     c = rng.standard_normal((l, n)) / math.sqrt(n)
     return DareProblem(a, b, c)
 
 
-def gen_random_mare(m: int, n: int, m1: int, n1: int, seed: int,
-                    margin: float = 4.0) -> MareProblem:
+def gen_random_mare(m: int, n: int, m1: int, n1: int, seed: int) -> MareProblem:
     """Random M-matrix instance of ``X C X - X D - A X + B = 0``.
 
     B and C come from nonnegative rank-m1 / rank-n1 factors; the
@@ -249,15 +244,14 @@ def gen_random_mare(m: int, n: int, m1: int, n1: int, seed: int,
     b = b_l @ b_r.T
     c = c_l @ c_r.T
     # Row sums of the nonnegative part of M fix diagonals that dominate.
-    a_diag = a_off.sum(axis=1) + b.sum(axis=1) + margin
-    d_diag = d_off.sum(axis=1) + c.sum(axis=1) + margin
+    a_diag = a_off.sum(axis=1) + b.sum(axis=1) + 4.0
+    d_diag = d_off.sum(axis=1) + c.sum(axis=1) + 4.0
     a = np.diag(a_diag) - a_off
     d = np.diag(d_diag) - d_off
     return MareProblem(a, d, b_l, b_r, c_l, c_r)
 
 
-def gen_random_bsep(n: int, p: int, seed: int,
-                    coupling: float = 0.4) -> BsepProblem:
+def gen_random_bsep(n: int, p: int, seed: int) -> BsepProblem:
     """Random Bethe-Salpeter instance with negative definite Hermitian A.
 
     With A negative definite and a moderate coupling block, the stable
@@ -269,7 +263,7 @@ def gen_random_bsep(n: int, p: int, seed: int,
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     a = -(w @ w.conj().T / (2.0 * n) + np.eye(n))
-    l_b = coupling * (rng.standard_normal((n, p))
+    l_b = 0.4 * (rng.standard_normal((n, p))
                       + 1j * rng.standard_normal((n, p))) / math.sqrt(n)
     return BsepProblem(a, l_b, alpha=1.0)
 

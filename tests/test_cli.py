@@ -7,7 +7,7 @@ import pytest
 from dsda.cli import emit_report, run_cli
 from dsda.driver import ConvergenceReport, IterationRecord
 from dsda.mmio import save_matrix_market
-from dsda.problems import gen_random_care
+from dsda.problems import FAMILY_MATRIX_KEYS, gen_random_care, gen_random_mare
 
 
 @pytest.fixture
@@ -19,6 +19,19 @@ def care_files(tmp_path):
         save_matrix_market(path, mat)
         paths[name] = str(path)
     return paths
+
+
+@pytest.fixture
+def mare_lines(tmp_path):
+    """Config lines naming a seeded MARE instance, which has a default
+    for every setting (the shift defaults to the diagonal maximum)."""
+    p = gen_random_mare(5, 4, 2, 1, seed=3)
+    lines = ["family = mare"]
+    for key in FAMILY_MATRIX_KEYS["mare"]:
+        path = tmp_path / f"{key}.mtx"
+        save_matrix_market(path, getattr(p, key.lower()))
+        lines.append(f"{key} = {path}")
+    return lines
 
 
 def solve_args(paths, *extra):
@@ -108,6 +121,28 @@ class TestSolve:
                         "--out-path", str(out_path)])
         assert code == 0
         assert json.loads(out_path.read_text())["config"]["column_budget"] == 4096
+
+    @pytest.mark.parametrize("key,flag,default,file_value,flag_value", [
+        ("tol", "--tol", 1e-13, 1e-10, 1e-11),
+        ("max_iter", "--max-iter", 20, 5, 7),
+        ("method", "--method", "dsda", "sda", "adda"),
+        ("gamma", "--gamma", None, 10.0, 12.0),
+    ], ids=["tol", "max_iter", "method", "gamma"])
+    def test_flag_beats_file_beats_default(self, mare_lines, tmp_path, key,
+                                           flag, default, file_value,
+                                           flag_value):
+        def echoed(file_lines, *flags):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("\n".join(mare_lines + file_lines) + "\n")
+            out_path = tmp_path / "report.json"
+            run_cli(["solve", "--config", str(cfg), "--output", "json",
+                     "--out-path", str(out_path), *flags])
+            return json.loads(out_path.read_text())["config"][key]
+
+        assert echoed([]) == default
+        assert echoed([f"{key} = {file_value}"]) == file_value
+        assert echoed([f"{key} = {file_value}"],
+                      flag, str(flag_value)) == flag_value
 
     def test_bad_env_budget(self, care_files, monkeypatch, capsys):
         monkeypatch.setenv("RICCATI_COLUMN_BUDGET", "plenty")

@@ -32,11 +32,8 @@ from dsda.decoupled import (
     kernel_extreme_eigenvalues,
     subspace_angle,
 )
-from dsda.errors import (
-    BudgetExceededError,
-    RankDeficientFactorError,
-    SingularMatrixError,
-)
+from dsda.driver import SolveConfig, solve_driver
+from dsda.errors import BudgetExceededError, SingularMatrixError
 from dsda.problems import (
     BsepProblem,
     CareProblem,
@@ -413,12 +410,19 @@ class TestMareDecoupled:
                      "t_moments", "s_moments"):
             assert np.array_equal(getattr(s_sda, name), getattr(s_adda, name))
 
-    def test_rank_deficient_factor_rejected(self):
-        p = MareProblem([[2.0, 0.0], [0.0, 2.0]], [[3.0]],
-                        np.zeros((2, 1)), np.zeros((1, 1)) + 1.0,
-                        np.ones((1, 1)), np.ones((2, 1)))
-        with pytest.raises(RankDeficientFactorError):
-            dsda_mare_init(p)
+    def test_rank_deficient_factors_converge(self):
+        # Rank-2 factors of the rank-1 B = f f^T: a deficient factor
+        # only adds zero eigenvalues to Y Z, so I - Y Z stays invertible.
+        f = [[0.1, 0.1], [0.1, 0.1]]
+        p = MareProblem(10.0 * np.eye(2), 10.0 * np.eye(2), f, f,
+                        [[0.1], [0.1]], [[0.1], [0.1]])
+        oracle = solve_driver(p, SolveConfig(method="sda"))
+        for method in ("sda", "dsda", "adda"):
+            report = solve_driver(p, SolveConfig(method=method))
+            assert report.status == "Converged"
+            assert [rec.k for rec in report.iterations] == [1]
+            assert np.array_equal(report.final_solution,
+                                  oracle.final_solution)
 
     def test_scalar_step_matches_oracle(self):
         oracle = mare_sda_step(mare_init(SCALAR_MARE))

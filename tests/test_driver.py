@@ -1,5 +1,5 @@
-"""The solve driver's (family, method) table: shift retry, shift
-overrides and the failure contract on scaled random instances."""
+"""The solve driver's (family, method) table: the BSEP shift retry and
+the failure contract on scaled random instances."""
 
 import dataclasses
 import math
@@ -26,8 +26,6 @@ from dsda.problems import (
     gen_random_care,
     gen_random_dare,
     gen_random_mare,
-    gen_scalar_suite,
-    shift_fields,
 )
 
 #: alpha I - A is exactly zero, so the first start is singular.
@@ -75,30 +73,6 @@ def test_bsep_start_gives_up_after_the_retries(module, name, method,
     assert report.iterations == () and report.final_solution is None
 
 
-@pytest.mark.parametrize("problem,init,expected", [
-    (gen_scalar_suite()[0][0], "care_init", {"gamma": 0.5}),
-    (gen_scalar_suite()[1][0], "dare_init", {}),
-    (gen_scalar_suite()[2][0], "mare_init",
-     {"gamma": 0.5, "alpha": 3.0, "beta": 4.0}),
-    (gen_scalar_suite()[3][0], "bsep_init", {"alpha": 3.0}),
-], ids=["care", "dare", "mare", "bsep"])
-def test_each_problem_takes_its_own_shift_overrides(problem, init, expected,
-                                                    monkeypatch):
-    seen = []
-
-    def spy(p, *args, **kwargs):
-        seen.append(p)
-        raise SingularMatrixError("stop at the start")
-
-    monkeypatch.setattr(classical, init, spy)
-    report = solve_driver(problem, SolveConfig(method="sda", gamma=0.5,
-                                               alpha=3.0, beta=4.0))
-    assert report.status == "SingularEncountered"
-    assert {name: getattr(seen[0], name)
-            for name in shift_fields(seen[0])} == expected
-    assert (seen[0] is problem) == (not expected)
-
-
 # -- the failure contract on scaled random instances -----------------------
 
 PAIRS = [(family, method) for family in FAMILY_MATRIX_KEYS
@@ -114,19 +88,33 @@ GENERATORS = {
 }
 
 
+#: MARE factors of full column rank, a duplicated first column of B_l
+#: (B_r gains a zero column, so B is unchanged), or an all-zero B_l.
+MARE_FACTORS = {
+    "full": lambda p: p,
+    "duplicate": lambda p: dataclasses.replace(
+        p, b_l=np.hstack([p.b_l, p.b_l[:, :1]]),
+        b_r=np.hstack([p.b_r, np.zeros((p.n, 1))])),
+    "zero": lambda p: dataclasses.replace(p, b_l=np.zeros_like(p.b_l)),
+}
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(pair=st.sampled_from(PAIRS), n=st.integers(1, 6),
        width=st.integers(1, 2), seed=st.integers(0, 2 ** 16),
        exponent=st.integers(-300, 300), max_iter=st.integers(1, 12),
-       column_budget=st.integers(1, 256))
+       column_budget=st.integers(1, 256),
+       factors=st.sampled_from(tuple(MARE_FACTORS)))
 def test_every_run_ends_in_a_status(pair, n, width, seed, exponent, max_iter,
-                                    column_budget):
+                                    column_budget, factors):
     # Every entry scaled by 10^exponent: the extremes overflow or
     # underflow inside the recursions, which must end the run, not
     # raise.  Equal sda and dsda status is not part of the contract:
     # the scalar BSEP converges under sda but turns singular under dsda.
     family, method = pair
     p = GENERATORS[family](n, min(width, n), seed)
+    if family == "mare":
+        p = MARE_FACTORS[factors](p)
     scale = 10.0 ** exponent
     with np.errstate(all="ignore"):
         p = dataclasses.replace(p, **{

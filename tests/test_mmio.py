@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dsda.config import load_config
+from dsda.config import read_config
+from dsda.driver import SolveConfig
 from dsda.errors import ConfigError, ParseError, UnsupportedFieldError
 from dsda.mmio import load_matrix_market, save_matrix_market
 
@@ -110,27 +111,28 @@ class TestLoadConfig:
         path = self.write(tmp_path,
                           "family = care\nmethod = dsda\n"
                           "A = A.mtx\nB = B.mtx\nC = C.mtx\n")
-        cfg, paths = load_config(path)
+        settings, paths = read_config(path)
+        assert settings == {"family": "care", "method": "dsda"}
+        cfg = SolveConfig(method=settings["method"])
         assert cfg.tol == 1e-13
         assert cfg.max_iter == 20
-        assert cfg.family == "care"
         assert set(paths) == {"A", "B", "C"}
         assert paths["A"].endswith("A.mtx")
 
     def test_zero_tol_rejected(self, tmp_path):
         path = self.write(tmp_path, "family = care\ntol = 0\n")
         with pytest.raises(ConfigError):
-            load_config(path)
+            read_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = self.write(tmp_path, "family = care\ntrunc_tol = 1e-8\n")
         with pytest.raises(ConfigError, match="trunc_tol"):
-            load_config(path)
+            read_config(path)
 
     def test_zero_max_iter_rejected(self, tmp_path):
         path = self.write(tmp_path, "family = dare\nmax_iter = 0\n")
         with pytest.raises(ConfigError):
-            load_config(path)
+            read_config(path)
 
     def test_comments_and_shifts(self, tmp_path):
         path = self.write(tmp_path,
@@ -139,7 +141,7 @@ class TestLoadConfig:
                           "alpha = 2.5  # D-side shift\n"
                           "beta = 3.5\n"
                           "method = adda\n")
-        cfg, _ = load_config(path)
-        assert cfg.alpha == 2.5
-        assert cfg.beta == 3.5
-        assert cfg.method == "adda"
+        settings, _ = read_config(path)
+        assert settings["alpha"] == 2.5
+        assert settings["beta"] == 3.5
+        assert settings["method"] == "adda"

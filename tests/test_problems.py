@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,9 @@ import pytest
 from dsda.errors import ConfigError, DimensionMismatchError
 from dsda.matkit import numerical_rank
 from dsda.problems import (
+    FAMILY_MATRIX_KEYS,
+    FAMILY_TYPES,
+    SHIFTS,
     BsepProblem,
     CareProblem,
     DareProblem,
@@ -129,6 +133,23 @@ class TestAssembleProblem:
     def test_unknown_family(self):
         with pytest.raises(ConfigError):
             assemble_problem("ricatti", {})
+
+    @pytest.mark.parametrize("family,expected", [
+        ("care", {"gamma": 0.5}),
+        ("dare", {}),
+        ("mare", {"gamma": 0.5, "alpha": 3.0, "beta": 4.0}),
+        ("bsep", {"alpha": 3.0}),
+    ], ids=["care", "dare", "mare", "bsep"])
+    def test_each_family_takes_its_own_shifts(self, family, expected):
+        problem_type = FAMILY_TYPES[family]
+        source = next(p for p, _ in gen_scalar_suite()
+                      if isinstance(p, problem_type))
+        q = assemble_problem(family, {key: getattr(source, key.lower())
+                                      for key in FAMILY_MATRIX_KEYS[family]},
+                             gamma=0.5, alpha=3.0, beta=4.0)
+        assert type(q) is problem_type
+        assert {f.name: getattr(q, f.name) for f in dataclasses.fields(q)
+                if f.name in SHIFTS} == expected
 
 
 class TestReduceControlWeight:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -90,6 +91,11 @@ class TestBsepIncrement:
 
 
 class TestSolveConfig:
+    def test_only_the_solver_knobs(self):
+        # Shifts live on the problem, and the family is its type.
+        assert [f.name for f in dataclasses.fields(SolveConfig)] == \
+            ["tol", "max_iter", "column_budget", "method"]
+
     def test_zero_max_iter_rejected(self):
         with pytest.raises(ConfigError):
             SolveConfig(max_iter=0).validate()
@@ -105,15 +111,11 @@ class TestSolveConfig:
                                match="applies to the mare family only"):
                 solve_driver(problem, SolveConfig(method="adda"))
 
-    def test_family_mismatch_rejected(self):
-        with pytest.raises(ConfigError, match="does not match"):
-            solve_driver(SCALAR_CARE, SolveConfig(family="dare"))
-
 
 class TestSolveDriver:
     def test_scalar_care_converges_to_root(self):
-        report = solve_driver(SCALAR_CARE,
-                              SolveConfig(tol=1e-12, gamma=2.0))
+        report = solve_driver(dataclasses.replace(SCALAR_CARE, gamma=2.0),
+                              SolveConfig(tol=1e-12))
         assert report.status == "Converged"
         assert abs(report.final_solution[0, 0] - (math.sqrt(2.0) - 1.0)) <= 1e-11
 
@@ -162,10 +164,6 @@ class TestSolveDriver:
         report = solve_driver(p, SolveConfig(method="adda"))
         assert report.status == "Converged"
         assert mare_residual(p, report.final_solution) <= 1e-13
-
-    def test_shift_override_applies(self):
-        report = solve_driver(SCALAR_CARE, SolveConfig(gamma=2.0))
-        assert report.status == "Converged"
 
     @pytest.mark.parametrize("method", ["sda", "dsda"])
     def test_overflowing_iterate_ends_singular_keeping_last_finite(self, method):
