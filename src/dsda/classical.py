@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidShiftError
 from .matkit import solve_general
 from .problems import BsepProblem, CareProblem, DareProblem, MareProblem
 
@@ -123,28 +122,22 @@ def sym_sda_step(s: SymSdaState) -> SymSdaState:
 
 
 def resolve_mare_shifts(p: MareProblem, mode: str) -> tuple[float, float]:
-    """Admissible (alpha, beta) for the chosen mode; sda uses alpha = beta.
+    """(alpha, beta) for the chosen mode; sda uses alpha = beta = gamma.
 
     Shifts not supplied on the problem default to exactly the diagonal
-    maxima they must dominate.
+    maxima they must dominate; the problem checked those it was given.
     """
-    a_max = float(np.max(np.diag(p.a)))
-    d_max = float(np.max(np.diag(p.d)))
+    if mode not in ("sda", "adda"):
+        raise ValueError(f"unknown mode '{mode}'")
+    floors = p.shift_floors()
+
+    def pick(name: str) -> float:
+        value = getattr(p, name)
+        return floors[name] if value is None else value
+
     if mode == "sda":
-        gamma = p.gamma if p.gamma is not None else max(a_max, d_max)
-        if gamma < max(a_max, d_max):
-            raise InvalidShiftError(
-                f"gamma = {gamma} is below max diagonal {max(a_max, d_max)}")
-        return gamma, gamma
-    if mode == "adda":
-        alpha = p.alpha if p.alpha is not None else a_max
-        beta = p.beta if p.beta is not None else d_max
-        if alpha < a_max:
-            raise InvalidShiftError(f"alpha = {alpha} is below max(diag A) = {a_max}")
-        if beta < d_max:
-            raise InvalidShiftError(f"beta = {beta} is below max(diag D) = {d_max}")
-        return alpha, beta
-    raise ValueError(f"unknown mode '{mode}'")
+        return pick("gamma"), pick("gamma")
+    return pick("alpha"), pick("beta")
 
 
 def mare_init(p: MareProblem, mode: str = "sda") -> MareSdaState:

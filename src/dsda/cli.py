@@ -36,6 +36,7 @@ from .errors import SolverError
 from .mmio import load_matrix_market, save_matrix_market
 from .problems import (
     FAMILY_MATRIX_KEYS,
+    FAMILY_TYPES,
     MATRIX_KEYS,
     SHIFTS,
     assemble_problem,
@@ -126,6 +127,7 @@ def emit_report(report: ConvergenceReport, fmt: str, sink,
         "status": report.status,
         "family": report.family,
         "method": report.method,
+        "init_ms": report.init_ms,
         "config": ({**dataclasses.asdict(report.config), **(shifts or {})}
                    if report.config else None),
         "iterations": [dataclasses.asdict(rec) for rec in report.iterations],
@@ -156,6 +158,13 @@ def _cmd_solve(args) -> int:
     if family is None:
         raise SolverError("solve needs --family (or a config file naming one)")
     shifts = {name: settings.pop(name, None) for name in SHIFTS}
+    taken = shift_fields(FAMILY_TYPES[family])
+    stray = [name for name in SHIFTS
+             if shifts[name] is not None and name not in taken]
+    if stray:
+        raise SolverError(
+            f"family '{family}' does not take --{stray[0]} (or config key "
+            f"'{stray[0]}'); its shifts: {', '.join(taken) or 'none'}")
     if family == "care" and shifts["gamma"] is None:
         raise SolverError("--gamma is required for --family care")
     for flag in MATRIX_KEYS:

@@ -1,7 +1,7 @@
 """Decoupled doubling with growing block bases and block Hankel kernels.
 
 Instead of iterating two to four coupled dense matrices, each doubling
-step only extends block bases, one propagator product per new block.
+step only extends block bases, one operator application per new block.
 The bases span block Krylov spaces, u_i = P^i u_0 and v_j = (P^T)^j v_0,
 so block (i, j) of T_k = Uhat_k^T Vhat_k is the moment
 M_{i+j} = u_0^T (P^T)^(i+j) v_0, and the kernel recursion
@@ -43,6 +43,17 @@ block column and W's last block row.  Each of Y^T Y, Y Y^T, Y Z and
 Z Y is thus one thin product, O(cols^2 width) instead of O(cols^3);
 only the factorization of the cols x cols kernel stays cubic.
 
+The propagator P is a :class:`MatrixPropagator` or a
+:class:`ResolventPropagator`, built once per solve by the init.  For a
+dense A it is the explicit n x n matrix (A itself for DARE,
+I + c M^-1 for the others, M the shifted A), applied by GEMM.  When the
+problem's operator is sparse (``a_sparse``, see
+``matkit.SPARSE_MAX_DENSITY``) it is one sparse LU of M, applied as
+x + c M^-1 x, and the init's first blocks come from the same factor;
+a sparse DARE applies A itself.  Only the validation evaluators
+(:func:`dsda_eval_A`, MARE ``F``/``E``) form the dense P, and they are
+guarded to small n.
+
 The closed-form statements for the one-kernel families are usually
 quoted for k >= 2 with the first step written out separately; here the
 k = 0 state is arranged so the same recursion covers every step (the
@@ -68,7 +79,7 @@ from .errors import (
     DimensionMismatchError,
     SingularMatrixError,
 )
-from .matkit import lu_factor_checked, solve_general
+from .matkit import lu_factor_checked, solve_general, splu_shifted
 from .problems import BsepProblem, CareProblem, DareProblem, MareProblem
 
 #: Default cap on basis columns; the bases double every step and no
@@ -153,6 +164,67 @@ def _pow2k(m: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class MatrixPropagator:
+    """Propagator held as a matrix: dense, or scipy sparse for a sparse DARE."""
+
+    matrix: np.ndarray      # or a scipy sparse array
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.matrix.shape
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.matrix.dtype
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.matrix @ x
+
+    def apply_t(self, x: np.ndarray) -> np.ndarray:
+        return self.matrix.T @ x
+
+    def dense(self) -> np.ndarray:
+        if isinstance(self.matrix, np.ndarray):
+            return self.matrix
+        return self.matrix.toarray()
+
+
+@dataclass(frozen=True)
+class ResolventPropagator:
+    """Propagator ``I + scale * M^-1`` applied through a sparse LU of M.
+
+    ``apply_t`` uses the plain transpose, also for complex M.
+    """
+
+    lu: object          # scipy.sparse.linalg.SuperLU of M
+    scale: float
+    dtype: np.dtype
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.lu.shape
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return x + self.scale * self.lu.solve(x)
+
+    def apply_t(self, x: np.ndarray) -> np.ndarray:
+        return x + self.scale * self.lu.solve(x, trans="T")
+
+    def dense(self) -> np.ndarray:
+        eye = np.eye(self.shape[0], dtype=self.dtype)
+        return eye + self.scale * self.lu.solve(eye)
+
+
+Propagator = MatrixPropagator | ResolventPropagator
+
+
+def _resolvent(a_sparse, shift: float, scale: float) -> ResolventPropagator:
+    """``I + scale * (A + shift I)^-1`` from one checked sparse LU."""
+    return ResolventPropagator(splu_shifted(a_sparse, shift), scale,
+                               a_sparse.dtype)
+
+
 # ---------------------------------------------------------------------------
 # Symmetric-kernel families: DARE, CARE, BSEP
 # ---------------------------------------------------------------------------
@@ -172,7 +244,7 @@ class DsdaSymState:
     vhat: np.ndarray
     y0: np.ndarray
     t_moments: np.ndarray
-    propagator: np.ndarray
+    propagator: Propagator
     scale: float
     multiplier: float
     sigma: int
@@ -191,25 +263,38 @@ def dsda_sym_init(p: CareProblem | DareProblem | BsepProblem) -> DsdaSymState:
         # Zero seed: the generic recursion then reproduces
         # Y_1 = [[0, 0], [0, B^T C^T]] because T_0 = B^T C^T.
         y0 = np.zeros((u0.shape[1], v0.shape[1]))
-        family, prop, c, mu, sigma = "dare", p.a.copy(), 1.0, 1.0, +1
+        prop = MatrixPropagator(p.a.copy() if p.a_sparse is None
+                                else p.a_sparse)
+        family, c, mu, sigma = "dare", 1.0, 1.0, +1
     elif isinstance(p, CareProblem):
         n = p.n
         gamma = p.gamma
-        a_g = p.a - gamma * np.eye(n)
-        u0 = solve_general(a_g, p.b)
-        v0 = solve_general(a_g.T, p.c.T)
+        if p.a_sparse is None:
+            a_g = p.a - gamma * np.eye(n)
+            u0 = solve_general(a_g, p.b)
+            v0 = solve_general(a_g.T, p.c.T)
+            prop = MatrixPropagator(
+                np.eye(n) + 2.0 * gamma * solve_general(a_g, np.eye(n)))
+        else:
+            prop = _resolvent(p.a_sparse, -gamma, 2.0 * gamma)
+            u0 = prop.lu.solve(p.b)
+            v0 = prop.lu.solve(p.c.T, trans="T")
         y0 = p.b.T @ v0
-        prop = np.eye(n) + 2.0 * gamma * solve_general(a_g, np.eye(n))
         family, c, mu, sigma = "care", 2.0 * gamma, 2.0 * gamma, +1
     elif isinstance(p, BsepProblem):
         n = p.n
         alpha = p.alpha
-        s_a = alpha * np.eye(n) - p.a
-        sa_inv = solve_general(s_a, np.eye(n, dtype=np.complex128))
-        v0 = (sa_inv @ p.l_b).conj()        # (alpha I - conj(A))^-1 conj(L_B)
+        # V grows with conj(I - 2 alpha (alpha I - A)^-1), the propagator
+        # of alpha I - conj(A).
+        if p.a_sparse is None:
+            s_a = alpha * np.eye(n) - p.a
+            sa_inv = solve_general(s_a, np.eye(n, dtype=np.complex128))
+            v0 = (sa_inv @ p.l_b).conj()    # (alpha I - conj(A))^-1 conj(L_B)
+            prop = MatrixPropagator((np.eye(n) - 2.0 * alpha * sa_inv).conj())
+        else:
+            prop = _resolvent(-p.a_sparse.conj(), alpha, -2.0 * alpha)
+            v0 = prop.lu.solve(p.l_b.conj())
         y0 = p.l_b.T @ v0
-        a_alpha = np.eye(n) - 2.0 * alpha * sa_inv
-        prop = a_alpha.conj()               # V grows with conj(A_alpha)
         u0 = v0.conj()
         family, c, mu, sigma = "bsep", 2.0 * alpha, -2.0 * alpha, -1
     else:
@@ -228,7 +313,8 @@ def dsda_sym_step(s: DsdaSymState,
             v_new = _extend_basis(s.vhat, s.propagator, blocks, l)
             return v_new.conj(), v_new
         return (_extend_basis(s.uhat, s.propagator, blocks, m),
-                _extend_basis(s.vhat, s.propagator.T, blocks, l))
+                _extend_basis(s.vhat, s.propagator, blocks, l,
+                              transpose=True))
 
     (u_new, v_new), (t_new,) = _double(s.k, column_budget, grow,
                                        ((s.t_moments, 0, 1),))
@@ -262,13 +348,15 @@ def _double(k: int, column_budget: int, grow, products):
     return bases, stacks
 
 
-def _extend_basis(basis: np.ndarray, prop: np.ndarray, blocks: int,
-                  width: int) -> np.ndarray:
-    """Append ``blocks`` new blocks, each the propagator times the last."""
+def _extend_basis(basis: np.ndarray, op: Propagator, blocks: int,
+                  width: int, *, transpose: bool = False) -> np.ndarray:
+    """Append ``blocks`` new blocks, each the propagator (its transpose
+    with ``transpose``) applied to the last."""
+    apply = op.apply_t if transpose else op.apply
     new = []
     last = basis[:, -width:]
     for _ in range(blocks):
-        last = prop @ last
+        last = apply(last)
         new.append(last)
     return np.hstack([basis] + new)
 
@@ -382,7 +470,9 @@ def dsda_eval_A(s: DsdaSymState) -> np.ndarray:
         raise BudgetExceededError(
             f"dense propagator-power evaluation is guarded to "
             f"n <= {DENSE_EVAL_MAX_DIM}, got n = {n}")
-    base = s.propagator.conj() if s.family == "bsep" else s.propagator
+    base = s.propagator.dense()
+    if s.family == "bsep":
+        base = base.conj()
     power = _pow2k(base, s.k)
     rhs = dsda_assemble(s, "Y") @ s.vhat.T
     corr = _sym_solution(s, "left").solve_kernel(rhs)
@@ -486,8 +576,8 @@ class DsdaMareState:
     z0: np.ndarray         # n1 x m1
     t_moments: np.ndarray  # (2^(k+1) - 1) x m1 x n1 blocks of qhat.T @ what
     s_moments: np.ndarray  # (2^(k+1) - 1) x n1 x m1 blocks of vhat.T @ uhat
-    prop_a: np.ndarray     # m x m
-    prop_d: np.ndarray     # n x n
+    prop_a: Propagator     # m x m
+    prop_d: Propagator     # n x n
     shift_sum: float
     k: int = 0
 
@@ -514,16 +604,26 @@ def dsda_mare_init(p: MareProblem, mode: str = "sda") -> DsdaMareState:
     alpha, beta = resolve_mare_shifts(p, mode)
     m, n = p.m, p.n
     s = alpha + beta
-    a_b = p.a + beta * np.eye(m)
-    d_a = p.d + alpha * np.eye(n)
-    u0 = solve_general(a_b, p.b_l)
-    v0 = solve_general(a_b.T, p.c_r)
-    w0 = solve_general(d_a, p.c_l)
-    q0 = solve_general(d_a.T, p.b_r)
+    if p.a_sparse is None:
+        a_b = p.a + beta * np.eye(m)
+        u0 = solve_general(a_b, p.b_l)
+        v0 = solve_general(a_b.T, p.c_r)
+        prop_a = MatrixPropagator(np.eye(m) - s * solve_general(a_b, np.eye(m)))
+    else:
+        prop_a = _resolvent(p.a_sparse, beta, -s)
+        u0 = prop_a.lu.solve(p.b_l)
+        v0 = prop_a.lu.solve(p.c_r, trans="T")
+    if p.d_sparse is None:
+        d_a = p.d + alpha * np.eye(n)
+        w0 = solve_general(d_a, p.c_l)
+        q0 = solve_general(d_a.T, p.b_r)
+        prop_d = MatrixPropagator(np.eye(n) - s * solve_general(d_a, np.eye(n)))
+    else:
+        prop_d = _resolvent(p.d_sparse, alpha, -s)
+        w0 = prop_d.lu.solve(p.c_l)
+        q0 = prop_d.lu.solve(p.b_r, trans="T")
     y0 = p.b_r.T @ w0                    # B_r^T D_a^-1 C_l
     z0 = p.c_r.T @ u0                    # C_r^T A_b^-1 B_l
-    prop_a = np.eye(m) - s * solve_general(a_b, np.eye(m))
-    prop_d = np.eye(n) - s * solve_general(d_a, np.eye(n))
     return DsdaMareState(u0, v0, w0, q0, y0, z0,
                          t_moments=(q0.T @ w0)[None],
                          s_moments=(v0.T @ u0)[None],
@@ -537,9 +637,9 @@ def dsda_mare_step(s: DsdaMareState,
 
     def grow(blocks):
         return (_extend_basis(s.uhat, s.prop_a, blocks, m1),
-                _extend_basis(s.vhat, s.prop_a.T, blocks, n1),
+                _extend_basis(s.vhat, s.prop_a, blocks, n1, transpose=True),
                 _extend_basis(s.what, s.prop_d, blocks, n1),
-                _extend_basis(s.qhat, s.prop_d.T, blocks, m1))
+                _extend_basis(s.qhat, s.prop_d, blocks, m1, transpose=True))
 
     # T pairs (qhat, what), S pairs (vhat, uhat).
     (u_new, v_new, w_new, q_new), (t_new, s_new) = _double(
@@ -576,4 +676,4 @@ def dsda_mare_eval(s: DsdaMareState, which: str):
                           else (s.prop_d, s.what, s.qhat))
     rhs = dsda_assemble(s, first) @ other.T
     corr = scipy.linalg.lu_solve(factor, rhs, check_finite=False)
-    return _pow2k(prop, s.k) - s.shift_sum * (basis @ corr)
+    return _pow2k(prop.dense(), s.k) - s.shift_sum * (basis @ corr)

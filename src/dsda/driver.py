@@ -81,7 +81,7 @@ class IterationRecord:
 
     ``elapsed_ms`` is the wall time of the step, the evaluation of the
     iterate, its residual and its rank; set-up before the first step is
-    not part of any record.
+    the report's ``init_ms``.
     """
 
     k: int
@@ -93,6 +93,12 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
+    """Records, terminal status and last good iterate of one solve.
+
+    ``init_ms`` is the wall time of the set-up before the first step:
+    the initial state, any Bethe-Salpeter shift retries and F_0.
+    """
+
     iterations: tuple[IterationRecord, ...]
     status: str
     final_solution: np.ndarray | None
@@ -100,6 +106,7 @@ class ConvergenceReport:
     family: str = ""
     method: str = ""
     config: SolveConfig | None = None
+    init_ms: float = 0.0
 
     @property
     def converged(self) -> bool:
@@ -213,7 +220,8 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
     def report(status: str) -> ConvergenceReport:
         assert status in STATUSES
         return ConvergenceReport(tuple(records), status, final_dense,
-                                 final_lowrank, family, cfg.method, cfg)
+                                 final_lowrank, family, cfg.method, cfg,
+                                 init_ms)
 
     # The eigenvalue family measures the increment between successive
     # iterates, so its run starts from the evaluated F_0.  An
@@ -221,6 +229,8 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
     # either is singular, alpha is doubled.
     increment = family == "bsep"
     retries = BSEP_SHIFT_RETRIES if increment else 0
+    started = time.perf_counter()
+    status = None
     try:
         for retry in range(retries + 1):
             try:
@@ -235,9 +245,12 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
                 log.debug("bsep init singular; retrying with alpha = %g",
                           p.alpha)
     except _SINGULAR:
-        return report("SingularEncountered")
+        status = "SingularEncountered"
     except BudgetExceededError:
-        return report("BudgetExceeded")
+        status = "BudgetExceeded"
+    init_ms = (time.perf_counter() - started) * 1000.0
+    if status is not None:
+        return report(status)
 
     for _ in range(cfg.max_iter):
         started = time.perf_counter()

@@ -12,18 +12,34 @@ Four equation families are modelled:
 The generators are pure functions of their arguments (including the
 seed) and produce instances that satisfy the standing assumptions of
 the doubling iterations by construction.
+
+Matrices are held dense.  Each problem derives, on first use, the
+sparse form of its operator (``a_sparse``, and ``d_sparse`` for the
+four-matrix family): a CSR copy when at most
+``matkit.SPARSE_MAX_DENSITY`` of the entries are nonzero, else None.
+The decoupled inits and the residuals apply the operator through it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, InvalidShiftError
-from .matkit import as_matrix
+from .matkit import as_matrix, sparse_form
+
+
+def _sparse_form_of(field: str) -> functools.cached_property:
+    """Cached sparse form of matrix ``field`` (see :func:`matkit.sparse_form`)."""
+    def derive(self):
+        return sparse_form(getattr(self, field))
+    derive.__doc__ = (f"CSR copy of ``{field}`` when it is sparse enough to "
+                      "be applied in sparse form, else None.")
+    return functools.cached_property(derive)
 
 
 @dataclass(frozen=True)
@@ -50,6 +66,8 @@ class CareProblem:
             raise DimensionMismatchError("B and C^T may have at most n columns")
         if not self.gamma > 0.0:
             raise InvalidShiftError(f"gamma must be positive, got {self.gamma}")
+
+    a_sparse = _sparse_form_of("a")
 
     @property
     def n(self) -> int:
@@ -78,9 +96,16 @@ class DareProblem:
         if self.b.shape[1] > n or self.c.shape[0] > n:
             raise DimensionMismatchError("B and C^T may have at most n columns")
 
+    a_sparse = _sparse_form_of("a")
+
     @property
     def n(self) -> int:
         return self.a.shape[0]
+
+
+#: The diagonal maximum each MARE shift must reach.
+_MARE_FLOORS = {"gamma": "max(diag A, diag D)", "alpha": "max(diag A)",
+                "beta": "max(diag D)"}
 
 
 @dataclass(frozen=True)
@@ -89,7 +114,9 @@ class MareProblem:
 
     A is m x m, D is n x n, B = B_l B_r^T (m x n) and C = C_l C_r^T
     (n x m).  Shifts are optional; when left unset the doubling inits
-    use the diagonal maxima of A and D.
+    use the diagonal maxima of A and D.  Those maxima are also the
+    floors below which a shift given here is inadmissible: gamma must
+    reach both, alpha that of A and beta that of D.
     """
 
     a: np.ndarray
@@ -117,6 +144,23 @@ class MareProblem:
         if self.c_l.shape != (n, n1) or self.c_r.shape != (m, n1):
             raise DimensionMismatchError(
                 f"C factors must be {n}x{n1} and {m}x{n1}")
+        given = [name for name in _MARE_FLOORS if getattr(self, name) is not None]
+        floors = self.shift_floors() if given else {}
+        for name in given:
+            value = getattr(self, name)
+            if not value >= floors[name]:
+                raise InvalidShiftError(
+                    f"{name} = {value} is below {_MARE_FLOORS[name]} "
+                    f"= {floors[name]}")
+
+    a_sparse = _sparse_form_of("a")
+    d_sparse = _sparse_form_of("d")
+
+    def shift_floors(self) -> dict[str, float]:
+        """Smallest admissible value of each shift, which is also its default."""
+        a_max = float(np.max(np.diag(self.a)))
+        d_max = float(np.max(np.diag(self.d)))
+        return {"gamma": max(a_max, d_max), "alpha": a_max, "beta": d_max}
 
     @property
     def m(self) -> int:
@@ -157,6 +201,8 @@ class BsepProblem:
             raise DimensionMismatchError("A must be Hermitian")
         if not self.alpha > 0.0:
             raise InvalidShiftError(f"alpha must be positive, got {self.alpha}")
+
+    a_sparse = _sparse_form_of("a")
 
     @property
     def n(self) -> int:

@@ -6,6 +6,8 @@ solution scores 0 and the zero matrix scores 1 whenever the constant
 term is nonzero.  The Bethe-Salpeter family has no residual functional
 (the target is an invariant subspace), so a relative increment between
 consecutive iterates stands in.
+
+Products with A (and D) use the problem's sparse form when it has one.
 """
 
 from __future__ import annotations
@@ -22,11 +24,16 @@ def _ratio(num: float, den: float) -> float:
     return num / den
 
 
+def _operator(dense: np.ndarray, sparse):
+    """The form a product with the matrix should use."""
+    return dense if sparse is None else sparse
+
+
 def care_residual(p: CareProblem, h: np.ndarray) -> float:
     """rho(H) = ||A^T H + H A - H B B^T H + C^T C||_F
     / (2 ||A^T H||_F + ||H B B^T H||_F + ||C^T C||_F)."""
     h = np.atleast_2d(np.asarray(h, dtype=float))
-    at_h = p.a.T @ h
+    at_h = _operator(p.a, p.a_sparse).T @ h
     hbb_h = h @ p.b @ (p.b.T @ h)
     ctc = p.c.T @ p.c
     num = frobenius_norm(at_h + at_h.T - hbb_h + ctc)
@@ -40,7 +47,8 @@ def dare_residual(p: DareProblem, h: np.ndarray) -> float:
     n = p.n
     g = p.b @ p.b.T
     h0 = p.c.T @ p.c
-    middle = p.a.T @ h @ solve_general(np.eye(n) + g @ h, p.a)
+    middle = (_operator(p.a, p.a_sparse).T @ h
+              @ solve_general(np.eye(n) + g @ h, p.a))
     num = frobenius_norm(-h + middle + h0)
     den = frobenius_norm(h) + frobenius_norm(middle) + frobenius_norm(h0)
     return _ratio(num, den)
@@ -51,8 +59,8 @@ def mare_residual(p: MareProblem, x: np.ndarray) -> float:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     b = p.b_dense()
     xcx = x @ p.c_dense() @ x
-    xd = x @ p.d
-    ax = p.a @ x
+    xd = x @ _operator(p.d, p.d_sparse)
+    ax = _operator(p.a, p.a_sparse) @ x
     num = frobenius_norm(xcx - xd - ax + b)
     den = (frobenius_norm(xcx) + frobenius_norm(xd) + frobenius_norm(ax)
            + frobenius_norm(b))

@@ -175,10 +175,10 @@ class TestMareInit:
             assert np.array_equal(x, y)
 
     def test_shift_below_diagonal_rejected(self):
-        p = MareProblem([[2.0]], [[3.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]],
-                        gamma=1.0)
+        # The problem checks its explicit shifts when it is built.
         with pytest.raises(InvalidShiftError):
-            mare_init(p)
+            MareProblem([[2.0]], [[3.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]],
+                        gamma=1.0)
 
 
 class TestMareStep:

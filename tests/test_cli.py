@@ -87,6 +87,7 @@ class TestSolve:
         assert payload["config"]["tol"] == 1e-13
         assert payload["config"]["gamma"] == 1.0
         assert payload["config"]["method"] == "dsda"
+        assert payload["init_ms"] > 0.0
 
     def test_budget_exit_code(self, care_files):
         code = run_cli(solve_args(care_files, "--column-budget", "4",
@@ -143,6 +144,42 @@ class TestSolve:
         assert echoed([f"{key} = {file_value}"]) == file_value
         assert echoed([f"{key} = {file_value}"],
                       flag, str(flag_value)) == flag_value
+
+    @pytest.mark.parametrize("family,flags,stray", [
+        ("care", ["--gamma", "2.0", "--alpha", "2.0"], "alpha"),
+        ("dare", ["--gamma", "2.0"], "gamma"),
+        ("mare", ["--gamma", "60.0", "--alpha", "50.0", "--beta", "40.0"],
+         None),
+        ("bsep", ["--alpha", "2.0", "--beta", "2.0"], "beta"),
+    ], ids=["care", "dare", "mare", "bsep"])
+    def test_shift_flag_the_family_does_not_take(self, family, flags, stray,
+                                                 tmp_path, capsys):
+        run_cli(["gen", "--family", family, "--seed", "3", "--out-dir",
+                 str(tmp_path), "--n", "6", "--m", "4"])
+        cfg_path = capsys.readouterr().out.strip()
+        out_path = tmp_path / "report.json"
+        code = run_cli(["solve", "--config", cfg_path, "--output", "json",
+                        "--out-path", str(out_path), *flags])
+        err = capsys.readouterr().err
+        if stray is None:
+            assert code != 1
+            echo = json.loads(out_path.read_text())["config"]
+            assert (echo["gamma"], echo["alpha"], echo["beta"]) == (
+                60.0, 50.0, 40.0)
+        else:
+            assert code == 1
+            assert f"--{stray}" in err and family in err
+            assert not out_path.exists()
+
+    def test_shift_key_the_family_does_not_take(self, tmp_path, capsys):
+        run_cli(["gen", "--family", "dare", "--seed", "3", "--out-dir",
+                 str(tmp_path), "--n", "6"])
+        cfg_path = capsys.readouterr().out.strip()
+        with open(cfg_path, "a", encoding="utf-8") as fh:
+            fh.write("gamma = 2.0\n")
+        code = run_cli(["solve", "--config", cfg_path])
+        assert code == 1
+        assert "'gamma'" in capsys.readouterr().err
 
     def test_bad_env_budget(self, care_files, monkeypatch, capsys):
         monkeypatch.setenv("RICCATI_COLUMN_BUDGET", "plenty")

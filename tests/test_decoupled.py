@@ -73,7 +73,7 @@ class TestSymInit:
         assert dsda_eval_H(s).dense() == pytest.approx(np.array([[0.4]]))
         # Cayley image of a = -1 at gamma = 1 vanishes; the starting
         # iterate A_0 itself carries the rank-one correction on top.
-        assert s.propagator == pytest.approx(np.array([[0.0]]))
+        assert s.propagator.dense() == pytest.approx(np.array([[0.0]]))
         assert dsda_eval_A(s) == pytest.approx(
             care_init(SCALAR_CARE).a_k)  # = 0.2
 

@@ -3,6 +3,7 @@ the failure contract on scaled random instances."""
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -97,6 +98,18 @@ MARE_FACTORS = {
         b_r=np.hstack([p.b_r, np.zeros((p.n, 1))])),
     "zero": lambda p: dataclasses.replace(p, b_l=np.zeros_like(p.b_l)),
 }
+
+
+@pytest.mark.parametrize("family,method", PAIRS)
+def test_init_ms_and_records_fit_in_the_wall_time(family, method):
+    p = GENERATORS[family](24, 2, 3)
+    started = time.perf_counter()
+    report = solve_driver(p, SolveConfig(method=method))
+    wall_ms = (time.perf_counter() - started) * 1000.0
+    assert report.iterations
+    assert report.init_ms > 0.0
+    assert report.init_ms + sum(rec.elapsed_ms
+                                for rec in report.iterations) <= wall_ms
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

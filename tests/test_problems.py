@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from dsda.errors import ConfigError, DimensionMismatchError
+from dsda.classical import resolve_mare_shifts
+from dsda.errors import ConfigError, DimensionMismatchError, InvalidShiftError
 from dsda.matkit import numerical_rank
 from dsda.problems import (
     FAMILY_MATRIX_KEYS,
@@ -112,6 +113,24 @@ class TestProblemValidation:
             MareProblem(np.eye(2), np.eye(3), np.ones((2, 1)),
                         np.ones((2, 1)), np.ones((3, 1)), np.ones((2, 1)))
 
+    def test_mare_shift_checked_at_construction(self):
+        # An inadmissible shift is refused when the problem is built, so
+        # solve_driver never meets one.
+        p = gen_random_mare(5, 4, 2, 2, seed=1)
+        floors = p.shift_floors()
+        with pytest.raises(InvalidShiftError, match="gamma = 0.1"):
+            dataclasses.replace(p, gamma=0.1)
+        with pytest.raises(InvalidShiftError, match="alpha"):
+            dataclasses.replace(p, alpha=floors["alpha"] - 1e-9)
+        with pytest.raises(InvalidShiftError, match="beta"):
+            dataclasses.replace(p, beta=floors["beta"] - 1e-9)
+        with pytest.raises(InvalidShiftError):
+            dataclasses.replace(p, gamma=float("nan"))
+        # Each floor is admissible, and is the shift an unset one takes.
+        q = dataclasses.replace(p, **floors)
+        assert resolve_mare_shifts(q, "sda") == resolve_mare_shifts(p, "sda")
+        assert resolve_mare_shifts(q, "adda") == resolve_mare_shifts(p, "adda")
+
 
 class TestAssembleProblem:
     def test_care_roundtrip(self):
@@ -135,9 +154,9 @@ class TestAssembleProblem:
             assemble_problem("ricatti", {})
 
     @pytest.mark.parametrize("family,expected", [
-        ("care", {"gamma": 0.5}),
+        ("care", {"gamma": 5.0}),
         ("dare", {}),
-        ("mare", {"gamma": 0.5, "alpha": 3.0, "beta": 4.0}),
+        ("mare", {"gamma": 5.0, "alpha": 3.0, "beta": 4.0}),
         ("bsep", {"alpha": 3.0}),
     ], ids=["care", "dare", "mare", "bsep"])
     def test_each_family_takes_its_own_shifts(self, family, expected):
@@ -146,7 +165,7 @@ class TestAssembleProblem:
                       if isinstance(p, problem_type))
         q = assemble_problem(family, {key: getattr(source, key.lower())
                                       for key in FAMILY_MATRIX_KEYS[family]},
-                             gamma=0.5, alpha=3.0, beta=4.0)
+                             gamma=5.0, alpha=3.0, beta=4.0)
         assert type(q) is problem_type
         assert {f.name: getattr(q, f.name) for f in dataclasses.fields(q)
                 if f.name in SHIFTS} == expected
