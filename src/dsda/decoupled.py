@@ -43,16 +43,17 @@ block column and W's last block row.  Each of Y^T Y, Y Y^T, Y Z and
 Z Y is thus one thin product, O(cols^2 width) instead of O(cols^3);
 only the factorization of the cols x cols kernel stays cubic.
 
-The propagator P is a :class:`MatrixPropagator` or a
-:class:`ResolventPropagator`, built once per solve by the init.  For a
-dense A it is the explicit n x n matrix (A itself for DARE,
-I + c M^-1 for the others, M the shifted A), applied by GEMM.  When the
-problem's operator is sparse (``a_sparse``, see
-``matkit.SPARSE_MAX_DENSITY``) it is one sparse LU of M, applied as
-x + c M^-1 x, and the init's first blocks come from the same factor;
-a sparse DARE applies A itself.  Only the validation evaluators
-(:func:`dsda_eval_A`, MARE ``F``/``E``) form the dense P, and they are
-guarded to small n.
+The propagator P is built once per solve by the init.  For DARE it is
+A itself, dense or in the problem's sparse form.  For the other
+families one checked factorization of the shifted operator M
+(A - gamma I, alpha I - conj(A), A + beta I or D + alpha I) gives both
+the first blocks, M^-1 B and M^-T C^T, and P = I + c M^-1.  A dense LU
+forms P as the explicit n x n :class:`MatrixPropagator`, applied by
+GEMM.  When the problem's operator is sparse (``a_sparse``, see
+``matkit.SPARSE_MAX_DENSITY``) the sparse LU of M is kept as a
+:class:`ResolventPropagator` and applied as x + c M^-1 x.  Only the
+validation evaluators (:func:`dsda_eval_A`, MARE ``F``/``E``) form the
+dense P, and they are guarded to small n.
 
 The closed-form statements for the one-kernel families are usually
 quoted for k >= 2 with the first step written out separately; here the
@@ -219,10 +220,30 @@ class ResolventPropagator:
 Propagator = MatrixPropagator | ResolventPropagator
 
 
-def _resolvent(a_sparse, shift: float, scale: float) -> ResolventPropagator:
-    """``I + scale * (A + shift I)^-1`` from one checked sparse LU."""
-    return ResolventPropagator(splu_shifted(a_sparse, shift), scale,
-                               a_sparse.dtype)
+def _shifted(a, a_sparse, shift: float, scale: float, form=lambda x: x):
+    """Solve with, and propagator ``I + scale * M^-1`` of, the shifted
+    operator ``M = form(A) + shift * I``, from one checked factorization.
+
+    ``a_sparse`` (the problem's sparse A, or None) picks the route: a
+    sparse LU of M applied as a :class:`ResolventPropagator`, or a dense
+    LU that forms the explicit :class:`MatrixPropagator`.  ``solve(x,
+    trans)`` solves with M (``trans="N"``) or its plain transpose
+    (``"T"``) through the same factor.
+    """
+    if a_sparse is not None:
+        op = form(a_sparse)
+        lu = splu_shifted(op, shift)
+        return lu.solve, ResolventPropagator(lu, scale, op.dtype)
+    m = np.array(form(a), order="F")
+    m[np.diag_indices_from(m)] += shift
+    factor = lu_factor_checked(m, overwrite_a=True)
+
+    def solve(x, trans="N"):
+        return scipy.linalg.lu_solve(factor, x, trans={"N": 0, "T": 1}[trans],
+                                     check_finite=False)
+
+    eye = np.eye(m.shape[0], dtype=m.dtype)
+    return solve, MatrixPropagator(eye + scale * solve(eye))
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +268,16 @@ class DsdaSymState:
     propagator: Propagator
     scale: float
     multiplier: float
-    sigma: int
     k: int = 0
 
     @property
     def basis_cols(self) -> int:
         return self.vhat.shape[1]
+
+    @property
+    def sigma(self) -> int:
+        """Sign of the kernel ``I + sigma Y^T Y``: -1 for BSEP, else +1."""
+        return -1 if self.family == "bsep" else +1
 
 
 def dsda_sym_init(p: CareProblem | DareProblem | BsepProblem) -> DsdaSymState:
@@ -265,42 +290,26 @@ def dsda_sym_init(p: CareProblem | DareProblem | BsepProblem) -> DsdaSymState:
         y0 = np.zeros((u0.shape[1], v0.shape[1]))
         prop = MatrixPropagator(p.a.copy() if p.a_sparse is None
                                 else p.a_sparse)
-        family, c, mu, sigma = "dare", 1.0, 1.0, +1
+        family, c, mu = "dare", 1.0, 1.0
     elif isinstance(p, CareProblem):
-        n = p.n
         gamma = p.gamma
-        if p.a_sparse is None:
-            a_g = p.a - gamma * np.eye(n)
-            u0 = solve_general(a_g, p.b)
-            v0 = solve_general(a_g.T, p.c.T)
-            prop = MatrixPropagator(
-                np.eye(n) + 2.0 * gamma * solve_general(a_g, np.eye(n)))
-        else:
-            prop = _resolvent(p.a_sparse, -gamma, 2.0 * gamma)
-            u0 = prop.lu.solve(p.b)
-            v0 = prop.lu.solve(p.c.T, trans="T")
+        solve, prop = _shifted(p.a, p.a_sparse, -gamma, 2.0 * gamma)
+        u0, v0 = solve(p.b), solve(p.c.T, "T")
         y0 = p.b.T @ v0
-        family, c, mu, sigma = "care", 2.0 * gamma, 2.0 * gamma, +1
+        family, c, mu = "care", 2.0 * gamma, 2.0 * gamma
     elif isinstance(p, BsepProblem):
-        n = p.n
         alpha = p.alpha
-        # V grows with conj(I - 2 alpha (alpha I - A)^-1), the propagator
-        # of alpha I - conj(A).
-        if p.a_sparse is None:
-            s_a = alpha * np.eye(n) - p.a
-            sa_inv = solve_general(s_a, np.eye(n, dtype=np.complex128))
-            v0 = (sa_inv @ p.l_b).conj()    # (alpha I - conj(A))^-1 conj(L_B)
-            prop = MatrixPropagator((np.eye(n) - 2.0 * alpha * sa_inv).conj())
-        else:
-            prop = _resolvent(-p.a_sparse.conj(), alpha, -2.0 * alpha)
-            v0 = prop.lu.solve(p.l_b.conj())
+        # V grows with the propagator of M = alpha I - conj(A).
+        solve, prop = _shifted(p.a, p.a_sparse, alpha, -2.0 * alpha,
+                               lambda x: -x.conj())
+        v0 = solve(p.l_b.conj())
         y0 = p.l_b.T @ v0
         u0 = v0.conj()
-        family, c, mu, sigma = "bsep", 2.0 * alpha, -2.0 * alpha, -1
+        family, c, mu = "bsep", 2.0 * alpha, -2.0 * alpha
     else:
         raise TypeError(f"unsupported problem type {type(p).__name__}")
     return DsdaSymState(family, u0, v0, y0, (u0.T @ v0)[None], prop,
-                        scale=c, multiplier=mu, sigma=sigma, k=0)
+                        scale=c, multiplier=mu, k=0)
 
 
 def dsda_sym_step(s: DsdaSymState,
@@ -602,26 +611,11 @@ def dsda_mare_init(p: MareProblem, mode: str = "sda") -> DsdaMareState:
     from .classical import resolve_mare_shifts
 
     alpha, beta = resolve_mare_shifts(p, mode)
-    m, n = p.m, p.n
     s = alpha + beta
-    if p.a_sparse is None:
-        a_b = p.a + beta * np.eye(m)
-        u0 = solve_general(a_b, p.b_l)
-        v0 = solve_general(a_b.T, p.c_r)
-        prop_a = MatrixPropagator(np.eye(m) - s * solve_general(a_b, np.eye(m)))
-    else:
-        prop_a = _resolvent(p.a_sparse, beta, -s)
-        u0 = prop_a.lu.solve(p.b_l)
-        v0 = prop_a.lu.solve(p.c_r, trans="T")
-    if p.d_sparse is None:
-        d_a = p.d + alpha * np.eye(n)
-        w0 = solve_general(d_a, p.c_l)
-        q0 = solve_general(d_a.T, p.b_r)
-        prop_d = MatrixPropagator(np.eye(n) - s * solve_general(d_a, np.eye(n)))
-    else:
-        prop_d = _resolvent(p.d_sparse, alpha, -s)
-        w0 = prop_d.lu.solve(p.c_l)
-        q0 = prop_d.lu.solve(p.b_r, trans="T")
+    solve_a, prop_a = _shifted(p.a, p.a_sparse, beta, -s)
+    solve_d, prop_d = _shifted(p.d, p.d_sparse, alpha, -s)
+    u0, v0 = solve_a(p.b_l), solve_a(p.c_r, "T")
+    w0, q0 = solve_d(p.c_l), solve_d(p.b_r, "T")
     y0 = p.b_r.T @ w0                    # B_r^T D_a^-1 C_l
     z0 = p.c_r.T @ u0                    # C_r^T A_b^-1 B_l
     return DsdaMareState(u0, v0, w0, q0, y0, z0,

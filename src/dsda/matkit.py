@@ -108,6 +108,20 @@ def numerical_rank(m, rel_tol: float | None = None, *,
     return int(np.count_nonzero(sigma > rel_tol * smax))
 
 
+def _factor_checked(factor, norm: float, shape: tuple, what: str):
+    """The factors ``factor()`` returns with their pivots, under the one
+    singularity test: a non-finite ``norm`` (tested before factoring) or
+    a pivot below ``SINGULARITY_RTOL * norm`` is a ``SingularMatrixError``."""
+    size = f"{shape[0]}x{shape[1]} {what}"
+    if not np.isfinite(norm):
+        raise SingularMatrixError(f"non-finite entries in {size}")
+    factors, pivots = factor()
+    pivot_floor = SINGULARITY_RTOL * norm
+    if not np.min(np.abs(pivots)) > pivot_floor:
+        raise SingularMatrixError(f"pivot below {pivot_floor:.3e} in {size}")
+    return factors
+
+
 def lu_factor_checked(k: np.ndarray, *,
                       overwrite_a: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Pivoted LU factors ``(lu, piv)`` of a square array.
@@ -125,20 +139,16 @@ def lu_factor_checked(k: np.ndarray, *,
     """
     if k.shape[0] == 0:
         return k, np.zeros(0, dtype=np.int32)
-    norm = frobenius_norm(k)
-    if not np.isfinite(norm):
-        raise SingularMatrixError(
-            f"non-finite entries in {k.shape[0]}x{k.shape[1]} matrix")
-    with warnings.catch_warnings():
-        # Exactly-zero pivots are reported by the threshold check below.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(k, overwrite_a=overwrite_a,
-                                         check_finite=False)
-    pivot_floor = SINGULARITY_RTOL * norm
-    if not np.min(np.abs(np.diag(lu))) > pivot_floor:
-        raise SingularMatrixError(
-            f"pivot below {pivot_floor:.3e} in {k.shape[0]}x{k.shape[1]} matrix")
-    return lu, piv
+
+    def factor():
+        with warnings.catch_warnings():
+            # Exactly-zero pivots are reported by the threshold check.
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu, piv = scipy.linalg.lu_factor(k, overwrite_a=overwrite_a,
+                                             check_finite=False)
+        return (lu, piv), np.diag(lu)
+
+    return _factor_checked(factor, frobenius_norm(k), k.shape, "matrix")
 
 
 def sparse_form(a: np.ndarray):
@@ -164,21 +174,17 @@ def splu_shifted(a, shift: complex):
 
     m = scipy.sparse.csc_array(a + shift * scipy.sparse.identity(
         a.shape[0], dtype=a.dtype, format="csc"))
-    norm = frobenius_norm(m.data)
-    if not np.isfinite(norm):
-        raise SingularMatrixError(
-            f"non-finite entries in {m.shape[0]}x{m.shape[1]} matrix")
-    try:
-        lu = splu(m)
-    except RuntimeError as exc:
-        raise SingularMatrixError(
-            f"{exc} ({m.shape[0]}x{m.shape[1]} sparse matrix)") from exc
-    pivot_floor = SINGULARITY_RTOL * norm
-    if not np.min(np.abs(lu.U.diagonal())) > pivot_floor:
-        raise SingularMatrixError(
-            f"pivot below {pivot_floor:.3e} in {m.shape[0]}x{m.shape[1]} "
-            "sparse matrix")
-    return lu
+
+    def factor():
+        try:
+            lu = splu(m)
+        except RuntimeError as exc:
+            raise SingularMatrixError(
+                f"{exc} ({m.shape[0]}x{m.shape[1]} sparse matrix)") from exc
+        return lu, lu.U.diagonal()
+
+    return _factor_checked(factor, frobenius_norm(m.data), m.shape,
+                           "sparse matrix")
 
 
 def solve_general(k, b) -> np.ndarray:

@@ -42,6 +42,22 @@ def _sparse_form_of(field: str) -> functools.cached_property:
     return functools.cached_property(derive)
 
 
+def _coerce_abc(p) -> None:
+    """Coerce a Riccati problem's A, B, C to matrices in place and check
+    that A is n x n, B n x m and C l x n with m, l <= n."""
+    for name in ("a", "b", "c"):
+        object.__setattr__(p, name, as_matrix(getattr(p, name), name.upper()))
+    n = p.a.shape[0]
+    if p.a.shape != (n, n):
+        raise DimensionMismatchError(f"A must be square, got {p.a.shape}")
+    if p.b.shape[0] != n:
+        raise DimensionMismatchError(f"B must have {n} rows, got {p.b.shape}")
+    if p.c.shape[1] != n:
+        raise DimensionMismatchError(f"C must have {n} columns, got {p.c.shape}")
+    if p.b.shape[1] > n or p.c.shape[0] > n:
+        raise DimensionMismatchError("B and C^T may have at most n columns")
+
+
 @dataclass(frozen=True)
 class CareProblem:
     """Continuous-time Riccati data A (n x n), B (n x m), C (l x n)."""
@@ -52,18 +68,7 @@ class CareProblem:
     gamma: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "a", as_matrix(self.a, "A"))
-        object.__setattr__(self, "b", as_matrix(self.b, "B"))
-        object.__setattr__(self, "c", as_matrix(self.c, "C"))
-        n = self.a.shape[0]
-        if self.a.shape != (n, n):
-            raise DimensionMismatchError(f"A must be square, got {self.a.shape}")
-        if self.b.shape[0] != n:
-            raise DimensionMismatchError(f"B must have {n} rows, got {self.b.shape}")
-        if self.c.shape[1] != n:
-            raise DimensionMismatchError(f"C must have {n} columns, got {self.c.shape}")
-        if self.b.shape[1] > n or self.c.shape[0] > n:
-            raise DimensionMismatchError("B and C^T may have at most n columns")
+        _coerce_abc(self)
         if not self.gamma > 0.0:
             raise InvalidShiftError(f"gamma must be positive, got {self.gamma}")
 
@@ -83,18 +88,7 @@ class DareProblem:
     c: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a", as_matrix(self.a, "A"))
-        object.__setattr__(self, "b", as_matrix(self.b, "B"))
-        object.__setattr__(self, "c", as_matrix(self.c, "C"))
-        n = self.a.shape[0]
-        if self.a.shape != (n, n):
-            raise DimensionMismatchError(f"A must be square, got {self.a.shape}")
-        if self.b.shape[0] != n:
-            raise DimensionMismatchError(f"B must have {n} rows, got {self.b.shape}")
-        if self.c.shape[1] != n:
-            raise DimensionMismatchError(f"C must have {n} columns, got {self.c.shape}")
-        if self.b.shape[1] > n or self.c.shape[0] > n:
-            raise DimensionMismatchError("B and C^T may have at most n columns")
+        _coerce_abc(self)
 
     a_sparse = _sparse_form_of("a")
 

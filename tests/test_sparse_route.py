@@ -1,14 +1,18 @@
 """The sparse route: a problem whose operator has at most 1 % nonzero
 entries grows its bases through one sparse LU of the shifted operator,
 and its residuals multiply by the sparse form.  Test operators are
-five-point heat operators built with ``scipy.sparse``."""
+five-point heat operators built with ``scipy.sparse``; on a coarser
+grid the same operators take the dense route, which the operator and
+init checks cover too."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from dsda import decoupled, matkit
 from dsda.classical import resolve_mare_shifts
 from dsda.decoupled import (
     MatrixPropagator,
@@ -33,6 +37,8 @@ from dsda.residuals import care_residual, dare_residual, mare_residual
 
 #: n = 576 with 0.84 % of the entries nonzero.
 GRID = 24
+#: n = 256 with 1.9 % nonzero: the same operators take the dense route.
+DENSE_GRID = 16
 #: Transport strength: off-diagonals of -heat(GRID, WIND) stay <= 0,
 #: so it remains an M-matrix.
 WIND = 2.0
@@ -71,21 +77,21 @@ def heat_care(grid=GRID, gamma=1.0) -> CareProblem:
     return CareProblem(a, b, c.T, gamma=gamma)
 
 
-def heat_dare() -> DareProblem:
-    a = 0.01 * heat(GRID, WIND)
+def heat_dare(grid=GRID) -> DareProblem:
+    a = 0.01 * heat(grid, WIND)
     b, c = factors(a.shape[0], 2, 2, seed=2)
     return DareProblem(a, b, c.T)
 
 
-def heat_mare(**shifts) -> MareProblem:
-    a = -heat(GRID, WIND)                  # an M-matrix
+def heat_mare(grid=GRID, **shifts) -> MareProblem:
+    a = -heat(grid, WIND)                  # an M-matrix
     n = a.shape[0]
     b_l, b_r, c_l, c_r = factors(n, 2, 2, 1, 1, seed=3)
     return MareProblem(a, 2.0 * a, b_l, b_r, c_l, c_r, **shifts)
 
 
-def heat_bsep() -> BsepProblem:
-    a = heat(GRID).astype(complex)
+def heat_bsep(grid=GRID) -> BsepProblem:
+    a = heat(grid).astype(complex)
     (l_b,) = factors(a.shape[0], 2, seed=4, complex_=True)
     return BsepProblem(a, l_b, alpha=2.0)
 
@@ -94,9 +100,10 @@ def dense_inverse(m: np.ndarray) -> np.ndarray:
     return np.linalg.solve(m, np.eye(m.shape[0], dtype=m.dtype))
 
 
-def propagators():
-    """(label, operator, dense propagator P) on the sparse route."""
-    care, dare, bsep = heat_care(), heat_dare(), heat_bsep()
+def propagators(grid=GRID):
+    """(label, operator, dense propagator P) on the route ``grid`` takes;
+    labels on the dense route end in ``-dense``."""
+    care, dare, bsep = heat_care(grid), heat_dare(grid), heat_bsep(grid)
     eye = np.eye(care.n)
     out = [
         ("care", dsda_sym_init(care).propagator,
@@ -106,7 +113,7 @@ def propagators():
          (eye - 2.0 * bsep.alpha * dense_inverse(bsep.alpha * eye - bsep.a))
          .conj()),
     ]
-    mare = heat_mare()
+    mare = heat_mare(grid)
     floors = mare.shift_floors()
     for mode, (alpha, beta) in (("sda", (floors["gamma"],) * 2),
                                 ("adda", (floors["alpha"], floors["beta"]))):
@@ -118,10 +125,11 @@ def propagators():
             (f"mare-{mode}-D", s.prop_d,
              eye - shift_sum * dense_inverse(mare.d + alpha * eye)),
         ]
-    return out
+    suffix = "" if grid == GRID else "-dense"
+    return [(label + suffix, op, dense) for label, op, dense in out]
 
 
-PROPAGATORS = propagators()
+PROPAGATORS = propagators() + propagators(DENSE_GRID)
 
 
 @pytest.mark.parametrize("label,op,dense", PROPAGATORS,
@@ -131,8 +139,8 @@ def test_operator_matches_dense_propagator(label, op, dense):
     x = rng.standard_normal((dense.shape[0], 3))
     if np.iscomplexobj(dense):
         x = x + 1j * rng.standard_normal(x.shape)
-    expected_type = MatrixPropagator if label == "dare" else ResolventPropagator
-    assert type(op) is expected_type
+    sparse = label != "dare" and not label.endswith("-dense")
+    assert type(op) is (ResolventPropagator if sparse else MatrixPropagator)
     assert op.shape == dense.shape and op.dtype == dense.dtype
     assert rel(op.apply(x), dense @ x) <= 1e-13
     assert rel(op.apply_t(x), dense.T @ x) <= 1e-13
@@ -140,25 +148,52 @@ def test_operator_matches_dense_propagator(label, op, dense):
 
 
 def test_init_blocks_match_dense_solves():
-    care, bsep, mare = heat_care(), heat_bsep(), heat_mare()
-    eye = np.eye(care.n)
     solve = np.linalg.solve
-    s = dsda_sym_init(care)
-    m = care.a - care.gamma * eye
-    checks = [(s.uhat, solve(m, care.b)), (s.vhat, solve(m.T, care.c.T))]
-    s = dsda_sym_init(bsep)
-    checks.append((s.vhat, solve(bsep.alpha * eye - bsep.a.conj(),
-                                 bsep.l_b.conj())))
-    for mode in ("sda", "adda"):
-        alpha, beta = resolve_mare_shifts(mare, mode)
-        a_b, d_a = mare.a + beta * eye, mare.d + alpha * eye
-        s = dsda_mare_init(mare, mode)
-        checks += [(s.uhat, solve(a_b, mare.b_l)),
-                   (s.vhat, solve(a_b.T, mare.c_r)),
-                   (s.what, solve(d_a, mare.c_l)),
-                   (s.qhat, solve(d_a.T, mare.b_r))]
+    checks = []
+    for grid in (GRID, DENSE_GRID):
+        care, bsep, mare = heat_care(grid), heat_bsep(grid), heat_mare(grid)
+        eye = np.eye(care.n)
+        s = dsda_sym_init(care)
+        m = care.a - care.gamma * eye
+        checks += [(s.uhat, solve(m, care.b)), (s.vhat, solve(m.T, care.c.T))]
+        s = dsda_sym_init(bsep)
+        checks.append((s.vhat, solve(bsep.alpha * eye - bsep.a.conj(),
+                                     bsep.l_b.conj())))
+        for mode in ("sda", "adda"):
+            alpha, beta = resolve_mare_shifts(mare, mode)
+            a_b, d_a = mare.a + beta * eye, mare.d + alpha * eye
+            s = dsda_mare_init(mare, mode)
+            checks += [(s.uhat, solve(a_b, mare.b_l)),
+                       (s.vhat, solve(a_b.T, mare.c_r)),
+                       (s.what, solve(d_a, mare.c_l)),
+                       (s.qhat, solve(d_a.T, mare.b_r))]
     for got, want in checks:
         assert rel(got, want) <= 1e-13
+
+
+@pytest.mark.parametrize("grid,factor", [(DENSE_GRID, "lu_factor_checked"),
+                                         (GRID, "splu_shifted")],
+                         ids=["dense", "sparse"])
+def test_one_factorization_per_shifted_operator(monkeypatch, grid, factor):
+    # The first blocks and the propagator come from the same factor.
+    calls = []
+    original = getattr(matkit, factor)
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    for module in (matkit, decoupled):
+        monkeypatch.setattr(module, factor, spy)
+    inits = [(heat_care, dsda_sym_init, 1), (heat_bsep, dsda_sym_init, 1),
+             (heat_dare, dsda_sym_init, 0),
+             (heat_mare, dsda_mare_init, 2),
+             (heat_mare, functools.partial(dsda_mare_init, mode="adda"), 2)]
+    for make, init, operators in inits:
+        p = make(grid)
+        calls.clear()
+        init(p)
+        assert len(calls) == operators, (make.__name__, calls)
 
 
 @pytest.mark.parametrize("grid,sparse", [(16, False), (21, False),
