@@ -247,10 +247,7 @@ def run_cli(argv) -> int:
     except SystemExit as exc:
         # argparse --help exits 0; keep run_cli returning codes instead.
         return int(exc.code or 0)
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

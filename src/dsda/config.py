@@ -45,23 +45,27 @@ def read_config(path) -> tuple[dict, dict[str, str]]:
     family must be set; the solver knobs are validated here.
     """
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in SETTINGS and key not in MATRIX_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
-            if not value:
-                raise ConfigError(f"{path}:{lineno}: key '{key}' has no value")
-            values[key] = value
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not valid UTF-8 text") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in SETTINGS and key not in MATRIX_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
+        if not value:
+            raise ConfigError(f"{path}:{lineno}: key '{key}' has no value")
+        values[key] = value
 
     if "family" not in values:
         raise ConfigError(f"{path}: missing required key 'family'")

@@ -267,7 +267,6 @@ class DsdaSymState:
     t_moments: np.ndarray
     propagator: Propagator
     scale: float
-    multiplier: float
     k: int = 0
 
     @property
@@ -278,6 +277,11 @@ class DsdaSymState:
     def sigma(self) -> int:
         """Sign of the kernel ``I + sigma Y^T Y``: -1 for BSEP, else +1."""
         return -1 if self.family == "bsep" else +1
+
+    @property
+    def multiplier(self) -> float:
+        """Factor on the moments in the kernel sequence: sigma * scale."""
+        return self.sigma * self.scale
 
 
 def dsda_sym_init(p: CareProblem | DareProblem | BsepProblem) -> DsdaSymState:
@@ -290,13 +294,13 @@ def dsda_sym_init(p: CareProblem | DareProblem | BsepProblem) -> DsdaSymState:
         y0 = np.zeros((u0.shape[1], v0.shape[1]))
         prop = MatrixPropagator(p.a.copy() if p.a_sparse is None
                                 else p.a_sparse)
-        family, c, mu = "dare", 1.0, 1.0
+        family, c = "dare", 1.0
     elif isinstance(p, CareProblem):
         gamma = p.gamma
         solve, prop = _shifted(p.a, p.a_sparse, -gamma, 2.0 * gamma)
         u0, v0 = solve(p.b), solve(p.c.T, "T")
         y0 = p.b.T @ v0
-        family, c, mu = "care", 2.0 * gamma, 2.0 * gamma
+        family, c = "care", 2.0 * gamma
     elif isinstance(p, BsepProblem):
         alpha = p.alpha
         # V grows with the propagator of M = alpha I - conj(A).
@@ -305,11 +309,11 @@ def dsda_sym_init(p: CareProblem | DareProblem | BsepProblem) -> DsdaSymState:
         v0 = solve(p.l_b.conj())
         y0 = p.l_b.T @ v0
         u0 = v0.conj()
-        family, c, mu = "bsep", 2.0 * alpha, -2.0 * alpha
+        family, c = "bsep", 2.0 * alpha
     else:
         raise TypeError(f"unsupported problem type {type(p).__name__}")
     return DsdaSymState(family, u0, v0, y0, (u0.T @ v0)[None], prop,
-                        scale=c, multiplier=mu, k=0)
+                        scale=c, k=0)
 
 
 def dsda_sym_step(s: DsdaSymState,
@@ -438,11 +442,9 @@ def _sym_solution(s: DsdaSymState, side: str) -> LowRankSolution:
     col, row = _edges(s, "Y")
     basis, x = (s.vhat, row.T) if side == "right" else (s.uhat, col)
     kern = _hankel_kernel(x, x.T, 2 ** s.k, s.sigma)
-    if s.sigma == +1:
-        return LowRankSolution(s.scale, basis, basis, _factor_spd(kern),
-                               "cholesky")
-    return LowRankSolution(-s.scale, basis, basis,
-                           lu_factor_checked(kern, overwrite_a=True), "lu")
+    factor = ((_factor_spd(kern), "cholesky") if s.sigma == +1
+              else (lu_factor_checked(kern, overwrite_a=True), "lu"))
+    return LowRankSolution(s.multiplier, basis, basis, *factor)
 
 
 def dsda_eval_H(s: DsdaSymState) -> LowRankSolution:

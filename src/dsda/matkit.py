@@ -46,9 +46,9 @@ SPARSE_MAX_DENSITY = 0.01
 def as_matrix(a, name: str = "matrix", *, finite: bool = True) -> np.ndarray:
     """Coerce ``a`` to a 2-D float64/complex128 array.
 
-    Scalars and 1-D arrays are promoted to 1 x 1 and n x 1 shapes so the
-    scalar worked examples can be written without ceremony.  Non-finite
-    entries raise ``ValueError`` unless ``finite`` is false.
+    Scalars become 1 x 1 and 1-D arrays of length n become 1 x n rows,
+    so the scalar worked examples need no ceremony.  Non-finite entries
+    raise ``ValueError`` unless ``finite`` is false.
     """
     arr = np.atleast_2d(np.asarray(a))
     if arr.ndim != 2:

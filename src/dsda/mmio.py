@@ -3,6 +3,9 @@
 Supports the coordinate and array formats with real, integer and
 complex fields and general/symmetric/hermitian symmetry, which covers
 the benchmark data this package consumes.  Matrices are returned dense.
+The reader rejects pattern and skew-symmetric data, entries above the
+diagonal in symmetric storage and any byte outside ASCII, each with the
+file and line.  A coordinate entry given twice keeps its last value.
 The writer emits the array format with 17 significant digits so a
 written matrix reloads bit-identically.
 """
@@ -17,6 +20,12 @@ _FORMATS = {"coordinate", "array"}
 _FIELDS = {"real", "integer", "complex"}
 _SYMMETRIES = {"general", "symmetric", "hermitian"}
 
+#: Message for a data line with the wrong token count; ``{}`` is the count.
+_MISCOUNT = {("coordinate", False): "expected 3 fields, got {}",
+             ("coordinate", True): "expected 4 fields, got {}",
+             ("array", False): "array entries must be one value per line",
+             ("array", True): "complex array entries need 're im'"}
+
 
 def _fail(path, lineno, msg):
     raise ParseError(f"{path}:{lineno}: {msg}")
@@ -30,8 +39,12 @@ def load_matrix_market(path) -> np.ndarray:
     malformed input and ``UnsupportedFieldError`` for pattern data or an
     unsupported symmetry.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        text = fh.read()
+    if "\ufffd" in text:
+        upto = text[:text.index("\ufffd") + 1]
+        _fail(path, len(upto.splitlines()), "non-ASCII byte")
+    lines = text.splitlines()
     if not lines:
         _fail(path, 1, "empty file")
     header = lines[0].split()
@@ -47,91 +60,69 @@ def load_matrix_market(path) -> np.ndarray:
     if sym not in _SYMMETRIES:
         raise UnsupportedFieldError(f"{path}:1: unsupported symmetry '{sym}'")
     complex_field = fld == "complex"
-    dtype = np.complex128 if complex_field else np.float64
+    coordinate = fmt == "coordinate"
 
-    # Skip comments and blank lines to the size line.
-    idx = 1
-    while idx < len(lines) and (lines[idx].startswith("%") or not lines[idx].strip()):
-        idx += 1
-    if idx >= len(lines):
-        _fail(path, len(lines), "missing size line")
-    size_tokens = lines[idx].split()
-    lineno = idx + 1
+    # The numbered data lines after the header: all but comments and
+    # blank lines.  The first is the size line.
+    body = ((n, tok) for n, raw in enumerate(lines[1:], start=2)
+            if (tok := raw.split()) and raw[0] != "%")
+    lineno, size_tokens = next(body, (len(lines), None))
+    if size_tokens is None:
+        _fail(path, lineno, "missing size line")
+    size = "rows cols nnz" if coordinate else "rows cols"
+    if len(size_tokens) != len(size.split()):
+        _fail(path, lineno, f"{fmt} size line must be '{size}'")
+    try:
+        rows, cols, *nnz = (int(t) for t in size_tokens)
+    except ValueError:
+        _fail(path, lineno, "size line entries must be integers")
+    if min(rows, cols, *nnz) < 0:
+        _fail(path, lineno, "size line entries must be nonnegative")
 
-    if fmt == "coordinate":
-        if len(size_tokens) != 3:
-            _fail(path, lineno, "coordinate size line must be 'rows cols nnz'")
+    # A coordinate entry leads with its two 1-based indices, checked
+    # where they stand.
+    first = 2 if coordinate else 0
+    width = first + 1 + complex_field
+    index, values = [], []
+    for off, tok in body:
+        if len(tok) != width:
+            _fail(path, off, _MISCOUNT[fmt, complex_field].format(len(tok)))
         try:
-            rows, cols, nnz = (int(t) for t in size_tokens)
-        except ValueError:
-            _fail(path, lineno, "size line entries must be integers")
-        mat = np.zeros((rows, cols), dtype=dtype)
-        seen = 0
-        for off, raw in enumerate(lines[idx + 1:], start=lineno + 1):
-            if raw.startswith("%") or not raw.strip():
-                continue
-            tok = raw.split()
-            want = 4 if complex_field else 3
-            if len(tok) != want:
-                _fail(path, off, f"expected {want} fields, got {len(tok)}")
-            try:
+            if coordinate:
                 i, j = int(tok[0]), int(tok[1])
-                if complex_field:
-                    val = complex(float(tok[2]), float(tok[3]))
-                else:
-                    val = float(tok[2])
-            except ValueError:
-                _fail(path, off, "malformed entry")
+            values.append(float(tok[first]))
+            if complex_field:
+                values.append(float(tok[first + 1]))
+        except ValueError:
+            _fail(path, off, "malformed entry")
+        if coordinate:
             if not (1 <= i <= rows and 1 <= j <= cols):
                 _fail(path, off, f"index ({i}, {j}) out of bounds")
             if sym != "general" and i < j:
                 _fail(path, off, "symmetric storage must keep the lower triangle")
-            mat[i - 1, j - 1] = val
-            seen += 1
-        if seen != nnz:
-            _fail(path, len(lines), f"expected {nnz} entries, found {seen}")
-    else:
-        if len(size_tokens) != 2:
-            _fail(path, lineno, "array size line must be 'rows cols'")
-        try:
-            rows, cols = (int(t) for t in size_tokens)
-        except ValueError:
-            _fail(path, lineno, "size line entries must be integers")
-        values = []
-        for off, raw in enumerate(lines[idx + 1:], start=lineno + 1):
-            if raw.startswith("%") or not raw.strip():
-                continue
-            tok = raw.split()
-            try:
-                if complex_field:
-                    if len(tok) != 2:
-                        _fail(path, off, "complex array entries need 're im'")
-                    values.append(complex(float(tok[0]), float(tok[1])))
-                else:
-                    if len(tok) != 1:
-                        _fail(path, off, "array entries must be one value per line")
-                    values.append(float(tok[0]))
-            except ValueError:
-                _fail(path, off, "malformed entry")
-        if sym == "general":
-            expected = rows * cols
-        else:
-            if rows != cols:
-                _fail(path, lineno, "symmetric matrices must be square")
-            expected = rows * (rows + 1) // 2
-        if len(values) != expected:
-            _fail(path, len(lines),
-                  f"expected {expected} values, found {len(values)}")
-        if sym == "general":
-            mat = np.array(values, dtype=dtype).reshape((rows, cols), order="F")
-        else:
-            mat = np.zeros((rows, cols), dtype=dtype)
-            pos = 0
-            for j in range(cols):
-                for i in range(j, rows):
-                    mat[i, j] = values[pos]
-                    pos += 1
+            index += i - 1, j - 1
+    vals = np.array(values).view(np.complex128 if complex_field else np.float64)
 
+    if sym != "general" and rows != cols:
+        _fail(path, lineno, "symmetric matrices must be square")
+    if coordinate:
+        expected, noun = nnz[0], "entries"
+    else:
+        expected = rows * cols if sym == "general" else rows * (rows + 1) // 2
+        noun = "values"
+    if vals.size != expected:
+        _fail(path, len(lines), f"expected {expected} {noun}, found {vals.size}")
+
+    # Coordinate entries go where their indices say; array values run
+    # down the columns, of the lower triangle in symmetric storage.
+    if coordinate:
+        r, c = np.array(index, dtype=np.intp).reshape(-1, 2).T
+    elif sym == "general":
+        return vals.reshape((rows, cols), order="F")
+    else:
+        c, r = np.triu_indices(rows)
+    mat = np.zeros((rows, cols), dtype=vals.dtype)
+    mat[r, c] = vals
     if sym != "general":
         lower = np.tril(mat, -1)
         mat = mat + (lower.conj().T if sym == "hermitian" else lower.T)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, InvalidShiftError
-from .matkit import as_matrix, sparse_form
+from .matkit import as_matrix, frobenius_norm, sparse_form
 
 
 def _sparse_form_of(field: str) -> functools.cached_property:
@@ -42,11 +42,19 @@ def _sparse_form_of(field: str) -> functools.cached_property:
     return functools.cached_property(derive)
 
 
+def _coerce(p, names, dtype=None) -> None:
+    """Set each named field of ``p`` (the name in lower case) to
+    :func:`as_matrix` of it under that name, cast to ``dtype`` if given."""
+    for name in names:
+        arr = as_matrix(getattr(p, name.lower()), name)
+        object.__setattr__(p, name.lower(), arr if dtype is None
+                           else arr.astype(dtype, copy=False))
+
+
 def _coerce_abc(p) -> None:
     """Coerce a Riccati problem's A, B, C to matrices in place and check
     that A is n x n, B n x m and C l x n with m, l <= n."""
-    for name in ("a", "b", "c"):
-        object.__setattr__(p, name, as_matrix(getattr(p, name), name.upper()))
+    _coerce(p, ("A", "B", "C"))
     n = p.a.shape[0]
     if p.a.shape != (n, n):
         raise DimensionMismatchError(f"A must be square, got {p.a.shape}")
@@ -124,8 +132,7 @@ class MareProblem:
     beta: float | None = None
 
     def __post_init__(self):
-        for name in ("a", "d", "b_l", "b_r", "c_l", "c_r"):
-            object.__setattr__(self, name, as_matrix(getattr(self, name), name))
+        _coerce(self, ("a", "d", "b_l", "b_r", "c_l", "c_r"))
         m = self.a.shape[0]
         n = self.d.shape[0]
         if self.a.shape != (m, m) or self.d.shape != (n, n):
@@ -180,18 +187,16 @@ class BsepProblem:
     alpha: float = 1.0
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.a, dtype=np.complex128))
-        l_b = np.atleast_2d(np.asarray(self.l_b, dtype=np.complex128))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "l_b", l_b)
+        _coerce(self, ("A", "L_B"), np.complex128)
+        a, l_b = self.a, self.l_b
         n = a.shape[0]
         if a.shape != (n, n):
             raise DimensionMismatchError(f"A must be square, got {a.shape}")
         if l_b.shape[0] != n or l_b.shape[1] > n:
             raise DimensionMismatchError(
                 f"L_B must be {n} x p with p <= {n}, got {l_b.shape}")
-        herm_gap = np.linalg.norm(a - a.conj().T)
-        if herm_gap > 1e-12 * max(1.0, np.linalg.norm(a)):
+        herm_gap = frobenius_norm(a - a.conj().T)
+        if herm_gap > 1e-12 * max(1.0, frobenius_norm(a)):
             raise DimensionMismatchError("A must be Hermitian")
         if not self.alpha > 0.0:
             raise InvalidShiftError(f"alpha must be positive, got {self.alpha}")

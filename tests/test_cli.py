@@ -203,6 +203,23 @@ class TestSolve:
         assert code == 1
         assert "trunc_tol" in capsys.readouterr().err
 
+    def test_non_ascii_matrix_file_exit_1(self, care_files, capsys):
+        path = care_files["A"]
+        with open(path, "rb") as fh:
+            header, rest = fh.read().split(b"\n", 1)
+        with open(path, "wb") as fh:
+            fh.write(header + "\n% café\n".encode("utf-8") + rest)
+        code = run_cli(solve_args(care_files))
+        assert code == 1
+        assert f"{path}:2: non-ASCII byte" in capsys.readouterr().err
+
+    def test_non_utf8_config_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"family = care  # caf\xe9\n")
+        code = run_cli(["solve", "--config", str(cfg)])
+        assert code == 1
+        assert f"{cfg}: not valid UTF-8 text" in capsys.readouterr().err
+
     def test_singular_shift_exit_4(self, tmp_path, capsys):
         # gamma equal to an eigenvalue of A makes the Cayley shift singular
         for name, mat in (("a", np.diag([0.5, 2.0])), ("b", np.ones((2, 1))),

@@ -449,6 +449,24 @@ class TestMareDecoupled:
             dsda_mare_step(s, column_budget=2)
 
 
+@pytest.mark.parametrize("n", [decoupled.DENSE_EVAL_MAX_DIM,
+                               decoupled.DENSE_EVAL_MAX_DIM + 1])
+def test_dense_evaluations_are_guarded(n):
+    """A_k and the MARE F_k and E_k are dense: refused above the guard."""
+    ones = np.ones((n, 1))
+    sym = dsda_sym_init(DareProblem(0.5 * np.eye(n), ones, ones.T))
+    mare = dsda_mare_init(gen_random_mare(n, 2, 1, 1, seed=2))
+    evaluations = [(lambda: dsda_eval_A(sym), (n, n)),
+                   (lambda: dsda_mare_eval(mare, "F"), (n, n)),
+                   (lambda: dsda_mare_eval(mare, "E"), (2, 2))]
+    for evaluate, shape in evaluations:
+        if n > decoupled.DENSE_EVAL_MAX_DIM:
+            with pytest.raises(BudgetExceededError, match="guarded"):
+                evaluate()
+        else:
+            assert evaluate().shape == shape
+
+
 def _low_rank_iterates(steps):
     """(label, LowRankSolution) of each family after ``steps`` doublings."""
     def sym(p, evaluate):

@@ -104,6 +104,19 @@ class TestProblemValidation:
         with pytest.raises(DimensionMismatchError):
             BsepProblem(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 1)))
 
+    def test_bsep_hermitian_test_does_not_overflow(self):
+        with pytest.raises(DimensionMismatchError, match="Hermitian"):
+            BsepProblem([[0.0, 1e200], [0.0, 0.0]], np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("field", ["a", "l_b"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_bsep_rejects_non_finite_entries(self, field, bad):
+        data = {"a": -np.eye(2), "l_b": np.ones((2, 1))}
+        data[field] = data[field].astype(complex)
+        data[field][1, 0] = complex(0.0, bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            BsepProblem(**data)
+
     def test_wide_b_rejected(self):
         with pytest.raises(DimensionMismatchError):
             DareProblem(np.eye(2), np.ones((2, 3)), np.ones((1, 2)))
