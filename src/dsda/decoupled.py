@@ -55,6 +55,12 @@ GEMM.  When the problem's operator is sparse (``a_sparse``, see
 validation evaluators (:func:`dsda_eval_A`, MARE ``F``/``E``) form the
 dense P, and they are guarded to small n.
 
+An evaluated iterate is a :class:`LowRankSolution`, basis, kernel
+factor and scale.  While its basis is at most half its order
+(``thin``), thin QRs of the bases give the exact :class:`CompactIterate`
+``Q_l core Q_r^T``, from which the driver measures it without forming
+the n x n matrix.
+
 The closed-form statements for the one-kernel families are usually
 quoted for k >= 2 with the first step written out separately; here the
 k = 0 state is arranged so the same recursion covers every step (the
@@ -110,6 +116,20 @@ class LowRankSolution:
     def basis_cols(self) -> int:
         return self.left.shape[1]
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Shape of the iterate."""
+        return self.left.shape[0], self.right.shape[0]
+
+    @property
+    def thin(self) -> bool:
+        """Whether the basis is at most half the iterate's order.
+
+        A thin iterate is measured on its :meth:`compact` form; a wider
+        one is cheaper to form dense than to orthonormalize.
+        """
+        return 2 * self.basis_cols <= min(self.shape)
+
     def solve_kernel(self, rhs: np.ndarray) -> np.ndarray:
         if self.factor_kind == "cholesky":
             return scipy.linalg.cho_solve(self.factor, rhs, check_finite=False)
@@ -129,20 +149,46 @@ class LowRankSolution:
             return self.scale * (w.T @ w)
         return self.scale * (self.left @ self.solve_kernel(self.right.T))
 
-    def core(self) -> np.ndarray:
-        """``scale * R_l kernel^-1 R_r^T`` with the triangular factors of
-        thin QRs ``left = Q_l R_l`` and ``right = Q_r R_r``.
+    def compact(self) -> CompactIterate:
+        """The iterate as ``Q_l core Q_r^T`` from thin QRs of the bases,
+        ``left = Q_l R_l`` and ``right = Q_r R_r``."""
+        q_left, r_left = np.linalg.qr(self.left)
+        q_right, r_right = ((q_left, r_left) if self.right is self.left
+                            else np.linalg.qr(self.right))
+        core = self.scale * (r_left @ self.solve_kernel(r_right.T))
+        return CompactIterate(q_left, r_left, q_right, r_right, core)
 
-        The iterate is ``Q_l core conj(Q_r)^H`` with orthonormal columns
-        on both sides, so the core has its nonzero singular values (and,
-        for a real iterate with ``right is left`` and a symmetric kernel,
-        its nonzero eigenvalues) at the cost of QRs of the bases, not of
-        an n x n decomposition.
+
+@dataclass(frozen=True)
+class CompactIterate:
+    """Iterate ``q_left @ core @ q_right.T`` with orthonormal columns in
+    ``q_left`` and ``q_right`` (plain transpose, also when complex).
+
+    ``core = scale * r_left kernel^-1 r_right^T`` is small, and it has
+    the iterate's nonzero singular values and Frobenius norm (and, for a
+    real iterate with equal bases and a symmetric kernel, its nonzero
+    eigenvalues), at the cost of QRs of the bases, not of an n x n
+    decomposition.
+    """
+
+    q_left: np.ndarray
+    r_left: np.ndarray
+    q_right: np.ndarray
+    r_right: np.ndarray
+    core: np.ndarray
+
+    def nested_core(self, inner: LowRankSolution) -> np.ndarray:
+        """Core, in this form's Q_l and Q_r, of an iterate whose bases
+        are the leading columns of this one's.
+
+        The leading block of a triangular factor is the factor of the
+        leading columns, so ``inner`` is ``Q_l[:, :a] core' Q_r[:, :b]^T``
+        with the returned ``core'`` (a x b).
         """
-        r_left = np.linalg.qr(self.left, mode="r")
-        r_right = (r_left if self.right is self.left
-                   else np.linalg.qr(self.right, mode="r"))
-        return self.scale * (r_left @ self.solve_kernel(r_right.T))
+        a, b = inner.left.shape[1], inner.right.shape[1]
+        r_right = self.r_right[:b, :b]
+        return inner.scale * (self.r_left[:a, :a]
+                              @ inner.solve_kernel(r_right.T))
 
 
 def _factor_spd(kern: np.ndarray) -> tuple:

@@ -13,6 +13,12 @@ as numerical singularity.
 Family and method differ only in data: one table maps each (family,
 method) pair to its init, step, iterate and residual functions, and
 one loop runs them all.
+
+A decoupled iterate whose basis is thin (``LowRankSolution.thin``) is
+measured on its compact form: residual, rank and finiteness come from
+its small core and factored residuals, and no n x n array is made.
+Wider iterates, and every ``sda`` iterate, are measured dense.  The
+final solution is formed dense once, when the report is built.
 """
 
 from __future__ import annotations
@@ -30,9 +36,18 @@ import numpy as np
 from . import classical, decoupled
 from .decoupled import LowRankSolution
 from .errors import BudgetExceededError, ConfigError, SingularMatrixError
-from .matkit import EPS, numerical_rank
+from .matkit import EPS, frobenius_norm, numerical_rank
 from .problems import FAMILY_TYPES, Problem
-from .residuals import bsep_increment, care_residual, dare_residual, mare_residual
+from .residuals import (
+    bsep_increment,
+    bsep_increment_factored,
+    care_residual,
+    care_residual_factored,
+    dare_residual,
+    dare_residual_factored,
+    mare_residual,
+    mare_residual_factored,
+)
 
 log = logging.getLogger(__name__)
 
@@ -130,7 +145,10 @@ class _Method(NamedTuple):
     init: Callable      # problem -> state
     step: Callable      # state -> state
     iterate: Callable   # state -> dense H (F for bsep) or its LowRankSolution
-    residual: Callable  # (problem, dense iterate, previous one) -> float
+    residual: Callable  # (problem, dense iterate, () -> previous one) -> float
+    # (problem, CompactIterate, previous LowRankSolution) -> float; None
+    # where the iterate is always dense.
+    factored: Callable | None = None
 
 
 def _methods(column_budget: int) -> dict[tuple[str, str], _Method]:
@@ -143,7 +161,16 @@ def _methods(column_budget: int) -> dict[tuple[str, str], _Method]:
         return lambda p, x, _previous: residual(p, x)
 
     def increment(_p, f, previous):
-        return bsep_increment(f, previous)
+        return bsep_increment(f, previous())
+
+    def symmetric(residual):
+        return lambda p, form, _previous: residual(p, form.q_left, form.core)
+
+    def mare_factored(p, form, _previous):
+        return mare_residual_factored(p, form.q_left, form.core, form.q_right)
+
+    def increment_factored(_p, form, previous):
+        return bsep_increment_factored(form.core, form.nested_core(previous))
 
     care, dare, mare = map(equation, (care_residual, dare_residual,
                                       mare_residual))
@@ -157,45 +184,69 @@ def _methods(column_budget: int) -> dict[tuple[str, str], _Method]:
     return {
         ("care", "sda"): _Method(classical.care_init, sym_sda, h_k, care),
         ("care", "dsda"): _Method(decoupled.dsda_sym_init, sym_step,
-                                  decoupled.dsda_eval_H, care),
+                                  decoupled.dsda_eval_H, care,
+                                  symmetric(care_residual_factored)),
         ("dare", "sda"): _Method(classical.dare_init, sym_sda, h_k, dare),
         ("dare", "dsda"): _Method(decoupled.dsda_sym_init, sym_step,
-                                  decoupled.dsda_eval_H, dare),
+                                  decoupled.dsda_eval_H, dare,
+                                  symmetric(dare_residual_factored)),
         ("mare", "sda"): _Method(classical.mare_init,
                                  classical.mare_sda_step, h_k, mare),
         ("mare", "dsda"): _Method(decoupled.dsda_mare_init, mare_step,
-                                  mare_h, mare),
+                                  mare_h, mare, mare_factored),
         ("mare", "adda"): _Method(
             functools.partial(decoupled.dsda_mare_init, mode="adda"),
-            mare_step, mare_h, mare),
+            mare_step, mare_h, mare, mare_factored),
         ("bsep", "sda"): _Method(classical.bsep_init,
                                  classical.bsep_sda_step, f_k, increment),
         ("bsep", "dsda"): _Method(decoupled.dsda_sym_init, sym_step,
-                                  decoupled.bsep_eval_F, increment),
+                                  decoupled.bsep_eval_F, increment,
+                                  increment_factored),
     }
 
 
-def _forms(iterate) -> tuple[LowRankSolution | None, np.ndarray]:
-    """The factored form of an iterate (None for a dense one), and its
-    dense form."""
+def _dense(iterate, formed: np.ndarray | None = None) -> np.ndarray | None:
+    """Dense form of an iterate (None for none): ``formed`` if its
+    evaluation made one, else formed now."""
+    if formed is not None:
+        return formed
     if isinstance(iterate, LowRankSolution):
-        return iterate, iterate.dense()
-    return None, iterate
+        return iterate.dense()
+    return iterate
 
 
-def _rank(dense: np.ndarray, lowrank: LowRankSolution | None,
-          hermitian: bool) -> int:
-    """Numerical rank of the iterate at the SVD cutoff of ``dense``.
+def _measure(method: _Method, p: Problem, iterate, previous, hermitian: bool
+             ) -> tuple[float, int, np.ndarray | None]:
+    """Residual, numerical rank and dense form of one iterate.
 
-    A decoupled iterate whose basis is at most half its order is
-    measured on its small factored core; any other on ``dense`` itself.
-    The real symmetric iterates of CARE and DARE (``hermitian``) are
-    measured by eigenvalue magnitudes, the others by singular values.
+    A thin decoupled iterate is measured on its compact form, and its
+    dense form is None; any other iterate is formed dense.  Either way
+    the rank counts against the cutoff of the dense iterate, by
+    eigenvalue magnitudes for the real symmetric iterates of CARE and
+    DARE (``hermitian``), by singular values for the others.
+    ``previous`` is the last good iterate with its dense form, if one
+    was made; the Bethe-Salpeter increment forms it only if it needs it.
     """
-    operand = dense
-    if lowrank is not None and 2 * lowrank.basis_cols <= min(dense.shape):
-        operand = lowrank.core()
-    return numerical_rank(operand, EPS * max(dense.shape), hermitian=hermitian)
+    last, last_dense = previous
+    if isinstance(iterate, LowRankSolution) and iterate.thin:
+        form = iterate.compact()
+        # Non-finite whenever an entry is, and also when the dense
+        # iterate, whose norm this is, would overflow.
+        if not np.isfinite(frobenius_norm(form.core)):
+            raise SingularMatrixError("iterate has a non-finite norm")
+        residual = method.factored(p, form, last)
+        operand, dense = form.core, None
+    else:
+        operand = dense = _dense(iterate)
+        if not np.all(np.isfinite(dense)):
+            raise SingularMatrixError("iterate has non-finite entries")
+        residual = method.residual(p, dense,
+                                   lambda: _dense(last, last_dense))
+    if not np.isfinite(residual):
+        raise SingularMatrixError(f"residual is {residual}")
+    rank = numerical_rank(operand, EPS * max(iterate.shape),
+                          hermitian=hermitian)
+    return residual, rank, dense
 
 
 def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceReport:
@@ -214,14 +265,16 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
     if method is None:
         raise ConfigError("method 'adda' applies to the mare family only")
     records: list[IterationRecord] = []
-    final_dense: np.ndarray | None = None
-    final_lowrank: LowRankSolution | None = None
+    # The last good iterate (dense, or a LowRankSolution) and its dense
+    # form, if its evaluation made one.
+    final = final_dense = None
 
     def report(status: str) -> ConvergenceReport:
         assert status in STATUSES
-        return ConvergenceReport(tuple(records), status, final_dense,
-                                 final_lowrank, family, cfg.method, cfg,
-                                 init_ms)
+        lowrank = final if isinstance(final, LowRankSolution) else None
+        return ConvergenceReport(tuple(records), status,
+                                 _dense(final, final_dense), lowrank,
+                                 family, cfg.method, cfg, init_ms)
 
     # The eigenvalue family measures the increment between successive
     # iterates, so its run starts from the evaluated F_0.  An
@@ -236,7 +289,7 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
             try:
                 state = method.init(p)
                 if increment:
-                    final_lowrank, final_dense = _forms(method.iterate(state))
+                    final = method.iterate(state)
                 break
             except SingularMatrixError:
                 if retry == retries:
@@ -256,25 +309,23 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
         started = time.perf_counter()
         try:
             state = method.step(state)
-            lowrank, dense = _forms(method.iterate(state))
-            if not np.all(np.isfinite(dense)):
-                raise SingularMatrixError("iterate has non-finite entries")
-            residual = method.residual(p, dense, final_dense)
-            if not np.isfinite(residual):
-                raise SingularMatrixError(f"residual is {residual}")
-            rank = _rank(dense, lowrank, hermitian=family in ("care", "dare"))
+            iterate = method.iterate(state)
+            residual, rank, dense = _measure(
+                method, p, iterate, (final, final_dense),
+                hermitian=family in ("care", "dare"))
         except BudgetExceededError:
             return report("BudgetExceeded")
         except _SINGULAR:
             return report("SingularEncountered")
         elapsed_ms = (time.perf_counter() - started) * 1000.0
-        final_dense, final_lowrank = dense, lowrank
+        final, final_dense = iterate, dense
         records.append(IterationRecord(
             k=state.k,
             residual=residual,
             rank=rank,
-            basis_cols=(dense.shape[1] if lowrank is None
-                        else lowrank.basis_cols),
+            basis_cols=(iterate.basis_cols
+                        if isinstance(iterate, LowRankSolution)
+                        else iterate.shape[1]),
             elapsed_ms=elapsed_ms,
         ))
         if isinstance(state, decoupled.DsdaSymState) \

@@ -7,12 +7,21 @@ term is nonzero.  The Bethe-Salpeter family has no residual functional
 (the target is an invariant subspace), so a relative increment between
 consecutive iterates stands in.
 
+Every metric comes in two forms: of a dense iterate, and ``*_factored``
+of a thin iterate ``Q_l core Q_r^T`` with orthonormal ``Q_l``, ``Q_r``
+(:class:`dsda.decoupled.CompactIterate`).  The factored forms never
+make an n x n array: every term of a residual lies in the span of Q and
+of a few thin products, so its norms are those of small coefficient
+matrices in an orthonormal basis of that span (low-rank residual norms
+as in Benner & Saak, GAMM-Mitt. 36, 2013).
+
 Products with A (and D) use the problem's sparse form when it has one.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from .matkit import frobenius_norm, solve_general
 from .problems import CareProblem, DareProblem, MareProblem
@@ -29,16 +38,70 @@ def _operator(dense: np.ndarray, sparse):
     return dense if sparse is None else sparse
 
 
+def _coordinates(q: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Coefficients of the columns of ``z`` in an orthonormal basis
+    ``[Q, Q2]`` of their span together with the orthonormal ``q``.
+
+    Q2 is the Q factor of a thin QR of the part of ``z`` outside Q,
+    projected out twice so that it is orthogonal to Q to roundoff.
+    ``z = Q top + Q2 bottom`` gives the coefficients ``[top; bottom]``,
+    so Q2 itself is never formed.  Q's own coefficients are the leading
+    identity columns.
+    """
+    top = q.T @ z
+    rest = z - q @ top
+    again = q.T @ rest
+    rest -= q @ again
+    top += again
+    return np.vstack([top, np.linalg.qr(rest, mode="r")])
+
+
 def care_residual(p: CareProblem, h: np.ndarray) -> float:
     """rho(H) = ||A^T H + H A - H B B^T H + C^T C||_F
-    / (2 ||A^T H||_F + ||H B B^T H||_F + ||C^T C||_F)."""
+    / (2 ||A^T H||_F + ||H B B^T H||_F + ||C^T C||_F) for symmetric H.
+
+    With X = [H B, C^T] and S = diag(-I, I), the last two terms are
+    X S X^T, one thin product added into A^T H + (A^T H)^T; their norms
+    come from the small Gram matrices (H B)^T H B and C C^T.
+    """
     h = np.atleast_2d(np.asarray(h, dtype=float))
     at_h = _operator(p.a, p.a_sparse).T @ h
-    hbb_h = h @ p.b @ (p.b.T @ h)
-    ctc = p.c.T @ p.c
-    num = frobenius_norm(at_h + at_h.T - hbb_h + ctc)
-    den = 2.0 * frobenius_norm(at_h) + frobenius_norm(hbb_h) + frobenius_norm(ctc)
-    return _ratio(num, den)
+    hb = h @ p.b
+    m = hb.shape[1]
+    x = np.hstack([hb, p.c.T])
+    signed = x.copy()
+    signed[:, :m] *= -1.0
+    den = (2.0 * frobenius_norm(at_h) + frobenius_norm(hb.T @ hb)
+           + frobenius_norm(p.c @ p.c.T))
+    # Fortran order lets gemm add X S X^T into the buffer in place.
+    num = np.add(at_h, at_h.T, order="F")
+    gemm = scipy.linalg.get_blas_funcs("gemm", (num, x))
+    num = gemm(1.0, signed, x, beta=1.0, c=num, trans_b=True,
+               overwrite_c=True)
+    return _ratio(frobenius_norm(num), den)
+
+
+def care_residual_factored(p: CareProblem, q: np.ndarray,
+                           core: np.ndarray) -> float:
+    """:func:`care_residual` of ``H = Q core Q^T``.
+
+    Every term lies in the span of Q, A^T Q and C^T: A^T H is
+    (A^T Q) core Q^T and H B B^T H is Q (core Q^T B)(core Q^T B)^T Q^T.
+    """
+    r = q.shape[1]
+    coords = _coordinates(q, np.hstack([_operator(p.a, p.a_sparse).T @ q,
+                                        p.c.T]))
+    at_h = coords[:, :r] @ core
+    hb = core @ (q.T @ p.b)
+    hbb_h = hb @ hb.T
+    ct = coords[:, r:]
+    num = ct @ ct.T
+    num[:, :r] += at_h
+    num[:r] += at_h.T
+    num[:r, :r] -= hbb_h
+    den = (2.0 * frobenius_norm(at_h) + frobenius_norm(hbb_h)
+           + frobenius_norm(p.c @ p.c.T))
+    return _ratio(frobenius_norm(num), den)
 
 
 def dare_residual(p: DareProblem, h: np.ndarray) -> float:
@@ -54,6 +117,29 @@ def dare_residual(p: DareProblem, h: np.ndarray) -> float:
     return _ratio(num, den)
 
 
+def dare_residual_factored(p: DareProblem, q: np.ndarray,
+                           core: np.ndarray) -> float:
+    """:func:`dare_residual` of ``H = Q core Q^T``.
+
+    With W = Q^T B, the Woodbury identity gives
+    H (I + B B^T H)^-1 = Q core (I + W W^T core)^-1 Q^T
+    = Q (I + core W W^T)^-1 core Q^T: one r x r solve, after which the
+    middle term is (A^T Q) s (A^T Q)^T.
+    """
+    r = q.shape[1]
+    coords = _coordinates(q, np.hstack([_operator(p.a, p.a_sparse).T @ q,
+                                        p.c.T]))
+    w = q.T @ p.b
+    s = solve_general(np.eye(r) + core @ (w @ w.T), core)
+    at_q, ct = coords[:, :r], coords[:, r:]
+    middle = at_q @ s @ at_q.T
+    num = middle + ct @ ct.T
+    num[:r, :r] -= core
+    den = (frobenius_norm(core) + frobenius_norm(middle)
+           + frobenius_norm(p.c @ p.c.T))
+    return _ratio(frobenius_norm(num), den)
+
+
 def mare_residual(p: MareProblem, x: np.ndarray) -> float:
     """Same pattern for X C X - X D - A X + B with X of shape m x n."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -67,8 +153,43 @@ def mare_residual(p: MareProblem, x: np.ndarray) -> float:
     return _ratio(num, den)
 
 
+def mare_residual_factored(p: MareProblem, q_left: np.ndarray,
+                           core: np.ndarray, q_right: np.ndarray) -> float:
+    """:func:`mare_residual` of ``X = Q_l core Q_r^T``.
+
+    Column spaces lie in the span of Q_l, A Q_l and B_l, row spaces in
+    that of Q_r, D^T Q_r and B_r.
+    """
+    r = core.shape[0]
+    left = _coordinates(q_left, np.hstack(
+        [_operator(p.a, p.a_sparse) @ q_left, p.b_l]))
+    right = _coordinates(q_right, np.hstack(
+        [_operator(p.d, p.d_sparse).T @ q_right, p.b_r]))
+    xcx = core @ (q_right.T @ p.c_l) @ (p.c_r.T @ q_left) @ core
+    xd = core @ right[:, :r].T
+    ax = left[:, :r] @ core
+    b = left[:, r:] @ right[:, r:].T
+    num = b.copy()
+    num[:r, :r] += xcx
+    num[:r] -= xd
+    num[:, :r] -= ax
+    den = (frobenius_norm(xcx) + frobenius_norm(xd) + frobenius_norm(ax)
+           + frobenius_norm(b))
+    return _ratio(frobenius_norm(num), den)
+
+
 def bsep_increment(f_new: np.ndarray, f_old: np.ndarray) -> float:
     """||F_new - F_old||_F / max(||F_new||_F, tiny)."""
     f_new = np.atleast_2d(np.asarray(f_new))
     f_old = np.atleast_2d(np.asarray(f_old))
     return frobenius_norm(f_new - f_old) / max(frobenius_norm(f_new), 1e-300)
+
+
+def bsep_increment_factored(core_new: np.ndarray,
+                            core_old: np.ndarray) -> float:
+    """:func:`bsep_increment` of ``F_new = Q core_new Q^T`` and
+    ``F_old = Q[:, :a] core_old Q[:, :a]^T``, whose basis leads F_new's."""
+    diff = core_new.copy()
+    a, b = core_old.shape
+    diff[:a, :b] -= core_old
+    return frobenius_norm(diff) / max(frobenius_norm(core_new), 1e-300)

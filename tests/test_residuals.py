@@ -169,18 +169,31 @@ class TestSolveDriver:
     def test_overflowing_iterate_ends_singular_keeping_last_finite(self, method):
         # Not stabilizable: the iterate grows until its dense form
         # overflows, and the residual must not see the inf entries.
-        p = DareProblem(np.diag([3.0, 0.5]), [[0.0], [1.0]], [[1.0, 1.0]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            report = solve_driver(p, SolveConfig(method=method, max_iter=30))
-        assert report.status == "SingularEncountered"
-        assert report.iterations
-        last = solve_driver(p, SolveConfig(method=method,
-                                           max_iter=len(report.iterations)))
-        assert last.status == "MaxIter"
-        assert np.array_equal(report.final_solution, last.final_solution)
+        problems = [DareProblem(np.diag([3.0, 0.5]), [[0.0], [1.0]],
+                                [[1.0, 1.0]])]
         if method == "dsda":
-            assert np.array_equal(report.final_lowrank.dense(),
-                                  report.final_solution)
+            # Overflows at k = 2, while its 4 basis columns are thin
+            # (sda finds its first kernel singular instead).
+            e_2 = np.zeros((16, 1))
+            e_2[1] = 1.0
+            problems.append(DareProblem(np.diag([1e60] + [0.5] * 15), e_2,
+                                        np.ones((1, 16))))
+        for p in problems:
+            with np.errstate(over="ignore", invalid="ignore"):
+                report = solve_driver(p, SolveConfig(method=method,
+                                                     max_iter=30))
+            assert report.status == "SingularEncountered"
+            assert report.iterations
+            last = solve_driver(p, SolveConfig(
+                method=method, max_iter=len(report.iterations)))
+            assert last.status == "MaxIter"
+            assert np.array_equal(report.final_solution, last.final_solution)
+            assert np.all(np.isfinite(report.final_solution))
+            if method == "dsda":
+                assert np.array_equal(report.final_lowrank.dense(),
+                                      report.final_solution)
+        if method == "dsda":
+            assert 2 * (2 * report.iterations[-1].basis_cols) <= p.n
 
     @pytest.mark.parametrize("method", ["sda", "dsda"])
     def test_nonfinite_residual_ends_singular(self, method):
