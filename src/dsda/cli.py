@@ -128,6 +128,7 @@ def emit_report(report: ConvergenceReport, fmt: str, sink,
         "family": report.family,
         "method": report.method,
         "init_ms": report.init_ms,
+        "final_ms": report.final_ms,
         "config": ({**dataclasses.asdict(report.config), **(shifts or {})}
                    if report.config else None),
         "iterations": [dataclasses.asdict(rec) for rec in report.iterations],

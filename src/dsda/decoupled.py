@@ -55,11 +55,16 @@ GEMM.  When the problem's operator is sparse (``a_sparse``, see
 validation evaluators (:func:`dsda_eval_A`, MARE ``F``/``E``) form the
 dense P, and they are guarded to small n.
 
-An evaluated iterate is a :class:`LowRankSolution`, basis, kernel
-factor and scale.  While its basis is at most half its order
-(``thin``), thin QRs of the bases give the exact :class:`CompactIterate`
-``Q_l core Q_r^T``, from which the driver measures it without forming
-the n x n matrix.
+Each state also keeps an orthonormal basis of the numerical span of
+every basis an evaluated iterate is built on (:func:`extend_span`):
+the Krylov spaces are nested, so a doubling extends it from the new
+columns only, deflating those that lie in it to roundoff.  This is not
+truncation: the moments, bases and kernels are untouched.  An
+evaluated iterate is a :class:`LowRankSolution`, basis, kernel factor,
+scale and spans, and ``Q_l core Q_r^T`` with the small core
+``scale * R_l K^-1 R_r^T``, ``R = Q^H basis``, from which the driver
+measures it at every step without forming the n x n matrix, also when
+the basis has more columns than the iterate's order.
 
 The closed-form statements for the one-kernel families are usually
 quoted for k >= 2 with the first step written out separately; here the
@@ -75,6 +80,7 @@ recursions; the test suite holds the two against each other.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Literal
 
@@ -86,7 +92,7 @@ from .errors import (
     DimensionMismatchError,
     SingularMatrixError,
 )
-from .matkit import lu_factor_checked, solve_general, splu_shifted
+from .matkit import EPS, lu_factor_checked, solve_general, splu_shifted
 from .problems import BsepProblem, CareProblem, DareProblem, MareProblem
 
 #: Default cap on basis columns; the bases double every step and no
@@ -96,14 +102,85 @@ DEFAULT_COLUMN_BUDGET = 4096
 #: Dense evaluation of A_k / E_k / F_k is for validation only.
 DENSE_EVAL_MAX_DIM = 512
 
+#: Columns swept together when a span is extended (:func:`extend_span`).
+SWEEP_COLS = 32
+
+
+def extend_span(q: np.ndarray, basis: np.ndarray, start: int) -> np.ndarray:
+    """Orthonormal basis (``Q^H Q = I``) of the numerical span of
+    ``basis``, given one, ``q``, of its columns before ``start``.
+
+    The block Krylov spaces are nested, so each doubling extends ``q``
+    by the part of the new columns outside it only, and the leading
+    columns of the result are ``q`` itself.  A column whose part outside
+    the span is at most ``EPS * max(n, cols)`` times its own norm (the
+    rank cutoff of the driver) lies in the span to roundoff and is
+    deflated; measuring against each column's own norm keeps the
+    directions of small columns that meet large ones of the other basis
+    in a two-sided iterate.
+
+    The new columns, scaled to unit norm, are projected out of ``q`` in
+    one product, which leaves each remainder accurate to well within
+    the threshold, and then swept ``SWEEP_COLS`` at a time.  A sweep's
+    part outside the directions added so far is pivoted greedily: the
+    largest remainder above the threshold becomes a direction and is
+    projected out of the others, until none is left.  The directions
+    kept are projected out of ``q`` and the added ones a second time
+    and orthonormalized again (two passes are enough; Björck, LAA
+    197-198, 1994).
+    """
+    n, cols = basis.shape
+    new = basis[:, start:]
+    room = n - q.shape[1]
+    if not (room and new.size):
+        return q
+    scale = np.linalg.norm(new, axis=0)
+    rest = new / np.where(scale > 0.0, scale, 1.0)
+    q_h = q.conj().T
+    rest -= q @ (q_h @ rest)
+    tol = EPS * max(n, cols)
+    out = np.empty((n, q.shape[1] + min(room, rest.shape[1])), dtype=q.dtype)
+    out[:, :q.shape[1]] = q
+    r = q.shape[1]
+    for j in range(0, rest.shape[1], SWEEP_COLS):
+        added = out[:, q.shape[1]:r]
+        block = rest[:, j:j + SWEEP_COLS]
+        block = block - added @ (added.conj().T @ block)
+        first = r
+        norms = np.linalg.norm(block, axis=0)
+        while r < out.shape[1]:
+            pivot = int(np.argmax(norms))
+            if not norms[pivot] > tol:
+                break
+            out[:, r] = block[:, pivot] / norms[pivot]
+            block -= np.outer(out[:, r], out[:, r].conj() @ block)
+            norms = np.linalg.norm(block, axis=0)
+            r += 1
+        if r > first:
+            dirs = out[:, first:r]
+            dirs -= q @ (q_h @ dirs)
+            dirs -= added @ (added.conj().T @ dirs)
+            dirs[...] = np.linalg.qr(dirs)[0]
+    return np.array(out[:, :r]) if r > q.shape[1] else q
+
+
+def span_of(basis: np.ndarray) -> np.ndarray:
+    """:func:`extend_span` of a whole basis."""
+    return extend_span(np.zeros((basis.shape[0], 0), dtype=basis.dtype),
+                       basis, 0)
+
 
 @dataclass(frozen=True)
 class LowRankSolution:
-    """Factored iterate ``scale * left @ kernel^-1 @ right.T``.
+    """Factored iterate ``scale * left @ kernel^-1 @ right.T``, held with
+    the spans of its bases.
 
     Only the kernel's factorization is kept (Cholesky for the SPD
     kernels of the symmetric families, pivoted LU otherwise), so
-    repeated evaluation does not refactor.
+    repeated evaluation does not refactor.  ``q_left`` and ``q_right``
+    are orthonormal bases of the numerical spans of ``left`` and
+    ``right`` (:func:`extend_span`), so the iterate is
+    ``q_left @ core @ q_right.T`` with the small :meth:`core`.
     """
 
     scale: float
@@ -111,6 +188,8 @@ class LowRankSolution:
     right: np.ndarray
     factor: tuple
     factor_kind: Literal["cholesky", "lu"]
+    q_left: np.ndarray
+    q_right: np.ndarray
 
     @property
     def basis_cols(self) -> int:
@@ -122,73 +201,78 @@ class LowRankSolution:
         return self.left.shape[0], self.right.shape[0]
 
     @property
-    def thin(self) -> bool:
-        """Whether the basis is at most half the iterate's order.
-
-        A thin iterate is measured on its :meth:`compact` form; a wider
-        one is cheaper to form dense than to orthonormalize.
-        """
-        return 2 * self.basis_cols <= min(self.shape)
+    def _one_basis(self) -> bool:
+        return self.right is self.left and self.q_right is self.q_left
 
     def solve_kernel(self, rhs: np.ndarray) -> np.ndarray:
         if self.factor_kind == "cholesky":
             return scipy.linalg.cho_solve(self.factor, rhs, check_finite=False)
         return scipy.linalg.lu_solve(self.factor, rhs, check_finite=False)
 
+    @functools.cached_property
+    def coefficients(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(R_l, R_r)``, the coordinates ``Q^H basis`` of the bases in
+        their spans (one array for the two when the bases are one),
+        computed once."""
+        r_left = self.q_left.conj().T @ self.left
+        if self._one_basis:
+            return r_left, r_left
+        return r_left, self.q_right.conj().T @ self.right
+
+    def core_in(self, r_left: np.ndarray, r_right: np.ndarray) -> np.ndarray:
+        """``scale * R_l K^-1 R_r^T`` (plain transpose, also when complex):
+        the iterate in orthonormal spans ``Q_l``, ``Q_r`` where its bases
+        have the coordinates ``R_l``, ``R_r``."""
+        return self.scale * (r_left @ self.solve_kernel(r_right.T))
+
+    @functools.cached_property
+    def core(self) -> np.ndarray:
+        """The iterate in its own spans, ``q_left @ core @ q_right.T``,
+        computed once.
+
+        The core is small, and it has the iterate's nonzero singular
+        values and Frobenius norm (and, for a real iterate with one
+        basis and a symmetric kernel, its nonzero eigenvalues).  With a
+        Cholesky factor ``L L^T`` and one basis it is ``w^T w``, exactly
+        symmetric, with ``w = L^-1 R^T`` solved in the buffer ``R^T`` is
+        formed in, so no coordinate array outlives the solve.
+        """
+        if self.factor_kind == "cholesky" and self._one_basis:
+            c, lower = self.factor
+            w = (self.q_left.conj().T @ self.left).T
+            w = scipy.linalg.solve_triangular(c, w, lower=lower,
+                                              overwrite_b=True,
+                                              check_finite=False)
+            return self.scale * (w.T @ w)
+        return self.core_in(*self.coefficients)
+
+    def nested_core(self, inner: LowRankSolution) -> np.ndarray:
+        """Core, in this iterate's spans, of an iterate whose bases are
+        the leading columns of this one's.
+
+        ``inner``'s coordinates are the leading columns of this
+        iterate's own, so the two cores share them bit for bit.
+        """
+        r_left, r_right = self.coefficients
+        return inner.core_in(r_left[:, :inner.left.shape[1]],
+                             r_right[:, :inner.right.shape[1]])
+
     def dense(self) -> np.ndarray:
         """Materialize the iterate as a full matrix.
 
-        A symmetric iterate with a Cholesky factor ``L L^T`` is formed as
-        ``W^T W`` with ``W = L^-1 left^T``: one triangular solve and a
-        symmetric rank-k product, whose result is exactly symmetric.
+        An iterate with one basis is symmetric (plain transpose).  It is
+        formed from its span and core, ``Q core Q^T`` at n^2 r flops,
+        and made exactly symmetric as the sum of the product and its
+        transpose, each halved first so that the sum cannot overflow.
+        A two-sided iterate is formed from its bases,
+        ``scale * left K^-1 right^T``.
         """
-        if self.factor_kind == "cholesky" and self.right is self.left:
-            c, lower = self.factor
-            w = scipy.linalg.solve_triangular(c, self.left.T, lower=lower,
-                                              check_finite=False)
-            return self.scale * (w.T @ w)
+        if self._one_basis:
+            out = self.q_left @ (self.core @ self.q_left.T)
+            out *= 0.5
+            out += out.T
+            return out
         return self.scale * (self.left @ self.solve_kernel(self.right.T))
-
-    def compact(self) -> CompactIterate:
-        """The iterate as ``Q_l core Q_r^T`` from thin QRs of the bases,
-        ``left = Q_l R_l`` and ``right = Q_r R_r``."""
-        q_left, r_left = np.linalg.qr(self.left)
-        q_right, r_right = ((q_left, r_left) if self.right is self.left
-                            else np.linalg.qr(self.right))
-        core = self.scale * (r_left @ self.solve_kernel(r_right.T))
-        return CompactIterate(q_left, r_left, q_right, r_right, core)
-
-
-@dataclass(frozen=True)
-class CompactIterate:
-    """Iterate ``q_left @ core @ q_right.T`` with orthonormal columns in
-    ``q_left`` and ``q_right`` (plain transpose, also when complex).
-
-    ``core = scale * r_left kernel^-1 r_right^T`` is small, and it has
-    the iterate's nonzero singular values and Frobenius norm (and, for a
-    real iterate with equal bases and a symmetric kernel, its nonzero
-    eigenvalues), at the cost of QRs of the bases, not of an n x n
-    decomposition.
-    """
-
-    q_left: np.ndarray
-    r_left: np.ndarray
-    q_right: np.ndarray
-    r_right: np.ndarray
-    core: np.ndarray
-
-    def nested_core(self, inner: LowRankSolution) -> np.ndarray:
-        """Core, in this form's Q_l and Q_r, of an iterate whose bases
-        are the leading columns of this one's.
-
-        The leading block of a triangular factor is the factor of the
-        leading columns, so ``inner`` is ``Q_l[:, :a] core' Q_r[:, :b]^T``
-        with the returned ``core'`` (a x b).
-        """
-        a, b = inner.left.shape[1], inner.right.shape[1]
-        r_right = self.r_right[:b, :b]
-        return inner.scale * (self.r_left[:a, :a]
-                              @ inner.solve_kernel(r_right.T))
 
 
 def _factor_spd(kern: np.ndarray) -> tuple:
@@ -304,6 +388,8 @@ class DsdaSymState:
     ``t_moments[i + j]`` is block (i, j) of ``uhat.T @ vhat``, 2^(k+1) - 1
     blocks in all.  For the Bethe-Salpeter family ``uhat`` is the
     entrywise conjugate of ``vhat``, so these are blocks of ``vhat^H vhat``.
+    ``v_span`` is the span (:func:`extend_span`) of ``vhat``, the basis
+    of the evaluated iterate (H, or F for BSEP).
     """
 
     family: Literal["dare", "care", "bsep"]
@@ -313,6 +399,7 @@ class DsdaSymState:
     t_moments: np.ndarray
     propagator: Propagator
     scale: float
+    v_span: np.ndarray
     k: int = 0
 
     @property
@@ -359,12 +446,12 @@ def dsda_sym_init(p: CareProblem | DareProblem | BsepProblem) -> DsdaSymState:
     else:
         raise TypeError(f"unsupported problem type {type(p).__name__}")
     return DsdaSymState(family, u0, v0, y0, (u0.T @ v0)[None], prop,
-                        scale=c, k=0)
+                        scale=c, v_span=span_of(v0), k=0)
 
 
 def dsda_sym_step(s: DsdaSymState,
                   column_budget: int = DEFAULT_COLUMN_BUDGET) -> DsdaSymState:
-    """Double the bases and append the new Gram moments."""
+    """Double the bases, append the new Gram moments and extend the span."""
     m, l = s.y0.shape
 
     def grow(blocks):
@@ -378,6 +465,8 @@ def dsda_sym_step(s: DsdaSymState,
     (u_new, v_new), (t_new,) = _double(s.k, column_budget, grow,
                                        ((s.t_moments, 0, 1),))
     return dataclasses.replace(s, uhat=u_new, vhat=v_new, t_moments=t_new,
+                               v_span=extend_span(s.v_span, v_new,
+                                                  s.basis_cols),
                                k=s.k + 1)
 
 
@@ -484,13 +573,15 @@ def _hankel_kernel(col: np.ndarray, row: np.ndarray, blocks: int,
 
 def _sym_solution(s: DsdaSymState, side: str) -> LowRankSolution:
     """``sigma c * B (I + sigma K)^-1 B^T``: B = Vhat, K = Y^T Y on the
-    right side, B = Uhat, K = Y Y^T on the left; factored by kernel kind."""
+    right side, B = Uhat, K = Y Y^T on the left (whose span is found
+    here); factored by kernel kind."""
     col, row = _edges(s, "Y")
     basis, x = (s.vhat, row.T) if side == "right" else (s.uhat, col)
     kern = _hankel_kernel(x, x.T, 2 ** s.k, s.sigma)
     factor = ((_factor_spd(kern), "cholesky") if s.sigma == +1
               else (lu_factor_checked(kern, overwrite_a=True), "lu"))
-    return LowRankSolution(s.multiplier, basis, basis, *factor)
+    span = s.v_span if side == "right" else span_of(s.uhat)
+    return LowRankSolution(s.multiplier, basis, basis, *factor, span, span)
 
 
 def dsda_eval_H(s: DsdaSymState) -> LowRankSolution:
@@ -622,7 +713,9 @@ class DsdaMareState:
     """Four growing bases, kernel seeds and Gram moments for the MARE family.
 
     The kernels Y and Z follow from the seeds and the moments, as for
-    the one-kernel families, with multiplier -s.
+    the one-kernel families, with multiplier -s.  ``u_span`` and
+    ``q_span`` are the spans (:func:`extend_span`) of ``uhat`` and
+    ``qhat``, the bases of the evaluated iterate H.
     """
 
     uhat: np.ndarray       # m x (2^k m1)
@@ -636,6 +729,8 @@ class DsdaMareState:
     prop_a: Propagator     # m x m
     prop_d: Propagator     # n x n
     shift_sum: float
+    u_span: np.ndarray
+    q_span: np.ndarray
     k: int = 0
 
     @property
@@ -669,12 +764,15 @@ def dsda_mare_init(p: MareProblem, mode: str = "sda") -> DsdaMareState:
     return DsdaMareState(u0, v0, w0, q0, y0, z0,
                          t_moments=(q0.T @ w0)[None],
                          s_moments=(v0.T @ u0)[None],
-                         prop_a=prop_a, prop_d=prop_d, shift_sum=s, k=0)
+                         prop_a=prop_a, prop_d=prop_d, shift_sum=s,
+                         u_span=span_of(u0),
+                         q_span=span_of(q0), k=0)
 
 
 def dsda_mare_step(s: DsdaMareState,
                    column_budget: int = DEFAULT_COLUMN_BUDGET) -> DsdaMareState:
-    """Double the four bases and append the new moments of both Gram blocks."""
+    """Double the four bases, append the new moments of both Gram blocks
+    and extend the spans of ``uhat`` and ``qhat``."""
     m1, n1 = s.y0.shape
 
     def grow(blocks):
@@ -689,6 +787,10 @@ def dsda_mare_step(s: DsdaMareState,
         ((s.t_moments, 3, 2), (s.s_moments, 1, 0)))
     return dataclasses.replace(s, uhat=u_new, vhat=v_new, what=w_new,
                                qhat=q_new, t_moments=t_new, s_moments=s_new,
+                               u_span=extend_span(s.u_span, u_new,
+                                                  s.basis_cols),
+                               q_span=extend_span(s.q_span, q_new,
+                                                  s.basis_cols),
                                k=s.k + 1)
 
 
@@ -711,9 +813,11 @@ def dsda_mare_eval(s: DsdaMareState, which: str):
                           2 ** s.k, -1)
     factor = lu_factor_checked(kern, overwrite_a=True)
     if which == "H":
-        return LowRankSolution(s.shift_sum, s.uhat, s.qhat, factor, "lu")
+        return LowRankSolution(s.shift_sum, s.uhat, s.qhat, factor, "lu",
+                               s.u_span, s.q_span)
     if which == "G":
-        return LowRankSolution(s.shift_sum, s.what, s.vhat, factor, "lu")
+        return LowRankSolution(s.shift_sum, s.what, s.vhat, factor, "lu",
+                               span_of(s.what), span_of(s.vhat))
     prop, basis, other = ((s.prop_a, s.uhat, s.vhat) if which == "F"
                           else (s.prop_d, s.what, s.qhat))
     rhs = dsda_assemble(s, first) @ other.T

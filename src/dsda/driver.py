@@ -14,11 +14,12 @@ Family and method differ only in data: one table maps each (family,
 method) pair to its init, step, iterate and residual functions, and
 one loop runs them all.
 
-A decoupled iterate whose basis is thin (``LowRankSolution.thin``) is
-measured on its compact form: residual, rank and finiteness come from
-its small core and factored residuals, and no n x n array is made.
-Wider iterates, and every ``sda`` iterate, are measured dense.  The
-final solution is formed dense once, when the report is built.
+A decoupled iterate ``Q_l core Q_r^T`` is measured on its small core
+(``LowRankSolution.core``), in the spans its state extends each step:
+residual (the ``*_factored`` functions), rank and finiteness come from
+the core, and no n x n array is made, whatever the basis width.  Every
+``sda`` iterate is measured dense.  The final solution is formed dense
+once, when the report is built.
 """
 
 from __future__ import annotations
@@ -94,9 +95,11 @@ class SolveConfig:
 class IterationRecord:
     """One completed doubling.
 
-    ``elapsed_ms`` is the wall time of the step, the evaluation of the
-    iterate, its residual and its rank; set-up before the first step is
-    the report's ``init_ms``.
+    ``elapsed_ms`` is the wall time of the record, the sum of its three
+    phases: the doubling step (``step_ms``), the evaluation of the
+    iterate (``eval_ms``: its kernel and factorization) and its
+    measurement (``measure_ms``: core or dense checks, residual and
+    rank).  Set-up before the first step is the report's ``init_ms``.
     """
 
     k: int
@@ -104,6 +107,9 @@ class IterationRecord:
     rank: int
     basis_cols: int
     elapsed_ms: float
+    step_ms: float = 0.0
+    eval_ms: float = 0.0
+    measure_ms: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -112,6 +118,7 @@ class ConvergenceReport:
 
     ``init_ms`` is the wall time of the set-up before the first step:
     the initial state, any Bethe-Salpeter shift retries and F_0.
+    ``final_ms`` is the time taken to form ``final_solution``.
     """
 
     iterations: tuple[IterationRecord, ...]
@@ -122,6 +129,7 @@ class ConvergenceReport:
     method: str = ""
     config: SolveConfig | None = None
     init_ms: float = 0.0
+    final_ms: float = 0.0
 
     @property
     def converged(self) -> bool:
@@ -145,10 +153,8 @@ class _Method(NamedTuple):
     init: Callable      # problem -> state
     step: Callable      # state -> state
     iterate: Callable   # state -> dense H (F for bsep) or its LowRankSolution
-    residual: Callable  # (problem, dense iterate, () -> previous one) -> float
-    # (problem, CompactIterate, previous LowRankSolution) -> float; None
-    # where the iterate is always dense.
-    factored: Callable | None = None
+    # (problem, iterate, dense iterate or core, previous iterate) -> float
+    residual: Callable
 
 
 def _methods(column_budget: int) -> dict[tuple[str, str], _Method]:
@@ -158,19 +164,19 @@ def _methods(column_budget: int) -> dict[tuple[str, str], _Method]:
     it stands when the run starts.
     """
     def equation(residual):
-        return lambda p, x, _previous: residual(p, x)
+        return lambda p, _iterate, x, _previous: residual(p, x)
 
-    def increment(_p, f, previous):
-        return bsep_increment(f, previous())
+    def increment(_p, _iterate, f, previous):
+        return bsep_increment(f, previous)
 
     def symmetric(residual):
-        return lambda p, form, _previous: residual(p, form.q_left, form.core)
+        return lambda p, sol, core, _previous: residual(p, sol.q_left, core)
 
-    def mare_factored(p, form, _previous):
-        return mare_residual_factored(p, form.q_left, form.core, form.q_right)
+    def mare_factored(p, sol, core, _previous):
+        return mare_residual_factored(p, sol.q_left, core, sol.q_right)
 
-    def increment_factored(_p, form, previous):
-        return bsep_increment_factored(form.core, form.nested_core(previous))
+    def increment_factored(_p, sol, core, previous):
+        return bsep_increment_factored(core, sol.nested_core(previous))
 
     care, dare, mare = map(equation, (care_residual, dare_residual,
                                       mare_residual))
@@ -184,69 +190,53 @@ def _methods(column_budget: int) -> dict[tuple[str, str], _Method]:
     return {
         ("care", "sda"): _Method(classical.care_init, sym_sda, h_k, care),
         ("care", "dsda"): _Method(decoupled.dsda_sym_init, sym_step,
-                                  decoupled.dsda_eval_H, care,
+                                  decoupled.dsda_eval_H,
                                   symmetric(care_residual_factored)),
         ("dare", "sda"): _Method(classical.dare_init, sym_sda, h_k, dare),
         ("dare", "dsda"): _Method(decoupled.dsda_sym_init, sym_step,
-                                  decoupled.dsda_eval_H, dare,
+                                  decoupled.dsda_eval_H,
                                   symmetric(dare_residual_factored)),
         ("mare", "sda"): _Method(classical.mare_init,
                                  classical.mare_sda_step, h_k, mare),
         ("mare", "dsda"): _Method(decoupled.dsda_mare_init, mare_step,
-                                  mare_h, mare, mare_factored),
+                                  mare_h, mare_factored),
         ("mare", "adda"): _Method(
             functools.partial(decoupled.dsda_mare_init, mode="adda"),
-            mare_step, mare_h, mare, mare_factored),
+            mare_step, mare_h, mare_factored),
         ("bsep", "sda"): _Method(classical.bsep_init,
                                  classical.bsep_sda_step, f_k, increment),
         ("bsep", "dsda"): _Method(decoupled.dsda_sym_init, sym_step,
-                                  decoupled.bsep_eval_F, increment,
-                                  increment_factored),
+                                  decoupled.bsep_eval_F, increment_factored),
     }
 
 
-def _dense(iterate, formed: np.ndarray | None = None) -> np.ndarray | None:
-    """Dense form of an iterate (None for none): ``formed`` if its
-    evaluation made one, else formed now."""
-    if formed is not None:
-        return formed
-    if isinstance(iterate, LowRankSolution):
-        return iterate.dense()
-    return iterate
-
-
 def _measure(method: _Method, p: Problem, iterate, previous, hermitian: bool
-             ) -> tuple[float, int, np.ndarray | None]:
-    """Residual, numerical rank and dense form of one iterate.
+             ) -> tuple[float, int]:
+    """Residual and numerical rank of one iterate.
 
-    A thin decoupled iterate is measured on its compact form, and its
-    dense form is None; any other iterate is formed dense.  Either way
-    the rank counts against the cutoff of the dense iterate, by
-    eigenvalue magnitudes for the real symmetric iterates of CARE and
-    DARE (``hermitian``), by singular values for the others.
-    ``previous`` is the last good iterate with its dense form, if one
-    was made; the Bethe-Salpeter increment forms it only if it needs it.
+    A decoupled iterate is measured on its core, any other iterate
+    dense.  Either way the rank counts against the cutoff of the dense
+    iterate, by eigenvalue magnitudes for the real symmetric iterates
+    of CARE and DARE (``hermitian``), by singular values for the others.
+    ``previous`` is the last good iterate, which the Bethe-Salpeter
+    increment measures against.
     """
-    last, last_dense = previous
-    if isinstance(iterate, LowRankSolution) and iterate.thin:
-        form = iterate.compact()
+    if isinstance(iterate, LowRankSolution):
+        operand = iterate.core
         # Non-finite whenever an entry is, and also when the dense
         # iterate, whose norm this is, would overflow.
-        if not np.isfinite(frobenius_norm(form.core)):
+        if not np.isfinite(frobenius_norm(operand)):
             raise SingularMatrixError("iterate has a non-finite norm")
-        residual = method.factored(p, form, last)
-        operand, dense = form.core, None
     else:
-        operand = dense = _dense(iterate)
-        if not np.all(np.isfinite(dense)):
+        operand = iterate
+        if not np.all(np.isfinite(operand)):
             raise SingularMatrixError("iterate has non-finite entries")
-        residual = method.residual(p, dense,
-                                   lambda: _dense(last, last_dense))
+    residual = method.residual(p, iterate, operand, previous)
     if not np.isfinite(residual):
         raise SingularMatrixError(f"residual is {residual}")
     rank = numerical_rank(operand, EPS * max(iterate.shape),
                           hermitian=hermitian)
-    return residual, rank, dense
+    return residual, rank
 
 
 def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceReport:
@@ -265,16 +255,17 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
     if method is None:
         raise ConfigError("method 'adda' applies to the mare family only")
     records: list[IterationRecord] = []
-    # The last good iterate (dense, or a LowRankSolution) and its dense
-    # form, if its evaluation made one.
-    final = final_dense = None
+    # The last good iterate, dense or a LowRankSolution.
+    final = None
 
     def report(status: str) -> ConvergenceReport:
         assert status in STATUSES
         lowrank = final if isinstance(final, LowRankSolution) else None
-        return ConvergenceReport(tuple(records), status,
-                                 _dense(final, final_dense), lowrank,
-                                 family, cfg.method, cfg, init_ms)
+        started = time.perf_counter()
+        solution = final if lowrank is None else lowrank.dense()
+        final_ms = (time.perf_counter() - started) * 1000.0
+        return ConvergenceReport(tuple(records), status, solution, lowrank,
+                                 family, cfg.method, cfg, init_ms, final_ms)
 
     # The eigenvalue family measures the increment between successive
     # iterates, so its run starts from the evaluated F_0.  An
@@ -306,19 +297,22 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
         return report(status)
 
     for _ in range(cfg.max_iter):
-        started = time.perf_counter()
+        stamps = [time.perf_counter()]
         try:
             state = method.step(state)
+            stamps.append(time.perf_counter())
             iterate = method.iterate(state)
-            residual, rank, dense = _measure(
-                method, p, iterate, (final, final_dense),
-                hermitian=family in ("care", "dare"))
+            stamps.append(time.perf_counter())
+            residual, rank = _measure(method, p, iterate, final,
+                                      hermitian=family in ("care", "dare"))
         except BudgetExceededError:
             return report("BudgetExceeded")
         except _SINGULAR:
             return report("SingularEncountered")
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
-        final, final_dense = iterate, dense
+        stamps.append(time.perf_counter())
+        step_ms, eval_ms, measure_ms = (1000.0 * (b - a) for a, b in
+                                        zip(stamps, stamps[1:]))
+        final = iterate
         records.append(IterationRecord(
             k=state.k,
             residual=residual,
@@ -326,7 +320,10 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
             basis_cols=(iterate.basis_cols
                         if isinstance(iterate, LowRankSolution)
                         else iterate.shape[1]),
-            elapsed_ms=elapsed_ms,
+            elapsed_ms=step_ms + eval_ms + measure_ms,
+            step_ms=step_ms,
+            eval_ms=eval_ms,
+            measure_ms=measure_ms,
         ))
         if isinstance(state, decoupled.DsdaSymState) \
                 and log.isEnabledFor(logging.DEBUG):

@@ -7,13 +7,15 @@ term is nonzero.  The Bethe-Salpeter family has no residual functional
 (the target is an invariant subspace), so a relative increment between
 consecutive iterates stands in.
 
-Every metric comes in two forms: of a dense iterate, and ``*_factored``
-of a thin iterate ``Q_l core Q_r^T`` with orthonormal ``Q_l``, ``Q_r``
-(:class:`dsda.decoupled.CompactIterate`).  The factored forms never
-make an n x n array: every term of a residual lies in the span of Q and
-of a few thin products, so its norms are those of small coefficient
-matrices in an orthonormal basis of that span (low-rank residual norms
-as in Benner & Saak, GAMM-Mitt. 36, 2013).
+Every metric comes in two forms: of a dense iterate (the ``sda``
+route), and ``*_factored`` of an iterate ``Q_l core Q_r^T`` with
+orthonormal ``Q_l``, ``Q_r``, as every decoupled iterate is measured
+(:meth:`dsda.decoupled.LowRankSolution.core`).  The factored forms
+never make an n x n array: every term of a residual lies in the span of
+Q and of a few thin products, so its norms are those of small
+coefficient matrices in an orthonormal basis of that span (low-rank
+residual norms as in Benner & Saak, GAMM-Mitt. 36, 2013).  The DARE
+inverse is taken in the same Woodbury form, one m x m solve, by both.
 
 Products with A (and D) use the problem's sparse form when it has one.
 """
@@ -23,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .matkit import frobenius_norm, solve_general
+from .matkit import frobenius_norm
 from .problems import CareProblem, DareProblem, MareProblem
 
 
@@ -46,9 +48,11 @@ def _coordinates(q: np.ndarray, z: np.ndarray) -> np.ndarray:
     projected out twice so that it is orthogonal to Q to roundoff.
     ``z = Q top + Q2 bottom`` gives the coefficients ``[top; bottom]``,
     so Q2 itself is never formed.  Q's own coefficients are the leading
-    identity columns.
+    identity columns.  A square Q spans everything, and Q2 is empty.
     """
     top = q.T @ z
+    if q.shape[1] == q.shape[0]:
+        return top
     rest = z - q @ top
     again = q.T @ rest
     rest -= q @ again
@@ -104,14 +108,27 @@ def care_residual_factored(p: CareProblem, q: np.ndarray,
     return _ratio(frobenius_norm(num), den)
 
 
+def _absorbed(h: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``H (I + B B^T H)^-1`` in the Woodbury form
+    ``H - H B (I + B^T H B)^-1 B^T H``: one solve with the m x m matrix
+    ``I + B^T H B``, which is nonsingular for any symmetric positive
+    semidefinite H (no pivot floor is applied to it)."""
+    hb = h @ b
+    gram = b.T @ hb
+    gram[np.diag_indices_from(gram)] += 1.0
+    return h - hb @ np.linalg.solve(gram, b.T @ h)
+
+
 def dare_residual(p: DareProblem, h: np.ndarray) -> float:
-    """Same normalization pattern for -H + A^T H (I + B B^T H)^-1 A + C^T C."""
+    """Same normalization pattern for -H + A^T H (I + B B^T H)^-1 A + C^T C.
+
+    The middle term is A^T (H - H B (I + B^T H B)^-1 B^T H) A, with one
+    m x m solve (:func:`_absorbed`).
+    """
     h = np.atleast_2d(np.asarray(h, dtype=float))
-    n = p.n
-    g = p.b @ p.b.T
+    a = _operator(p.a, p.a_sparse)
     h0 = p.c.T @ p.c
-    middle = (_operator(p.a, p.a_sparse).T @ h
-              @ solve_general(np.eye(n) + g @ h, p.a))
+    middle = a.T @ (_absorbed(h, p.b) @ a)
     num = frobenius_norm(-h + middle + h0)
     den = frobenius_norm(h) + frobenius_norm(middle) + frobenius_norm(h0)
     return _ratio(num, den)
@@ -121,16 +138,15 @@ def dare_residual_factored(p: DareProblem, q: np.ndarray,
                            core: np.ndarray) -> float:
     """:func:`dare_residual` of ``H = Q core Q^T``.
 
-    With W = Q^T B, the Woodbury identity gives
-    H (I + B B^T H)^-1 = Q core (I + W W^T core)^-1 Q^T
-    = Q (I + core W W^T)^-1 core Q^T: one r x r solve, after which the
-    middle term is (A^T Q) s (A^T Q)^T.
+    With W = Q^T B, H (I + B B^T H)^-1 = Q s Q^T with
+    s = core (I + W W^T core)^-1, the same m x m Woodbury solve as the
+    dense form (:func:`_absorbed`), after which the middle term is
+    (A^T Q) s (A^T Q)^T.
     """
     r = q.shape[1]
     coords = _coordinates(q, np.hstack([_operator(p.a, p.a_sparse).T @ q,
                                         p.c.T]))
-    w = q.T @ p.b
-    s = solve_general(np.eye(r) + core @ (w @ w.T), core)
+    s = _absorbed(core, q.T @ p.b)
     at_q, ct = coords[:, :r], coords[:, r:]
     middle = at_q @ s @ at_q.T
     num = middle + ct @ ct.T
@@ -160,19 +176,19 @@ def mare_residual_factored(p: MareProblem, q_left: np.ndarray,
     Column spaces lie in the span of Q_l, A Q_l and B_l, row spaces in
     that of Q_r, D^T Q_r and B_r.
     """
-    r = core.shape[0]
+    rl, rr = core.shape
     left = _coordinates(q_left, np.hstack(
         [_operator(p.a, p.a_sparse) @ q_left, p.b_l]))
     right = _coordinates(q_right, np.hstack(
         [_operator(p.d, p.d_sparse).T @ q_right, p.b_r]))
     xcx = core @ (q_right.T @ p.c_l) @ (p.c_r.T @ q_left) @ core
-    xd = core @ right[:, :r].T
-    ax = left[:, :r] @ core
-    b = left[:, r:] @ right[:, r:].T
+    xd = core @ right[:, :rr].T
+    ax = left[:, :rl] @ core
+    b = left[:, rl:] @ right[:, rr:].T
     num = b.copy()
-    num[:r, :r] += xcx
-    num[:r] -= xd
-    num[:, :r] -= ax
+    num[:rl, :rr] += xcx
+    num[:rl] -= xd
+    num[:, :rr] -= ax
     den = (frobenius_norm(xcx) + frobenius_norm(xd) + frobenius_norm(ax)
            + frobenius_norm(b))
     return _ratio(frobenius_norm(num), den)

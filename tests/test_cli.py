@@ -88,6 +88,10 @@ class TestSolve:
         assert payload["config"]["gamma"] == 1.0
         assert payload["config"]["method"] == "dsda"
         assert payload["init_ms"] > 0.0
+        assert payload["final_ms"] > 0.0
+        rec = payload["iterations"][0]
+        assert rec["elapsed_ms"] == (rec["step_ms"] + rec["eval_ms"]
+                                     + rec["measure_ms"])
 
     def test_budget_exit_code(self, care_files):
         code = run_cli(solve_args(care_files, "--column-budget", "4",

@@ -486,27 +486,27 @@ def _low_rank_iterates(steps):
 
 
 class TestLowRankCore:
-    """The compact form ``Q_l core Q_r^T`` of each family's iterate."""
+    """The form ``Q_l core Q_r^T`` of each family's iterate."""
 
     @pytest.mark.parametrize("steps", [1, 3])   # narrow, then wider than n
     def test_core_has_the_nonzero_singular_values(self, steps):
         for label, sol in _low_rank_iterates(steps):
             dense = sol.dense()
-            form = sol.compact()
+            core = sol.core
             want = np.linalg.svd(dense, compute_uv=False)
-            got = np.linalg.svd(form.core, compute_uv=False)
+            got = np.linalg.svd(core, compute_uv=False)
             r = min(len(want), len(got))
             assert np.max(np.abs(got[:r] - want[:r])) <= 1e-12 * want[0], label
             assert np.all(want[r:] <= 1e-12 * want[0]), label
-            for q in (form.q_left, form.q_right):
+            for q in (sol.q_left, sol.q_right):
                 eye = np.eye(q.shape[1])
                 assert np.max(np.abs(q.conj().T @ q - eye)) <= 1e-12, label
-            rebuilt = form.q_left @ form.core @ form.q_right.T
+            rebuilt = sol.q_left @ core @ sol.q_right.T
             assert np.max(np.abs(rebuilt - dense)) <= 1e-12 * want[0], label
 
     def test_symmetric_core_has_the_eigenvalues(self):
         for label, sol in _low_rank_iterates(1)[:2]:
-            core = sol.compact().core
+            core = sol.core
             assert np.allclose(core, core.T, rtol=0.0,
                                atol=1e-13 * np.abs(core).max()), label
             want = np.linalg.eigvalsh(sol.dense())

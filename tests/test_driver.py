@@ -107,9 +107,13 @@ def test_init_ms_and_records_fit_in_the_wall_time(family, method):
     report = solve_driver(p, SolveConfig(method=method))
     wall_ms = (time.perf_counter() - started) * 1000.0
     assert report.iterations
-    assert report.init_ms > 0.0
-    assert report.init_ms + sum(rec.elapsed_ms
-                                for rec in report.iterations) <= wall_ms
+    assert report.init_ms > 0.0 and report.final_ms > 0.0
+    for rec in report.iterations:
+        phases = (rec.step_ms, rec.eval_ms, rec.measure_ms)
+        assert min(phases) >= 0.0
+        assert rec.elapsed_ms == sum(phases)
+    assert (report.init_ms + sum(rec.elapsed_ms for rec in report.iterations)
+            + report.final_ms) <= wall_ms
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -1,21 +1,24 @@
-"""Evaluation of thin decoupled iterates from their compact form.
+"""Evaluation of decoupled iterates in the spans of their bases.
 
-While a decoupled iterate's basis is at most half its order, the
-driver measures it as ``Q_l core Q_r^T``: residual, rank and finiteness
-come from the core and the factored residuals, and no n x n array is
+The driver measures every decoupled iterate as ``Q_l core Q_r^T``, with
+``Q`` the span its state extends each step: residual, rank and
+finiteness come from the core and the factored residuals, also when the
+basis has more columns than the iterate's order, and no n x n array is
 formed until the report asks for the final solution.
 """
 
-import dataclasses
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_residuals import RANK_ROUTE_CASES
 from test_sparse_route import heat_care, heat_dare, heat_mare
 
 from dsda import driver
 from dsda.decoupled import (
+    DsdaMareState,
     LowRankSolution,
     bsep_eval_F,
     dsda_eval_H,
@@ -26,6 +29,7 @@ from dsda.decoupled import (
     dsda_sym_step,
 )
 from dsda.driver import SolveConfig, solve_driver
+from dsda.matkit import EPS
 from dsda.problems import (
     BsepProblem,
     CareProblem,
@@ -62,50 +66,51 @@ GENERATORS = {
 }
 
 
-def thin_iterates(p, method, steps=5):
-    """Each thin decoupled iterate of ``p`` (H, or F for bsep) after
-    k = 1 ... ``steps`` doublings, paired with the iterate before it."""
+def states(p, method, steps=5):
+    """The decoupled states of ``p`` after k = 0 ... ``steps`` doublings."""
     if isinstance(p, (CareProblem, DareProblem, BsepProblem)):
-        s = dsda_sym_init(p)
+        out = [dsda_sym_init(p)]
         step = dsda_sym_step
-        evaluate = bsep_eval_F if isinstance(p, BsepProblem) else dsda_eval_H
     else:
-        s = dsda_mare_init(p, mode="adda" if method == "adda" else "sda")
+        out = [dsda_mare_init(p, mode="adda" if method == "adda" else "sda")]
         step = dsda_mare_step
-
-        def evaluate(s):
-            return dsda_mare_eval(s, "H")
-    out, previous = [], evaluate(s)
     for _ in range(steps):
-        s = step(s)
-        sol = evaluate(s)
-        if not sol.thin:
-            break
-        out.append((sol, previous))
-        previous = sol
+        out.append(step(out[-1]))
     return out
 
 
-def factored_and_dense(p, sol, previous):
-    """The driver's measure of ``sol`` from its compact form and dense."""
-    form = sol.compact()
+def iterates(p, method, steps=5):
+    """Each decoupled iterate of ``p`` (H, or F for bsep) after
+    k = 1 ... ``steps`` doublings, paired with the iterate before it."""
     if isinstance(p, BsepProblem):
-        return (bsep_increment_factored(form.core, form.nested_core(previous)),
+        evaluate = bsep_eval_F
+    elif isinstance(p, (CareProblem, DareProblem)):
+        evaluate = dsda_eval_H
+    else:
+        def evaluate(s):
+            return dsda_mare_eval(s, "H")
+    sols = [evaluate(s) for s in states(p, method, steps)]
+    return list(zip(sols[1:], sols))
+
+
+def factored_and_dense(p, sol, previous):
+    """The driver's measure of ``sol`` from its core and dense."""
+    core = sol.core
+    if isinstance(p, BsepProblem):
+        return (bsep_increment_factored(core, sol.nested_core(previous)),
                 bsep_increment(sol.dense(), previous.dense()))
     if isinstance(p, CareProblem):
-        return (care_residual_factored(p, form.q_left, form.core),
+        return (care_residual_factored(p, sol.q_left, core),
                 care_residual(p, sol.dense()))
     if isinstance(p, DareProblem):
-        return (dare_residual_factored(p, form.q_left, form.core),
+        return (dare_residual_factored(p, sol.q_left, core),
                 dare_residual(p, sol.dense()))
-    return (mare_residual_factored(p, form.q_left, form.core, form.q_right),
+    return (mare_residual_factored(p, sol.q_left, core, sol.q_right),
             mare_residual(p, sol.dense()))
 
 
-def assert_factored_matches_dense(p, method, min_steps):
-    iterates = thin_iterates(p, method)
-    assert len(iterates) >= min_steps
-    for k, (sol, previous) in enumerate(iterates, start=1):
+def assert_factored_matches_dense(p, method, steps=5):
+    for k, (sol, previous) in enumerate(iterates(p, method, steps), start=1):
         factored, dense = factored_and_dense(p, sol, previous)
         assert abs(factored - dense) <= GAP, (k, factored, dense)
 
@@ -124,7 +129,7 @@ def assert_factored_matches_dense(p, method, min_steps):
     pytest.param(heat_mare(), "adda", id="mare-adda-sparse"),
 ])
 def test_factored_residual_matches_dense(p, method):
-    assert_factored_matches_dense(p, method, min_steps=3)
+    assert_factored_matches_dense(p, method)
 
 
 def test_sparse_cases_take_the_sparse_form():
@@ -139,25 +144,24 @@ def test_sparse_cases_take_the_sparse_form():
 def test_factored_residual_matches_dense_property(pair, n, width, seed):
     family, method = pair
     p = GENERATORS[family](n, width, seed)
-    assert_factored_matches_dense(p, method, min_steps=0)
+    assert_factored_matches_dense(p, method)
 
 
 def test_bsep_increment_across_nested_bases():
     # F_{k-1} lives on the leading columns of F_k's basis; written in
     # F_k's Q, its core is the leading block.
     p = gen_random_bsep(40, 2, 3)
-    for sol, previous in thin_iterates(p, "dsda"):
-        form = sol.compact()
-        inner = form.nested_core(previous)
-        a = previous.basis_cols
-        q = form.q_left[:, :a]
+    for sol, previous in iterates(p, "dsda"):
+        inner = sol.nested_core(previous)
+        q = sol.q_left
         rebuilt = q @ inner @ q.T
         want = previous.dense()
         assert np.max(np.abs(rebuilt - want)) <= GAP * np.abs(want).max()
 
 
 def thin_problem(family):
-    """An instance whose first four doublings stay thin (32 of 64)."""
+    """An instance of order 64 whose bases grow by width-2 blocks: thin
+    (32 columns) at k = 4, twice its order at k = 6."""
     return GENERATORS[family](64, 2, 3)
 
 
@@ -171,17 +175,18 @@ def test_thin_solve_forms_one_dense_iterate(family, method, monkeypatch):
         return dense(self)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a thin step called a dense residual")
+        raise AssertionError("a decoupled step called a dense residual")
 
     monkeypatch.setattr(LowRankSolution, "dense", spy)
     for name in ("care_residual", "dare_residual", "mare_residual",
                  "bsep_increment"):
         monkeypatch.setattr(driver, name, refuse)
     report = solve_driver(thin_problem(family),
-                          SolveConfig(method=method, max_iter=4, tol=1e-30))
+                          SolveConfig(method=method, max_iter=6, tol=1e-30))
     assert report.status == "MaxIter"
     order = min(report.final_solution.shape)
-    assert all(2 * rec.basis_cols <= order for rec in report.iterations)
+    cols = [rec.basis_cols for rec in report.iterations]
+    assert 2 * cols[3] <= order < cols[-1]
     assert len(formed) == 1 and formed[0] is report.final_lowrank
 
 
@@ -190,21 +195,21 @@ def test_thin_solve_forms_one_dense_iterate(family, method, monkeypatch):
 def test_nonfinite_thin_core_ends_singular_keeping_last_good(
         family, method, spoil, monkeypatch):
     p = thin_problem(family)
-    compact = LowRankSolution.compact
+    core = LowRankSolution.core.func
     calls = []
 
     def spoiled(self):
-        form = compact(self)
+        value = core(self)
         calls.append(self)
         if len(calls) < 3:
-            return form
-        core = form.core.copy()
+            return value
+        value = value.copy()
         if spoil == "nan-entry":
-            core[0, -1] = np.nan
+            value[0, -1] = np.nan
         else:
             # Every entry finite, but the norm of the iterate overflows.
-            core[...] = np.finfo(float).max
-        return dataclasses.replace(form, core=core)
+            value[...] = np.finfo(float).max
+        return value
 
     measured = []
 
@@ -214,7 +219,9 @@ def test_nonfinite_thin_core_ends_singular_keeping_last_good(
             return residual(*args)
         return spy
 
-    monkeypatch.setattr(LowRankSolution, "compact", spoiled)
+    spoiled_core = functools.cached_property(spoiled)
+    spoiled_core.__set_name__(LowRankSolution, "core")
+    monkeypatch.setattr(LowRankSolution, "core", spoiled_core)
     for name in ("care_residual_factored", "dare_residual_factored",
                  "mare_residual_factored", "bsep_increment_factored"):
         monkeypatch.setattr(driver, name, counted(getattr(driver, name)))
@@ -230,3 +237,62 @@ def test_nonfinite_thin_core_ends_singular_keeping_last_good(
                           report.final_lowrank.dense())
     last = solve_driver(p, SolveConfig(method=method, max_iter=2, tol=1e-30))
     assert np.array_equal(report.final_solution, last.final_solution)
+
+
+#: One instance of each family whose bases outgrow its order within
+#: five doublings, with its decoupled methods.
+WIDE_CASES = [pytest.param(p, method, id=f"{family}-{method}")
+              for family, p, methods in RANK_ROUTE_CASES
+              for method in methods if method != "sda"]
+
+
+def spans(s):
+    """(basis, span) of each evaluated basis of a state."""
+    if isinstance(s, DsdaMareState):
+        return [(s.uhat, s.u_span), (s.qhat, s.q_span)]
+    return [(s.vhat, s.v_span)]
+
+
+@pytest.mark.parametrize("p,method", WIDE_CASES)
+def test_span_is_orthonormal_and_holds_its_basis(p, method):
+    seq = states(p, method)
+    assert all(basis.shape[1] > basis.shape[0] for basis, _ in spans(seq[-1]))
+    for s in seq:
+        for basis, q in spans(s):
+            n, cols = basis.shape
+            assert q.shape[1] <= min(n, cols)
+            eye = np.eye(q.shape[1])
+            assert np.max(np.abs(q.conj().T @ q - eye)) <= n * EPS
+            # Each column lies in the span to within the deflation
+            # threshold, relative to its own norm.
+            outside = np.linalg.norm(basis - q @ (q.conj().T @ basis), axis=0)
+            assert np.all(outside <= EPS * max(n, cols)
+                          * np.linalg.norm(basis, axis=0))
+
+
+@pytest.mark.parametrize("p,method", WIDE_CASES)
+def test_span_keeps_the_previous_span_as_leading_columns(p, method):
+    seq = states(p, method)
+    for before, after in zip(seq, seq[1:]):
+        for (_, old), (_, new) in zip(spans(before), spans(after)):
+            assert np.array_equal(new[:, :old.shape[1]], old)
+
+
+@pytest.mark.parametrize("p,method", WIDE_CASES)
+def test_factored_residual_matches_dense_past_the_order(p, method):
+    sol = iterates(p, method)[-1][0]
+    assert sol.basis_cols > max(sol.shape)
+    assert_factored_matches_dense(p, method)
+
+
+def test_dare_residual_of_a_huge_psd_iterate_is_finite():
+    # I + B B^T H has condition about 4e34 here, which a pivot floor on
+    # the n x n matrix rejects; the m x m Woodbury matrix I + B^T H B is
+    # nonsingular for any psd H, and both forms solve only with it.
+    e_2 = np.zeros((16, 1))
+    e_2[1] = 1.0
+    p = DareProblem(np.diag([1e20] + [0.5] * 15), e_2, np.ones((1, 16)))
+    ((sol, previous),) = iterates(p, "dsda", steps=1)
+    factored, dense = factored_and_dense(p, sol, previous)
+    assert np.isfinite(dense)
+    assert abs(factored - dense) <= GAP

@@ -249,10 +249,10 @@ class TestSolveDriver:
 
 
 # (family, instance, methods).  Each decoupled run has steps whose basis
-# is at most half the iterate's order (rank from the factored core) and
-# steps whose basis is wider (rank from the dense iterate).  Under sda
-# the care instance has a singular value 1.0019 times the cutoff at
-# k = 4, which eigvalsh puts just below it.
+# is at most half the iterate's order and steps whose basis is wider;
+# every one takes its rank from the core.  Under sda the care instance
+# has a singular value 1.0019 times the cutoff at k = 4, which eigvalsh
+# puts just below it.
 RANK_ROUTE_CASES = [
     ("care", gen_random_care(40, 4, 3, 5), ("sda", "dsda")),
     ("dare", gen_random_dare(40, 3, 3, 2), ("sda", "dsda")),
@@ -277,22 +277,27 @@ def test_rank_matches_svd_of_dense_iterate(problem, method, monkeypatch):
     monkeypatch.undo()
     assert report.iterations
     assert len(calls) == len(report.iterations)
-    factored = set()
+    widths = set()
     for i, (rec, (operand_shape, rel_tol)) in enumerate(
             zip(report.iterations, calls)):
         dense = solve_driver(problem, SolveConfig(
             method=method, max_iter=i + 1)).final_solution
-        # Either route counts against the cutoff of the dense iterate.
+        # Dense iterate or core, the rank counts against the cutoff of
+        # the dense iterate.
         assert rel_tol == EPS * max(dense.shape)
-        small = method != "sda" and 2 * rec.basis_cols <= min(dense.shape)
-        assert (operand_shape != dense.shape) == small
-        factored.add(small)
+        if method == "sda":
+            assert operand_shape == dense.shape
+        else:
+            # The core's sides are spans of at most basis_cols columns.
+            assert max(operand_shape) <= min(rec.basis_cols,
+                                             max(dense.shape))
+            widths.add(2 * rec.basis_cols <= min(dense.shape))
         sigma = np.linalg.svd(dense, compute_uv=False)
         cutoff = EPS * max(dense.shape) * sigma[0]
         svd_rank = int(np.count_nonzero(sigma > cutoff))
-        # The two routes may round a singular value at the cutoff
-        # differently; any other disagreement is an error.
+        # The core and the dense iterate may round a singular value at
+        # the cutoff differently; any other disagreement is an error.
         assert rec.rank == svd_rank or np.any(
             np.abs(sigma / cutoff - 1.0) < 0.01), (rec.k, rec.rank, svd_rank)
     if method != "sda":
-        assert factored == {True, False}
+        assert widths == {True, False}
