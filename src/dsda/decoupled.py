@@ -66,6 +66,17 @@ scale and spans, and ``Q_l core Q_r^T`` with the small core
 measures it at every step without forming the n x n matrix, also when
 the basis has more columns than the iterate's order.
 
+States and iterates hold only what a later step, measurement or
+``dense()`` reads.  A state keeps in full only the bases an evaluated
+iterate is built on or a moment product reads in full: ``vhat`` for
+CARE, DARE and BSEP, and ``uhat``, ``what`` and ``qhat`` for MARE.  Of
+each other basis it keeps the first and last blocks (BSEP's ``uhat``
+is ``conj(vhat)``): a step reads only the last block, and the basis
+itself is a property that replays the Krylov recursion from the first,
+bit for bit, for validation.  A CARE/DARE iterate releases its
+cols x cols kernel factor once its core is formed (see
+:class:`LowRankSolution`).
+
 The closed-form statements for the one-kernel families are usually
 quoted for k >= 2 with the first step written out separately; here the
 k = 0 state is arranged so the same recursion covers every step (the
@@ -82,7 +93,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 import scipy.linalg
@@ -128,6 +139,14 @@ def extend_span(q: np.ndarray, basis: np.ndarray, start: int) -> np.ndarray:
     kept are projected out of ``q`` and the added ones a second time
     and orthonormalized again (two passes are enough; Björck, LAA
     197-198, 1994).
+
+    Besides the scaled copy of the new columns and the result, a call
+    allocates only room for the directions its sweeps add.  That room
+    starts at one sweep and doubles when a sweep could outgrow it.  It
+    starts narrower only when the whole extended span is, so a direction
+    is a strided column unless the span has one column: numpy's BLAS
+    calls may round a contiguous one-column operand differently, and the
+    span must not depend on the room.
     """
     n, cols = basis.shape
     new = basis[:, start:]
@@ -139,16 +158,24 @@ def extend_span(q: np.ndarray, basis: np.ndarray, start: int) -> np.ndarray:
     q_h = q.conj().T
     rest -= q @ (q_h @ rest)
     tol = EPS * max(n, cols)
-    out = np.empty((n, q.shape[1] + min(room, rest.shape[1])), dtype=q.dtype)
-    out[:, :q.shape[1]] = q
-    r = q.shape[1]
+    limit = min(room, rest.shape[1])
+    out = np.empty((n, min(SWEEP_COLS, q.shape[1] + limit)), dtype=q.dtype)
+    r = 0
     for j in range(0, rest.shape[1], SWEEP_COLS):
-        added = out[:, q.shape[1]:r]
+        if r == limit:
+            break
         block = rest[:, j:j + SWEEP_COLS]
+        stop = min(limit, r + block.shape[1])
+        if stop > out.shape[1]:
+            wider = np.empty((n, min(limit, max(stop, 2 * out.shape[1]))),
+                             dtype=q.dtype)
+            wider[:, :r] = out[:, :r]
+            out = wider
+        added = out[:, :r]
         block = block - added @ (added.conj().T @ block)
         first = r
         norms = np.linalg.norm(block, axis=0)
-        while r < out.shape[1]:
+        while r < stop:
             pivot = int(np.argmax(norms))
             if not norms[pivot] > tol:
                 break
@@ -161,7 +188,7 @@ def extend_span(q: np.ndarray, basis: np.ndarray, start: int) -> np.ndarray:
             dirs -= q @ (q_h @ dirs)
             dirs -= added @ (added.conj().T @ dirs)
             dirs[...] = np.linalg.qr(dirs)[0]
-    return np.array(out[:, :r]) if r > q.shape[1] else q
+    return np.hstack([q, out[:, :r]]) if r else q
 
 
 def span_of(basis: np.ndarray) -> np.ndarray:
@@ -175,21 +202,39 @@ class LowRankSolution:
     """Factored iterate ``scale * left @ kernel^-1 @ right.T``, held with
     the spans of its bases.
 
-    Only the kernel's factorization is kept (Cholesky for the SPD
-    kernels of the symmetric families, pivoted LU otherwise), so
-    repeated evaluation does not refactor.  ``q_left`` and ``q_right``
-    are orthonormal bases of the numerical spans of ``left`` and
-    ``right`` (:func:`extend_span`), so the iterate is
+    ``factorize`` builds the kernel and returns its factorization
+    (Cholesky for the SPD kernels of the symmetric families, pivoted LU
+    otherwise).  The factor is formed when the solution is made, so a
+    singular kernel fails in the evaluator, and kept, so repeated
+    evaluation does not refactor.  ``q_left`` and ``q_right`` are
+    orthonormal bases of the numerical spans of ``left`` and ``right``
+    (:func:`extend_span`), so the iterate is
     ``q_left @ core @ q_right.T`` with the small :meth:`core`.
+
+    An iterate with one basis and a Cholesky factor (CARE, DARE) is
+    read through its span and core alone once the core is formed, so
+    forming the core releases the cols x cols factor; a later
+    :meth:`solve_kernel` forms it again, bit for bit.  A two-sided
+    iterate (MARE) and an LU-factored one (BSEP, whose successor's
+    increment reads this kernel through :meth:`nested_core`) keep it.
     """
 
     scale: float
     left: np.ndarray
     right: np.ndarray
-    factor: tuple
+    factorize: Callable[[], tuple]
     factor_kind: Literal["cholesky", "lu"]
     q_left: np.ndarray
     q_right: np.ndarray
+
+    def __post_init__(self):
+        self.factor     # formed here, where the iterate is evaluated
+
+    @functools.cached_property
+    def factor(self) -> tuple:
+        """The kernel's factorization, formed again on first use after
+        :meth:`core` released it."""
+        return self.factorize()
 
     @property
     def basis_cols(self) -> int:
@@ -235,14 +280,16 @@ class LowRankSolution:
         basis and a symmetric kernel, its nonzero eigenvalues).  With a
         Cholesky factor ``L L^T`` and one basis it is ``w^T w``, exactly
         symmetric, with ``w = L^-1 R^T`` solved in the buffer ``R^T`` is
-        formed in, so no coordinate array outlives the solve.
+        formed in, so no coordinate array outlives the solve; the
+        factor is released once ``w`` is solved.
         """
         if self.factor_kind == "cholesky" and self._one_basis:
-            c, lower = self.factor
             w = (self.q_left.conj().T @ self.left).T
-            w = scipy.linalg.solve_triangular(c, w, lower=lower,
+            w = scipy.linalg.solve_triangular(self.factor[0], w,
+                                              lower=self.factor[1],
                                               overwrite_b=True,
                                               check_finite=False)
+            del self.__dict__["factor"]
             return self.scale * (w.T @ w)
         return self.core_in(*self.coefficients)
 
@@ -382,25 +429,40 @@ def _shifted(a, a_sparse, shift: float, scale: float, form=lambda x: x):
 
 @dataclass(frozen=True)
 class DsdaSymState:
-    """Growing bases, kernel seed and Gram moments for one-kernel families.
+    """Growing basis, kernel seed and Gram moments for one-kernel families.
 
-    ``uhat`` is n x (2^k m), ``vhat`` n x (2^k l) and ``y0`` m x l.
-    ``t_moments[i + j]`` is block (i, j) of ``uhat.T @ vhat``, 2^(k+1) - 1
-    blocks in all.  For the Bethe-Salpeter family ``uhat`` is the
-    entrywise conjugate of ``vhat``, so these are blocks of ``vhat^H vhat``.
-    ``v_span`` is the span (:func:`extend_span`) of ``vhat``, the basis
-    of the evaluated iterate (H, or F for BSEP).
+    A state holds in full only the basis that something reads in full,
+    ``vhat``, n x (2^k l): the evaluated iterate (H, or F for BSEP) is
+    built on it, and each step's new moments are products with it.  The
+    left basis ``uhat``, n x (2^k m), is read by a step only through its
+    last block, so the state keeps its first and last blocks,
+    ``u_first`` and ``u_last``, and :attr:`uhat` replays the Krylov
+    recursion from the first; for the Bethe-Salpeter family ``uhat`` is
+    the entrywise conjugate of ``vhat`` and neither block is kept.
+    ``y0`` is m x l and ``t_moments[i + j]`` block (i, j) of
+    ``uhat.T @ vhat``, 2^(k+1) - 1 blocks in all (blocks of
+    ``vhat^H vhat`` for BSEP).  ``v_span`` is the span
+    (:func:`extend_span`) of ``vhat``.
     """
 
     family: Literal["dare", "care", "bsep"]
-    uhat: np.ndarray
     vhat: np.ndarray
+    u_first: np.ndarray | None
+    u_last: np.ndarray | None
     y0: np.ndarray
     t_moments: np.ndarray
     propagator: Propagator
     scale: float
     v_span: np.ndarray
     k: int = 0
+
+    @property
+    def uhat(self) -> np.ndarray:
+        """The left basis, formed again on each read (validation only)."""
+        if self.family == "bsep":
+            return self.vhat.conj()
+        return _extend_basis(self.u_first, self.propagator, 2 ** self.k - 1,
+                             self.y0.shape[0])
 
     @property
     def basis_cols(self) -> int:
@@ -445,8 +507,9 @@ def dsda_sym_init(p: CareProblem | DareProblem | BsepProblem) -> DsdaSymState:
         family, c = "bsep", 2.0 * alpha
     else:
         raise TypeError(f"unsupported problem type {type(p).__name__}")
-    return DsdaSymState(family, u0, v0, y0, (u0.T @ v0)[None], prop,
-                        scale=c, v_span=span_of(v0), k=0)
+    kept = None if family == "bsep" else u0
+    return DsdaSymState(family, v0, kept, kept, y0, (u0.T @ v0)[None], prop,
+                        scale=c, v_span=span_of(v0))
 
 
 def dsda_sym_step(s: DsdaSymState,
@@ -457,24 +520,26 @@ def dsda_sym_step(s: DsdaSymState,
     def grow(blocks):
         if s.family == "bsep":
             v_new = _extend_basis(s.vhat, s.propagator, blocks, l)
-            return v_new.conj(), v_new
-        return (_extend_basis(s.uhat, s.propagator, blocks, m),
+            return v_new[:, -l:].conj(), v_new
+        return (_extend_basis(s.u_last, s.propagator, blocks, m,
+                              whole=False),
                 _extend_basis(s.vhat, s.propagator, blocks, l,
                               transpose=True))
 
-    (u_new, v_new), (t_new,) = _double(s.k, column_budget, grow,
-                                       ((s.t_moments, 0, 1),))
-    return dataclasses.replace(s, uhat=u_new, vhat=v_new, t_moments=t_new,
-                               v_span=extend_span(s.v_span, v_new,
-                                                  s.basis_cols),
-                               k=s.k + 1)
+    (u_last, v_new), (t_new,) = _double(s.k, column_budget, grow,
+                                        ((s.t_moments, 0, 1),))
+    return dataclasses.replace(
+        s, vhat=v_new, u_last=None if s.family == "bsep" else u_last,
+        t_moments=t_new,
+        v_span=extend_span(s.v_span, v_new, s.basis_cols), k=s.k + 1)
 
 
 def _double(k: int, column_budget: int, grow, products):
     """Budget check, basis growth and moment append shared by all families.
 
     ``grow(blocks)`` returns the bases with ``blocks = b = 2^k`` new
-    blocks appended.  ``products`` lists each moment stack with the
+    blocks appended, or, for a left basis that only the moments read,
+    its last block.  ``products`` lists each moment stack with the
     positions of its left and right basis in that tuple.  The last left
     block of the doubled bases is u_{2b-1}, so its products with
     v_0 ... v_{2b-1} are exactly the new moments M_{2b-1} ... M_{4b-2}.
@@ -497,16 +562,23 @@ def _double(k: int, column_budget: int, grow, products):
 
 
 def _extend_basis(basis: np.ndarray, op: Propagator, blocks: int,
-                  width: int, *, transpose: bool = False) -> np.ndarray:
+                  width: int, *, transpose: bool = False,
+                  whole: bool = True) -> np.ndarray:
     """Append ``blocks`` new blocks, each the propagator (its transpose
-    with ``transpose``) applied to the last."""
+    with ``transpose``) applied to the last.
+
+    With ``whole=False`` only the last new block is returned and each
+    other one is dropped as soon as the next is formed; ``basis`` may
+    then be just the last block.
+    """
     apply = op.apply_t if transpose else op.apply
     new = []
     last = basis[:, -width:]
     for _ in range(blocks):
         last = apply(last)
-        new.append(last)
-    return np.hstack([basis] + new)
+        if whole:
+            new.append(last)
+    return np.hstack([basis] + new) if whole else last
 
 
 def dsda_assemble(s: DsdaSymState | DsdaMareState, which: str) -> np.ndarray:
@@ -571,17 +643,27 @@ def _hankel_kernel(col: np.ndarray, row: np.ndarray, blocks: int,
     return out_t.T
 
 
+def _kernel_factor(col: np.ndarray, row: np.ndarray, blocks: int,
+                   sigma: int) -> tuple:
+    """Factor of the kernel ``I + sigma X W`` (:func:`_hankel_kernel`):
+    Cholesky of the SPD kernels (``sigma = +1``), pivoted LU otherwise."""
+    kern = _hankel_kernel(col, row, blocks, sigma)
+    if sigma == +1:
+        return _factor_spd(kern)
+    return lu_factor_checked(kern, overwrite_a=True)
+
+
 def _sym_solution(s: DsdaSymState, side: str) -> LowRankSolution:
     """``sigma c * B (I + sigma K)^-1 B^T``: B = Vhat, K = Y^T Y on the
-    right side, B = Uhat, K = Y Y^T on the left (whose span is found
-    here); factored by kernel kind."""
+    right side, B = Uhat (replayed), K = Y Y^T on the left (whose span
+    is found here); factored by kernel kind."""
     col, row = _edges(s, "Y")
     basis, x = (s.vhat, row.T) if side == "right" else (s.uhat, col)
-    kern = _hankel_kernel(x, x.T, 2 ** s.k, s.sigma)
-    factor = ((_factor_spd(kern), "cholesky") if s.sigma == +1
-              else (lu_factor_checked(kern, overwrite_a=True), "lu"))
-    span = s.v_span if side == "right" else span_of(s.uhat)
-    return LowRankSolution(s.multiplier, basis, basis, *factor, span, span)
+    span = s.v_span if side == "right" else span_of(basis)
+    return LowRankSolution(
+        s.multiplier, basis, basis,
+        functools.partial(_kernel_factor, x, x.T, 2 ** s.k, s.sigma),
+        "cholesky" if s.sigma == +1 else "lu", span, span)
 
 
 def dsda_eval_H(s: DsdaSymState) -> LowRankSolution:
@@ -713,13 +795,20 @@ class DsdaMareState:
     """Four growing bases, kernel seeds and Gram moments for the MARE family.
 
     The kernels Y and Z follow from the seeds and the moments, as for
-    the one-kernel families, with multiplier -s.  ``u_span`` and
-    ``q_span`` are the spans (:func:`extend_span`) of ``uhat`` and
-    ``qhat``, the bases of the evaluated iterate H.
+    the one-kernel families, with multiplier -s.  A state holds in full
+    the three bases that something reads in full: ``uhat`` and ``qhat``,
+    the bases of the evaluated iterate H, and ``what``, whose products
+    with the last block of ``qhat`` are the new T moments.  ``vhat`` is
+    read by a step only through its last block (the new S moments are
+    its products with ``uhat``), so the state keeps its first and last
+    blocks, ``v_first`` and ``v_last``, and :attr:`vhat` replays the
+    Krylov recursion from the first.  ``u_span`` and ``q_span`` are the
+    spans (:func:`extend_span`) of ``uhat`` and ``qhat``.
     """
 
     uhat: np.ndarray       # m x (2^k m1)
-    vhat: np.ndarray       # m x (2^k n1)
+    v_first: np.ndarray    # m x n1, the first and last blocks of vhat,
+    v_last: np.ndarray     # which is m x (2^k n1)
     what: np.ndarray       # n x (2^k n1)
     qhat: np.ndarray       # n x (2^k m1)
     y0: np.ndarray         # m1 x n1
@@ -732,6 +821,13 @@ class DsdaMareState:
     u_span: np.ndarray
     q_span: np.ndarray
     k: int = 0
+
+    @property
+    def vhat(self) -> np.ndarray:
+        """The basis grown by the transposed A propagator, formed again
+        on each read (validation only)."""
+        return _extend_basis(self.v_first, self.prop_a, 2 ** self.k - 1,
+                             self.z0.shape[0], transpose=True)
 
     @property
     def basis_cols(self) -> int:
@@ -761,7 +857,7 @@ def dsda_mare_init(p: MareProblem, mode: str = "sda") -> DsdaMareState:
     w0, q0 = solve_d(p.c_l), solve_d(p.b_r, "T")
     y0 = p.b_r.T @ w0                    # B_r^T D_a^-1 C_l
     z0 = p.c_r.T @ u0                    # C_r^T A_b^-1 B_l
-    return DsdaMareState(u0, v0, w0, q0, y0, z0,
+    return DsdaMareState(u0, v0, v0, w0, q0, y0, z0,
                          t_moments=(q0.T @ w0)[None],
                          s_moments=(v0.T @ u0)[None],
                          prop_a=prop_a, prop_d=prop_d, shift_sum=s,
@@ -771,21 +867,22 @@ def dsda_mare_init(p: MareProblem, mode: str = "sda") -> DsdaMareState:
 
 def dsda_mare_step(s: DsdaMareState,
                    column_budget: int = DEFAULT_COLUMN_BUDGET) -> DsdaMareState:
-    """Double the four bases, append the new moments of both Gram blocks
+    """Double the bases, append the new moments of both Gram blocks
     and extend the spans of ``uhat`` and ``qhat``."""
     m1, n1 = s.y0.shape
 
     def grow(blocks):
         return (_extend_basis(s.uhat, s.prop_a, blocks, m1),
-                _extend_basis(s.vhat, s.prop_a, blocks, n1, transpose=True),
+                _extend_basis(s.v_last, s.prop_a, blocks, n1, transpose=True,
+                              whole=False),
                 _extend_basis(s.what, s.prop_d, blocks, n1),
                 _extend_basis(s.qhat, s.prop_d, blocks, m1, transpose=True))
 
     # T pairs (qhat, what), S pairs (vhat, uhat).
-    (u_new, v_new, w_new, q_new), (t_new, s_new) = _double(
+    (u_new, v_last, w_new, q_new), (t_new, s_new) = _double(
         s.k, column_budget, grow,
         ((s.t_moments, 3, 2), (s.s_moments, 1, 0)))
-    return dataclasses.replace(s, uhat=u_new, vhat=v_new, what=w_new,
+    return dataclasses.replace(s, uhat=u_new, v_last=v_last, what=w_new,
                                qhat=q_new, t_moments=t_new, s_moments=s_new,
                                u_span=extend_span(s.u_span, u_new,
                                                   s.basis_cols),
@@ -809,15 +906,16 @@ def dsda_mare_eval(s: DsdaMareState, which: str):
             f"dense propagator-power evaluation is guarded to "
             f"n <= {DENSE_EVAL_MAX_DIM}")
     first, second = ("Y", "Z") if which in ("H", "F") else ("Z", "Y")
-    kern = _hankel_kernel(_edges(s, first)[0], _edges(s, second)[1],
-                          2 ** s.k, -1)
-    factor = lu_factor_checked(kern, overwrite_a=True)
+    factorize = functools.partial(_kernel_factor, _edges(s, first)[0],
+                                  _edges(s, second)[1], 2 ** s.k, -1)
     if which == "H":
-        return LowRankSolution(s.shift_sum, s.uhat, s.qhat, factor, "lu",
+        return LowRankSolution(s.shift_sum, s.uhat, s.qhat, factorize, "lu",
                                s.u_span, s.q_span)
     if which == "G":
-        return LowRankSolution(s.shift_sum, s.what, s.vhat, factor, "lu",
-                               span_of(s.what), span_of(s.vhat))
+        vhat = s.vhat
+        return LowRankSolution(s.shift_sum, s.what, vhat, factorize, "lu",
+                               span_of(s.what), span_of(vhat))
+    factor = factorize()
     prop, basis, other = ((s.prop_a, s.uhat, s.vhat) if which == "F"
                           else (s.prop_d, s.what, s.qhat))
     rhs = dsda_assemble(s, first) @ other.T

@@ -49,15 +49,18 @@ def _coordinates(q: np.ndarray, z: np.ndarray) -> np.ndarray:
     ``z = Q top + Q2 bottom`` gives the coefficients ``[top; bottom]``,
     so Q2 itself is never formed.  Q's own coefficients are the leading
     identity columns.  A square Q spans everything, and Q2 is empty.
+
+    The projections are made in place: ``z`` is overwritten with its
+    part outside Q, so callers pass a buffer of their own.
     """
     top = q.T @ z
     if q.shape[1] == q.shape[0]:
         return top
-    rest = z - q @ top
-    again = q.T @ rest
-    rest -= q @ again
+    z -= q @ top
+    again = q.T @ z
+    z -= q @ again
     top += again
-    return np.vstack([top, np.linalg.qr(rest, mode="r")])
+    return np.vstack([top, np.linalg.qr(z, mode="r")])
 
 
 def care_residual(p: CareProblem, h: np.ndarray) -> float:
