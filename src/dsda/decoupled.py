@@ -60,11 +60,13 @@ every basis an evaluated iterate is built on (:func:`extend_span`):
 the Krylov spaces are nested, so a doubling extends it from the new
 columns only, deflating those that lie in it to roundoff.  This is not
 truncation: the moments, bases and kernels are untouched.  An
-evaluated iterate is a :class:`LowRankSolution`, basis, kernel factor,
-scale and spans, and ``Q_l core Q_r^T`` with the small core
-``scale * R_l K^-1 R_r^T``, ``R = Q^H basis``, from which the driver
-measures it at every step without forming the n x n matrix, also when
-the basis has more columns than the iterate's order.
+evaluator builds and factors the kernel and returns the finished
+iterate, a :class:`LowRankSolution` ``Q_l core Q_r^T`` with the small
+core ``scale * R_l K^-1 R_r^T``, ``R = Q^H basis``, formed once
+(:func:`_evaluate`).  The driver measures it from the spans and core at
+every step without forming the n x n matrix, also when the basis has
+more columns than the iterate's order.  A kernel over
+``KERNEL_MAX_BYTES`` is refused before it is built.
 
 States and iterates hold only what a later step, measurement or
 ``dense()`` reads.  A state keeps in full only the bases an evaluated
@@ -73,9 +75,9 @@ CARE, DARE and BSEP, and ``uhat``, ``what`` and ``qhat`` for MARE.  Of
 each other basis it keeps the first and last blocks (BSEP's ``uhat``
 is ``conj(vhat)``): a step reads only the last block, and the basis
 itself is a property that replays the Krylov recursion from the first,
-bit for bit, for validation.  A CARE/DARE iterate releases its
-cols x cols kernel factor once its core is formed (see
-:class:`LowRankSolution`).
+bit for bit, for validation.  A CARE/DARE iterate holds only its span
+and core; a BSEP iterate adds what the next increment reads, a MARE
+iterate what its ``dense()`` reads (see :class:`LowRankSolution`).
 
 The closed-form statements for the one-kernel families are usually
 quoted for k >= 2 with the first step written out separately; here the
@@ -91,9 +93,8 @@ recursions; the test suite holds the two against each other.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 import scipy.linalg
@@ -112,6 +113,11 @@ DEFAULT_COLUMN_BUDGET = 4096
 
 #: Dense evaluation of A_k / E_k / F_k is for validation only.
 DENSE_EVAL_MAX_DIM = 512
+
+#: Largest kernel, in bytes, that is built: 2 GiB, a quarter of an
+#: 8 GB machine's memory.  A kernel has cols^2 entries (4.8 GB at
+#: 24 576 columns); a larger one ends the run ``BudgetExceeded``.
+KERNEL_MAX_BYTES = 2 * 2 ** 30
 
 #: Columns swept together when a span is extended (:func:`extend_span`).
 SWEEP_COLS = 32
@@ -199,110 +205,49 @@ def span_of(basis: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LowRankSolution:
-    """Factored iterate ``scale * left @ kernel^-1 @ right.T``, held with
-    the spans of its bases.
+    """A finished iterate ``q_left @ core @ q_right.T`` (plain transpose).
 
-    ``factorize`` builds the kernel and returns its factorization
-    (Cholesky for the SPD kernels of the symmetric families, pivoted LU
-    otherwise).  The factor is formed when the solution is made, so a
-    singular kernel fails in the evaluator, and kept, so repeated
-    evaluation does not refactor.  ``q_left`` and ``q_right`` are
-    orthonormal bases of the numerical spans of ``left`` and ``right``
-    (:func:`extend_span`), so the iterate is
-    ``q_left @ core @ q_right.T`` with the small :meth:`core`.
+    ``q_left`` and ``q_right`` are orthonormal bases of the numerical
+    spans of the iterate's bases (:func:`extend_span`), and the small
+    ``core`` is ``scale * R_l K^-1 R_r^T`` with ``R = Q^H basis`` and the
+    kernel K.  The core has the iterate's nonzero singular values and
+    Frobenius norm (and, for a real iterate with one basis and a
+    symmetric kernel, its nonzero eigenvalues).  The evaluator forms it
+    once, right after building and factoring the kernel
+    (:func:`_evaluate`), so a singular kernel fails there.
 
-    An iterate with one basis and a Cholesky factor (CARE, DARE) is
-    read through its span and core alone once the core is formed, so
-    forming the core releases the cols x cols factor; a later
-    :meth:`solve_kernel` forms it again, bit for bit.  A two-sided
-    iterate (MARE) and an LU-factored one (BSEP, whose successor's
-    increment reads this kernel through :meth:`nested_core`) keep it.
+    Beyond its spans and core an iterate holds only what a later read
+    needs.  A CARE/DARE iterate holds nothing more.  A BSEP iterate
+    keeps ``scale``, its kernel's LU ``factor`` and its ``coordinates``
+    ``R``, which the next step's increment reads (:meth:`nested_core`).
+    A MARE iterate keeps ``scale``, its ``factor`` and its two
+    ``bases``, which :meth:`dense` reads.
     """
 
-    scale: float
-    left: np.ndarray
-    right: np.ndarray
-    factorize: Callable[[], tuple]
-    factor_kind: Literal["cholesky", "lu"]
     q_left: np.ndarray
+    core: np.ndarray
     q_right: np.ndarray
-
-    def __post_init__(self):
-        self.factor     # formed here, where the iterate is evaluated
-
-    @functools.cached_property
-    def factor(self) -> tuple:
-        """The kernel's factorization, formed again on first use after
-        :meth:`core` released it."""
-        return self.factorize()
-
-    @property
-    def basis_cols(self) -> int:
-        return self.left.shape[1]
+    basis_cols: int
+    scale: float | None = None
+    factor: tuple | None = None
+    coordinates: np.ndarray | None = None
+    bases: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
         """Shape of the iterate."""
-        return self.left.shape[0], self.right.shape[0]
-
-    @property
-    def _one_basis(self) -> bool:
-        return self.right is self.left and self.q_right is self.q_left
-
-    def solve_kernel(self, rhs: np.ndarray) -> np.ndarray:
-        if self.factor_kind == "cholesky":
-            return scipy.linalg.cho_solve(self.factor, rhs, check_finite=False)
-        return scipy.linalg.lu_solve(self.factor, rhs, check_finite=False)
-
-    @functools.cached_property
-    def coefficients(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(R_l, R_r)``, the coordinates ``Q^H basis`` of the bases in
-        their spans (one array for the two when the bases are one),
-        computed once."""
-        r_left = self.q_left.conj().T @ self.left
-        if self._one_basis:
-            return r_left, r_left
-        return r_left, self.q_right.conj().T @ self.right
-
-    def core_in(self, r_left: np.ndarray, r_right: np.ndarray) -> np.ndarray:
-        """``scale * R_l K^-1 R_r^T`` (plain transpose, also when complex):
-        the iterate in orthonormal spans ``Q_l``, ``Q_r`` where its bases
-        have the coordinates ``R_l``, ``R_r``."""
-        return self.scale * (r_left @ self.solve_kernel(r_right.T))
-
-    @functools.cached_property
-    def core(self) -> np.ndarray:
-        """The iterate in its own spans, ``q_left @ core @ q_right.T``,
-        computed once.
-
-        The core is small, and it has the iterate's nonzero singular
-        values and Frobenius norm (and, for a real iterate with one
-        basis and a symmetric kernel, its nonzero eigenvalues).  With a
-        Cholesky factor ``L L^T`` and one basis it is ``w^T w``, exactly
-        symmetric, with ``w = L^-1 R^T`` solved in the buffer ``R^T`` is
-        formed in, so no coordinate array outlives the solve; the
-        factor is released once ``w`` is solved.
-        """
-        if self.factor_kind == "cholesky" and self._one_basis:
-            w = (self.q_left.conj().T @ self.left).T
-            w = scipy.linalg.solve_triangular(self.factor[0], w,
-                                              lower=self.factor[1],
-                                              overwrite_b=True,
-                                              check_finite=False)
-            del self.__dict__["factor"]
-            return self.scale * (w.T @ w)
-        return self.core_in(*self.coefficients)
+        return self.q_left.shape[0], self.q_right.shape[0]
 
     def nested_core(self, inner: LowRankSolution) -> np.ndarray:
-        """Core, in this iterate's spans, of an iterate whose bases are
-        the leading columns of this one's.
+        """Core, in this BSEP iterate's span, of one whose basis is the
+        leading columns of this one's.
 
         ``inner``'s coordinates are the leading columns of this
         iterate's own, so the two cores share them bit for bit.
         """
-        r_left, r_right = self.coefficients
-        return inner.core_in(r_left[:, :inner.left.shape[1]],
-                             r_right[:, :inner.right.shape[1]])
+        r = self.coordinates[:, :inner.basis_cols]
+        return inner.scale * (r @ scipy.linalg.lu_solve(
+            inner.factor, r.T, check_finite=False))
 
     def dense(self) -> np.ndarray:
         """Materialize the iterate as a full matrix.
@@ -314,32 +259,14 @@ class LowRankSolution:
         A two-sided iterate is formed from its bases,
         ``scale * left K^-1 right^T``.
         """
-        if self._one_basis:
+        if self.bases is None:
             out = self.q_left @ (self.core @ self.q_left.T)
             out *= 0.5
             out += out.T
             return out
-        return self.scale * (self.left @ self.solve_kernel(self.right.T))
-
-
-def _factor_spd(kern: np.ndarray) -> tuple:
-    """Cholesky factor of an evaluator-owned kernel, written over it."""
-    try:
-        return scipy.linalg.cho_factor(kern, lower=True, overwrite_a=True,
-                                       check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        # Cannot happen in exact arithmetic for I + Y^T Y; reaching this
-        # signals severe ill-conditioning of the untruncated kernel.
-        raise SingularMatrixError(
-            f"kernel is not positive definite: {exc}") from exc
-
-
-def _pow2k(m: np.ndarray, k: int) -> np.ndarray:
-    """m raised to the power 2^k by repeated squaring."""
-    out = m.copy()
-    for _ in range(k):
-        out = out @ out
-    return out
+        left, right = self.bases
+        return self.scale * (left @ scipy.linalg.lu_solve(
+            self.factor, right.T, check_finite=False))
 
 
 @dataclass(frozen=True)
@@ -590,33 +517,38 @@ def dsda_assemble(s: DsdaSymState | DsdaMareState, which: str) -> np.ndarray:
     (i, j) is entry i + j of a sequence built from the state's seed and
     moments, gathered in one vectorised copy that keeps the dtype.
     """
-    if which in ("Y", "T"):
-        seed, seq = s.y0, s.t_moments
-    elif which in ("Z", "S") and isinstance(s, DsdaMareState):
-        seed, seq = s.z0, s.s_moments
+    mare = isinstance(s, DsdaMareState)
+    b = 2 ** s.k
+    if which == "T" or (which == "S" and mare):
+        seq = s.t_moments if which == "T" else s.s_moments
+    elif which == "Y" or (which == "Z" and mare):
+        tail = _tail(s, which)
+        seq = np.concatenate(
+            [np.zeros((b - 1,) + tail.shape[1:], dtype=tail.dtype), tail])
     else:
         raise ValueError(f"which must name a matrix of the state; got {which!r}")
-    b = 2 ** s.k
-    if which in ("Y", "Z"):
-        pad = np.zeros((b - 1,) + seed.shape, dtype=np.result_type(seed, seq))
-        seq = np.concatenate([pad, seed[None], s.multiplier * seq[:b - 1]])
     _, r, c = seq.shape
     windows = np.lib.stride_tricks.sliding_window_view(seq, b, axis=0)
     return windows.transpose(0, 1, 3, 2).reshape(b * r, b * c)
+
+
+def _tail(s: DsdaSymState | DsdaMareState, which: str) -> np.ndarray:
+    """The entries h_{b-1} ... h_{2b-2} of the sequence of kernel ``"Y"``
+    or ``"Z"``, the seed followed by the first b - 1 scaled moments;
+    the entries below b - 1 vanish."""
+    seed, seq = (s.y0, s.t_moments) if which == "Y" else (s.z0, s.s_moments)
+    return np.concatenate([seed[None], s.multiplier * seq[:2 ** s.k - 1]])
 
 
 def _edges(s: DsdaSymState | DsdaMareState,
            which: str) -> tuple[np.ndarray, np.ndarray]:
     """Last block column and last block row of kernel ``"Y"`` or ``"Z"``.
 
-    Both hold the tail h_{b-1} ... h_{2b-2} of the kernel's sequence,
-    the seed followed by the first b - 1 scaled moments: stacked
+    Both hold the :func:`_tail` of the kernel's sequence: stacked
     vertically (b r x c) and side by side (r x b c).
     """
-    seed, seq = (s.y0, s.t_moments) if which == "Y" else (s.z0, s.s_moments)
-    b = 2 ** s.k
-    tail = np.concatenate([seed[None], s.multiplier * seq[:b - 1]])
-    _, r, c = tail.shape
+    tail = _tail(s, which)
+    b, r, c = tail.shape
     return tail.reshape(b * r, c), tail.transpose(1, 0, 2).reshape(r, b * c)
 
 
@@ -630,8 +562,14 @@ def _hankel_kernel(col: np.ndarray, row: np.ndarray, blocks: int,
     run on the product's own buffer, built transposed so the returned
     kernel is Fortran-ordered and a factorization can overwrite it; a
     ``col`` that is ``row.T`` (or the reverse) gives an exactly
-    symmetric kernel.
+    symmetric kernel.  A kernel larger than ``KERNEL_MAX_BYTES`` is
+    refused before its product is formed.
     """
+    size = row.shape[1] * col.shape[0] * np.result_type(row, col).itemsize
+    if size > KERNEL_MAX_BYTES:
+        raise BudgetExceededError(
+            f"a {col.shape[0]} x {row.shape[1]} kernel takes {size} bytes, "
+            f"over the cap of {KERNEL_MAX_BYTES}")
     out_t = row.T @ col.T
     g = out_t.reshape(blocks, out_t.shape[0] // blocks,
                       blocks, out_t.shape[1] // blocks)
@@ -645,25 +583,65 @@ def _hankel_kernel(col: np.ndarray, row: np.ndarray, blocks: int,
 
 def _kernel_factor(col: np.ndarray, row: np.ndarray, blocks: int,
                    sigma: int) -> tuple:
-    """Factor of the kernel ``I + sigma X W`` (:func:`_hankel_kernel`):
-    Cholesky of the SPD kernels (``sigma = +1``), pivoted LU otherwise."""
+    """Factor of the kernel ``I + sigma X W`` (:func:`_hankel_kernel`),
+    written over it: Cholesky ``(L, lower)`` of the SPD kernels
+    (``sigma = +1``), pivoted LU ``(lu, piv)`` otherwise."""
     kern = _hankel_kernel(col, row, blocks, sigma)
+    if sigma != +1:
+        return lu_factor_checked(kern, overwrite_a=True)
+    try:
+        return scipy.linalg.cho_factor(kern, lower=True, overwrite_a=True,
+                                       check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        # Cannot happen in exact arithmetic for I + Y^T Y; reaching this
+        # signals severe ill-conditioning of the untruncated kernel.
+        raise SingularMatrixError(
+            f"kernel is not positive definite: {exc}") from exc
+
+
+def _evaluate(scale: float, col: np.ndarray, row: np.ndarray, blocks: int,
+              sigma: int, left: np.ndarray, right: np.ndarray,
+              q_left: np.ndarray, q_right: np.ndarray) -> LowRankSolution:
+    """The finished iterate ``scale * left K^-1 right^T``, K the kernel
+    ``I + sigma X W`` (:func:`_kernel_factor`), in the spans ``q_left``
+    and ``q_right`` of its bases.
+
+    With ``R = Q^H basis`` its core is ``scale * R_l K^-1 R_r^T``.  With
+    a Cholesky factor ``L L^T`` (CARE, DARE, one basis) that is
+    ``scale * w^T w``, exactly symmetric, with ``w = L^-1 R^T`` solved
+    in the buffer ``R^T`` is formed in, and the iterate keeps neither
+    basis nor factor.  An LU-factored iterate keeps what a later read
+    needs (see :class:`LowRankSolution`): its coordinates when its
+    bases are one (BSEP), else its bases (MARE).
+    """
+    factor = _kernel_factor(col, row, blocks, sigma)
+    cols = left.shape[1]
+    r_left = q_left.conj().T @ left
     if sigma == +1:
-        return _factor_spd(kern)
-    return lu_factor_checked(kern, overwrite_a=True)
+        w = scipy.linalg.solve_triangular(factor[0], r_left.T,
+                                          lower=factor[1], overwrite_b=True,
+                                          check_finite=False)
+        return LowRankSolution(q_left, scale * (w.T @ w), q_left, cols)
+    one = right is left
+    r_right = r_left if one else q_right.conj().T @ right
+    core = scale * (r_left @ scipy.linalg.lu_solve(factor, r_right.T,
+                                                   check_finite=False))
+    if one:
+        return LowRankSolution(q_left, core, q_left, cols, scale, factor,
+                               coordinates=r_left)
+    return LowRankSolution(q_left, core, q_right, cols, scale, factor,
+                           bases=(left, right))
 
 
 def _sym_solution(s: DsdaSymState, side: str) -> LowRankSolution:
     """``sigma c * B (I + sigma K)^-1 B^T``: B = Vhat, K = Y^T Y on the
     right side, B = Uhat (replayed), K = Y Y^T on the left (whose span
-    is found here); factored by kernel kind."""
+    is found here)."""
     col, row = _edges(s, "Y")
     basis, x = (s.vhat, row.T) if side == "right" else (s.uhat, col)
     span = s.v_span if side == "right" else span_of(basis)
-    return LowRankSolution(
-        s.multiplier, basis, basis,
-        functools.partial(_kernel_factor, x, x.T, 2 ** s.k, s.sigma),
-        "cholesky" if s.sigma == +1 else "lu", span, span)
+    return _evaluate(s.multiplier, x, x.T, 2 ** s.k, s.sigma, basis, basis,
+                     span, span)
 
 
 def dsda_eval_H(s: DsdaSymState) -> LowRankSolution:
@@ -689,23 +667,41 @@ def bsep_eval_F(s: DsdaSymState) -> LowRankSolution:
     return _sym_solution(s, "right")
 
 
+def _dense_power(s: DsdaSymState | DsdaMareState, prop: Propagator,
+                 conj: bool = False) -> np.ndarray:
+    """``prop``'s dense matrix (conjugated with ``conj``) to the power
+    2^k of the state, by repeated squaring.
+
+    Dense evaluation is for validation only: it is refused when any
+    propagator of the state has order above ``DENSE_EVAL_MAX_DIM``.
+    """
+    props = ((s.prop_a, s.prop_d) if isinstance(s, DsdaMareState)
+             else (s.propagator,))
+    n = max(p.shape[0] for p in props)
+    if n > DENSE_EVAL_MAX_DIM:
+        raise BudgetExceededError(
+            f"dense propagator-power evaluation is guarded to "
+            f"n <= {DENSE_EVAL_MAX_DIM}, got n = {n}")
+    out = prop.dense()
+    out = out.conj() if conj else out.copy()
+    for _ in range(s.k):
+        out = out @ out
+    return out
+
+
 def dsda_eval_A(s: DsdaSymState) -> np.ndarray:
     """Dense A_k (E_k for the BSEP family), for validation at small sizes.
 
     ``A_k = P^(2^k) - c * Uhat (I + sigma Y Y^T)^-1 Y Vhat^T`` with the
     propagator power formed by repeated squaring.
     """
-    n = s.propagator.shape[0]
-    if n > DENSE_EVAL_MAX_DIM:
-        raise BudgetExceededError(
-            f"dense propagator-power evaluation is guarded to "
-            f"n <= {DENSE_EVAL_MAX_DIM}, got n = {n}")
-    base = s.propagator.dense()
-    if s.family == "bsep":
-        base = base.conj()
-    power = _pow2k(base, s.k)
+    power = _dense_power(s, s.propagator, conj=s.family == "bsep")
+    col = _edges(s, "Y")[0]
+    factor = _kernel_factor(col, col.T, 2 ** s.k, s.sigma)
+    solve = (scipy.linalg.cho_solve if s.sigma == +1
+             else scipy.linalg.lu_solve)
     rhs = dsda_assemble(s, "Y") @ s.vhat.T
-    corr = _sym_solution(s, "left").solve_kernel(rhs)
+    corr = solve(factor, rhs, check_finite=False)
     return power - s.scale * (s.uhat @ corr)
 
 
@@ -900,24 +896,19 @@ def dsda_mare_eval(s: DsdaMareState, which: str):
     """
     if which not in ("H", "G", "F", "E"):
         raise ValueError(f"which must be one of H, G, F, E; got {which!r}")
-    if which in ("F", "E") and max(s.prop_a.shape[0],
-                                   s.prop_d.shape[0]) > DENSE_EVAL_MAX_DIM:
-        raise BudgetExceededError(
-            f"dense propagator-power evaluation is guarded to "
-            f"n <= {DENSE_EVAL_MAX_DIM}")
     first, second = ("Y", "Z") if which in ("H", "F") else ("Z", "Y")
-    factorize = functools.partial(_kernel_factor, _edges(s, first)[0],
-                                  _edges(s, second)[1], 2 ** s.k, -1)
+    kernel = (_edges(s, first)[0], _edges(s, second)[1], 2 ** s.k, -1)
     if which == "H":
-        return LowRankSolution(s.shift_sum, s.uhat, s.qhat, factorize, "lu",
-                               s.u_span, s.q_span)
+        return _evaluate(s.shift_sum, *kernel, s.uhat, s.qhat, s.u_span,
+                         s.q_span)
     if which == "G":
         vhat = s.vhat
-        return LowRankSolution(s.shift_sum, s.what, vhat, factorize, "lu",
-                               span_of(s.what), span_of(vhat))
-    factor = factorize()
+        return _evaluate(s.shift_sum, *kernel, s.what, vhat, span_of(s.what),
+                         span_of(vhat))
     prop, basis, other = ((s.prop_a, s.uhat, s.vhat) if which == "F"
                           else (s.prop_d, s.what, s.qhat))
+    power = _dense_power(s, prop)
     rhs = dsda_assemble(s, first) @ other.T
-    corr = scipy.linalg.lu_solve(factor, rhs, check_finite=False)
-    return _pow2k(prop.dense(), s.k) - s.shift_sum * (basis @ corr)
+    corr = scipy.linalg.lu_solve(_kernel_factor(*kernel), rhs,
+                                 check_finite=False)
+    return power - s.shift_sum * (basis @ corr)

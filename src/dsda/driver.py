@@ -14,12 +14,13 @@ Family and method differ only in data: one table maps each (family,
 method) pair to its init, step, iterate and residual functions, and
 one loop runs them all.
 
-A decoupled iterate ``Q_l core Q_r^T`` is measured on its small core
-(``LowRankSolution.core``), in the spans its state extends each step:
-residual (the ``*_factored`` functions), rank and finiteness come from
-the core, and no n x n array is made, whatever the basis width.  Every
-``sda`` iterate is measured dense.  The final solution is formed dense
-once, when the report is built.
+A decoupled iterate ``Q_l core Q_r^T`` comes finished from its
+evaluator and is measured on its small core (``LowRankSolution.core``),
+in the spans its state extends each step: residual (the ``*_factored``
+functions), rank and finiteness come from the core, and no n x n array
+is made, whatever the basis width.  Every ``sda`` iterate is measured
+dense.  The final solution is formed dense once, when the report is
+built.
 """
 
 from __future__ import annotations
@@ -97,9 +98,10 @@ class IterationRecord:
 
     ``elapsed_ms`` is the wall time of the record, the sum of its three
     phases: the doubling step (``step_ms``), the evaluation of the
-    iterate (``eval_ms``: its kernel and factorization) and its
-    measurement (``measure_ms``: core or dense checks, residual and
-    rank).  Set-up before the first step is the report's ``init_ms``.
+    iterate (``eval_ms``: its kernel, factorization and, for a decoupled
+    iterate, core) and its measurement (``measure_ms``: finiteness
+    checks, residual and rank).  Set-up before the first step is the
+    report's ``init_ms``.
     """
 
     k: int
@@ -153,8 +155,7 @@ class _Method(NamedTuple):
     init: Callable      # problem -> state
     step: Callable      # state -> state
     iterate: Callable   # state -> dense H (F for bsep) or its LowRankSolution
-    # (problem, iterate, dense iterate or core, previous iterate) -> float
-    residual: Callable
+    residual: Callable  # (problem, iterate, previous iterate) -> float
 
 
 def _methods(column_budget: int) -> dict[tuple[str, str], _Method]:
@@ -164,19 +165,19 @@ def _methods(column_budget: int) -> dict[tuple[str, str], _Method]:
     it stands when the run starts.
     """
     def equation(residual):
-        return lambda p, _iterate, x, _previous: residual(p, x)
+        return lambda p, x, _previous: residual(p, x)
 
-    def increment(_p, _iterate, f, previous):
+    def increment(_p, f, previous):
         return bsep_increment(f, previous)
 
     def symmetric(residual):
-        return lambda p, sol, core, _previous: residual(p, sol.q_left, core)
+        return lambda p, sol, _previous: residual(p, sol.q_left, sol.core)
 
-    def mare_factored(p, sol, core, _previous):
-        return mare_residual_factored(p, sol.q_left, core, sol.q_right)
+    def mare_factored(p, sol, _previous):
+        return mare_residual_factored(p, sol.q_left, sol.core, sol.q_right)
 
-    def increment_factored(_p, sol, core, previous):
-        return bsep_increment_factored(core, sol.nested_core(previous))
+    def increment_factored(_p, sol, previous):
+        return bsep_increment_factored(sol.core, sol.nested_core(previous))
 
     care, dare, mare = map(equation, (care_residual, dare_residual,
                                       mare_residual))
@@ -231,7 +232,7 @@ def _measure(method: _Method, p: Problem, iterate, previous, hermitian: bool
         operand = iterate
         if not np.all(np.isfinite(operand)):
             raise SingularMatrixError("iterate has non-finite entries")
-    residual = method.residual(p, iterate, operand, previous)
+    residual = method.residual(p, iterate, previous)
     if not np.isfinite(residual):
         raise SingularMatrixError(f"residual is {residual}")
     rank = numerical_rank(operand, EPS * max(iterate.shape),

@@ -9,8 +9,9 @@ consecutive iterates stands in.
 
 Every metric comes in two forms: of a dense iterate (the ``sda``
 route), and ``*_factored`` of an iterate ``Q_l core Q_r^T`` with
-orthonormal ``Q_l``, ``Q_r``, as every decoupled iterate is measured
-(:meth:`dsda.decoupled.LowRankSolution.core`).  The factored forms
+orthonormal ``Q_l``, ``Q_r``, the form in which every decoupled
+evaluator returns its iterate (:class:`dsda.decoupled.LowRankSolution`)
+and the driver measures it.  The factored forms
 never make an n x n array: every term of a residual lies in the span of
 Q and of a few thin products, so its norms are those of small
 coefficient matrices in an orthonormal basis of that span (low-rank

@@ -599,6 +599,14 @@ class TestHankelKernel:
         dsda_mare_eval(mare, "H")
         dsda_mare_eval(mare, "G")
 
+    def test_a_kernel_over_the_cap_is_refused_before_it_is_built(self):
+        # 24 576 columns (steel-care at a 32 768-column budget): a 4.8 GB
+        # kernel, refused from its 1.2 MB edges.
+        edge = np.zeros((24576, 6))
+        assert 8 * 24576 ** 2 > decoupled.KERNEL_MAX_BYTES
+        with pytest.raises(BudgetExceededError, match="over the cap"):
+            _hankel_kernel(edge, edge.T, 4096, +1)
+
     @settings(max_examples=60, deadline=None)
     @given(log_b=st.integers(0, 6), r=st.integers(0, 4), c1=st.integers(0, 4),
            is_complex=st.booleans(), sigma=st.sampled_from([-1, 1]),
@@ -627,8 +635,15 @@ class TestHankelKernel:
 
 class TestCholeskyDense:
     def test_symmetric_iterates_match_the_general_product(self):
-        for label, sol in _low_rank_iterates(3)[:2]:
-            got = sol.dense()
+        for label, p in (("care", gen_random_care(16, 2, 3, seed=3)),
+                         ("dare", gen_random_dare(16, 3, 2, seed=4))):
+            s = dsda_sym_init(p)
+            for _ in range(3):
+                s = dsda_sym_step(s)
+            got = dsda_eval_H(s).dense()
             assert np.array_equal(got, got.T), label
-            want = sol.scale * (sol.left @ sol.solve_kernel(sol.right.T))
+            # scale * V K^-1 V^T with K = I + Y^T Y from the assembled Y.
+            y = dsda_assemble(s, "Y")
+            kern = np.eye(y.shape[1]) + y.T @ y
+            want = s.multiplier * (s.vhat @ np.linalg.solve(kern, s.vhat.T))
             assert rel_err(got, want) <= 1e-13, label

@@ -1,7 +1,9 @@
-"""The solve driver's (family, method) table: the BSEP shift retry and
-the failure contract on scaled random instances."""
+"""The solve driver's (family, method) table: the BSEP shift retry, the
+DEBUG kernel diagnostic, the kernel memory cap and the failure contract
+on scaled random instances."""
 
 import dataclasses
+import logging
 import math
 import time
 
@@ -27,6 +29,7 @@ from dsda.problems import (
     gen_random_care,
     gen_random_dare,
     gen_random_mare,
+    gen_scalar_suite,
 )
 
 #: alpha I - A is exactly zero, so the first start is singular.
@@ -147,3 +150,62 @@ def test_every_run_ends_in_a_status(pair, n, width, seed, exponent, max_iter,
         if method != "sda":
             assert np.array_equal(report.final_lowrank.dense(),
                                   report.final_solution)
+
+
+def _measured(report):
+    return [(rec.k, rec.residual, rec.rank, rec.basis_cols)
+            for rec in report.iterations]
+
+
+@pytest.mark.parametrize("family,method", PAIRS)
+def test_debug_logs_the_kernel_eigenvalues_of_one_kernel_runs(
+        family, method, caplog):
+    # One line per record for a care/dare/bsep dsda run, none for mare
+    # (two kernels) or sda (none); the records are those of a run
+    # without DEBUG.
+    p = GENERATORS[family](24, 2, 3)
+    cfg = SolveConfig(method=method)
+    plain = solve_driver(p, cfg)
+    with caplog.at_level(logging.DEBUG, logger="dsda.driver"):
+        report = solve_driver(p, cfg)
+    lines = [rec.args for rec in caplog.records
+             if "kernel eigenvalues" in rec.msg]
+    assert _measured(report) == _measured(plain)
+    assert report.status == plain.status
+    if family == "mare" or method == "sda":
+        assert lines == []
+        return
+    assert [k for k, _, _ in lines] == [rec.k for rec in report.iterations]
+    for _, lo, hi in lines:
+        assert 0.0 < lo <= hi
+        if family != "bsep":
+            # I + Y^T Y is symmetric positive definite with all
+            # eigenvalues at least one.
+            assert lo >= 1.0 - 1e-12
+
+
+def test_a_kernel_over_the_memory_cap_ends_budget_exceeded(monkeypatch):
+    # n = 16, l = 3: the k = 3 kernel I + Y^T Y is 24 x 24, one byte
+    # over the lowered cap; the last good iterate is the k = 2 one.
+    p = gen_random_care(16, 2, 3, 3)
+    cfg = SolveConfig(tol=1e-30, max_iter=6)
+    monkeypatch.setattr(decoupled, "KERNEL_MAX_BYTES", 8 * 24 ** 2 - 1)
+    report = solve_driver(p, cfg)
+    monkeypatch.undo()
+    assert report.status == "BudgetExceeded"
+    assert [rec.k for rec in report.iterations] == [1, 2]
+    last = solve_driver(p, dataclasses.replace(cfg, max_iter=2))
+    assert last.status == "MaxIter"
+    assert _measured(report) == _measured(last)
+    assert np.array_equal(report.final_solution, last.final_solution)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "dsda ends SingularEncountered after 4 steps: the pivot test rejects "
+    "a 32 x 32 kernel of condition 7e29 whose F is accurate to 1e-13"))
+def test_scalar_bsep_status_matches_the_oracle():
+    p, _ = gen_scalar_suite()[3]
+    oracle = solve_driver(p, SolveConfig(method="sda"))
+    assert oracle.status == "Converged" and len(oracle.iterations) == 6
+    report = solve_driver(p, SolveConfig(method="dsda"))
+    assert report.status == oracle.status

@@ -7,7 +7,7 @@ basis has more columns than the iterate's order, and no n x n array is
 formed until the report asks for the final solution.
 """
 
-import functools
+import dataclasses
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from test_residuals import RANK_ROUTE_CASES
 from test_sparse_route import heat_care, heat_dare, heat_mare
 
-from dsda import driver
+from dsda import decoupled, driver
 from dsda.decoupled import (
     DsdaMareState,
     LowRankSolution,
@@ -195,21 +195,21 @@ def test_thin_solve_forms_one_dense_iterate(family, method, monkeypatch):
 def test_nonfinite_thin_core_ends_singular_keeping_last_good(
         family, method, spoil, monkeypatch):
     p = thin_problem(family)
-    core = LowRankSolution.core.func
-    calls = []
 
-    def spoiled(self):
-        value = core(self)
-        calls.append(self)
-        if len(calls) < 3:
-            return value
-        value = value.copy()
-        if spoil == "nan-entry":
-            value[0, -1] = np.nan
-        else:
-            # Every entry finite, but the norm of the iterate overflows.
-            value[...] = np.finfo(float).max
-        return value
+    def spoiling(evaluate):
+        # The evaluator's iterate at k = 3 comes with a spoiled core.
+        def spoiled(s, *args, **kwargs):
+            sol = evaluate(s, *args, **kwargs)
+            if s.k < 3:
+                return sol
+            core = sol.core.copy()
+            if spoil == "nan-entry":
+                core[0, -1] = np.nan
+            else:
+                # Every entry finite, but the norm of the iterate overflows.
+                core[...] = np.finfo(float).max
+            return dataclasses.replace(sol, core=core)
+        return spoiled
 
     measured = []
 
@@ -219,9 +219,9 @@ def test_nonfinite_thin_core_ends_singular_keeping_last_good(
             return residual(*args)
         return spy
 
-    spoiled_core = functools.cached_property(spoiled)
-    spoiled_core.__set_name__(LowRankSolution, "core")
-    monkeypatch.setattr(LowRankSolution, "core", spoiled_core)
+    for name in ("dsda_eval_H", "bsep_eval_F", "dsda_mare_eval"):
+        monkeypatch.setattr(decoupled, name,
+                            spoiling(getattr(decoupled, name)))
     for name in ("care_residual_factored", "dare_residual_factored",
                  "mare_residual_factored", "bsep_increment_factored"):
         monkeypatch.setattr(driver, name, counted(getattr(driver, name)))

@@ -4,8 +4,7 @@ A state keeps in full only the bases that a step, a measurement or
 ``dense()`` reads in full: ``vhat`` for CARE, DARE and BSEP, and
 ``uhat``, ``what`` and ``qhat`` for MARE.  Every other basis is a
 property that replays its Krylov recursion from the first block.  A
-CARE/DARE iterate releases its kernel factor once its core is formed,
-and forms it again, bit for bit, when a kernel solve asks for it.
+CARE/DARE iterate holds only its span and core.
 """
 
 import dataclasses
@@ -27,6 +26,7 @@ from dsda import decoupled
 from dsda.decoupled import (
     SWEEP_COLS,
     bsep_eval_F,
+    dsda_eval_G,
     dsda_eval_H,
     dsda_mare_eval,
     dsda_mare_init,
@@ -149,30 +149,50 @@ def _mare_iterate(steps=STEPS):
     return dsda_mare_eval(s, "H")
 
 
-@pytest.mark.parametrize("p", [gen_random_care(16, 2, 3, seed=3),
-                               gen_random_dare(16, 3, 2, seed=4)],
-                         ids=["care", "dare"])
-def test_core_releases_a_cholesky_factor_that_is_formed_again_exactly(p):
-    sol = _sym_iterate(p, dsda_eval_H)
-    rhs = np.random.default_rng(0).standard_normal((sol.basis_cols, 3))
-    before = sol.solve_kernel(rhs)
-    factor = [a.copy() if isinstance(a, np.ndarray) else a
-              for a in sol.factor]
-    dense = sol.dense()
-    assert "factor" not in vars(sol)
-    assert np.array_equal(sol.solve_kernel(rhs), before)
-    assert all(np.array_equal(a, b) for a, b in zip(sol.factor, factor))
-    assert np.array_equal(sol.dense(), dense)
+def _widest(sol):
+    """Most columns of any array an iterate holds, in a tuple or not."""
+    return max(a.shape[-1] for value in vars(sol).values()
+               for a in (value if isinstance(value, tuple) else (value,))
+               if isinstance(a, np.ndarray))
+
+
+#: A CARE and a DARE instance whose bases outgrow their order (16) at
+#: k = STEPS, so the span has fewer columns than the basis.
+SYM = [pytest.param(gen_random_care(16, 3, 3, seed=3), id="care"),
+       pytest.param(gen_random_dare(16, 3, 3, seed=4), id="dare")]
+
+
+@pytest.mark.parametrize("evaluate", [dsda_eval_H, dsda_eval_G],
+                         ids=["H", "G"])
+@pytest.mark.parametrize("p", SYM)
+def test_a_symmetric_iterate_holds_no_array_wider_than_its_span(p,
+                                                               evaluate):
+    sol = _sym_iterate(p, evaluate)
+    r = sol.q_left.shape[1]
+    assert sol.basis_cols > r
+    assert _widest(sol) == r
+    assert sol.factor is None and sol.bases is None
+
+
+@pytest.mark.parametrize("p", SYM)
+def test_a_symmetric_report_holds_no_array_wider_than_its_span(p):
+    report = solve_driver(p, SolveConfig(max_iter=STEPS, tol=1e-30))
+    assert [rec.k for rec in report.iterations] == list(range(1, STEPS + 1))
+    sol = report.final_lowrank
+    assert sol.basis_cols > sol.q_left.shape[1]
+    assert _widest(sol) == sol.q_left.shape[1]
 
 
 @pytest.mark.parametrize("make", [
     lambda: _sym_iterate(gen_random_bsep(16, 2, seed=5), bsep_eval_F),
     _mare_iterate], ids=["bsep", "mare"])
 def test_lu_factors_are_kept(make):
+    # The next BSEP increment (nested_core) and a MARE dense() solve
+    # with the kernel's LU factor.
     sol = make()
-    factor = sol.factor
-    sol.core
-    assert sol.factor is factor
+    lu, piv = sol.factor
+    assert lu.shape == (sol.basis_cols, sol.basis_cols)
+    assert piv.shape == (sol.basis_cols,)
 
 
 @pytest.mark.parametrize("p,method", [
