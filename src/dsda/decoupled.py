@@ -40,8 +40,16 @@ of XW is sum_p x_{i+p} w_{p+j}, so
 
 and XW is the block-diagonal prefix sum of the product of X's last
 block column and W's last block row.  Each of Y^T Y, Y Y^T, Y Z and
-Z Y is thus one thin product, O(cols^2 width) instead of O(cols^3);
-only the factorization of the cols x cols kernel stays cubic.
+Z Y is thus one thin product, O(cols^2 width) instead of O(cols^3).
+The same sum gives a symmetric kernel K = I + X X^T, with blocks of d
+rows and X's last block column x, displacement rank d + width: with J
+the down-shift by one block, K - J K J^T = G G^T for the generator
+G = [E_0, x], E_0 the identity on the first block.  The SPD kernels of
+CARE and DARE are therefore never formed: the generalized Schur
+algorithm factors them from G in O(cols^2 (d + width)^2 / d) flops and
+O(cols (d + width)) memory (:func:`_schur_solve`).  The indefinite
+BSEP and non-symmetric MARE kernels are built and LU-factored, which
+stays cubic.
 
 The propagator P is built once per solve by the init.  For DARE it is
 A itself, dense or in the problem's sparse form.  For the other
@@ -60,13 +68,13 @@ every basis an evaluated iterate is built on (:func:`extend_span`):
 the Krylov spaces are nested, so a doubling extends it from the new
 columns only, deflating those that lie in it to roundoff.  This is not
 truncation: the moments, bases and kernels are untouched.  An
-evaluator builds and factors the kernel and returns the finished
-iterate, a :class:`LowRankSolution` ``Q_l core Q_r^T`` with the small
-core ``scale * R_l K^-1 R_r^T``, ``R = Q^H basis``, formed once
+evaluator factors the kernel and returns the finished iterate, a
+:class:`LowRankSolution` ``Q_l core Q_r^T`` with the small core
+``scale * R_l K^-1 R_r^T``, ``R = Q^H basis``, formed once
 (:func:`_evaluate`).  The driver measures it from the spans and core at
 every step without forming the n x n matrix, also when the basis has
-more columns than the iterate's order.  A kernel over
-``KERNEL_MAX_BYTES`` is refused before it is built.
+more columns than the iterate's order.  A kernel to be built (BSEP,
+MARE) over ``KERNEL_MAX_BYTES`` is refused before it is built.
 
 States and iterates hold only what a later step, measurement or
 ``dense()`` reads.  A state keeps in full only the bases an evaluated
@@ -115,12 +123,18 @@ DEFAULT_COLUMN_BUDGET = 4096
 DENSE_EVAL_MAX_DIM = 512
 
 #: Largest kernel, in bytes, that is built: 2 GiB, a quarter of an
-#: 8 GB machine's memory.  A kernel has cols^2 entries (4.8 GB at
-#: 24 576 columns); a larger one ends the run ``BudgetExceeded``.
+#: 8 GB machine's memory.  A BSEP or MARE kernel has cols^2 entries
+#: (4.8 GB at 24 576 columns); a larger one ends the run
+#: ``BudgetExceeded``.  The SPD kernels of CARE and DARE are never
+#: built (:func:`_schur_solve`).
 KERNEL_MAX_BYTES = 2 * 2 ** 30
 
 #: Columns swept together when a span is extended (:func:`extend_span`).
 SWEEP_COLS = 32
+
+#: Columns of an SPD kernel's Cholesky factor formed and applied
+#: together (:func:`_schur_solve`).
+PANEL_COLS = 256
 
 
 def extend_span(q: np.ndarray, basis: np.ndarray, start: int) -> np.ndarray:
@@ -213,8 +227,8 @@ class LowRankSolution:
     kernel K.  The core has the iterate's nonzero singular values and
     Frobenius norm (and, for a real iterate with one basis and a
     symmetric kernel, its nonzero eigenvalues).  The evaluator forms it
-    once, right after building and factoring the kernel
-    (:func:`_evaluate`), so a singular kernel fails there.
+    once, right after factoring the kernel (:func:`_evaluate`), so a
+    singular kernel fails there.
 
     Beyond its spans and core an iterate holds only what a later read
     needs.  A CARE/DARE iterate holds nothing more.  A BSEP iterate
@@ -583,45 +597,100 @@ def _hankel_kernel(col: np.ndarray, row: np.ndarray, blocks: int,
 
 def _kernel_factor(col: np.ndarray, row: np.ndarray, blocks: int,
                    sigma: int) -> tuple:
-    """Factor of the kernel ``I + sigma X W`` (:func:`_hankel_kernel`),
-    written over it: Cholesky ``(L, lower)`` of the SPD kernels
-    (``sigma = +1``), pivoted LU ``(lu, piv)`` otherwise."""
-    kern = _hankel_kernel(col, row, blocks, sigma)
-    if sigma != +1:
-        return lu_factor_checked(kern, overwrite_a=True)
-    try:
-        return scipy.linalg.cho_factor(kern, lower=True, overwrite_a=True,
-                                       check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        # Cannot happen in exact arithmetic for I + Y^T Y; reaching this
-        # signals severe ill-conditioning of the untruncated kernel.
-        raise SingularMatrixError(
-            f"kernel is not positive definite: {exc}") from exc
+    """Pivoted LU ``(lu, piv)`` of the kernel ``I + sigma X W``
+    (:func:`_hankel_kernel`), written over it."""
+    return lu_factor_checked(_hankel_kernel(col, row, blocks, sigma),
+                             overwrite_a=True)
+
+
+def _schur_solve(x: np.ndarray, blocks: int, rhs: np.ndarray) -> np.ndarray:
+    """``L^-1 rhs``, written over ``rhs``, with ``L L^T`` the Cholesky
+    factorization of the kernel ``I + X X^T`` whose X has the last block
+    column ``x`` (:func:`_hankel_kernel` of ``x`` and ``x.T``; real
+    ``x``), without forming the kernel.
+
+    With ``d = cols / blocks`` rows per block, ``a = d + x.shape[1]``
+    and J the down-shift by one block, the prefix-sum form of X X^T
+    (module docstring) gives ``K - J K J^T = G G^T`` with the cols x a
+    generator ``G = [E_0, x]``, E_0 the identity on the first block.
+    The generalized Schur algorithm (Kailath & Sayed, SIAM Rev. 37,
+    1995) reads L off G one block column per step: the a x a orthogonal
+    Q of a QR of G's top block transposed turns that block into
+    ``[L_00, 0]``, the first d columns of G Q are the next block column
+    of L, and those columns shifted down one block beside the other a - d
+    columns, top block dropped, generate the Schur complement.  The
+    generator is positive, so no step needs a hyperbolic transform
+    (Chandrasekaran & Sayed, SIAM J. Matrix Anal. Appl. 17, 1996).  L
+    costs cols^2 a^2 / d flops instead of the kernel's cols^3 / 3.
+
+    The block columns are gathered ``PANEL_COLS`` columns at a time, and
+    each panel is applied to ``rhs`` at once: a triangular solve with its
+    diagonal block and one product for the rows below it.  Besides
+    ``rhs`` and that product a call holds the generator, its product
+    with Q and one panel, ``cols * (2 a + PANEL_COLS)`` entries.  A
+    non-finite ``x`` is refused before the first step.
+    """
+    cols, m = x.shape
+    if not cols:
+        return rhs
+    if not np.all(np.isfinite(x)):
+        raise SingularMatrixError("kernel generator has non-finite entries")
+    d = cols // blocks
+    a = d + m
+    gen = np.zeros((cols, a), order="F")
+    gen[:d, :d] = np.eye(d)
+    gen[:, d:] = x
+    turned = np.empty_like(gen, order="F")
+    top = np.empty((a, a), order="F")
+    geqrf, orgqr = scipy.linalg.lapack.get_lapack_funcs(("geqrf", "orgqr"),
+                                                        (gen,))
+    per = max(1, PANEL_COLS // d)
+    panel = np.empty((cols, min(blocks, per) * d), order="F")
+    for first in range(0, blocks, per):
+        start, stop = first * d, min(blocks, first + per) * d
+        lower = panel[:cols - start, :stop - start]
+        for i in range(start, stop, d):
+            # The a x a Q of [top^T, 0]: its last a - d reflectors are
+            # the identity.
+            top[:, :d] = gen[i:i + d].T
+            top[:, d:] = 0.0
+            q = orgqr(*geqrf(top, overwrite_a=True)[:2], overwrite_a=True)[0]
+            out = np.matmul(gen[i:], q, out=turned[:cols - i])
+            j = i - start
+            lower[j:, j:j + d] = out[:, :d]
+            gen[i + d:, :d] = out[:cols - i - d, :d]
+            gen[i + d:, d:] = out[d:, d:]
+        w = scipy.linalg.solve_triangular(lower[:stop - start],
+                                          rhs[start:stop], lower=True,
+                                          check_finite=False)
+        rhs[start:stop] = w
+        rhs[stop:] -= lower[stop - start:] @ w
+    return rhs
 
 
 def _evaluate(scale: float, col: np.ndarray, row: np.ndarray, blocks: int,
               sigma: int, left: np.ndarray, right: np.ndarray,
               q_left: np.ndarray, q_right: np.ndarray) -> LowRankSolution:
     """The finished iterate ``scale * left K^-1 right^T``, K the kernel
-    ``I + sigma X W`` (:func:`_kernel_factor`), in the spans ``q_left``
+    ``I + sigma X W`` (:func:`_hankel_kernel`), in the spans ``q_left``
     and ``q_right`` of its bases.
 
-    With ``R = Q^H basis`` its core is ``scale * R_l K^-1 R_r^T``.  With
-    a Cholesky factor ``L L^T`` (CARE, DARE, one basis) that is
-    ``scale * w^T w``, exactly symmetric, with ``w = L^-1 R^T`` solved
-    in the buffer ``R^T`` is formed in, and the iterate keeps neither
-    basis nor factor.  An LU-factored iterate keeps what a later read
-    needs (see :class:`LowRankSolution`): its coordinates when its
-    bases are one (BSEP), else its bases (MARE).
+    With ``R = Q^H basis`` its core is ``scale * R_l K^-1 R_r^T``.  The
+    SPD kernels (``sigma = +1``: CARE, DARE, one basis, ``row`` is
+    ``col.T``) are never formed: their core is ``scale * w^T w``,
+    exactly symmetric, with ``w = L^-1 R^T`` from the displacement
+    generator of K (:func:`_schur_solve`), and the iterate keeps neither
+    basis nor factor.  The other kernels are built and LU-factored
+    (:func:`_kernel_factor`), and the iterate keeps what a later read
+    needs (see :class:`LowRankSolution`): its coordinates when its bases
+    are one (BSEP), else its bases (MARE).
     """
-    factor = _kernel_factor(col, row, blocks, sigma)
     cols = left.shape[1]
-    r_left = q_left.conj().T @ left
     if sigma == +1:
-        w = scipy.linalg.solve_triangular(factor[0], r_left.T,
-                                          lower=factor[1], overwrite_b=True,
-                                          check_finite=False)
+        w = _schur_solve(col, blocks, left.T @ q_left)
         return LowRankSolution(q_left, scale * (w.T @ w), q_left, cols)
+    factor = _kernel_factor(col, row, blocks, sigma)
+    r_left = q_left.conj().T @ left
     one = right is left
     r_right = r_left if one else q_right.conj().T @ right
     core = scale * (r_left @ scipy.linalg.lu_solve(factor, r_right.T,
@@ -698,10 +767,8 @@ def dsda_eval_A(s: DsdaSymState) -> np.ndarray:
     power = _dense_power(s, s.propagator, conj=s.family == "bsep")
     col = _edges(s, "Y")[0]
     factor = _kernel_factor(col, col.T, 2 ** s.k, s.sigma)
-    solve = (scipy.linalg.cho_solve if s.sigma == +1
-             else scipy.linalg.lu_solve)
     rhs = dsda_assemble(s, "Y") @ s.vhat.T
-    corr = solve(factor, rhs, check_finite=False)
+    corr = scipy.linalg.lu_solve(factor, rhs, check_finite=False)
     return power - s.scale * (s.uhat @ corr)
 
 

@@ -8,7 +8,7 @@ numerical rank.  The rank counts the singular
 values above ``eps * max(rows, cols)`` times the largest one; for a
 Hermitian matrix they are the eigenvalue magnitudes, which
 ``eigvalsh`` finds several times faster than an SVD.  SPD kernels are
-factored where they are built (``decoupled._kernel_factor``).  Everything
+factored from their generators (``decoupled._schur_solve``).  Everything
 works on plain 2-D numpy arrays (real float64, or complex128 where
 noted) and raises the package exceptions on failure instead of letting
 numpy/scipy errors escape.

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsda import decoupled
@@ -18,6 +18,7 @@ from dsda.classical import (
 from dsda.decoupled import (
     _edges,
     _hankel_kernel,
+    _schur_solve,
     bsep_eigen_extract,
     bsep_eval_F,
     dsda_assemble,
@@ -631,6 +632,38 @@ class TestHankelKernel:
                              b, sigma)
         want = np.eye(b * r) + sigma * (x @ w)
         assert rel_err(got, want) <= 1e-13
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_b=st.integers(0, 7), d=st.integers(1, 4), m=st.integers(0, 4),
+           r=st.integers(0, 3), zero_first=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    # 384 columns, a panel of 255 and one of 129; no right-hand side.
+    @example(log_b=7, d=3, m=4, r=3, zero_first=True, seed=0)
+    @example(log_b=3, d=2, m=3, r=0, zero_first=False, seed=1)
+    def test_schur_solve_matches_the_kernel_solve(self, log_b, d, m, r,
+                                                  zero_first, seed):
+        # (L^-1 R)^T (L^-1 R) = R^T K^-1 R for the SPD kernel
+        # K = I + X X^T, b blocks of d rows, X's last block column x.  A
+        # zero first block of x is DARE's zero seed.  x is scaled so that
+        # X stays of unit order and K well conditioned, as the solver's
+        # kernels are: both sides are then accurate to roundoff.
+        b = 2 ** log_b
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((b * d, m)) / math.sqrt(b)
+        if zero_first:
+            x[:d] = 0.0
+        rhs = rng.standard_normal((b * d, r))
+        kern = _hankel_kernel(x, x.T, b, +1)
+        want = rhs.T @ np.linalg.solve(kern, rhs)
+        w = _schur_solve(x, b, rhs.copy())
+        assert w.shape == rhs.shape
+        assert rel_err(w.T @ w, want) <= 1e-13
+
+    def test_schur_solve_refuses_a_non_finite_generator(self):
+        x = np.ones((8, 2))
+        x[5, 1] = np.nan
+        with pytest.raises(SingularMatrixError, match="non-finite"):
+            _schur_solve(x, 4, np.ones((8, 1)))
 
 
 class TestCholeskyDense:

@@ -1,11 +1,12 @@
 """The solve driver's (family, method) table: the BSEP shift retry, the
-DEBUG kernel diagnostic, the kernel memory cap and the failure contract
-on scaled random instances."""
+DEBUG kernel diagnostic, the kernel memory cap, a non-finite kernel
+generator and the failure contract on scaled random instances."""
 
 import dataclasses
 import logging
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -185,9 +186,10 @@ def test_debug_logs_the_kernel_eigenvalues_of_one_kernel_runs(
 
 
 def test_a_kernel_over_the_memory_cap_ends_budget_exceeded(monkeypatch):
-    # n = 16, l = 3: the k = 3 kernel I + Y^T Y is 24 x 24, one byte
-    # over the lowered cap; the last good iterate is the k = 2 one.
-    p = gen_random_care(16, 2, 3, 3)
+    # A MARE kernel is built (the SPD kernels of CARE and DARE never
+    # are).  n = 16, m1 = 3: the k = 3 kernel I - Y Z is 24 x 24, one
+    # byte over the lowered cap; the last good iterate is the k = 2 one.
+    p = gen_random_mare(16, 16, 3, 3, 3)
     cfg = SolveConfig(tol=1e-30, max_iter=6)
     monkeypatch.setattr(decoupled, "KERNEL_MAX_BYTES", 8 * 24 ** 2 - 1)
     report = solve_driver(p, cfg)
@@ -196,6 +198,34 @@ def test_a_kernel_over_the_memory_cap_ends_budget_exceeded(monkeypatch):
     assert [rec.k for rec in report.iterations] == [1, 2]
     last = solve_driver(p, dataclasses.replace(cfg, max_iter=2))
     assert last.status == "MaxIter"
+    assert _measured(report) == _measured(last)
+    assert np.array_equal(report.final_solution, last.final_solution)
+
+
+def test_a_non_finite_moment_ends_singular_without_a_warning(monkeypatch):
+    # One NaN moment from k = 3 on: the generator of the k = 3 kernel is
+    # refused before its Schur steps, so no warning is raised and the
+    # last good iterate is the k = 2 one.
+    p = gen_random_care(16, 2, 3, 3)
+    cfg = SolveConfig(tol=1e-30, max_iter=6)
+    step = decoupled.dsda_sym_step
+
+    def spoil(s, **kwargs):
+        s = step(s, **kwargs)
+        if s.k < 3:
+            return s
+        moments = s.t_moments.copy()
+        moments[0, 0, 0] = np.nan
+        return dataclasses.replace(s, t_moments=moments)
+
+    monkeypatch.setattr(decoupled, "dsda_sym_step", spoil)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = solve_driver(p, cfg)
+    monkeypatch.undo()
+    assert report.status == "SingularEncountered"
+    assert [rec.k for rec in report.iterations] == [1, 2]
+    last = solve_driver(p, dataclasses.replace(cfg, max_iter=2))
     assert _measured(report) == _measured(last)
     assert np.array_equal(report.final_solution, last.final_solution)
 

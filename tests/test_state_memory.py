@@ -4,11 +4,13 @@ A state keeps in full only the bases that a step, a measurement or
 ``dense()`` reads in full: ``vhat`` for CARE, DARE and BSEP, and
 ``uhat``, ``what`` and ``qhat`` for MARE.  Every other basis is a
 property that replays its Krylov recursion from the first block.  A
-CARE/DARE iterate holds only its span and core.
+CARE/DARE iterate holds only its span and core, and its evaluation
+never forms the cols x cols kernel.
 """
 
 import dataclasses
 import functools
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -24,6 +26,7 @@ from test_sparse_route import (
 
 from dsda import decoupled
 from dsda.decoupled import (
+    PANEL_COLS,
     SWEEP_COLS,
     bsep_eval_F,
     dsda_eval_G,
@@ -195,22 +198,25 @@ def test_lu_factors_are_kept(make):
     assert piv.shape == (sol.basis_cols,)
 
 
-@pytest.mark.parametrize("p,method", [
-    (gen_random_care(24, 2, 3, seed=3), "dsda"),
-    (gen_random_dare(24, 3, 2, seed=4), "dsda"),
-    (gen_random_bsep(24, 2, seed=5), "dsda"),
-    (gen_random_mare(20, 24, 2, 3, seed=1), "dsda"),
-    (gen_random_mare(20, 24, 2, 3, seed=1), "adda"),
+@pytest.mark.parametrize("p,method,routine", [
+    (gen_random_care(24, 2, 3, seed=3), "dsda", "_schur_solve"),
+    (gen_random_dare(24, 3, 2, seed=4), "dsda", "_schur_solve"),
+    (gen_random_bsep(24, 2, seed=5), "dsda", "_kernel_factor"),
+    (gen_random_mare(20, 24, 2, 3, seed=1), "dsda", "_kernel_factor"),
+    (gen_random_mare(20, 24, 2, 3, seed=1), "adda", "_kernel_factor"),
 ], ids=["care", "dare", "bsep", "mare-dsda", "mare-adda"])
-def test_a_solve_factors_each_kernel_once(monkeypatch, p, method):
+def test_a_solve_factors_each_kernel_once(monkeypatch, p, method, routine):
+    # The SPD kernels of CARE and DARE are factored from their
+    # generators, the others built and LU-factored.
     kernels = []
-    factor = decoupled._kernel_factor
+    factor = getattr(decoupled, routine)
+    signature = inspect.signature(factor)
 
     def spy(*args):
-        kernels.append(args[2])
+        kernels.append(signature.bind(*args).arguments["blocks"])
         return factor(*args)
 
-    monkeypatch.setattr(decoupled, "_kernel_factor", spy)
+    monkeypatch.setattr(decoupled, routine, spy)
     report = solve_driver(p, SolveConfig(method=method))
     # BSEP measures increments from F_0, which the set-up evaluates.
     first = [1] if isinstance(p, BsepProblem) else []
@@ -244,3 +250,29 @@ def test_extend_span_allocates_only_what_it_adds():
     allowed = item * (2 * n * cols + r * cols + n * (r + added)
                       + 4 * n * SWEEP_COLS)
     assert peak <= allowed, (peak, allowed)
+
+
+@pytest.mark.parametrize("p", [
+    pytest.param(gen_random_care(32, 4, 4, seed=3), id="care"),
+    pytest.param(gen_random_dare(32, 4, 4, seed=4), id="dare")])
+def test_an_spd_kernel_is_never_formed(p):
+    # k = 9: 2048 columns at n = 32, a 32 MiB kernel I + Y^T Y.  The
+    # evaluation needs the coordinates R^T (cols x r) and one update of
+    # them, the cols x (l + m) generator twice and one panel of the
+    # kernel's factor, not the kernel.
+    s = dsda_sym_init(p)
+    for _ in range(9):
+        s = dsda_sym_step(s)
+    cols, alpha = s.basis_cols, sum(s.y0.shape)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sol = dsda_eval_H(s)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    r = sol.q_left.shape[1]
+    assert cols >= 8 * p.n
+    item = sol.core.itemsize
+    allowed = 2 * item * cols * (r + alpha + PANEL_COLS)
+    assert peak <= allowed < item * cols ** 2 / 3, (peak, allowed)
