@@ -10,9 +10,10 @@ M_{i+j} = u_0^T (P^T)^(i+j) v_0, and the kernel recursion
 
 makes Y_k block Hankel too: block (i, j) is 0 when i + j < 2^k - 1, the
 seed Y_0 when i + j = 2^k - 1 and mu * M_{i+j-2^k} beyond.  A state
-keeps only Y_0 and the moments M_0 ... M_{2^(k+1)-2}; each step appends
-the new ones with one product of the last new left block and the new
-right basis, and :func:`dsda_assemble` builds Y or T on demand for
+keeps only Y_0 and the moments M_0 ... M_{2^(k+1)-2}.  With b = 2^k, a
+step grows each chain by the blocks i = b ... 2b - 1 and appends the
+new moments from pairs of fresh blocks, M_{2i-1} = u_i^T v_{i-1} and
+M_{2i} = u_i^T v_i; :func:`dsda_assemble` builds Y or T on demand for
 validation.  All iterates of the classical recursions then follow:
 
     H_k = c * Vhat (I + sigma Y^T Y)^-1 Vhat^T
@@ -63,29 +64,33 @@ GEMM.  When the problem's operator is sparse (``a_sparse``, see
 validation evaluators (:func:`dsda_eval_A`, MARE ``F``/``E``) form the
 dense P, and they are guarded to small n.
 
-Each state also keeps an orthonormal basis of the numerical span of
-every basis an evaluated iterate is built on (:func:`extend_span`):
-the Krylov spaces are nested, so a doubling extends it from the new
-columns only, deflating those that lie in it to roundoff.  This is not
-truncation: the moments, bases and kernels are untouched.  An
-evaluator factors the kernel and returns the finished iterate, a
+Each state also keeps, for every basis an evaluated iterate is built
+on, an orthonormal basis Q of its numerical span and its coordinates
+``R = Q^H basis`` (:func:`extend_span`).  The Krylov spaces are nested,
+so a doubling streams its new blocks into Q and R a chunk at a time
+(:func:`_double`), deflating the columns that lie in the span to
+roundoff.  This is not truncation: deflation drops only directions
+within roundoff of the span, and the moments and kernels never read
+the span.  The moments are formed from pairs of blocks in place of one
+product with the whole right basis, so they agree with the explicit
+products ``Uhat^T Vhat`` to roundoff, not bit for bit.  An evaluator
+factors the kernel and returns the finished iterate, a
 :class:`LowRankSolution` ``Q_l core Q_r^T`` with the small core
-``scale * R_l K^-1 R_r^T``, ``R = Q^H basis``, formed once
-(:func:`_evaluate`).  The driver measures it from the spans and core at
-every step without forming the n x n matrix, also when the basis has
-more columns than the iterate's order.  A kernel to be built (BSEP,
-MARE) over ``KERNEL_MAX_BYTES`` is refused before it is built.
+``scale * R_l K^-1 R_r^T``, formed once (:func:`_evaluate`).  The
+driver measures it from the spans and core at every step without
+forming the n x n matrix, also when the basis has more columns than
+the iterate's order.  A kernel to be built (BSEP, MARE) over
+``KERNEL_MAX_BYTES`` is refused before it is built.
 
 States and iterates hold only what a later step, measurement or
-``dense()`` reads.  A state keeps in full only the bases an evaluated
-iterate is built on or a moment product reads in full: ``vhat`` for
-CARE, DARE and BSEP, and ``uhat``, ``what`` and ``qhat`` for MARE.  Of
-each other basis it keeps the first and last blocks (BSEP's ``uhat``
-is ``conj(vhat)``): a step reads only the last block, and the basis
-itself is a property that replays the Krylov recursion from the first,
-bit for bit, for validation.  A CARE/DARE iterate holds only its span
-and core; a BSEP iterate adds what the next increment reads, a MARE
-iterate what its ``dense()`` reads (see :class:`LowRankSolution`).
+``dense()`` reads, and no n x cols basis.  Of each Krylov chain a state
+keeps its first and last blocks (BSEP's ``uhat`` is ``conj(vhat)``):
+a step grows the chain from the last, and the bases ``uhat``,
+``vhat`` (and MARE's ``what`` and ``qhat``) are properties that replay
+the Krylov recursion from the first, bit for bit, for validation.
+Memory is O(n r + r cols) per evaluated basis.  An iterate holds its
+spans and core; a BSEP iterate adds what the next increment reads (see
+:class:`LowRankSolution`).
 
 The closed-form statements for the one-kernel families are usually
 quoted for k >= 2 with the first step written out separately; here the
@@ -132,23 +137,33 @@ KERNEL_MAX_BYTES = 2 * 2 ** 30
 #: Columns swept together when a span is extended (:func:`extend_span`).
 SWEEP_COLS = 32
 
-#: Columns of an SPD kernel's Cholesky factor formed and applied
-#: together (:func:`_schur_solve`).
+#: Columns of a panel: of an SPD kernel's Cholesky factor formed and
+#: applied together (:func:`_schur_solve`), and of a one-basis iterate
+#: made exactly symmetric together (:meth:`LowRankSolution.dense`).
 PANEL_COLS = 256
 
+#: Columns of each Krylov chain a doubling grows, pairs into moments and
+#: streams into its span together (:func:`_double`).  Narrower chunks
+#: cost more small BLAS calls (64 columns was about 30 % slower on the
+#: steel-sized CARE); wider ones only hold more columns at once.
+STREAM_COLS = 256
 
-def extend_span(q: np.ndarray, basis: np.ndarray, start: int) -> np.ndarray:
-    """Orthonormal basis (``Q^H Q = I``) of the numerical span of
-    ``basis``, given one, ``q``, of its columns before ``start``.
 
-    The block Krylov spaces are nested, so each doubling extends ``q``
-    by the part of the new columns outside it only, and the leading
-    columns of the result are ``q`` itself.  A column whose part outside
-    the span is at most ``EPS * max(n, cols)`` times its own norm (the
-    rank cutoff of the driver) lies in the span to roundoff and is
-    deflated; measuring against each column's own norm keeps the
-    directions of small columns that meet large ones of the other basis
-    in a two-sided iterate.
+def extend_span(q: np.ndarray, new: np.ndarray, cols: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis (``Q^H Q = I``) of the numerical span of ``q``
+    and the columns ``new`` of a basis with ``cols`` columns, and the
+    coordinates ``Q^H new`` of those columns in it.
+
+    The block Krylov spaces are nested, so each doubling extends the
+    span by the part of its new columns outside it only, chunk by chunk
+    (:func:`_double`), and the leading columns of the result are ``q``
+    itself.  A column whose part outside the span is at most
+    ``EPS * max(n, cols)`` times its own norm (the rank cutoff of the
+    driver, with ``cols`` the width of the whole basis) lies in the
+    span to roundoff and is deflated; measuring against each column's
+    own norm keeps the directions of small columns that meet large ones
+    of the other basis in a two-sided iterate.
 
     The new columns, scaled to unit norm, are projected out of ``q`` in
     one product, which leaves each remainder accurate to well within
@@ -160,23 +175,25 @@ def extend_span(q: np.ndarray, basis: np.ndarray, start: int) -> np.ndarray:
     and orthonormalized again (two passes are enough; Björck, LAA
     197-198, 1994).
 
-    Besides the scaled copy of the new columns and the result, a call
-    allocates only room for the directions its sweeps add.  That room
-    starts at one sweep and doubles when a sweep could outgrow it.  It
-    starts narrower only when the whole extended span is, so a direction
-    is a strided column unless the span has one column: numpy's BLAS
-    calls may round a contiguous one-column operand differently, and the
-    span must not depend on the room.
+    Besides the scaled copy of the new columns, the coordinates and the
+    result, a call allocates only room for the directions its sweeps
+    add.  That room starts at one sweep and doubles when a sweep could
+    outgrow it.  It starts narrower only when the whole extended span
+    is, so a direction is a strided column unless the span has one
+    column: numpy's BLAS calls may round a contiguous one-column operand
+    differently, and the span must not depend on the room.
     """
-    n, cols = basis.shape
-    new = basis[:, start:]
+    n = q.shape[0]
     room = n - q.shape[1]
     if not (room and new.size):
-        return q
+        return q, q.conj().T @ new
     scale = np.linalg.norm(new, axis=0)
     rest = new / np.where(scale > 0.0, scale, 1.0)
     q_h = q.conj().T
-    rest -= q @ (q_h @ rest)
+    top = q_h @ rest
+    rest -= q @ top
+    # The coordinates on q are those of the scaled columns, scaled back.
+    top *= scale
     tol = EPS * max(n, cols)
     limit = min(room, rest.shape[1])
     out = np.empty((n, min(SWEEP_COLS, q.shape[1] + limit)), dtype=q.dtype)
@@ -208,13 +225,16 @@ def extend_span(q: np.ndarray, basis: np.ndarray, start: int) -> np.ndarray:
             dirs -= q @ (q_h @ dirs)
             dirs -= added @ (added.conj().T @ dirs)
             dirs[...] = np.linalg.qr(dirs)[0]
-    return np.hstack([q, out[:, :r]]) if r else q
+    if not r:
+        return q, top
+    added = out[:, :r]
+    return np.hstack([q, added]), np.vstack([top, added.conj().T @ new])
 
 
-def span_of(basis: np.ndarray) -> np.ndarray:
-    """:func:`extend_span` of a whole basis."""
+def span_of(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`extend_span` of a whole basis: its span and coordinates."""
     return extend_span(np.zeros((basis.shape[0], 0), dtype=basis.dtype),
-                       basis, 0)
+                       basis, basis.shape[1])
 
 
 @dataclass(frozen=True)
@@ -222,20 +242,20 @@ class LowRankSolution:
     """A finished iterate ``q_left @ core @ q_right.T`` (plain transpose).
 
     ``q_left`` and ``q_right`` are orthonormal bases of the numerical
-    spans of the iterate's bases (:func:`extend_span`), and the small
-    ``core`` is ``scale * R_l K^-1 R_r^T`` with ``R = Q^H basis`` and the
-    kernel K.  The core has the iterate's nonzero singular values and
-    Frobenius norm (and, for a real iterate with one basis and a
-    symmetric kernel, its nonzero eigenvalues).  The evaluator forms it
-    once, right after factoring the kernel (:func:`_evaluate`), so a
-    singular kernel fails there.
+    spans of the iterate's bases (:func:`extend_span`), the same array
+    when the iterate has one basis, and the small ``core`` is
+    ``scale * R_l K^-1 R_r^T`` with the coordinates ``R = Q^H basis``
+    and the kernel K.  The core has the iterate's nonzero singular
+    values and Frobenius norm (and, for a real iterate with one basis
+    and a symmetric kernel, its nonzero eigenvalues).  The evaluator
+    forms it once, right after factoring the kernel (:func:`_evaluate`),
+    so a singular kernel fails there.
 
     Beyond its spans and core an iterate holds only what a later read
-    needs.  A CARE/DARE iterate holds nothing more.  A BSEP iterate
-    keeps ``scale``, its kernel's LU ``factor`` and its ``coordinates``
-    ``R``, which the next step's increment reads (:meth:`nested_core`).
-    A MARE iterate keeps ``scale``, its ``factor`` and its two
-    ``bases``, which :meth:`dense` reads.
+    needs.  A CARE, DARE or MARE iterate holds nothing more.  A BSEP
+    iterate keeps ``scale``, its kernel's LU ``factor`` and its
+    ``coordinates`` ``R``, which the next step's increment reads
+    (:meth:`nested_core`).
     """
 
     q_left: np.ndarray
@@ -245,7 +265,6 @@ class LowRankSolution:
     scale: float | None = None
     factor: tuple | None = None
     coordinates: np.ndarray | None = None
-    bases: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -257,30 +276,38 @@ class LowRankSolution:
         leading columns of this one's.
 
         ``inner``'s coordinates are the leading columns of this
-        iterate's own, so the two cores share them bit for bit.
+        iterate's own, padded with zero rows for the directions the
+        doubling added, so the two cores share them bit for bit.
         """
         r = self.coordinates[:, :inner.basis_cols]
         return inner.scale * (r @ scipy.linalg.lu_solve(
             inner.factor, r.T, check_finite=False))
 
     def dense(self) -> np.ndarray:
-        """Materialize the iterate as a full matrix.
+        """Materialize the iterate as a full matrix, ``Q_l core Q_r^T``.
 
         An iterate with one basis is symmetric (plain transpose).  It is
-        formed from its span and core, ``Q core Q^T`` at n^2 r flops,
-        and made exactly symmetric as the sum of the product and its
-        transpose, each halved first so that the sum cannot overflow.
-        A two-sided iterate is formed from its bases,
-        ``scale * left K^-1 right^T``.
+        formed at n^2 r flops and made exactly symmetric as the sum of
+        the product and its transpose, each halved first so that the sum
+        cannot overflow.  The sum runs panel by panel on the product's
+        own buffer, so it needs no n x n temporary.
         """
-        if self.bases is None:
-            out = self.q_left @ (self.core @ self.q_left.T)
-            out *= 0.5
-            out += out.T
-            return out
-        left, right = self.bases
-        return self.scale * (left @ scipy.linalg.lu_solve(
-            self.factor, right.T, check_finite=False))
+        if self.q_right is not self.q_left:
+            return self.q_left @ (self.core @ self.q_right.T)
+        out = self.q_left @ (self.core @ self.q_left.T)
+        out *= 0.5
+        n = out.shape[0]
+        for start in range(0, n, PANEL_COLS):
+            stop = min(n, start + PANEL_COLS)
+            # The diagonal block overlaps its transpose, so numpy adds
+            # from a panel-sized copy; the rest of the panel's rows meet
+            # their mirror image, not yet touched, and overwrite it.
+            diag = out[start:stop, start:stop]
+            diag += diag.T
+            upper = out[start:stop, stop:]
+            upper += out[stop:, start:stop].T
+            out[stop:, start:stop] = upper.T
+        return out
 
 
 @dataclass(frozen=True)
@@ -370,24 +397,26 @@ def _shifted(a, a_sparse, shift: float, scale: float, form=lambda x: x):
 
 @dataclass(frozen=True)
 class DsdaSymState:
-    """Growing basis, kernel seed and Gram moments for one-kernel families.
+    """Krylov chain ends, kernel seed, Gram moments and span for the
+    one-kernel families.
 
-    A state holds in full only the basis that something reads in full,
-    ``vhat``, n x (2^k l): the evaluated iterate (H, or F for BSEP) is
-    built on it, and each step's new moments are products with it.  The
-    left basis ``uhat``, n x (2^k m), is read by a step only through its
-    last block, so the state keeps its first and last blocks,
-    ``u_first`` and ``u_last``, and :attr:`uhat` replays the Krylov
-    recursion from the first; for the Bethe-Salpeter family ``uhat`` is
-    the entrywise conjugate of ``vhat`` and neither block is kept.
-    ``y0`` is m x l and ``t_moments[i + j]`` block (i, j) of
-    ``uhat.T @ vhat``, 2^(k+1) - 1 blocks in all (blocks of
-    ``vhat^H vhat`` for BSEP).  ``v_span`` is the span
-    (:func:`extend_span`) of ``vhat``.
+    A state holds no basis.  Of each Krylov chain it keeps the first and
+    the last block: ``v_first`` and ``v_last`` of the right basis
+    ``vhat``, n x (2^k l), and ``u_first`` and ``u_last`` of the left
+    basis ``uhat``, n x (2^k m); for the Bethe-Salpeter family ``uhat``
+    is the entrywise conjugate of ``vhat`` and neither of its blocks is
+    kept.  A step grows each chain from its last block, and :attr:`uhat`
+    and :attr:`vhat` replay the Krylov recursion from the first, bit for
+    bit, for validation.  ``y0`` is m x l and ``t_moments[i + j]`` block
+    (i, j) of ``uhat.T @ vhat``, 2^(k+1) - 1 blocks in all (blocks of
+    ``vhat^H vhat`` for BSEP).  The evaluated iterate (H, or F for BSEP)
+    is built on ``vhat``: ``v_span`` is its span (:func:`extend_span`)
+    and ``v_coords`` its coordinates ``v_span^H vhat``, r x (2^k l).
     """
 
     family: Literal["dare", "care", "bsep"]
-    vhat: np.ndarray
+    v_first: np.ndarray
+    v_last: np.ndarray
     u_first: np.ndarray | None
     u_last: np.ndarray | None
     y0: np.ndarray
@@ -395,7 +424,15 @@ class DsdaSymState:
     propagator: Propagator
     scale: float
     v_span: np.ndarray
+    v_coords: np.ndarray
     k: int = 0
+
+    @property
+    def vhat(self) -> np.ndarray:
+        """The right basis, formed again on each read (validation only)."""
+        return _extend_basis(self.v_first, self.propagator, 2 ** self.k - 1,
+                             self.y0.shape[1],
+                             transpose=self.family != "bsep")
 
     @property
     def uhat(self) -> np.ndarray:
@@ -407,7 +444,7 @@ class DsdaSymState:
 
     @property
     def basis_cols(self) -> int:
-        return self.vhat.shape[1]
+        return self.v_coords.shape[1]
 
     @property
     def sigma(self) -> int:
@@ -449,77 +486,124 @@ def dsda_sym_init(p: CareProblem | DareProblem | BsepProblem) -> DsdaSymState:
     else:
         raise TypeError(f"unsupported problem type {type(p).__name__}")
     kept = None if family == "bsep" else u0
-    return DsdaSymState(family, v0, kept, kept, y0, (u0.T @ v0)[None], prop,
-                        scale=c, v_span=span_of(v0))
+    v_span, v_coords = span_of(v0)
+    return DsdaSymState(family, v0, v0, kept, kept, y0, (u0.T @ v0)[None],
+                        prop, scale=c, v_span=v_span, v_coords=v_coords)
 
 
 def dsda_sym_step(s: DsdaSymState,
                   column_budget: int = DEFAULT_COLUMN_BUDGET) -> DsdaSymState:
-    """Double the bases, append the new Gram moments and extend the span."""
+    """Double the bases, append the new Gram moments and extend the span
+    of ``vhat`` and its coordinates."""
     m, l = s.y0.shape
-
-    def grow(blocks):
-        if s.family == "bsep":
-            v_new = _extend_basis(s.vhat, s.propagator, blocks, l)
-            return v_new[:, -l:].conj(), v_new
-        return (_extend_basis(s.u_last, s.propagator, blocks, m,
-                              whole=False),
-                _extend_basis(s.vhat, s.propagator, blocks, l,
-                              transpose=True))
-
-    (u_last, v_new), (t_new,) = _double(s.k, column_budget, grow,
-                                        ((s.t_moments, 0, 1),))
+    if s.family == "bsep":
+        def grow(lasts, count):
+            v_new = _extend_basis(lasts[1], s.propagator, count, l)
+            return v_new.conj(), v_new
+        lasts = (s.v_last.conj(), s.v_last)
+    else:
+        def grow(lasts, count):
+            return (_extend_basis(lasts[0], s.propagator, count, m),
+                    _extend_basis(lasts[1], s.propagator, count, l,
+                                  transpose=True))
+        lasts = (s.u_last, s.v_last)
+    (u_last, v_last), (t_new,), ((v_span, v_coords),) = _double(
+        s.k, column_budget, lasts, grow, ((s.t_moments, 0, 1),),
+        ((s.v_span, s.v_coords, 1),))
     return dataclasses.replace(
-        s, vhat=v_new, u_last=None if s.family == "bsep" else u_last,
-        t_moments=t_new,
-        v_span=extend_span(s.v_span, v_new, s.basis_cols), k=s.k + 1)
+        s, v_last=v_last, u_last=None if s.family == "bsep" else u_last,
+        t_moments=t_new, v_span=v_span, v_coords=v_coords, k=s.k + 1)
 
 
-def _double(k: int, column_budget: int, grow, products):
-    """Budget check, basis growth and moment append shared by all families.
+def _double(k: int, column_budget: int, lasts, grow, products, spans):
+    """Budget check, chain growth, moment append and span extension
+    shared by all families, ``STREAM_COLS`` columns of each chain at a
+    time.
 
-    ``grow(blocks)`` returns the bases with ``blocks = b = 2^k`` new
-    blocks appended, or, for a left basis that only the moments read,
-    its last block.  ``products`` lists each moment stack with the
-    positions of its left and right basis in that tuple.  The last left
-    block of the doubled bases is u_{2b-1}, so its products with
-    v_0 ... v_{2b-1} are exactly the new moments M_{2b-1} ... M_{4b-2}.
+    ``lasts`` holds the last block of each Krylov chain, and
+    ``grow(lasts, count)`` each chain's chunk: that block followed by
+    the ``count`` next ones.  ``products`` lists each moment stack with
+    the positions of its left and right chain, ``spans`` each span with
+    its coordinates and the position of its chain.  With b = 2^k the
+    new blocks are i = b ... 2b - 1, so the new moments
+    M_{2b-1} ... M_{4b-2} are M_{2i-1} = u_i^T v_{i-1} and
+    M_{2i} = u_i^T v_i (:func:`_pair_moments`).  Each chunk's new
+    columns extend their span at the threshold of the doubled basis
+    (:func:`extend_span`) and append their coordinates.  The columns
+    before them get zero coordinates on the directions a chunk adds:
+    they lay within that threshold of the span when they were deflated.
+
+    Returns the new last blocks, moment stacks and (span, coordinates)
+    pairs.
     """
     blocks = 2 ** k
-    width = max(max(moments.shape[1:]) for moments, _, _ in products)
-    if 2 * blocks * width > column_budget:
+    widths = [last.shape[1] for last in lasts]
+    if 2 * blocks * max(widths) > column_budget:
         raise BudgetExceededError(
-            f"doubling to {2 * blocks * width} columns exceeds the "
+            f"doubling to {2 * blocks * max(widths)} columns exceeds the "
             f"budget of {column_budget}")
-    bases = grow(blocks)
-    stacks = []
-    for moments, i, j in products:
-        _, wl, wr = moments.shape
-        last = bases[i][:, bases[i].shape[1] - wl:]
-        new = last.T @ bases[j]
-        stacks.append(np.concatenate(
-            [moments, new.reshape(wl, 2 * blocks, wr).transpose(1, 0, 2)]))
-    return bases, stacks
+    per = max(1, STREAM_COLS // max(1, *widths))
+    stacks = [[moments] for moments, _, _ in products]
+    qs = [q for q, _, _ in spans]
+    coords = [[r] for _, r, _ in spans]
+    for first in range(0, blocks, per):
+        count = min(per, blocks - first)
+        chunks = grow(lasts, count)
+        lasts = [chunk[:, chunk.shape[1] - w:].copy()
+                 for chunk, w in zip(chunks, widths)]
+        for stack, (_, i, j) in zip(stacks, products):
+            stack.append(_pair_moments(chunks[i], chunks[j], count))
+        for t, (_, _, i) in enumerate(spans):
+            qs[t], part = extend_span(qs[t], chunks[i][:, widths[i]:],
+                                      2 * blocks * widths[i])
+            coords[t].append(part)
+    return (lasts, [np.concatenate(stack) for stack in stacks],
+            [(q, _stack_coordinates(parts, q.shape[1]))
+             for q, parts in zip(qs, coords)])
+
+
+def _pair_moments(left: np.ndarray, right: np.ndarray,
+                  count: int) -> np.ndarray:
+    """The moments of chunks ``[u_{i-1}, u_i, ..., u_{i+count-1}]`` and
+    ``[v_{i-1}, v_i, ...]``: u_j^T v_{j-1} and u_j^T v_j for each new
+    block j, in that order, from ``2 count`` small products."""
+    n = left.shape[0]
+    wl, wr = left.shape[1] // (count + 1), right.shape[1] // (count + 1)
+    u = left[:, wl:].reshape(n, count, wl).transpose(1, 2, 0)
+    v = right.reshape(n, count + 1, wr).transpose(1, 0, 2)
+    out = np.empty((count, 2, wl, wr), dtype=np.result_type(left, right))
+    np.matmul(u, v[:-1], out=out[:, 0])
+    np.matmul(u, v[1:], out=out[:, 1])
+    return out.reshape(2 * count, wl, wr)
+
+
+def _stack_coordinates(parts: list[np.ndarray], rows: int) -> np.ndarray:
+    """The coordinate blocks ``parts`` side by side, each padded with
+    zero rows to ``rows``."""
+    out = np.zeros((rows, sum(p.shape[1] for p in parts)),
+                   dtype=np.result_type(*parts))
+    start = 0
+    for part in parts:
+        out[:part.shape[0], start:start + part.shape[1]] = part
+        start += part.shape[1]
+    return out
 
 
 def _extend_basis(basis: np.ndarray, op: Propagator, blocks: int,
-                  width: int, *, transpose: bool = False,
-                  whole: bool = True) -> np.ndarray:
-    """Append ``blocks`` new blocks, each the propagator (its transpose
-    with ``transpose``) applied to the last.
+                  width: int, *, transpose: bool = False) -> np.ndarray:
+    """``basis`` with ``blocks`` new blocks appended, each the
+    propagator (its transpose with ``transpose``) applied to the last.
 
-    With ``whole=False`` only the last new block is returned and each
-    other one is dropped as soon as the next is formed; ``basis`` may
-    then be just the last block.
+    ``basis`` may be just a chain's last block: a step grows its chains
+    a chunk at a time, and a replayed basis grows from the first.
     """
     apply = op.apply_t if transpose else op.apply
     new = []
     last = basis[:, -width:]
     for _ in range(blocks):
         last = apply(last)
-        if whole:
-            new.append(last)
-    return np.hstack([basis] + new) if whole else last
+        new.append(last)
+    return np.hstack([basis] + new)
 
 
 def dsda_assemble(s: DsdaSymState | DsdaMareState, which: str) -> np.ndarray:
@@ -669,48 +753,45 @@ def _schur_solve(x: np.ndarray, blocks: int, rhs: np.ndarray) -> np.ndarray:
 
 
 def _evaluate(scale: float, col: np.ndarray, row: np.ndarray, blocks: int,
-              sigma: int, left: np.ndarray, right: np.ndarray,
-              q_left: np.ndarray, q_right: np.ndarray) -> LowRankSolution:
+              sigma: int, q_left: np.ndarray, r_left: np.ndarray,
+              q_right: np.ndarray, r_right: np.ndarray) -> LowRankSolution:
     """The finished iterate ``scale * left K^-1 right^T``, K the kernel
     ``I + sigma X W`` (:func:`_hankel_kernel`), in the spans ``q_left``
-    and ``q_right`` of its bases.
+    and ``q_right`` of its bases, whose coordinates are ``r_left`` and
+    ``r_right`` (``R = Q^H basis``; the same arrays for one basis).
 
-    With ``R = Q^H basis`` its core is ``scale * R_l K^-1 R_r^T``.  The
-    SPD kernels (``sigma = +1``: CARE, DARE, one basis, ``row`` is
-    ``col.T``) are never formed: their core is ``scale * w^T w``,
-    exactly symmetric, with ``w = L^-1 R^T`` from the displacement
-    generator of K (:func:`_schur_solve`), and the iterate keeps neither
-    basis nor factor.  The other kernels are built and LU-factored
-    (:func:`_kernel_factor`), and the iterate keeps what a later read
-    needs (see :class:`LowRankSolution`): its coordinates when its bases
-    are one (BSEP), else its bases (MARE).
+    Its core is ``scale * R_l K^-1 R_r^T``.  The SPD kernels
+    (``sigma = +1``: CARE, DARE, one basis, ``row`` is ``col.T``) are
+    never formed: their core is ``scale * w^T w``, exactly symmetric,
+    with ``w = L^-1 R^T`` from the displacement generator of K
+    (:func:`_schur_solve`), and the iterate keeps neither basis nor
+    factor.  The other kernels are built and LU-factored
+    (:func:`_kernel_factor`); an iterate with one basis (BSEP) keeps
+    what its successor's increment reads (see :class:`LowRankSolution`).
     """
-    cols = left.shape[1]
+    cols = r_left.shape[1]
     if sigma == +1:
-        w = _schur_solve(col, blocks, left.T @ q_left)
+        w = _schur_solve(col, blocks, r_left.T.copy())
         return LowRankSolution(q_left, scale * (w.T @ w), q_left, cols)
     factor = _kernel_factor(col, row, blocks, sigma)
-    r_left = q_left.conj().T @ left
-    one = right is left
-    r_right = r_left if one else q_right.conj().T @ right
     core = scale * (r_left @ scipy.linalg.lu_solve(factor, r_right.T,
                                                    check_finite=False))
-    if one:
+    if r_right is r_left:
         return LowRankSolution(q_left, core, q_left, cols, scale, factor,
                                coordinates=r_left)
-    return LowRankSolution(q_left, core, q_right, cols, scale, factor,
-                           bases=(left, right))
+    return LowRankSolution(q_left, core, q_right, cols)
 
 
 def _sym_solution(s: DsdaSymState, side: str) -> LowRankSolution:
     """``sigma c * B (I + sigma K)^-1 B^T``: B = Vhat, K = Y^T Y on the
-    right side, B = Uhat (replayed), K = Y Y^T on the left (whose span
-    is found here)."""
+    right side, in the state's span; B = Uhat (replayed), K = Y Y^T on
+    the left, whose span is found here."""
     col, row = _edges(s, "Y")
-    basis, x = (s.vhat, row.T) if side == "right" else (s.uhat, col)
-    span = s.v_span if side == "right" else span_of(basis)
-    return _evaluate(s.multiplier, x, x.T, 2 ** s.k, s.sigma, basis, basis,
-                     span, span)
+    if side == "right":
+        x, span = row.T, (s.v_span, s.v_coords)
+    else:
+        x, span = col, span_of(s.uhat)
+    return _evaluate(s.multiplier, x, x.T, 2 ** s.k, s.sigma, *span, *span)
 
 
 def dsda_eval_H(s: DsdaSymState) -> LowRankSolution:
@@ -855,25 +936,30 @@ def subspace_angle(w: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DsdaMareState:
-    """Four growing bases, kernel seeds and Gram moments for the MARE family.
+    """Krylov chain ends, kernel seeds, Gram moments and spans for the
+    MARE family.
 
     The kernels Y and Z follow from the seeds and the moments, as for
-    the one-kernel families, with multiplier -s.  A state holds in full
-    the three bases that something reads in full: ``uhat`` and ``qhat``,
-    the bases of the evaluated iterate H, and ``what``, whose products
-    with the last block of ``qhat`` are the new T moments.  ``vhat`` is
-    read by a step only through its last block (the new S moments are
-    its products with ``uhat``), so the state keeps its first and last
-    blocks, ``v_first`` and ``v_last``, and :attr:`vhat` replays the
-    Krylov recursion from the first.  ``u_span`` and ``q_span`` are the
-    spans (:func:`extend_span`) of ``uhat`` and ``qhat``.
+    the one-kernel families, with multiplier -s.  A state holds no
+    basis.  Of each of the four Krylov chains, ``uhat`` and ``vhat``
+    grown by the A propagator and its transpose, ``what`` and ``qhat``
+    by the D propagator and its transpose, it keeps the first and the
+    last block: a step grows each chain from its last block, and the
+    bases are properties that replay the recursion from the first, bit
+    for bit, for validation.  The evaluated iterate H is built on
+    ``uhat`` and ``qhat``: ``u_span`` and ``q_span`` are their spans
+    (:func:`extend_span`), ``u_coords`` and ``q_coords`` their
+    coordinates.
     """
 
-    uhat: np.ndarray       # m x (2^k m1)
-    v_first: np.ndarray    # m x n1, the first and last blocks of vhat,
-    v_last: np.ndarray     # which is m x (2^k n1)
-    what: np.ndarray       # n x (2^k n1)
-    qhat: np.ndarray       # n x (2^k m1)
+    u_first: np.ndarray    # m x m1 blocks of uhat, m x (2^k m1)
+    u_last: np.ndarray
+    v_first: np.ndarray    # m x n1 blocks of vhat, m x (2^k n1)
+    v_last: np.ndarray
+    w_first: np.ndarray    # n x n1 blocks of what, n x (2^k n1)
+    w_last: np.ndarray
+    q_first: np.ndarray    # n x m1 blocks of qhat, n x (2^k m1)
+    q_last: np.ndarray
     y0: np.ndarray         # m1 x n1
     z0: np.ndarray         # n1 x m1
     t_moments: np.ndarray  # (2^(k+1) - 1) x m1 x n1 blocks of qhat.T @ what
@@ -882,19 +968,36 @@ class DsdaMareState:
     prop_d: Propagator     # n x n
     shift_sum: float
     u_span: np.ndarray
+    u_coords: np.ndarray
     q_span: np.ndarray
+    q_coords: np.ndarray
     k: int = 0
+
+    def _replay(self, first: np.ndarray, op: Propagator,
+                transpose: bool = False) -> np.ndarray:
+        return _extend_basis(first, op, 2 ** self.k - 1, first.shape[1],
+                             transpose=transpose)
+
+    @property
+    def uhat(self) -> np.ndarray:
+        """Formed again on each read (validation only), as are the others."""
+        return self._replay(self.u_first, self.prop_a)
 
     @property
     def vhat(self) -> np.ndarray:
-        """The basis grown by the transposed A propagator, formed again
-        on each read (validation only)."""
-        return _extend_basis(self.v_first, self.prop_a, 2 ** self.k - 1,
-                             self.z0.shape[0], transpose=True)
+        return self._replay(self.v_first, self.prop_a, transpose=True)
+
+    @property
+    def what(self) -> np.ndarray:
+        return self._replay(self.w_first, self.prop_d)
+
+    @property
+    def qhat(self) -> np.ndarray:
+        return self._replay(self.q_first, self.prop_d, transpose=True)
 
     @property
     def basis_cols(self) -> int:
-        return self.uhat.shape[1]
+        return self.u_coords.shape[1]
 
     @property
     def multiplier(self) -> float:
@@ -920,38 +1023,42 @@ def dsda_mare_init(p: MareProblem, mode: str = "sda") -> DsdaMareState:
     w0, q0 = solve_d(p.c_l), solve_d(p.b_r, "T")
     y0 = p.b_r.T @ w0                    # B_r^T D_a^-1 C_l
     z0 = p.c_r.T @ u0                    # C_r^T A_b^-1 B_l
-    return DsdaMareState(u0, v0, v0, w0, q0, y0, z0,
+    u_span, u_coords = span_of(u0)
+    q_span, q_coords = span_of(q0)
+    return DsdaMareState(u0, u0, v0, v0, w0, w0, q0, q0, y0, z0,
                          t_moments=(q0.T @ w0)[None],
                          s_moments=(v0.T @ u0)[None],
                          prop_a=prop_a, prop_d=prop_d, shift_sum=s,
-                         u_span=span_of(u0),
-                         q_span=span_of(q0), k=0)
+                         u_span=u_span, u_coords=u_coords,
+                         q_span=q_span, q_coords=q_coords, k=0)
 
 
 def dsda_mare_step(s: DsdaMareState,
                    column_budget: int = DEFAULT_COLUMN_BUDGET) -> DsdaMareState:
     """Double the bases, append the new moments of both Gram blocks
-    and extend the spans of ``uhat`` and ``qhat``."""
+    and extend the spans of ``uhat`` and ``qhat`` and their
+    coordinates."""
     m1, n1 = s.y0.shape
 
-    def grow(blocks):
-        return (_extend_basis(s.uhat, s.prop_a, blocks, m1),
-                _extend_basis(s.v_last, s.prop_a, blocks, n1, transpose=True,
-                              whole=False),
-                _extend_basis(s.what, s.prop_d, blocks, n1),
-                _extend_basis(s.qhat, s.prop_d, blocks, m1, transpose=True))
+    def grow(lasts, count):
+        u, v, w, q = lasts
+        return (_extend_basis(u, s.prop_a, count, m1),
+                _extend_basis(v, s.prop_a, count, n1, transpose=True),
+                _extend_basis(w, s.prop_d, count, n1),
+                _extend_basis(q, s.prop_d, count, m1, transpose=True))
 
     # T pairs (qhat, what), S pairs (vhat, uhat).
-    (u_new, v_last, w_new, q_new), (t_new, s_new) = _double(
-        s.k, column_budget, grow,
-        ((s.t_moments, 3, 2), (s.s_moments, 1, 0)))
-    return dataclasses.replace(s, uhat=u_new, v_last=v_last, what=w_new,
-                               qhat=q_new, t_moments=t_new, s_moments=s_new,
-                               u_span=extend_span(s.u_span, u_new,
-                                                  s.basis_cols),
-                               q_span=extend_span(s.q_span, q_new,
-                                                  s.basis_cols),
-                               k=s.k + 1)
+    lasts, (t_new, s_new), ((u_span, u_coords), (q_span, q_coords)) = \
+        _double(s.k, column_budget,
+                (s.u_last, s.v_last, s.w_last, s.q_last), grow,
+                ((s.t_moments, 3, 2), (s.s_moments, 1, 0)),
+                ((s.u_span, s.u_coords, 0), (s.q_span, s.q_coords, 3)))
+    u_last, v_last, w_last, q_last = lasts
+    return dataclasses.replace(s, u_last=u_last, v_last=v_last,
+                               w_last=w_last, q_last=q_last,
+                               t_moments=t_new, s_moments=s_new,
+                               u_span=u_span, u_coords=u_coords,
+                               q_span=q_span, q_coords=q_coords, k=s.k + 1)
 
 
 def dsda_mare_eval(s: DsdaMareState, which: str):
@@ -966,12 +1073,11 @@ def dsda_mare_eval(s: DsdaMareState, which: str):
     first, second = ("Y", "Z") if which in ("H", "F") else ("Z", "Y")
     kernel = (_edges(s, first)[0], _edges(s, second)[1], 2 ** s.k, -1)
     if which == "H":
-        return _evaluate(s.shift_sum, *kernel, s.uhat, s.qhat, s.u_span,
-                         s.q_span)
+        return _evaluate(s.shift_sum, *kernel, s.u_span, s.u_coords,
+                         s.q_span, s.q_coords)
     if which == "G":
-        vhat = s.vhat
-        return _evaluate(s.shift_sum, *kernel, s.what, vhat, span_of(s.what),
-                         span_of(vhat))
+        return _evaluate(s.shift_sum, *kernel, *span_of(s.what),
+                         *span_of(s.vhat))
     prop, basis, other = ((s.prop_a, s.uhat, s.vhat) if which == "F"
                           else (s.prop_d, s.what, s.qhat))
     power = _dense_power(s, prop)

@@ -328,8 +328,16 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
         ))
         if isinstance(state, decoupled.DsdaSymState) \
                 and log.isEnabledFor(logging.DEBUG):
-            lo, hi = decoupled.kernel_extreme_eigenvalues(state)
-            log.debug("k=%d kernel eigenvalues in [%.3e, %.3e]", state.k, lo, hi)
+            # A diagnostic only: a kernel it cannot build or decompose
+            # leaves the run as it is.
+            try:
+                lo, hi = decoupled.kernel_extreme_eigenvalues(state)
+            except (BudgetExceededError, np.linalg.LinAlgError) as exc:
+                log.debug("k=%d kernel eigenvalues unavailable: %s",
+                          state.k, exc)
+            else:
+                log.debug("k=%d kernel eigenvalues in [%.3e, %.3e]",
+                          state.k, lo, hi)
         if residual <= cfg.tol:
             return report("Converged")
     return report("MaxIter")

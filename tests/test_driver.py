@@ -185,6 +185,26 @@ def test_debug_logs_the_kernel_eigenvalues_of_one_kernel_runs(
             assert lo >= 1.0 - 1e-12
 
 
+def test_debug_diagnostic_over_the_kernel_cap_leaves_the_run_as_it_is(
+        monkeypatch, caplog):
+    # The DEBUG line builds the kernel I + Y^T Y, which the run itself
+    # never forms.  n = 16, l = 3: from k = 3 it is 24 x 24 or larger,
+    # over the lowered cap, so the diagnostic says it is unavailable and
+    # the run goes on exactly as without DEBUG.
+    p = gen_random_care(16, 2, 3, 3)
+    cfg = SolveConfig(tol=1e-30, max_iter=6)
+    monkeypatch.setattr(decoupled, "KERNEL_MAX_BYTES", 8 * 24 ** 2 - 1)
+    plain = solve_driver(p, cfg)
+    with caplog.at_level(logging.DEBUG, logger="dsda.driver"):
+        report = solve_driver(p, cfg)
+    assert plain.status == report.status == "MaxIter"
+    assert _measured(report) == _measured(plain)
+    assert [rec.k for rec in report.iterations] == [1, 2, 3, 4, 5, 6]
+    unavailable = [rec.args[0] for rec in caplog.records
+                   if "kernel eigenvalues unavailable" in rec.msg]
+    assert unavailable == [3, 4, 5, 6]
+
+
 def test_a_kernel_over_the_memory_cap_ends_budget_exceeded(monkeypatch):
     # A MARE kernel is built (the SPD kernels of CARE and DARE never
     # are).  n = 16, m1 = 3: the k = 3 kernel I - Y Z is 24 x 24, one

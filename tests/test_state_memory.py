@@ -1,11 +1,13 @@
 """What a decoupled state and its iterates hold.
 
-A state keeps in full only the bases that a step, a measurement or
-``dense()`` reads in full: ``vhat`` for CARE, DARE and BSEP, and
-``uhat``, ``what`` and ``qhat`` for MARE.  Every other basis is a
-property that replays its Krylov recursion from the first block.  A
-CARE/DARE iterate holds only its span and core, and its evaluation
-never forms the cols x cols kernel.
+A state holds no basis: of each Krylov chain it keeps the first and the
+last block, and of each basis an iterate is built on its span and
+coordinates, which every doubling extends from the new blocks a chunk at
+a time.  The bases are properties that replay their Krylov recursion
+from the first block.  An iterate holds its spans and core, and a BSEP
+iterate also what the next increment reads; a CARE/DARE evaluation
+never forms the cols x cols kernel, and ``dense()`` forms no n x n
+temporary.
 """
 
 import dataclasses
@@ -15,6 +17,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from test_residuals import RANK_ROUTE_CASES
 from test_sparse_route import (
     DENSE_GRID,
     GRID,
@@ -28,6 +31,10 @@ from dsda import decoupled
 from dsda.decoupled import (
     PANEL_COLS,
     SWEEP_COLS,
+    DsdaMareState,
+    LowRankSolution,
+    MatrixPropagator,
+    ResolventPropagator,
     bsep_eval_F,
     dsda_eval_G,
     dsda_eval_H,
@@ -39,6 +46,8 @@ from dsda.decoupled import (
     extend_span,
 )
 from dsda.driver import SolveConfig, solve_driver
+from dsda.errors import SingularMatrixError
+from dsda.matkit import EPS
 from dsda.problems import (
     BsepProblem,
     gen_random_bsep,
@@ -48,6 +57,9 @@ from dsda.problems import (
 )
 
 STEPS = 3
+
+#: Doublings after which every span in CASES is narrower than its basis.
+DEFLATING = 6
 
 #: (label, problem builder, init, step) of each family, on the sparse
 #: route (GRID) and the dense one (DENSE_GRID).
@@ -65,9 +77,20 @@ CASES = [
 ]
 IDS = [label for label, *_ in CASES]
 
-#: The bases a state keeps in full; the others are replayed.
-HELD = {"care": ("vhat",), "dare": ("vhat",), "bsep": ("vhat",),
-        "mare": ("qhat", "uhat", "what")}
+#: The same for the decoupled methods of RANK_ROUTE_CASES, whose bases
+#: outgrow their order within five doublings.
+RANK_CASES = [
+    (f"{family}-{method}-rank", functools.partial(lambda p: p, p),
+     (functools.partial(dsda_mare_init,
+                        mode="adda" if method == "adda" else "sda")
+      if family == "mare" else dsda_sym_init),
+     dsda_mare_step if family == "mare" else dsda_sym_step)
+    for family, p, methods in RANK_ROUTE_CASES
+    for method in methods if method != "sda"]
+
+#: The evaluator of each family's iterate.
+EVALUATE = {"care": dsda_eval_H, "dare": dsda_eval_H, "bsep": bsep_eval_F,
+            "mare": functools.partial(dsda_mare_eval, which="H")}
 
 
 def _run(make, init, step, steps=STEPS):
@@ -79,6 +102,15 @@ def _run(make, init, step, steps=STEPS):
     return first, s
 
 
+def _chunk_widths(monkeypatch):
+    """Set each chunk width a doubling streams its chains in, in turn:
+    the default, and one block at a time, so that every step pairs
+    moments and extends spans across chunk boundaries."""
+    for width in (decoupled.STREAM_COLS, 1):
+        monkeypatch.setattr(decoupled, "STREAM_COLS", width)
+        yield width
+
+
 def _krylov(first, apply, blocks):
     """``[first, P first, ..., P^(blocks-1) first]``, one block at a time."""
     out = [first]
@@ -87,55 +119,137 @@ def _krylov(first, apply, blocks):
     return np.hstack(out)
 
 
+def _arrays(obj, path=""):
+    """(path, array) of every array reachable from a state or an
+    iterate, through fields and tuples.  Propagators, the operators the
+    chains grow by, are not walked."""
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+    elif isinstance(obj, tuple):
+        for i, value in enumerate(obj):
+            yield from _arrays(value, f"{path}[{i}]")
+    elif dataclasses.is_dataclass(obj) and not isinstance(
+            obj, (MatrixPropagator, ResolventPropagator)):
+        for field in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, field.name),
+                               f"{path}.{field.name}")
+
+
 @pytest.mark.parametrize("label,make,init,step", CASES, ids=IDS)
 def test_state_holds_its_read_bases_in_full_and_single_blocks(
         label, make, init, step):
-    _, s = _run(make, init, step)
-    width = max(s.y0.shape)
-    arrays = {f.name: getattr(s, f.name) for f in dataclasses.fields(s)
-              if isinstance(getattr(s, f.name), np.ndarray)
-              and not f.name.endswith("_span")}
-    full = sorted(name for name, a in arrays.items()
-                  if a.ndim == 2 and a.shape[1] > width)
-    assert full == sorted(HELD[label.partition("-")[0]])
-    assert s.basis_cols == 2 ** STEPS * (s.y0.shape[0] if "mare" in label
-                                         else s.y0.shape[1])
+    # No basis is read in full, so none is held: after every step, no
+    # array reachable from the state or its iterate has n rows and more
+    # columns than its span or one block.  By k = DEFLATING every span
+    # is narrower than its basis, so a held basis would show.
+    p = make()
+    family = label.partition("-")[0]
+    s = init(p)
+    for k in range(DEFLATING + 1):
+        if k:
+            s = step(s)
+        spans = [a.shape[1] for name, a in _arrays(s)
+                 if name.endswith("_span")]
+        limits = [(s, max(*s.y0.shape, *spans))]
+        try:
+            sol = EVALUATE[family](s)
+        except SingularMatrixError:
+            # The sparse adda kernel turns singular at k = 6; its state
+            # is still checked.
+            assert (label, k) == ("mare-adda-sparse", DEFLATING)
+        else:
+            limits.append((sol, max(sol.q_left.shape[1],
+                                    sol.q_right.shape[1])))
+            if family != "bsep":
+                assert sol.factor is None and sol.coordinates is None
+        for obj, limit in limits:
+            wide = [name for name, a in _arrays(obj) if a.ndim == 2
+                    and a.shape[0] == p.n and a.shape[1] > limit]
+            assert wide == [], (k, wide)
+    assert max(spans) < s.basis_cols
+    assert s.basis_cols == 2 ** DEFLATING * (
+        s.y0.shape[0] if family == "mare" else s.y0.shape[1])
+
+
+def _chains(s):
+    """(name, replayed basis, last block kept, apply) of each chain."""
+    if isinstance(s, DsdaMareState):
+        return [("uhat", s.uhat, s.u_last, s.prop_a.apply),
+                ("vhat", s.vhat, s.v_last, s.prop_a.apply_t),
+                ("what", s.what, s.w_last, s.prop_d.apply),
+                ("qhat", s.qhat, s.q_last, s.prop_d.apply_t)]
+    if s.family == "bsep":
+        return [("vhat", s.vhat, s.v_last, s.propagator.apply)]
+    return [("uhat", s.uhat, s.u_last, s.propagator.apply),
+            ("vhat", s.vhat, s.v_last, s.propagator.apply_t)]
 
 
 @pytest.mark.parametrize("label,make,init,step", CASES, ids=IDS)
-def test_bases_are_the_explicit_krylov_bases(label, make, init, step):
-    # Held or replayed, each basis is its first block and the propagator
-    # applied to it block by block, bit for bit.
-    first, s = _run(make, init, step)
-    blocks = 2 ** s.k
-    if label.startswith("mare"):
-        grown = {"uhat": s.prop_a.apply, "vhat": s.prop_a.apply_t,
-                 "what": s.prop_d.apply, "qhat": s.prop_d.apply_t}
-    elif label.startswith("bsep"):
-        grown = {"vhat": s.propagator.apply}
-    else:
-        grown = {"uhat": s.propagator.apply, "vhat": s.propagator.apply_t}
-    for name, apply in grown.items():
-        want = _krylov(getattr(first, name), apply, blocks)
-        assert np.array_equal(getattr(s, name), want), name
-    if label.startswith("bsep"):
-        assert np.array_equal(s.uhat, want.conj())
+def test_bases_are_the_explicit_krylov_bases(label, make, init, step,
+                                             monkeypatch):
+    # Replayed, each basis is its first block and the propagator applied
+    # to it block by block, bit for bit; the last block a state keeps,
+    # which its next step grows from, is that basis's last block.
+    for width in _chunk_widths(monkeypatch):
+        first, s = _run(make, init, step)
+        blocks = 2 ** s.k
+        for (name, _, block, apply), (_, basis, last, _) in zip(
+                _chains(first), _chains(s)):
+            want = _krylov(block, apply, blocks)
+            assert np.array_equal(basis, want), (width, name)
+            assert np.array_equal(
+                last, want[:, want.shape[1] - block.shape[1]:]), (width, name)
+        if label.startswith("bsep"):
+            assert np.array_equal(s.uhat, want.conj())
     # A replayed basis is not cached: each read forms it again.
-    replayed = "vhat" if label.startswith("mare") else "uhat"
-    assert getattr(s, replayed) is not getattr(s, replayed)
+    assert s.vhat is not s.vhat
 
 
-@pytest.mark.parametrize("label,make,init,step", CASES, ids=IDS)
+@pytest.mark.parametrize("label,make,init,step", CASES + RANK_CASES,
+                         ids=IDS + [label for label, *_ in RANK_CASES])
 def test_moments_are_products_of_the_replayed_bases(label, make, init,
-                                                    step):
-    _, s = _run(make, init, step)
+                                                    step, monkeypatch):
+    # Each doubling forms its moments from pairs of fresh blocks; they
+    # are the explicit Krylov products to within 1e-13 relative.
     pairs = ((("T", "qhat", "what"), ("S", "vhat", "uhat"))
              if label.startswith("mare") else (("T", "uhat", "vhat"),))
-    for which, left, right in pairs:
-        full = getattr(s, left).T @ getattr(s, right)
-        got = decoupled.dsda_assemble(s, which)
-        assert np.allclose(got, full, rtol=0.0,
-                           atol=1e-13 * np.abs(full).max()), which
+    for width in _chunk_widths(monkeypatch):
+        _, s = _run(make, init, step, steps=5)
+        for which, left, right in pairs:
+            full = getattr(s, left).T @ getattr(s, right)
+            got = decoupled.dsda_assemble(s, which)
+            assert np.allclose(got, full, rtol=0.0,
+                               atol=1e-13 * np.abs(full).max()), (width,
+                                                                  which)
+
+
+def _spans(s):
+    """(basis, span, coordinates) of each evaluated basis of a state."""
+    if isinstance(s, DsdaMareState):
+        return [(s.uhat, s.u_span, s.u_coords),
+                (s.qhat, s.q_span, s.q_coords)]
+    return [(s.vhat, s.v_span, s.v_coords)]
+
+
+@pytest.mark.parametrize("label,make,init,step", CASES, ids=IDS)
+def test_coordinates_rebuild_the_basis_within_the_deflation_threshold(
+        label, make, init, step, monkeypatch):
+    # R holds each column's coordinates on the directions of the span up
+    # to its own chunk; those a later chunk adds were within the
+    # threshold of the span when the column was deflated.
+    for width in _chunk_widths(monkeypatch):
+        s = init(make())
+        for _ in range(DEFLATING):
+            s = step(s)
+            for basis, q, r in _spans(s):
+                n, cols = basis.shape
+                assert r.shape == (q.shape[1], cols)
+                bound = 2.0 * EPS * max(n, cols) * np.linalg.norm(basis,
+                                                                  axis=0)
+                outside = np.linalg.norm(basis - q @ r, axis=0)
+                assert np.all(outside <= bound), (width, s.k)
+                dropped = np.linalg.norm(r - q.conj().T @ basis, axis=0)
+                assert np.all(dropped <= bound), (width, s.k)
 
 
 def _sym_iterate(p, evaluate, steps=STEPS):
@@ -143,13 +257,6 @@ def _sym_iterate(p, evaluate, steps=STEPS):
     for _ in range(steps):
         s = dsda_sym_step(s)
     return evaluate(s)
-
-
-def _mare_iterate(steps=STEPS):
-    s = dsda_mare_init(gen_random_mare(14, 18, 2, 3, seed=1))
-    for _ in range(steps):
-        s = dsda_mare_step(s)
-    return dsda_mare_eval(s, "H")
 
 
 def _widest(sol):
@@ -174,7 +281,7 @@ def test_a_symmetric_iterate_holds_no_array_wider_than_its_span(p,
     r = sol.q_left.shape[1]
     assert sol.basis_cols > r
     assert _widest(sol) == r
-    assert sol.factor is None and sol.bases is None
+    assert sol.factor is None and sol.coordinates is None
 
 
 @pytest.mark.parametrize("p", SYM)
@@ -187,11 +294,12 @@ def test_a_symmetric_report_holds_no_array_wider_than_its_span(p):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: _sym_iterate(gen_random_bsep(16, 2, seed=5), bsep_eval_F),
-    _mare_iterate], ids=["bsep", "mare"])
+    lambda: _sym_iterate(gen_random_bsep(16, 2, seed=5), bsep_eval_F)],
+    ids=["bsep"])
 def test_lu_factors_are_kept(make):
-    # The next BSEP increment (nested_core) and a MARE dense() solve
-    # with the kernel's LU factor.
+    # The next BSEP increment (nested_core) solves with the kernel's LU
+    # factor.  A MARE iterate keeps none: its dense() is formed from its
+    # spans and core.
     sol = make()
     lu, piv = sol.factor
     assert lu.shape == (sol.basis_cols, sol.basis_cols)
@@ -228,27 +336,30 @@ def test_a_solve_factors_each_kernel_once(monkeypatch, p, method, routine):
 def test_extend_span_allocates_only_what_it_adds():
     # 1024 new columns, all but two directions inside a 1000-column span
     # at n = 2048: the call needs working copies of the new columns, the
-    # coordinates Q^T new and the result, not room for the 1048
-    # directions the span could still take.
+    # coordinates Q^T new before and after the extension and the
+    # result, not room for the 1048 directions the span could still
+    # take.
     n, r, cols, added = 2048, 1000, 1024, 2
     rng = np.random.default_rng(0)
     q = np.linalg.qr(rng.standard_normal((n, r)))[0]
     new = (q @ rng.standard_normal((r, cols))
            + rng.standard_normal((n, added))
            @ rng.standard_normal((added, cols)))
-    basis = np.hstack([q, new])
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        span = extend_span(q, basis, r)
+        span, coords = extend_span(q, new, r + cols)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert span.shape == (n, r + added)
     assert np.array_equal(span[:, :r], q)
+    assert coords.shape == (r + added, cols)
+    assert np.allclose(span @ coords, new, rtol=0.0,
+                       atol=1e-12 * np.abs(new).max())
     item = q.itemsize
-    allowed = item * (2 * n * cols + r * cols + n * (r + added)
-                      + 4 * n * SWEEP_COLS)
+    allowed = item * (2 * n * cols + (2 * r + added) * cols
+                      + n * (r + added) + 4 * n * SWEEP_COLS)
     assert peak <= allowed, (peak, allowed)
 
 
@@ -276,3 +387,28 @@ def test_an_spd_kernel_is_never_formed(p):
     item = sol.core.itemsize
     allowed = 2 * item * cols * (r + alpha + PANEL_COLS)
     assert peak <= allowed < item * cols ** 2 / 3, (peak, allowed)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_dense_symmetrizes_without_an_n_by_n_temporary(dtype):
+    # Three panels at n = 600.  The result is the sum of the halved
+    # product and its transpose, bit for bit, formed on the product's own
+    # buffer with at most a panel of rows as scratch.
+    n, r = 600, 7
+    rng = np.random.default_rng(2)
+    q = np.linalg.qr(rng.standard_normal((n, r)).astype(dtype))[0]
+    core = rng.standard_normal((r, r)).astype(dtype)
+    sol = LowRankSolution(q, core, q, basis_cols=r)
+    want = q @ (core @ q.T)
+    want *= 0.5
+    want += want.T
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = sol.dense()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    allowed = want.itemsize * (n * n + r * n + PANEL_COLS * n)
+    assert peak <= allowed < 2 * want.nbytes, (peak, allowed)
