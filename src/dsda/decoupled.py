@@ -89,8 +89,9 @@ a step grows the chain from the last, and the bases ``uhat``,
 ``vhat`` (and MARE's ``what`` and ``qhat``) are properties that replay
 the Krylov recursion from the first, bit for bit, for validation.
 Memory is O(n r + r cols) per evaluated basis.  An iterate holds its
-spans and core; a BSEP iterate adds what the next increment reads (see
-:class:`LowRankSolution`).
+spans and core; a BSEP iterate adds what the next increment reads, a
+MARE iterate its kernel's LU factor and the first blocks its
+``dense()`` replays its bases from (see :class:`LowRankSolution`).
 
 The closed-form statements for the one-kernel families are usually
 quoted for k >= 2 with the first step written out separately; here the
@@ -252,10 +253,14 @@ class LowRankSolution:
     so a singular kernel fails there.
 
     Beyond its spans and core an iterate holds only what a later read
-    needs.  A CARE, DARE or MARE iterate holds nothing more.  A BSEP
-    iterate keeps ``scale``, its kernel's LU ``factor`` and its
-    ``coordinates`` ``R``, which the next step's increment reads
-    (:meth:`nested_core`).
+    needs.  A CARE or DARE iterate holds nothing more.  A BSEP iterate
+    keeps ``scale``, its kernel's LU ``factor`` and its ``coordinates``
+    ``R``, which the next step's increment reads (:meth:`nested_core`).
+    A MARE iterate keeps ``scale``, ``factor`` and, in ``chains``, the
+    first block of each of its two bases with the propagator, the number
+    of blocks to append and the transpose flag that grow it
+    (:func:`_extend_basis`): its :meth:`dense` replays the bases and
+    solves with the factor, ``scale * left K^-1 right^T``.
     """
 
     q_left: np.ndarray
@@ -265,6 +270,7 @@ class LowRankSolution:
     scale: float | None = None
     factor: tuple | None = None
     coordinates: np.ndarray | None = None
+    chains: tuple | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -284,16 +290,23 @@ class LowRankSolution:
             inner.factor, r.T, check_finite=False))
 
     def dense(self) -> np.ndarray:
-        """Materialize the iterate as a full matrix, ``Q_l core Q_r^T``.
+        """Materialize the iterate as a full matrix.
 
         An iterate with one basis is symmetric (plain transpose).  It is
-        formed at n^2 r flops and made exactly symmetric as the sum of
-        the product and its transpose, each halved first so that the sum
-        cannot overflow.  The sum runs panel by panel on the product's
-        own buffer, so it needs no n x n temporary.
+        formed from its span and core, ``Q core Q^T`` at n^2 r flops,
+        and made exactly symmetric as the sum of the product and its
+        transpose, each halved first so that the sum cannot overflow.
+        The sum runs panel by panel on the product's own buffer, so it
+        needs no n x n temporary.  A two-sided (MARE) iterate is formed
+        from its bases, replayed from their ``chains`` for this call
+        only, as ``scale * left K^-1 right^T``.
         """
-        if self.q_right is not self.q_left:
-            return self.q_left @ (self.core @ self.q_right.T)
+        if self.chains is not None:
+            left, right = (_extend_basis(first, op, count, first.shape[1],
+                                         transpose=transpose)
+                           for first, op, count, transpose in self.chains)
+            return self.scale * (left @ scipy.linalg.lu_solve(
+                self.factor, right.T, check_finite=False))
         out = self.q_left @ (self.core @ self.q_left.T)
         out *= 0.5
         n = out.shape[0]
@@ -495,64 +508,72 @@ def dsda_sym_step(s: DsdaSymState,
                   column_budget: int = DEFAULT_COLUMN_BUDGET) -> DsdaSymState:
     """Double the bases, append the new Gram moments and extend the span
     of ``vhat`` and its coordinates."""
-    m, l = s.y0.shape
+    prop = s.propagator
     if s.family == "bsep":
-        def grow(lasts, count):
-            v_new = _extend_basis(lasts[1], s.propagator, count, l)
-            return v_new.conj(), v_new
-        lasts = (s.v_last.conj(), s.v_last)
+        # uhat = conj(vhat): one chain, its moments v_i^H v_j.
+        chains = ((s.v_last, prop, False),)
+        products = ((s.t_moments, 0, 0, True),)
     else:
-        def grow(lasts, count):
-            return (_extend_basis(lasts[0], s.propagator, count, m),
-                    _extend_basis(lasts[1], s.propagator, count, l,
-                                  transpose=True))
-        lasts = (s.u_last, s.v_last)
-    (u_last, v_last), (t_new,), ((v_span, v_coords),) = _double(
-        s.k, column_budget, lasts, grow, ((s.t_moments, 0, 1),),
-        ((s.v_span, s.v_coords, 1),))
+        chains = ((s.u_last, prop, False), (s.v_last, prop, True))
+        products = ((s.t_moments, 0, 1, False),)
+    lasts, (t_new,), ((v_span, v_coords),) = _double(
+        s.k, column_budget, chains, products,
+        ((s.v_span, s.v_coords, len(chains) - 1),))
     return dataclasses.replace(
-        s, v_last=v_last, u_last=None if s.family == "bsep" else u_last,
+        s, v_last=lasts[-1], u_last=None if s.family == "bsep" else lasts[0],
         t_moments=t_new, v_span=v_span, v_coords=v_coords, k=s.k + 1)
 
 
-def _double(k: int, column_budget: int, lasts, grow, products, spans):
+def _double(k: int, column_budget: int, chains, products, spans):
     """Budget check, chain growth, moment append and span extension
     shared by all families, ``STREAM_COLS`` columns of each chain at a
     time.
 
-    ``lasts`` holds the last block of each Krylov chain, and
-    ``grow(lasts, count)`` each chain's chunk: that block followed by
-    the ``count`` next ones.  ``products`` lists each moment stack with
-    the positions of its left and right chain, ``spans`` each span with
-    its coordinates and the position of its chain.  With b = 2^k the
-    new blocks are i = b ... 2b - 1, so the new moments
-    M_{2b-1} ... M_{4b-2} are M_{2i-1} = u_i^T v_{i-1} and
-    M_{2i} = u_i^T v_i (:func:`_pair_moments`).  Each chunk's new
-    columns extend their span at the threshold of the doubled basis
-    (:func:`extend_span`) and append their coordinates.  The columns
-    before them get zero coordinates on the directions a chunk adds:
-    they lay within that threshold of the span when they were deflated.
+    ``chains`` holds each Krylov chain's last block, the propagator that
+    grows it and whether by its transpose; a chunk of a chain is its
+    last block followed by the next ones (:func:`_extend_basis`).  Every
+    full chunk of a chain is written into the buffer of its first, so a
+    step allocates one chunk per chain.  ``products`` lists each moment
+    stack with the positions of its left and right chain and whether
+    the left one enters conjugated, ``spans`` each span with its
+    coordinates and the position of its chain.  With b = 2^k the new
+    blocks are i = b ... 2b - 1, so the new moments M_{2b-1} ...
+    M_{4b-2} are M_{2i-1} = u_i^T v_{i-1} and M_{2i} = u_i^T v_i
+    (:func:`_pair_moments`).  Each chunk's new columns extend their span
+    at the threshold of the doubled basis (:func:`extend_span`) and
+    append their coordinates.  The columns before them get zero
+    coordinates on the directions a chunk adds: they lay within that
+    threshold of the span when they were deflated.
 
     Returns the new last blocks, moment stacks and (span, coordinates)
     pairs.
     """
     blocks = 2 ** k
+    lasts = [last for last, _, _ in chains]
     widths = [last.shape[1] for last in lasts]
     if 2 * blocks * max(widths) > column_budget:
         raise BudgetExceededError(
             f"doubling to {2 * blocks * max(widths)} columns exceeds the "
             f"budget of {column_budget}")
     per = max(1, STREAM_COLS // max(1, *widths))
-    stacks = [[moments] for moments, _, _ in products]
+    buffers = [None] * len(chains)
+    stacks = [[moments] for moments, *_ in products]
     qs = [q for q, _, _ in spans]
     coords = [[r] for _, r, _ in spans]
     for first in range(0, blocks, per):
         count = min(per, blocks - first)
-        chunks = grow(lasts, count)
+        chunks = [_extend_basis(last, op, count, last.shape[1],
+                                transpose=transpose,
+                                out=buffer if count == per else None)
+                  for last, (_, op, transpose), buffer
+                  in zip(lasts, chains, buffers)]
+        if count == per:
+            buffers = chunks
+        # Copied: the next chunk is written over this one.
         lasts = [chunk[:, chunk.shape[1] - w:].copy()
                  for chunk, w in zip(chunks, widths)]
-        for stack, (_, i, j) in zip(stacks, products):
-            stack.append(_pair_moments(chunks[i], chunks[j], count))
+        for stack, (_, i, j, conj) in zip(stacks, products):
+            stack.append(_pair_moments(chunks[i], chunks[j], count, conj))
         for t, (_, _, i) in enumerate(spans):
             qs[t], part = extend_span(qs[t], chunks[i][:, widths[i]:],
                                       2 * blocks * widths[i])
@@ -562,16 +583,19 @@ def _double(k: int, column_budget: int, lasts, grow, products, spans):
              for q, parts in zip(qs, coords)])
 
 
-def _pair_moments(left: np.ndarray, right: np.ndarray,
-                  count: int) -> np.ndarray:
+def _pair_moments(left: np.ndarray, right: np.ndarray, count: int,
+                  conj: bool = False) -> np.ndarray:
     """The moments of chunks ``[u_{i-1}, u_i, ..., u_{i+count-1}]`` and
     ``[v_{i-1}, v_i, ...]``: u_j^T v_{j-1} and u_j^T v_j for each new
-    block j, in that order, from ``2 count`` small products."""
+    block j, in that order, from ``2 count`` small products; with
+    ``conj``, of ``conj(u_j)`` in place of u_j."""
     n = left.shape[0]
     wl, wr = left.shape[1] // (count + 1), right.shape[1] // (count + 1)
     u = left[:, wl:].reshape(n, count, wl).transpose(1, 2, 0)
+    if conj:
+        u = u.conj()
     v = right.reshape(n, count + 1, wr).transpose(1, 0, 2)
-    out = np.empty((count, 2, wl, wr), dtype=np.result_type(left, right))
+    out = np.empty((count, 2, wl, wr), dtype=np.result_type(u, v))
     np.matmul(u, v[:-1], out=out[:, 0])
     np.matmul(u, v[1:], out=out[:, 1])
     return out.reshape(2 * count, wl, wr)
@@ -590,12 +614,16 @@ def _stack_coordinates(parts: list[np.ndarray], rows: int) -> np.ndarray:
 
 
 def _extend_basis(basis: np.ndarray, op: Propagator, blocks: int,
-                  width: int, *, transpose: bool = False) -> np.ndarray:
+                  width: int, *, transpose: bool = False,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """``basis`` with ``blocks`` new blocks appended, each the
-    propagator (its transpose with ``transpose``) applied to the last.
+    propagator (its transpose with ``transpose``) applied to the last,
+    written into ``out`` when it is given.
 
     ``basis`` may be just a chain's last block: a step grows its chains
-    a chunk at a time, and a replayed basis grows from the first.
+    a chunk at a time, and a replayed basis grows from the first.  Each
+    block is applied to as its own array, so a chain's blocks do not
+    depend on where they are written.
     """
     apply = op.apply_t if transpose else op.apply
     new = []
@@ -603,7 +631,7 @@ def _extend_basis(basis: np.ndarray, op: Propagator, blocks: int,
     for _ in range(blocks):
         last = apply(last)
         new.append(last)
-    return np.hstack([basis] + new)
+    return np.concatenate([basis] + new, axis=1, out=out)
 
 
 def dsda_assemble(s: DsdaSymState | DsdaMareState, which: str) -> np.ndarray:
@@ -754,11 +782,13 @@ def _schur_solve(x: np.ndarray, blocks: int, rhs: np.ndarray) -> np.ndarray:
 
 def _evaluate(scale: float, col: np.ndarray, row: np.ndarray, blocks: int,
               sigma: int, q_left: np.ndarray, r_left: np.ndarray,
-              q_right: np.ndarray, r_right: np.ndarray) -> LowRankSolution:
+              q_right: np.ndarray, r_right: np.ndarray,
+              chains: tuple | None = None) -> LowRankSolution:
     """The finished iterate ``scale * left K^-1 right^T``, K the kernel
     ``I + sigma X W`` (:func:`_hankel_kernel`), in the spans ``q_left``
     and ``q_right`` of its bases, whose coordinates are ``r_left`` and
     ``r_right`` (``R = Q^H basis``; the same arrays for one basis).
+    ``chains`` replays a two-sided iterate's bases for its ``dense()``.
 
     Its core is ``scale * R_l K^-1 R_r^T``.  The SPD kernels
     (``sigma = +1``: CARE, DARE, one basis, ``row`` is ``col.T``) are
@@ -766,8 +796,9 @@ def _evaluate(scale: float, col: np.ndarray, row: np.ndarray, blocks: int,
     with ``w = L^-1 R^T`` from the displacement generator of K
     (:func:`_schur_solve`), and the iterate keeps neither basis nor
     factor.  The other kernels are built and LU-factored
-    (:func:`_kernel_factor`); an iterate with one basis (BSEP) keeps
-    what its successor's increment reads (see :class:`LowRankSolution`).
+    (:func:`_kernel_factor`), and the iterate keeps what a later read
+    needs (see :class:`LowRankSolution`): with one basis (BSEP) what its
+    successor's increment reads, with two (MARE) what ``dense()`` reads.
     """
     cols = r_left.shape[1]
     if sigma == +1:
@@ -779,7 +810,8 @@ def _evaluate(scale: float, col: np.ndarray, row: np.ndarray, blocks: int,
     if r_right is r_left:
         return LowRankSolution(q_left, core, q_left, cols, scale, factor,
                                coordinates=r_left)
-    return LowRankSolution(q_left, core, q_right, cols)
+    return LowRankSolution(q_left, core, q_right, cols, scale, factor,
+                           chains=chains)
 
 
 def _sym_solution(s: DsdaSymState, side: str) -> LowRankSolution:
@@ -1038,20 +1070,12 @@ def dsda_mare_step(s: DsdaMareState,
     """Double the bases, append the new moments of both Gram blocks
     and extend the spans of ``uhat`` and ``qhat`` and their
     coordinates."""
-    m1, n1 = s.y0.shape
-
-    def grow(lasts, count):
-        u, v, w, q = lasts
-        return (_extend_basis(u, s.prop_a, count, m1),
-                _extend_basis(v, s.prop_a, count, n1, transpose=True),
-                _extend_basis(w, s.prop_d, count, n1),
-                _extend_basis(q, s.prop_d, count, m1, transpose=True))
-
+    chains = ((s.u_last, s.prop_a, False), (s.v_last, s.prop_a, True),
+              (s.w_last, s.prop_d, False), (s.q_last, s.prop_d, True))
     # T pairs (qhat, what), S pairs (vhat, uhat).
     lasts, (t_new, s_new), ((u_span, u_coords), (q_span, q_coords)) = \
-        _double(s.k, column_budget,
-                (s.u_last, s.v_last, s.w_last, s.q_last), grow,
-                ((s.t_moments, 3, 2), (s.s_moments, 1, 0)),
+        _double(s.k, column_budget, chains,
+                ((s.t_moments, 3, 2, False), (s.s_moments, 1, 0, False)),
                 ((s.u_span, s.u_coords, 0), (s.q_span, s.q_coords, 3)))
     u_last, v_last, w_last, q_last = lasts
     return dataclasses.replace(s, u_last=u_last, v_last=v_last,
@@ -1072,12 +1096,17 @@ def dsda_mare_eval(s: DsdaMareState, which: str):
         raise ValueError(f"which must be one of H, G, F, E; got {which!r}")
     first, second = ("Y", "Z") if which in ("H", "F") else ("Z", "Y")
     kernel = (_edges(s, first)[0], _edges(s, second)[1], 2 ** s.k, -1)
+    count = 2 ** s.k - 1
     if which == "H":
         return _evaluate(s.shift_sum, *kernel, s.u_span, s.u_coords,
-                         s.q_span, s.q_coords)
+                         s.q_span, s.q_coords,
+                         ((s.u_first, s.prop_a, count, False),
+                          (s.q_first, s.prop_d, count, True)))
     if which == "G":
         return _evaluate(s.shift_sum, *kernel, *span_of(s.what),
-                         *span_of(s.vhat))
+                         *span_of(s.vhat),
+                         ((s.w_first, s.prop_d, count, False),
+                          (s.v_first, s.prop_a, count, True)))
     prop, basis, other = ((s.prop_a, s.uhat, s.vhat) if which == "F"
                           else (s.prop_d, s.what, s.qhat))
     power = _dense_power(s, prop)

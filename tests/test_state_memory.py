@@ -4,8 +4,10 @@ A state holds no basis: of each Krylov chain it keeps the first and the
 last block, and of each basis an iterate is built on its span and
 coordinates, which every doubling extends from the new blocks a chunk at
 a time.  The bases are properties that replay their Krylov recursion
-from the first block.  An iterate holds its spans and core, and a BSEP
-iterate also what the next increment reads; a CARE/DARE evaluation
+from the first block.  An iterate holds its spans and core, a BSEP
+iterate also what the next increment reads and a MARE iterate what its
+``dense()`` reads: its kernel's LU factor and the first block of each
+basis, from which it replays the bases; a CARE/DARE evaluation
 never forms the cols x cols kernel, and ``dense()`` forms no n x n
 temporary.
 """
@@ -158,10 +160,12 @@ def test_state_holds_its_read_bases_in_full_and_single_blocks(
             # is still checked.
             assert (label, k) == ("mare-adda-sparse", DEFLATING)
         else:
-            limits.append((sol, max(sol.q_left.shape[1],
+            limits.append((sol, max(*s.y0.shape, sol.q_left.shape[1],
                                     sol.q_right.shape[1])))
-            if family != "bsep":
+            if family in ("care", "dare"):
                 assert sol.factor is None and sol.coordinates is None
+            if family == "mare":
+                assert sol.coordinates is None
         for obj, limit in limits:
             wide = [name for name, a in _arrays(obj) if a.ndim == 2
                     and a.shape[0] == p.n and a.shape[1] > limit]
@@ -259,6 +263,13 @@ def _sym_iterate(p, evaluate, steps=STEPS):
     return evaluate(s)
 
 
+def _mare_iterate(steps=STEPS):
+    s = dsda_mare_init(gen_random_mare(14, 18, 2, 3, seed=1))
+    for _ in range(steps):
+        s = dsda_mare_step(s)
+    return dsda_mare_eval(s, "H")
+
+
 def _widest(sol):
     """Most columns of any array an iterate holds, in a tuple or not."""
     return max(a.shape[-1] for value in vars(sol).values()
@@ -294,12 +305,11 @@ def test_a_symmetric_report_holds_no_array_wider_than_its_span(p):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: _sym_iterate(gen_random_bsep(16, 2, seed=5), bsep_eval_F)],
-    ids=["bsep"])
+    lambda: _sym_iterate(gen_random_bsep(16, 2, seed=5), bsep_eval_F),
+    _mare_iterate], ids=["bsep", "mare"])
 def test_lu_factors_are_kept(make):
-    # The next BSEP increment (nested_core) solves with the kernel's LU
-    # factor.  A MARE iterate keeps none: its dense() is formed from its
-    # spans and core.
+    # The next BSEP increment (nested_core) and a MARE dense() solve
+    # with the kernel's LU factor.
     sol = make()
     lu, piv = sol.factor
     assert lu.shape == (sol.basis_cols, sol.basis_cols)
