@@ -7,6 +7,7 @@ batch harness would script.
 
 import json
 import os
+import pathlib
 import tempfile
 
 from dsda import load_matrix_market, save_matrix_market
@@ -24,9 +25,9 @@ with tempfile.TemporaryDirectory(prefix="dsda-demo-") as workdir:
     # Array-format files round-trip bit for bit.
     a = load_matrix_market(os.path.join(workdir, "A.mtx"))
     save_matrix_market(os.path.join(workdir, "A_copy.mtx"), a)
-    print("reload is bit-identical:",
-          open(os.path.join(workdir, "A.mtx")).read().splitlines()[2:]
-          == open(os.path.join(workdir, "A_copy.mtx")).read().splitlines()[1:])
+    lines = [pathlib.Path(workdir, name).read_text().splitlines()
+             for name in ("A.mtx", "A_copy.mtx")]
+    print("reload is bit-identical:", lines[0][2:] == lines[1][1:])
 
     # 2. Solve from the generated config, JSON report to a file.
     report_path = os.path.join(workdir, "report.json")
@@ -35,7 +36,7 @@ with tempfile.TemporaryDirectory(prefix="dsda-demo-") as workdir:
     print("\nsolve exit code:", code, "(0 = Converged, 2 = MaxIter,"
           " 3 = BudgetExceeded, 4 = SingularEncountered)")
 
-    payload = json.loads(open(report_path).read())
+    payload = json.loads(pathlib.Path(report_path).read_text())
     print("status:", payload["status"])
     print("  k residual        rank cols")
     for rec in payload["iterations"]:

@@ -82,16 +82,17 @@ forming the n x n matrix, also when the basis has more columns than
 the iterate's order.  A kernel to be built (BSEP, MARE) over
 ``KERNEL_MAX_BYTES`` is refused before it is built.
 
-States and iterates hold only what a later step, measurement or
-``dense()`` reads, and no n x cols basis.  Of each Krylov chain a state
-keeps its first and last blocks (BSEP's ``uhat`` is ``conj(vhat)``):
-a step grows the chain from the last, and the bases ``uhat``,
-``vhat`` (and MARE's ``what`` and ``qhat``) are properties that replay
-the Krylov recursion from the first, bit for bit, for validation.
-Memory is O(n r + r cols) per evaluated basis.  An iterate holds its
-spans and core; a BSEP iterate adds what the next increment reads, a
-MARE iterate its kernel's LU factor and the first blocks its
-``dense()`` replays its bases from (see :class:`LowRankSolution`).
+States and iterates hold only what a later step or measurement
+reads, and no n x cols basis.  Of each Krylov chain a state keeps its
+first and last blocks (BSEP's ``uhat`` is ``conj(vhat)``): a step grows
+the chain from the last, and the bases ``uhat``, ``vhat`` (and MARE's
+``what`` and ``qhat``) are properties that replay the Krylov recursion
+from the first, bit for bit, for validation.  Memory is
+O(n r + r cols) per evaluated basis.  An iterate of every family holds
+its spans and core and nothing of its kernel: the BSEP increment
+compares two cores, the earlier one on the leading directions of the
+later span, and ``dense()`` is ``Q_l core Q_r^T``
+(see :class:`LowRankSolution`).
 
 The closed-form statements for the one-kernel families are usually
 quoted for k >= 2 with the first step written out separately; here the
@@ -252,61 +253,35 @@ class LowRankSolution:
     forms it once, right after factoring the kernel (:func:`_evaluate`),
     so a singular kernel fails there.
 
-    Beyond its spans and core an iterate holds only what a later read
-    needs.  A CARE or DARE iterate holds nothing more.  A BSEP iterate
-    keeps ``scale``, its kernel's LU ``factor`` and its ``coordinates``
-    ``R``, which the next step's increment reads (:meth:`nested_core`).
-    A MARE iterate keeps ``scale``, ``factor`` and, in ``chains``, the
-    first block of each of its two bases with the propagator, the number
-    of blocks to append and the transpose flag that grow it
-    (:func:`_extend_basis`): its :meth:`dense` replays the bases and
-    solves with the factor, ``scale * left K^-1 right^T``.
+    An iterate of any family holds its spans, its core and the width
+    ``basis_cols`` of its bases, and nothing else: every later read
+    (residual, rank, the BSEP increment, :meth:`dense`) is made from the
+    spans and core.
     """
 
     q_left: np.ndarray
     core: np.ndarray
     q_right: np.ndarray
     basis_cols: int
-    scale: float | None = None
-    factor: tuple | None = None
-    coordinates: np.ndarray | None = None
-    chains: tuple | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
         """Shape of the iterate."""
         return self.q_left.shape[0], self.q_right.shape[0]
 
-    def nested_core(self, inner: LowRankSolution) -> np.ndarray:
-        """Core, in this BSEP iterate's span, of one whose basis is the
-        leading columns of this one's.
-
-        ``inner``'s coordinates are the leading columns of this
-        iterate's own, padded with zero rows for the directions the
-        doubling added, so the two cores share them bit for bit.
-        """
-        r = self.coordinates[:, :inner.basis_cols]
-        return inner.scale * (r @ scipy.linalg.lu_solve(
-            inner.factor, r.T, check_finite=False))
-
     def dense(self) -> np.ndarray:
         """Materialize the iterate as a full matrix.
 
-        An iterate with one basis is symmetric (plain transpose).  It is
-        formed from its span and core, ``Q core Q^T`` at n^2 r flops,
-        and made exactly symmetric as the sum of the product and its
-        transpose, each halved first so that the sum cannot overflow.
-        The sum runs panel by panel on the product's own buffer, so it
-        needs no n x n temporary.  A two-sided (MARE) iterate is formed
-        from its bases, replayed from their ``chains`` for this call
-        only, as ``scale * left K^-1 right^T``.
+        A two-sided (MARE) iterate is ``q_left @ core @ q_right.T``.  An
+        iterate with one basis is symmetric (plain transpose).  It is
+        formed as ``Q core Q^T`` at n^2 r flops and made exactly
+        symmetric as the sum of the product and its transpose, each
+        halved first so that the sum cannot overflow.  The sum runs
+        panel by panel on the product's own buffer, so it needs no
+        n x n temporary.
         """
-        if self.chains is not None:
-            left, right = (_extend_basis(first, op, count, first.shape[1],
-                                         transpose=transpose)
-                           for first, op, count, transpose in self.chains)
-            return self.scale * (left @ scipy.linalg.lu_solve(
-                self.factor, right.T, check_finite=False))
+        if self.q_right is not self.q_left:
+            return self.q_left @ (self.core @ self.q_right.T)
         out = self.q_left @ (self.core @ self.q_left.T)
         out *= 0.5
         n = out.shape[0]
@@ -343,11 +318,6 @@ class MatrixPropagator:
     def apply_t(self, x: np.ndarray) -> np.ndarray:
         return self.matrix.T @ x
 
-    def dense(self) -> np.ndarray:
-        if isinstance(self.matrix, np.ndarray):
-            return self.matrix
-        return self.matrix.toarray()
-
 
 @dataclass(frozen=True)
 class ResolventPropagator:
@@ -369,10 +339,6 @@ class ResolventPropagator:
 
     def apply_t(self, x: np.ndarray) -> np.ndarray:
         return x + self.scale * self.lu.solve(x, trans="T")
-
-    def dense(self) -> np.ndarray:
-        eye = np.eye(self.shape[0], dtype=self.dtype)
-        return eye + self.scale * self.lu.solve(eye)
 
 
 Propagator = MatrixPropagator | ResolventPropagator
@@ -782,23 +748,19 @@ def _schur_solve(x: np.ndarray, blocks: int, rhs: np.ndarray) -> np.ndarray:
 
 def _evaluate(scale: float, col: np.ndarray, row: np.ndarray, blocks: int,
               sigma: int, q_left: np.ndarray, r_left: np.ndarray,
-              q_right: np.ndarray, r_right: np.ndarray,
-              chains: tuple | None = None) -> LowRankSolution:
+              q_right: np.ndarray, r_right: np.ndarray) -> LowRankSolution:
     """The finished iterate ``scale * left K^-1 right^T``, K the kernel
     ``I + sigma X W`` (:func:`_hankel_kernel`), in the spans ``q_left``
     and ``q_right`` of its bases, whose coordinates are ``r_left`` and
     ``r_right`` (``R = Q^H basis``; the same arrays for one basis).
-    ``chains`` replays a two-sided iterate's bases for its ``dense()``.
 
     Its core is ``scale * R_l K^-1 R_r^T``.  The SPD kernels
     (``sigma = +1``: CARE, DARE, one basis, ``row`` is ``col.T``) are
     never formed: their core is ``scale * w^T w``, exactly symmetric,
     with ``w = L^-1 R^T`` from the displacement generator of K
-    (:func:`_schur_solve`), and the iterate keeps neither basis nor
-    factor.  The other kernels are built and LU-factored
-    (:func:`_kernel_factor`), and the iterate keeps what a later read
-    needs (see :class:`LowRankSolution`): with one basis (BSEP) what its
-    successor's increment reads, with two (MARE) what ``dense()`` reads.
+    (:func:`_schur_solve`).  The other kernels (BSEP, MARE) are built
+    and LU-factored (:func:`_kernel_factor`).  Either way the iterate
+    keeps only its spans and core, not the kernel or its factor.
     """
     cols = r_left.shape[1]
     if sigma == +1:
@@ -807,11 +769,7 @@ def _evaluate(scale: float, col: np.ndarray, row: np.ndarray, blocks: int,
     factor = _kernel_factor(col, row, blocks, sigma)
     core = scale * (r_left @ scipy.linalg.lu_solve(factor, r_right.T,
                                                    check_finite=False))
-    if r_right is r_left:
-        return LowRankSolution(q_left, core, q_left, cols, scale, factor,
-                               coordinates=r_left)
-    return LowRankSolution(q_left, core, q_right, cols, scale, factor,
-                           chains=chains)
+    return LowRankSolution(q_left, core, q_right, cols)
 
 
 def _sym_solution(s: DsdaSymState, side: str) -> LowRankSolution:
@@ -851,8 +809,9 @@ def bsep_eval_F(s: DsdaSymState) -> LowRankSolution:
 
 def _dense_power(s: DsdaSymState | DsdaMareState, prop: Propagator,
                  conj: bool = False) -> np.ndarray:
-    """``prop``'s dense matrix (conjugated with ``conj``) to the power
-    2^k of the state, by repeated squaring.
+    """``prop``'s dense matrix, ``prop`` applied to the identity
+    (conjugated with ``conj``), to the power 2^k of the state, by
+    repeated squaring.
 
     Dense evaluation is for validation only: it is refused when any
     propagator of the state has order above ``DENSE_EVAL_MAX_DIM``.
@@ -864,8 +823,9 @@ def _dense_power(s: DsdaSymState | DsdaMareState, prop: Propagator,
         raise BudgetExceededError(
             f"dense propagator-power evaluation is guarded to "
             f"n <= {DENSE_EVAL_MAX_DIM}, got n = {n}")
-    out = prop.dense()
-    out = out.conj() if conj else out.copy()
+    out = prop.apply(np.eye(prop.shape[0], dtype=prop.dtype))
+    if conj:
+        out = out.conj()
     for _ in range(s.k):
         out = out @ out
     return out
@@ -1096,17 +1056,12 @@ def dsda_mare_eval(s: DsdaMareState, which: str):
         raise ValueError(f"which must be one of H, G, F, E; got {which!r}")
     first, second = ("Y", "Z") if which in ("H", "F") else ("Z", "Y")
     kernel = (_edges(s, first)[0], _edges(s, second)[1], 2 ** s.k, -1)
-    count = 2 ** s.k - 1
     if which == "H":
         return _evaluate(s.shift_sum, *kernel, s.u_span, s.u_coords,
-                         s.q_span, s.q_coords,
-                         ((s.u_first, s.prop_a, count, False),
-                          (s.q_first, s.prop_d, count, True)))
+                         s.q_span, s.q_coords)
     if which == "G":
         return _evaluate(s.shift_sum, *kernel, *span_of(s.what),
-                         *span_of(s.vhat),
-                         ((s.w_first, s.prop_d, count, False),
-                          (s.v_first, s.prop_a, count, True)))
+                         *span_of(s.vhat))
     prop, basis, other = ((s.prop_a, s.uhat, s.vhat) if which == "F"
                           else (s.prop_d, s.what, s.qhat))
     power = _dense_power(s, prop)

@@ -18,9 +18,11 @@ A decoupled iterate ``Q_l core Q_r^T`` comes finished from its
 evaluator and is measured on its small core (``LowRankSolution.core``),
 in the spans its state extends each step: residual (the ``*_factored``
 functions), rank and finiteness come from the core, and no n x n array
-is made, whatever the basis width.  Every ``sda`` iterate is measured
-dense.  The final solution is formed dense once, when the report is
-built.
+is made, whatever the basis width; the spans are nested, so the
+Bethe-Salpeter increment subtracts the previous core from the leading
+block of the current one.  Every ``sda`` iterate is measured dense.  The
+final solution is formed dense once, from the spans and core, when the
+report is built.
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ def _methods(column_budget: int) -> dict[tuple[str, str], _Method]:
         return mare_residual_factored(p, sol.q_left, sol.core, sol.q_right)
 
     def increment_factored(_p, sol, previous):
-        return bsep_increment_factored(sol.core, sol.nested_core(previous))
+        return bsep_increment_factored(sol.core, previous.core)
 
     care, dare, mare = map(equation, (care_residual, dare_residual,
                                       mare_residual))

@@ -97,7 +97,7 @@ def factored_and_dense(p, sol, previous):
     """The driver's measure of ``sol`` from its core and dense."""
     core = sol.core
     if isinstance(p, BsepProblem):
-        return (bsep_increment_factored(core, sol.nested_core(previous)),
+        return (bsep_increment_factored(core, previous.core),
                 bsep_increment(sol.dense(), previous.dense()))
     if isinstance(p, CareProblem):
         return (care_residual_factored(p, sol.q_left, core),
@@ -148,15 +148,16 @@ def test_factored_residual_matches_dense_property(pair, n, width, seed):
 
 
 def test_bsep_increment_across_nested_bases():
-    # F_{k-1} lives on the leading columns of F_k's basis; written in
-    # F_k's Q, its core is the leading block.
+    # A doubling only appends directions to the span, so F_{k-1}'s span
+    # is the leading columns of F_k's, bit for bit, and the increment
+    # subtracts F_{k-1}'s core from the leading block of F_k's.
     p = gen_random_bsep(40, 2, 3)
-    for sol, previous in iterates(p, "dsda"):
-        inner = sol.nested_core(previous)
-        q = sol.q_left
-        rebuilt = q @ inner @ q.T
-        want = previous.dense()
-        assert np.max(np.abs(rebuilt - want)) <= GAP * np.abs(want).max()
+    for k, (sol, previous) in enumerate(iterates(p, "dsda"), start=1):
+        a = previous.q_left.shape[1]
+        assert np.array_equal(sol.q_left[:, :a], previous.q_left), k
+        factored = bsep_increment_factored(sol.core, previous.core)
+        dense = bsep_increment(sol.dense(), previous.dense())
+        assert abs(factored - dense) <= GAP, (k, factored, dense)
 
 
 def thin_problem(family):

@@ -4,12 +4,9 @@ A state holds no basis: of each Krylov chain it keeps the first and the
 last block, and of each basis an iterate is built on its span and
 coordinates, which every doubling extends from the new blocks a chunk at
 a time.  The bases are properties that replay their Krylov recursion
-from the first block.  An iterate holds its spans and core, a BSEP
-iterate also what the next increment reads and a MARE iterate what its
-``dense()`` reads: its kernel's LU factor and the first block of each
-basis, from which it replays the bases; a CARE/DARE evaluation
-never forms the cols x cols kernel, and ``dense()`` forms no n x n
-temporary.
+from the first block.  An iterate of every family holds its spans and
+core and nothing of its kernel; a CARE/DARE evaluation never forms the
+cols x cols kernel, and ``dense()`` forms no n x n temporary.
 """
 
 import dataclasses
@@ -162,10 +159,6 @@ def test_state_holds_its_read_bases_in_full_and_single_blocks(
         else:
             limits.append((sol, max(*s.y0.shape, sol.q_left.shape[1],
                                     sol.q_right.shape[1])))
-            if family in ("care", "dare"):
-                assert sol.factor is None and sol.coordinates is None
-            if family == "mare":
-                assert sol.coordinates is None
         for obj, limit in limits:
             wide = [name for name, a in _arrays(obj) if a.ndim == 2
                     and a.shape[0] == p.n and a.shape[1] > limit]
@@ -263,18 +256,9 @@ def _sym_iterate(p, evaluate, steps=STEPS):
     return evaluate(s)
 
 
-def _mare_iterate(steps=STEPS):
-    s = dsda_mare_init(gen_random_mare(14, 18, 2, 3, seed=1))
-    for _ in range(steps):
-        s = dsda_mare_step(s)
-    return dsda_mare_eval(s, "H")
-
-
 def _widest(sol):
-    """Most columns of any array an iterate holds, in a tuple or not."""
-    return max(a.shape[-1] for value in vars(sol).values()
-               for a in (value if isinstance(value, tuple) else (value,))
-               if isinstance(a, np.ndarray))
+    """Most columns of any array an iterate holds."""
+    return max(a.shape[-1] for _, a in _arrays(sol))
 
 
 #: A CARE and a DARE instance whose bases outgrow their order (16) at
@@ -292,7 +276,6 @@ def test_a_symmetric_iterate_holds_no_array_wider_than_its_span(p,
     r = sol.q_left.shape[1]
     assert sol.basis_cols > r
     assert _widest(sol) == r
-    assert sol.factor is None and sol.coordinates is None
 
 
 @pytest.mark.parametrize("p", SYM)
@@ -304,16 +287,35 @@ def test_a_symmetric_report_holds_no_array_wider_than_its_span(p):
     assert _widest(sol) == sol.q_left.shape[1]
 
 
-@pytest.mark.parametrize("make", [
-    lambda: _sym_iterate(gen_random_bsep(16, 2, seed=5), bsep_eval_F),
-    _mare_iterate], ids=["bsep", "mare"])
-def test_lu_factors_are_kept(make):
-    # The next BSEP increment (nested_core) and a MARE dense() solve
-    # with the kernel's LU factor.
-    sol = make()
-    lu, piv = sol.factor
-    assert lu.shape == (sol.basis_cols, sol.basis_cols)
-    assert piv.shape == (sol.basis_cols,)
+@pytest.mark.parametrize("label,make,init,step", RANK_CASES,
+                         ids=[label for label, *_ in RANK_CASES])
+def test_an_iterate_holds_nothing_as_wide_as_its_basis(label, make, init,
+                                                       step):
+    # Every family's iterate is its spans and core: after each step, no
+    # array it holds has cols rows or cols columns, neither a kernel
+    # (factor) nor coordinates.  The check is made where cols differs
+    # from the order and from the widths of the spans, which it does
+    # once the bases outgrow the order (k = 5 for every case).
+    family = label.partition("-")[0]
+    s = init(make())
+    checked = []
+    for k in range(1, 6):
+        s = step(s)
+        sol = EVALUATE[family](s)
+        cols = sol.basis_cols
+        assert cols == s.basis_cols
+        if cols in sol.q_left.shape + sol.q_right.shape:
+            continue
+        held = [(name, a.shape) for name, a in _arrays(sol)
+                if cols in a.shape]
+        assert held == [], (k, held)
+        checked.append(k)
+    assert checked[-1] == 5
+
+
+def test_an_iterate_is_its_spans_and_core():
+    assert [f.name for f in dataclasses.fields(LowRankSolution)] == [
+        "q_left", "core", "q_right", "basis_cols"]
 
 
 @pytest.mark.parametrize("p,method,routine", [
