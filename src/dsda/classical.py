@@ -69,31 +69,15 @@ def dare_init(p: DareProblem) -> SymSdaState:
     return SymSdaState(p.a.copy(), p.b @ p.b.T, p.c.T @ p.c, 0)
 
 
-def care_init(p: CareProblem, route: str = "lowrank") -> SymSdaState:
+def care_init(p: CareProblem) -> SymSdaState:
     """Cayley-transformed starting point for the continuous-time family.
 
-    The default route builds H_0 = 2 gamma V_0 (I + Y_0^T Y_0)^-1 V_0^T
-    (and its siblings) from the shifted inverses applied to the low-rank
-    factors.  ``route="direct"`` evaluates A_0 = I + 2 gamma K^-T,
-    G_0 = 2 gamma A_g^-1 G K^-1, H_0 = 2 gamma K^-1 H A_g^-1 with
-    K = A_g^T + H A_g^-1 G instead; the two must agree and tests check
-    that they do.
+    Builds H_0 = 2 gamma V_0 (I + Y_0^T Y_0)^-1 V_0^T (and its siblings)
+    from the shifted inverses applied to the low-rank factors.
     """
-    if route not in ("lowrank", "direct"):
-        raise ValueError(f"unknown route '{route}'")
     n = p.n
     gamma = p.gamma
     a_g = p.a - gamma * np.eye(n)
-    if route == "direct":
-        g = p.b @ p.b.T
-        h = p.c.T @ p.c
-        ag_inv = solve_general(a_g, np.eye(n))
-        k_g = a_g.T + h @ ag_inv @ g
-        k_inv = solve_general(k_g, np.eye(n))
-        a0 = np.eye(n) + 2.0 * gamma * k_inv.T
-        g0 = 2.0 * gamma * ag_inv @ g @ k_inv
-        h0 = 2.0 * gamma * k_inv @ h @ ag_inv
-        return SymSdaState(a0, _sym(g0), _sym(h0), 0)
     u0 = solve_general(a_g, p.b)                     # A_g^-1 B
     v0 = solve_general(a_g.T, p.c.T)                 # A_g^-T C^T
     y0 = p.b.T @ v0
@@ -121,25 +105,6 @@ def sym_sda_step(s: SymSdaState) -> SymSdaState:
     return SymSdaState(a1, _sym(g1), _sym(h1), s.k + 1)
 
 
-def resolve_mare_shifts(p: MareProblem, mode: str) -> tuple[float, float]:
-    """(alpha, beta) for the chosen mode; sda uses alpha = beta = gamma.
-
-    Shifts not supplied on the problem default to exactly the diagonal
-    maxima they must dominate; the problem checked those it was given.
-    """
-    if mode not in ("sda", "adda"):
-        raise ValueError(f"unknown mode '{mode}'")
-    floors = p.shift_floors()
-
-    def pick(name: str) -> float:
-        value = getattr(p, name)
-        return floors[name] if value is None else value
-
-    if mode == "sda":
-        return pick("gamma"), pick("gamma")
-    return pick("alpha"), pick("beta")
-
-
 def mare_init(p: MareProblem, mode: str = "sda") -> MareSdaState:
     """Starting point for the four-recursion family.
 
@@ -152,7 +117,7 @@ def mare_init(p: MareProblem, mode: str = "sda") -> MareSdaState:
     where ``A_b = A + beta I``, ``D_a = D + alpha I``,
     ``W = A_b - B D_a^-1 C`` and ``V = D_a - C A_b^-1 B``.
     """
-    alpha, beta = resolve_mare_shifts(p, mode)
+    alpha, beta = p.shifts(mode)
     m, n = p.m, p.n
     s = alpha + beta
     b = p.b_dense()

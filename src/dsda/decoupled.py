@@ -80,7 +80,8 @@ factors the kernel and returns the finished iterate, a
 driver measures it from the spans and core at every step without
 forming the n x n matrix, also when the basis has more columns than
 the iterate's order.  A kernel to be built (BSEP, MARE) over
-``KERNEL_MAX_BYTES`` is refused before it is built.
+``KERNEL_MAX_BYTES`` is refused before it is built.  Each factor an
+evaluation forms logs its pivot range at DEBUG (:func:`_log_pivots`).
 
 States and iterates hold only what a later step or measurement
 reads, and no n x cols basis.  Of each Krylov chain a state keeps its
@@ -108,6 +109,7 @@ recursions; the test suite holds the two against each other.
 from __future__ import annotations
 
 import dataclasses
+import logging
 from dataclasses import dataclass
 from typing import Literal
 
@@ -121,6 +123,8 @@ from .errors import (
 )
 from .matkit import EPS, lu_factor_checked, solve_general, splu_shifted
 from .problems import BsepProblem, CareProblem, DareProblem, MareProblem
+
+log = logging.getLogger(__name__)
 
 #: Default cap on basis columns; the bases double every step and no
 #: truncation is performed, so runaway growth must fail cleanly.
@@ -497,19 +501,18 @@ def _double(k: int, column_budget: int, chains, products, spans):
 
     ``chains`` holds each Krylov chain's last block, the propagator that
     grows it and whether by its transpose; a chunk of a chain is its
-    last block followed by the next ones (:func:`_extend_basis`).  Every
-    full chunk of a chain is written into the buffer of its first, so a
-    step allocates one chunk per chain.  ``products`` lists each moment
-    stack with the positions of its left and right chain and whether
-    the left one enters conjugated, ``spans`` each span with its
-    coordinates and the position of its chain.  With b = 2^k the new
-    blocks are i = b ... 2b - 1, so the new moments M_{2b-1} ...
-    M_{4b-2} are M_{2i-1} = u_i^T v_{i-1} and M_{2i} = u_i^T v_i
-    (:func:`_pair_moments`).  Each chunk's new columns extend their span
-    at the threshold of the doubled basis (:func:`extend_span`) and
-    append their coordinates.  The columns before them get zero
-    coordinates on the directions a chunk adds: they lay within that
-    threshold of the span when they were deflated.
+    last block followed by the next ones (:func:`_extend_basis`), a new
+    array that only a copy of its last block outlives.  ``products``
+    lists each moment stack with the positions of its left and right
+    chain and whether the left one enters conjugated, ``spans`` each
+    span with its coordinates and the position of its chain.  With
+    b = 2^k the new blocks are i = b ... 2b - 1, so the new moments
+    M_{2b-1} ... M_{4b-2} are M_{2i-1} = u_i^T v_{i-1} and
+    M_{2i} = u_i^T v_i (:func:`_pair_moments`).  Each chunk's new
+    columns extend their span at the threshold of the doubled basis
+    (:func:`extend_span`) and append their coordinates.  The columns
+    before them get zero coordinates on the directions a chunk adds:
+    they lay within that threshold of the span when they were deflated.
 
     Returns the new last blocks, moment stacks and (span, coordinates)
     pairs.
@@ -522,20 +525,14 @@ def _double(k: int, column_budget: int, chains, products, spans):
             f"doubling to {2 * blocks * max(widths)} columns exceeds the "
             f"budget of {column_budget}")
     per = max(1, STREAM_COLS // max(1, *widths))
-    buffers = [None] * len(chains)
     stacks = [[moments] for moments, *_ in products]
     qs = [q for q, _, _ in spans]
     coords = [[r] for _, r, _ in spans]
     for first in range(0, blocks, per):
         count = min(per, blocks - first)
-        chunks = [_extend_basis(last, op, count, last.shape[1],
-                                transpose=transpose,
-                                out=buffer if count == per else None)
-                  for last, (_, op, transpose), buffer
-                  in zip(lasts, chains, buffers)]
-        if count == per:
-            buffers = chunks
-        # Copied: the next chunk is written over this one.
+        chunks = [_extend_basis(last, op, count, w, transpose=t)
+                  for last, w, (_, op, t) in zip(lasts, widths, chains)]
+        # Copied: a view would keep its whole chunk alive.
         lasts = [chunk[:, chunk.shape[1] - w:].copy()
                  for chunk, w in zip(chunks, widths)]
         for stack, (_, i, j, conj) in zip(stacks, products):
@@ -580,16 +577,14 @@ def _stack_coordinates(parts: list[np.ndarray], rows: int) -> np.ndarray:
 
 
 def _extend_basis(basis: np.ndarray, op: Propagator, blocks: int,
-                  width: int, *, transpose: bool = False,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  width: int, *, transpose: bool = False) -> np.ndarray:
     """``basis`` with ``blocks`` new blocks appended, each the
-    propagator (its transpose with ``transpose``) applied to the last,
-    written into ``out`` when it is given.
+    propagator (its transpose with ``transpose``) applied to the last.
 
     ``basis`` may be just a chain's last block: a step grows its chains
     a chunk at a time, and a replayed basis grows from the first.  Each
-    block is applied to as its own array, so a chain's blocks do not
-    depend on where they are written.
+    block is applied to as its own array, so a chain's blocks are the
+    same either way.
     """
     apply = op.apply_t if transpose else op.apply
     new = []
@@ -597,7 +592,7 @@ def _extend_basis(basis: np.ndarray, op: Propagator, blocks: int,
     for _ in range(blocks):
         last = apply(last)
         new.append(last)
-    return np.concatenate([basis] + new, axis=1, out=out)
+    return np.concatenate([basis] + new, axis=1)
 
 
 def dsda_assemble(s: DsdaSymState | DsdaMareState, which: str) -> np.ndarray:
@@ -706,7 +701,8 @@ def _schur_solve(x: np.ndarray, blocks: int, rhs: np.ndarray) -> np.ndarray:
     diagonal block and one product for the rows below it.  Besides
     ``rhs`` and that product a call holds the generator, its product
     with Q and one panel, ``cols * (2 a + PANEL_COLS)`` entries.  A
-    non-finite ``x`` is refused before the first step.
+    non-finite ``x`` is refused before the first step.  The pivots
+    ``|diag L|`` are logged; K >= I makes each at least one.
     """
     cols, m = x.shape
     if not cols:
@@ -724,6 +720,7 @@ def _schur_solve(x: np.ndarray, blocks: int, rhs: np.ndarray) -> np.ndarray:
                                                         (gen,))
     per = max(1, PANEL_COLS // d)
     panel = np.empty((cols, min(blocks, per) * d), order="F")
+    pivots = []
     for first in range(0, blocks, per):
         start, stop = first * d, min(blocks, first + per) * d
         lower = panel[:cols - start, :stop - start]
@@ -738,12 +735,21 @@ def _schur_solve(x: np.ndarray, blocks: int, rhs: np.ndarray) -> np.ndarray:
             lower[j:, j:j + d] = out[:, :d]
             gen[i + d:, :d] = out[:cols - i - d, :d]
             gen[i + d:, d:] = out[d:, d:]
+        pivots.append(np.abs(np.diagonal(lower[:stop - start])))
         w = scipy.linalg.solve_triangular(lower[:stop - start],
                                           rhs[start:stop], lower=True,
                                           check_finite=False)
         rhs[start:stop] = w
         rhs[stop:] -= lower[stop - start:] @ w
+    _log_pivots(blocks, np.concatenate(pivots))
     return rhs
+
+
+def _log_pivots(blocks: int, pivots: np.ndarray) -> None:
+    """DEBUG line of the pivot magnitudes of a kernel of 2^k ``blocks``."""
+    if pivots.size:
+        log.debug("k=%d kernel pivots in [%.3e, %.3e]",
+                  blocks.bit_length() - 1, pivots.min(), pivots.max())
 
 
 def _evaluate(scale: float, col: np.ndarray, row: np.ndarray, blocks: int,
@@ -759,14 +765,15 @@ def _evaluate(scale: float, col: np.ndarray, row: np.ndarray, blocks: int,
     never formed: their core is ``scale * w^T w``, exactly symmetric,
     with ``w = L^-1 R^T`` from the displacement generator of K
     (:func:`_schur_solve`).  The other kernels (BSEP, MARE) are built
-    and LU-factored (:func:`_kernel_factor`).  Either way the iterate
-    keeps only its spans and core, not the kernel or its factor.
+    and LU-factored (:func:`_kernel_factor`).  Either way the pivots are
+    logged, and the iterate keeps only its spans and core.
     """
     cols = r_left.shape[1]
     if sigma == +1:
         w = _schur_solve(col, blocks, r_left.T.copy())
         return LowRankSolution(q_left, scale * (w.T @ w), q_left, cols)
     factor = _kernel_factor(col, row, blocks, sigma)
+    _log_pivots(blocks, np.abs(np.diagonal(factor[0])))
     core = scale * (r_left @ scipy.linalg.lu_solve(factor, r_right.T,
                                                    check_finite=False))
     return LowRankSolution(q_left, core, q_right, cols)
@@ -843,22 +850,6 @@ def dsda_eval_A(s: DsdaSymState) -> np.ndarray:
     rhs = dsda_assemble(s, "Y") @ s.vhat.T
     corr = scipy.linalg.lu_solve(factor, rhs, check_finite=False)
     return power - s.scale * (s.uhat @ corr)
-
-
-def kernel_extreme_eigenvalues(s: DsdaSymState) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of the solution kernel.
-
-    Conditioning diagnostic: without truncation the kernel degrades as k
-    grows, and this is the number to watch.
-    """
-    row = _edges(s, "Y")[1]
-    kern = _hankel_kernel(row.T, row, 2 ** s.k, s.sigma)
-    if s.family == "bsep":
-        w = np.linalg.eigvals(kern)
-        mags = np.abs(w)
-        return float(mags.min()), float(mags.max())
-    w = np.linalg.eigvalsh(kern)
-    return float(w[0]), float(w[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -1005,9 +996,7 @@ def dsda_mare_init(p: MareProblem, mode: str = "sda") -> DsdaMareState:
     eigenvalues to Y Z, so I - Y Z stays nonsingular.  Zero-width
     factors (an all-zero B or C) degrade every formula gracefully.
     """
-    from .classical import resolve_mare_shifts
-
-    alpha, beta = resolve_mare_shifts(p, mode)
+    alpha, beta = p.shifts(mode)
     s = alpha + beta
     solve_a, prop_a = _shifted(p.a, p.a_sparse, beta, -s)
     solve_d, prop_d = _shifted(p.d, p.d_sparse, alpha, -s)

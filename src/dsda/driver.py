@@ -22,7 +22,7 @@ is made, whatever the basis width; the spans are nested, so the
 Bethe-Salpeter increment subtracts the previous core from the leading
 block of the current one.  Every ``sda`` iterate is measured dense.  The
 final solution is formed dense once, from the spans and core, when the
-report is built.
+report is built.  The evaluations log their kernel pivots at DEBUG.
 """
 
 from __future__ import annotations
@@ -328,18 +328,6 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
             eval_ms=eval_ms,
             measure_ms=measure_ms,
         ))
-        if isinstance(state, decoupled.DsdaSymState) \
-                and log.isEnabledFor(logging.DEBUG):
-            # A diagnostic only: a kernel it cannot build or decompose
-            # leaves the run as it is.
-            try:
-                lo, hi = decoupled.kernel_extreme_eigenvalues(state)
-            except (BudgetExceededError, np.linalg.LinAlgError) as exc:
-                log.debug("k=%d kernel eigenvalues unavailable: %s",
-                          state.k, exc)
-            else:
-                log.debug("k=%d kernel eigenvalues in [%.3e, %.3e]",
-                          state.k, lo, hi)
         if residual <= cfg.tol:
             return report("Converged")
     return report("MaxIter")

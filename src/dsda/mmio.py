@@ -4,8 +4,9 @@ Supports the coordinate and array formats with real, integer and
 complex fields and general/symmetric/hermitian symmetry, which covers
 the benchmark data this package consumes.  Matrices are returned dense.
 The reader rejects pattern and skew-symmetric data, entries above the
-diagonal in symmetric storage and any byte outside ASCII, each with the
-file and line.  A coordinate entry given twice keeps its last value.
+diagonal in symmetric storage, a non-real diagonal entry in hermitian
+storage and any byte outside ASCII, each with the file and line.  A
+coordinate entry given twice keeps its last value.
 The writer emits the array format with 17 significant digits so a
 written matrix reloads bit-identically.
 """
@@ -83,7 +84,7 @@ def load_matrix_market(path) -> np.ndarray:
     # where they stand.
     first = 2 if coordinate else 0
     width = first + 1 + complex_field
-    index, values = [], []
+    index, values, linenos = [], [], []
     for off, tok in body:
         if len(tok) != width:
             _fail(path, off, _MISCOUNT[fmt, complex_field].format(len(tok)))
@@ -101,6 +102,7 @@ def load_matrix_market(path) -> np.ndarray:
             if sym != "general" and i < j:
                 _fail(path, off, "symmetric storage must keep the lower triangle")
             index += i - 1, j - 1
+        linenos.append(off)
     vals = np.array(values).view(np.complex128 if complex_field else np.float64)
 
     if sym != "general" and rows != cols:
@@ -121,6 +123,9 @@ def load_matrix_market(path) -> np.ndarray:
         return vals.reshape((rows, cols), order="F")
     else:
         c, r = np.triu_indices(rows)
+    bad = np.flatnonzero((r == c) & (vals.imag != 0.0))
+    if sym == "hermitian" and bad.size:
+        _fail(path, linenos[bad[0]], "hermitian diagonal entries must be real")
     mat = np.zeros((rows, cols), dtype=vals.dtype)
     mat[r, c] = vals
     if sym != "general":

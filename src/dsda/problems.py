@@ -163,6 +163,16 @@ class MareProblem:
         d_max = float(np.max(np.diag(self.d)))
         return {"gamma": max(a_max, d_max), "alpha": a_max, "beta": d_max}
 
+    def shifts(self, mode: str) -> tuple[float, float]:
+        """(alpha, beta): gamma twice for ``"sda"``, alpha and beta for
+        ``"adda"``; a shift left unset takes its floor."""
+        names = {"sda": ("gamma", "gamma"), "adda": ("alpha", "beta")}
+        if mode not in names:
+            raise ValueError(f"unknown mode '{mode}'")
+        floors = self.shift_floors()
+        return tuple(floors[name] if getattr(self, name) is None
+                     else getattr(self, name) for name in names[mode])
+
     @property
     def m(self) -> int:
         return self.a.shape[0]

@@ -16,6 +16,7 @@ from dsda.classical import (
     sym_sda_step,
 )
 from dsda.errors import InvalidShiftError, SingularMatrixError
+from dsda.matkit import solve_general
 from dsda.problems import (
     BsepProblem,
     CareProblem,
@@ -72,10 +73,21 @@ class TestCareInit:
         assert np.allclose(s.h_k, 0.0)
 
     def test_routes_agree(self):
+        # The low-rank start against the direct Cayley formulas
+        # A_0 = I + 2 gamma K^-T, G_0 = 2 gamma A_g^-1 G K^-1 and
+        # H_0 = 2 gamma K^-1 H A_g^-1 with K = A_g^T + H A_g^-1 G.
         p = gen_random_care(6, 2, 2, seed=42)
-        s1 = care_init(p, route="lowrank")
-        s2 = care_init(p, route="direct")
-        for x, y in ((s1.a_k, s2.a_k), (s1.g_k, s2.g_k), (s1.h_k, s2.h_k)):
+        n, gamma = p.n, p.gamma
+        eye = np.eye(n)
+        a_g = p.a - gamma * eye
+        g, h = p.b @ p.b.T, p.c.T @ p.c
+        ag_inv = solve_general(a_g, eye)
+        k_inv = solve_general(a_g.T + h @ ag_inv @ g, eye)
+        g0 = 2.0 * gamma * ag_inv @ g @ k_inv
+        h0 = 2.0 * gamma * k_inv @ h @ ag_inv
+        s = care_init(p)
+        for x, y in ((s.a_k, eye + 2.0 * gamma * k_inv.T),
+                     (s.g_k, (g0 + g0.T) / 2.0), (s.h_k, (h0 + h0.T) / 2.0)):
             assert np.linalg.norm(x - y) <= 1e-12 * max(1.0, np.linalg.norm(y))
 
     def test_invalid_shift(self):

@@ -1,5 +1,5 @@
 """The solve driver's (family, method) table: the BSEP shift retry, the
-DEBUG kernel diagnostic, the kernel memory cap, a non-finite kernel
+DEBUG kernel pivot line, the kernel memory cap, a non-finite kernel
 generator and the failure contract on scaled random instances."""
 
 import dataclasses
@@ -158,51 +158,64 @@ def _measured(report):
             for rec in report.iterations]
 
 
+def _pivot_lines(caplog):
+    """The (k, lo, hi) of each kernel pivot line logged."""
+    return [rec.args for rec in caplog.records if "kernel pivots" in rec.msg]
+
+
 @pytest.mark.parametrize("family,method", PAIRS)
-def test_debug_logs_the_kernel_eigenvalues_of_one_kernel_runs(
+def test_debug_logs_the_kernel_pivots_of_every_decoupled_run(
         family, method, caplog):
-    # One line per record for a care/dare/bsep dsda run, none for mare
-    # (two kernels) or sda (none); the records are those of a run
-    # without DEBUG.
+    # One line per record for a dsda or adda run, and one more for the
+    # Bethe-Salpeter F_0 at k = 0; none for sda, which factors no
+    # kernel.  The records are those of a run without DEBUG.
     p = GENERATORS[family](24, 2, 3)
     cfg = SolveConfig(method=method)
     plain = solve_driver(p, cfg)
-    with caplog.at_level(logging.DEBUG, logger="dsda.driver"):
+    with caplog.at_level(logging.DEBUG, logger="dsda.decoupled"):
         report = solve_driver(p, cfg)
-    lines = [rec.args for rec in caplog.records
-             if "kernel eigenvalues" in rec.msg]
+    lines = _pivot_lines(caplog)
     assert _measured(report) == _measured(plain)
     assert report.status == plain.status
-    if family == "mare" or method == "sda":
+    if method == "sda":
         assert lines == []
         return
-    assert [k for k, _, _ in lines] == [rec.k for rec in report.iterations]
+    ks = [rec.k for rec in report.iterations]
+    assert [k for k, _, _ in lines] == ([0] + ks if family == "bsep" else ks)
     for _, lo, hi in lines:
         assert 0.0 < lo <= hi
-        if family != "bsep":
-            # I + Y^T Y is symmetric positive definite with all
-            # eigenvalues at least one.
+        if family in ("care", "dare"):
+            # K = I + Y^T Y >= I makes every Schur complement >= I, so
+            # every pivot of its Cholesky factor is at least one.
             assert lo >= 1.0 - 1e-12
 
 
 def test_debug_diagnostic_over_the_kernel_cap_leaves_the_run_as_it_is(
         monkeypatch, caplog):
-    # The DEBUG line builds the kernel I + Y^T Y, which the run itself
-    # never forms.  n = 16, l = 3: from k = 3 it is 24 x 24 or larger,
-    # over the lowered cap, so the diagnostic says it is unavailable and
-    # the run goes on exactly as without DEBUG.
-    p = gen_random_care(16, 2, 3, 3)
-    cfg = SolveConfig(tol=1e-30, max_iter=6)
+    # A CARE or DARE run never forms its kernel I + Y^T Y, and the DEBUG
+    # line reads the factor the evaluation forms, so DEBUG builds no
+    # kernel either.  n = 16, l = 3: from k = 3 the kernel would be
+    # 24 x 24 or larger, over the lowered cap; every step still logs its
+    # line and the run goes on exactly as without DEBUG.
     monkeypatch.setattr(decoupled, "KERNEL_MAX_BYTES", 8 * 24 ** 2 - 1)
-    plain = solve_driver(p, cfg)
-    with caplog.at_level(logging.DEBUG, logger="dsda.driver"):
-        report = solve_driver(p, cfg)
-    assert plain.status == report.status == "MaxIter"
-    assert _measured(report) == _measured(plain)
-    assert [rec.k for rec in report.iterations] == [1, 2, 3, 4, 5, 6]
-    unavailable = [rec.args[0] for rec in caplog.records
-                   if "kernel eigenvalues unavailable" in rec.msg]
-    assert unavailable == [3, 4, 5, 6]
+    kernel = decoupled._hankel_kernel
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(args[0].shape)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(decoupled, "_hankel_kernel", spy)
+    cfg = SolveConfig(tol=1e-30, max_iter=6)
+    for p in (gen_random_care(16, 2, 3, 3), gen_random_dare(16, 2, 3, 3)):
+        plain = solve_driver(p, cfg)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG):
+            report = solve_driver(p, cfg)
+        assert built == []
+        assert plain.status == report.status == "MaxIter"
+        assert _measured(report) == _measured(plain)
+        assert [k for k, _, _ in _pivot_lines(caplog)] == [1, 2, 3, 4, 5, 6]
 
 
 def test_a_kernel_over_the_memory_cap_ends_budget_exceeded(monkeypatch):

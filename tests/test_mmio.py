@@ -170,6 +170,12 @@ READER_CORPUS = [
     ("hermitian-upper",
      _hdr("coordinate complex hermitian") + "2 2 2\n1 1 1 0\n1 2 1 1\n",
      (ParseError, "4: symmetric storage must keep the lower triangle")),
+    ("coordinate-hermitian-complex-diagonal",
+     _hdr("coordinate complex hermitian") + "2 2 2\n2 1 2.0 3.0\n1 1 1.0 0.5\n",
+     (ParseError, "4: hermitian diagonal entries must be real")),
+    ("array-hermitian-complex-diagonal",
+     _hdr("array complex hermitian") + "2 2\n1 0\n2 3\n4 -1\n",
+     (ParseError, "5: hermitian diagonal entries must be real")),
     # Packed symmetric storage must be square; entries are checked first.
     ("symmetric-array-nonsquare", _hdr("array real symmetric") + "2 3\n1\n2\n3\n",
      (ParseError, "2: symmetric matrices must be square")),
@@ -220,8 +226,8 @@ READER_CORPUS = [
      _hdr("coordinate real symmetric") + "3 3 4\n1 1 4\n2 1 -1\n3 2 2\n3 3 5\n",
      np.array([[4.0, -1.0, 0.0], [-1.0, 0.0, 2.0], [0.0, 2.0, 5.0]])),
     ("coordinate-hermitian",
-     _hdr("coordinate complex hermitian") + "2 2 2\n1 1 1.0 0.5\n2 1 2.0 3.0\n",
-     np.array([[1.0 + 0.5j, 2.0 - 3.0j], [2.0 + 3.0j, 0.0]])),
+     _hdr("coordinate complex hermitian") + "2 2 2\n1 1 1.0 0.0\n2 1 2.0 3.0\n",
+     np.array([[1.0, 2.0 - 3.0j], [2.0 + 3.0j, 0.0]])),
     ("coordinate-real-hermitian",
      _hdr("coordinate real hermitian") + "2 2 1\n2 1 4.0\n",
      np.array([[0.0, 4.0], [4.0, 0.0]])),
@@ -233,8 +239,8 @@ READER_CORPUS = [
      _hdr("array real symmetric") + "3 3\n1\n2\n3\n4\n5\n6\n",
      np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])),
     ("array-hermitian",
-     _hdr("array complex hermitian") + "2 2\n1 0\n2 3\n4 -1\n",
-     np.array([[1.0, 2.0 - 3.0j], [2.0 + 3.0j, 4.0 - 1.0j]])),
+     _hdr("array complex hermitian") + "2 2\n1 0\n2 3\n4 0\n",
+     np.array([[1.0, 2.0 - 3.0j], [2.0 + 3.0j, 4.0]])),
     ("array-complex-symmetric",
      _hdr("array complex symmetric") + "2 2\n1 0\n2 3\n4 0\n",
      np.array([[1.0, 2.0 + 3.0j], [2.0 + 3.0j, 4.0]])),

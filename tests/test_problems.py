@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from dsda.classical import resolve_mare_shifts
 from dsda.errors import ConfigError, DimensionMismatchError, InvalidShiftError
 from dsda.matkit import numerical_rank
 from dsda.problems import (
@@ -141,8 +140,8 @@ class TestProblemValidation:
             dataclasses.replace(p, gamma=float("nan"))
         # Each floor is admissible, and is the shift an unset one takes.
         q = dataclasses.replace(p, **floors)
-        assert resolve_mare_shifts(q, "sda") == resolve_mare_shifts(p, "sda")
-        assert resolve_mare_shifts(q, "adda") == resolve_mare_shifts(p, "adda")
+        assert q.shifts("sda") == p.shifts("sda")
+        assert q.shifts("adda") == p.shifts("adda")
 
 
 class TestAssembleProblem:

@@ -13,7 +13,6 @@ import pytest
 import scipy.sparse as sp
 
 from dsda import decoupled, matkit
-from dsda.classical import resolve_mare_shifts
 from dsda.decoupled import (
     MatrixPropagator,
     ResolventPropagator,
@@ -161,7 +160,7 @@ def test_init_blocks_match_dense_solves():
         checks.append((s.vhat, solve(bsep.alpha * eye - bsep.a.conj(),
                                      bsep.l_b.conj())))
         for mode in ("sda", "adda"):
-            alpha, beta = resolve_mare_shifts(mare, mode)
+            alpha, beta = mare.shifts(mode)
             a_b, d_a = mare.a + beta * eye, mare.d + alpha * eye
             s = dsda_mare_init(mare, mode)
             checks += [(s.uhat, solve(a_b, mare.b_l)),
