@@ -21,6 +21,7 @@ from dsda import (
     dsda_eval_A,
     dsda_eval_G,
     dsda_eval_H,
+    dsda_mare_dense,
     dsda_mare_eval,
     dsda_mare_init,
     dsda_mare_step,
@@ -67,7 +68,7 @@ for _ in range(4):
     oracle, state = mare_sda_step(oracle), dsda_mare_step(state)
     print(f"mare    {state.k}   {rel(dsda_mare_eval(state, 'H').dense(), oracle.h_k):.2e}"
           f"      {rel(dsda_mare_eval(state, 'G').dense(), oracle.g_k):.2e}"
-          f"      {rel(dsda_mare_eval(state, 'E'), oracle.e_k):.2e}"
+          f"      {rel(dsda_mare_dense(state, 'E'), oracle.e_k):.2e}"
           f"      {state.basis_cols}")
 
 p = gen_random_bsep(10, 2, seed=7)

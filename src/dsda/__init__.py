@@ -25,10 +25,7 @@ from .decoupled import (
     DsdaMareState,
     DsdaSymState,
     LowRankSolution,
-    bsep_eigen_extract,
     bsep_eval_F,
-    dsda_assemble,
-    dsda_eval_A,
     dsda_eval_G,
     dsda_eval_H,
     dsda_mare_eval,
@@ -36,7 +33,6 @@ from .decoupled import (
     dsda_mare_step,
     dsda_sym_init,
     dsda_sym_step,
-    subspace_angle,
 )
 from .driver import (
     ConvergenceReport,
@@ -71,24 +67,26 @@ from .problems import (
     reduce_control_weight,
 )
 from .residuals import bsep_increment, care_residual, dare_residual, mare_residual
+from .validate import (bsep_eigen_extract, dsda_assemble, dsda_eval_A,
+                       dsda_mare_dense, subspace_angle)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BsepProblem", "BsepSdaState", "BudgetExceededError", "ConfigError",
-    "ConvergenceReport", "CareProblem", "DEFAULT_COLUMN_BUDGET",
-    "DareProblem", "DimensionMismatchError", "DsdaMareState", "DsdaSymState",
+    "ConvergenceReport", "CareProblem", "DEFAULT_COLUMN_BUDGET", "DareProblem",
+    "DimensionMismatchError", "DsdaMareState", "DsdaSymState",
     "InvalidShiftError", "IterationRecord", "LowRankSolution", "MareProblem",
-    "MareSdaState", "ParseError", "SingularMatrixError", "SolveConfig", "SolverError", "SymSdaState",
-    "UnsupportedFieldError",
-    "assemble_problem", "bsep_eigen_extract", "bsep_eval_F", "bsep_increment",
-    "bsep_init", "bsep_sda_step", "care_init", "care_residual", "dare_init",
+    "MareSdaState", "ParseError", "SingularMatrixError", "SolveConfig",
+    "SolverError", "SymSdaState", "UnsupportedFieldError", "assemble_problem",
+    "bsep_eigen_extract", "bsep_eval_F", "bsep_increment", "bsep_init",
+    "bsep_sda_step", "care_init", "care_residual", "dare_init",
     "dare_residual", "dsda_assemble", "dsda_eval_A", "dsda_eval_G",
-    "dsda_eval_H", "dsda_mare_eval", "dsda_mare_init", "dsda_mare_step",
-    "dsda_sym_init", "dsda_sym_step", "family_of", "frobenius_norm",
-    "gen_random_bsep", "gen_random_care", "gen_random_dare",
-    "gen_random_mare", "gen_scalar_suite", "load_matrix_market", "mare_init", "mare_residual", "mare_sda_step",
-    "numerical_rank", "reduce_control_weight", "save_matrix_market",
-    "solve_driver", "solve_general", "subspace_angle",
-    "sym_sda_step",
+    "dsda_eval_H", "dsda_mare_dense", "dsda_mare_eval", "dsda_mare_init",
+    "dsda_mare_step", "dsda_sym_init", "dsda_sym_step", "family_of",
+    "frobenius_norm", "gen_random_bsep", "gen_random_care", "gen_random_dare",
+    "gen_random_mare", "gen_scalar_suite", "load_matrix_market", "mare_init",
+    "mare_residual", "mare_sda_step", "numerical_rank",
+    "reduce_control_weight", "save_matrix_market", "solve_driver",
+    "solve_general", "subspace_angle", "sym_sda_step",
 ]

@@ -24,7 +24,6 @@ import os
 import sys
 
 from .config import SETTINGS, read_config
-from .decoupled import bsep_eigen_extract
 from .driver import (
     METHODS,
     ConvergenceReport,
@@ -47,6 +46,7 @@ from .problems import (
     gen_scalar_suite,
     shift_fields,
 )
+from .validate import bsep_eigen_extract
 
 STATUS_EXIT_CODES = {
     "Converged": 0,

@@ -13,8 +13,7 @@ seed Y_0 when i + j = 2^k - 1 and mu * M_{i+j-2^k} beyond.  A state
 keeps only Y_0 and the moments M_0 ... M_{2^(k+1)-2}.  With b = 2^k, a
 step grows each chain by the blocks i = b ... 2b - 1 and appends the
 new moments from pairs of fresh blocks, M_{2i-1} = u_i^T v_{i-1} and
-M_{2i} = u_i^T v_i; :func:`dsda_assemble` builds Y or T on demand for
-validation.  All iterates of the classical recursions then follow:
+M_{2i} = u_i^T v_i.  The iterates of the classical recursions follow:
 
     H_k = c * Vhat (I + sigma Y^T Y)^-1 Vhat^T
     G_k = c * Uhat (I + sigma Y Y^T)^-1 Uhat^T
@@ -60,9 +59,7 @@ the first blocks, M^-1 B and M^-T C^T, and P = I + c M^-1.  A dense LU
 forms P as the explicit n x n :class:`MatrixPropagator`, applied by
 GEMM.  When the problem's operator is sparse (``a_sparse``, see
 ``matkit.SPARSE_MAX_DENSITY``) the sparse LU of M is kept as a
-:class:`ResolventPropagator` and applied as x + c M^-1 x.  Only the
-validation evaluators (:func:`dsda_eval_A`, MARE ``F``/``E``) form the
-dense P, and they are guarded to small n.
+:class:`ResolventPropagator` and applied as x + c M^-1 x.
 
 Each state also keeps, for every basis an evaluated iterate is built
 on, an orthonormal basis Q of its numerical span and its coordinates
@@ -88,12 +85,11 @@ reads, and no n x cols basis.  Of each Krylov chain a state keeps its
 first and last blocks (BSEP's ``uhat`` is ``conj(vhat)``): a step grows
 the chain from the last, and the bases ``uhat``, ``vhat`` (and MARE's
 ``what`` and ``qhat``) are properties that replay the Krylov recursion
-from the first, bit for bit, for validation.  Memory is
-O(n r + r cols) per evaluated basis.  An iterate of every family holds
-its spans and core and nothing of its kernel: the BSEP increment
-compares two cores, the earlier one on the leading directions of the
-later span, and ``dense()`` is ``Q_l core Q_r^T``
-(see :class:`LowRankSolution`).
+from the first, bit for bit.  Memory is O(n r + r cols) per evaluated
+basis.  An iterate of every family holds its spans and core and nothing
+of its kernel: the BSEP increment compares two cores, the earlier one
+on the leading directions of the later span, and ``dense()`` is
+``Q_l core Q_r^T`` (see :class:`LowRankSolution`).
 
 The closed-form statements for the one-kernel families are usually
 quoted for k >= 2 with the first step written out separately; here the
@@ -121,7 +117,7 @@ from .errors import (
     DimensionMismatchError,
     SingularMatrixError,
 )
-from .matkit import EPS, lu_factor_checked, solve_general, splu_shifted
+from .matkit import EPS, lu_factor_checked, splu_shifted
 from .problems import BsepProblem, CareProblem, DareProblem, MareProblem
 
 log = logging.getLogger(__name__)
@@ -129,9 +125,6 @@ log = logging.getLogger(__name__)
 #: Default cap on basis columns; the bases double every step and no
 #: truncation is performed, so runaway growth must fail cleanly.
 DEFAULT_COLUMN_BUDGET = 4096
-
-#: Dense evaluation of A_k / E_k / F_k is for validation only.
-DENSE_EVAL_MAX_DIM = 512
 
 #: Largest kernel, in bytes, that is built: 2 GiB, a quarter of an
 #: 8 GB machine's memory.  A BSEP or MARE kernel has cols^2 entries
@@ -595,30 +588,6 @@ def _extend_basis(basis: np.ndarray, op: Propagator, blocks: int,
     return np.concatenate([basis] + new, axis=1)
 
 
-def dsda_assemble(s: DsdaSymState | DsdaMareState, which: str) -> np.ndarray:
-    """Kernel ``"Y"`` or ``"Z"``, or Gram block ``"T"`` or ``"S"``, of a state.
-
-    T is ``uhat.T @ vhat`` for the one-kernel families and
-    ``qhat.T @ what`` for the four-matrix family, whose Z and S
-    (``vhat.T @ uhat``) complete the set.  Each is block Hankel: block
-    (i, j) is entry i + j of a sequence built from the state's seed and
-    moments, gathered in one vectorised copy that keeps the dtype.
-    """
-    mare = isinstance(s, DsdaMareState)
-    b = 2 ** s.k
-    if which == "T" or (which == "S" and mare):
-        seq = s.t_moments if which == "T" else s.s_moments
-    elif which == "Y" or (which == "Z" and mare):
-        tail = _tail(s, which)
-        seq = np.concatenate(
-            [np.zeros((b - 1,) + tail.shape[1:], dtype=tail.dtype), tail])
-    else:
-        raise ValueError(f"which must name a matrix of the state; got {which!r}")
-    _, r, c = seq.shape
-    windows = np.lib.stride_tricks.sliding_window_view(seq, b, axis=0)
-    return windows.transpose(0, 1, 3, 2).reshape(b * r, b * c)
-
-
 def _tail(s: DsdaSymState | DsdaMareState, which: str) -> np.ndarray:
     """The entries h_{b-1} ... h_{2b-2} of the sequence of kernel ``"Y"``
     or ``"Z"``, the seed followed by the first b - 1 scaled moments;
@@ -814,105 +783,6 @@ def bsep_eval_F(s: DsdaSymState) -> LowRankSolution:
     return _sym_solution(s, "right")
 
 
-def _dense_power(s: DsdaSymState | DsdaMareState, prop: Propagator,
-                 conj: bool = False) -> np.ndarray:
-    """``prop``'s dense matrix, ``prop`` applied to the identity
-    (conjugated with ``conj``), to the power 2^k of the state, by
-    repeated squaring.
-
-    Dense evaluation is for validation only: it is refused when any
-    propagator of the state has order above ``DENSE_EVAL_MAX_DIM``.
-    """
-    props = ((s.prop_a, s.prop_d) if isinstance(s, DsdaMareState)
-             else (s.propagator,))
-    n = max(p.shape[0] for p in props)
-    if n > DENSE_EVAL_MAX_DIM:
-        raise BudgetExceededError(
-            f"dense propagator-power evaluation is guarded to "
-            f"n <= {DENSE_EVAL_MAX_DIM}, got n = {n}")
-    out = prop.apply(np.eye(prop.shape[0], dtype=prop.dtype))
-    if conj:
-        out = out.conj()
-    for _ in range(s.k):
-        out = out @ out
-    return out
-
-
-def dsda_eval_A(s: DsdaSymState) -> np.ndarray:
-    """Dense A_k (E_k for the BSEP family), for validation at small sizes.
-
-    ``A_k = P^(2^k) - c * Uhat (I + sigma Y Y^T)^-1 Y Vhat^T`` with the
-    propagator power formed by repeated squaring.
-    """
-    power = _dense_power(s, s.propagator, conj=s.family == "bsep")
-    col = _edges(s, "Y")[0]
-    factor = _kernel_factor(col, col.T, 2 ** s.k, s.sigma)
-    rhs = dsda_assemble(s, "Y") @ s.vhat.T
-    corr = scipy.linalg.lu_solve(factor, rhs, check_finite=False)
-    return power - s.scale * (s.uhat @ corr)
-
-
-# ---------------------------------------------------------------------------
-# Bethe-Salpeter post-processing
-# ---------------------------------------------------------------------------
-
-def bsep_eigen_extract(f: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stable eigenvalues from a converged F.
-
-    Compresses the 2n x 2n problem to the n x n matrix
-    ``[I, -F^H] M [I; -F] (I + F^H F)^-1`` built from the blocks A, B
-    and returns its eigenvalues sorted by ascending real part.
-    """
-    f = np.atleast_2d(np.asarray(f, dtype=np.complex128))
-    a = np.atleast_2d(np.asarray(a, dtype=np.complex128))
-    b = np.atleast_2d(np.asarray(b, dtype=np.complex128))
-    n = a.shape[0]
-    if f.shape != (n, n) or b.shape != (n, n):
-        raise DimensionMismatchError("F, A, B must all be n x n")
-    ham = np.block([[a, b], [-b.conj(), -a.conj()]])
-    row = np.hstack([np.eye(n), -f.conj().T])
-    col = np.vstack([np.eye(n), -f])
-    core = row @ ham @ col
-    gram = np.eye(n) + f.conj().T @ f
-    compressed = solve_general(gram.T, core.T).T
-    eigs = np.linalg.eigvals(compressed)
-    order = np.lexsort((eigs.imag, eigs.real))
-    return eigs[order]
-
-
-def subspace_angle(w: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Principal-angle matrix between the graph subspaces tagged by W and Z.
-
-    Evaluates ``arccos of the square root`` of
-
-        (I + conj(Z) Z)^-1/2 (I - conj(Z) W) (I + conj(W) W)^-1
-        (I - conj(W) Z) (I + conj(Z) Z)^-1/2,
-
-    which is zero exactly when Z = -W; the doubling iterate F_k drives
-    this to zero against W = X2 X1^-1.  Diagnostic only, intended for
-    complex-symmetric arguments (the iterates are).
-    """
-    w = np.atleast_2d(np.asarray(w, dtype=np.complex128))
-    z = np.atleast_2d(np.asarray(z, dtype=np.complex128))
-    if w.shape != z.shape or w.shape[0] != w.shape[1]:
-        raise DimensionMismatchError("W and Z must be square with equal shape")
-    n = w.shape[0]
-    gram_z = np.eye(n) + z.conj() @ z
-    gram_w = np.eye(n) + w.conj() @ w
-    vals, vecs = np.linalg.eigh((gram_z + gram_z.conj().T) / 2.0)
-    if np.min(vals) <= 0.0:
-        raise SingularMatrixError("I + conj(Z) Z is not positive definite")
-    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    mid = solve_general(gram_w, np.eye(n) - w.conj() @ z)
-    cos2 = inv_sqrt @ (np.eye(n) - z.conj() @ w) @ mid @ inv_sqrt
-    cos2 = (cos2 + cos2.conj().T) / 2.0
-    lam, q = np.linalg.eigh(cos2)
-    theta = np.arccos(np.sqrt(np.clip(lam, 0.0, 1.0)))
-    out = (q * theta) @ q.conj().T
-    out = (out + out.conj().T) / 2.0
-    return out.real if np.max(np.abs(out.imag)) < 1e-14 else out
-
-
 # ---------------------------------------------------------------------------
 # Four-matrix family: MARE (plain and alternating-directional shifts)
 # ---------------------------------------------------------------------------
@@ -1034,27 +904,14 @@ def dsda_mare_step(s: DsdaMareState,
                                q_span=q_span, q_coords=q_coords, k=s.k + 1)
 
 
-def dsda_mare_eval(s: DsdaMareState, which: str):
-    """Evaluate one of the four iterates.
-
-    ``"H"`` and ``"G"`` return :class:`LowRankSolution`; ``"F"`` and
-    ``"E"`` return dense matrices (validation-guarded like
-    :func:`dsda_eval_A`).
-    """
-    if which not in ("H", "G", "F", "E"):
-        raise ValueError(f"which must be one of H, G, F, E; got {which!r}")
-    first, second = ("Y", "Z") if which in ("H", "F") else ("Z", "Y")
-    kernel = (_edges(s, first)[0], _edges(s, second)[1], 2 ** s.k, -1)
-    if which == "H":
-        return _evaluate(s.shift_sum, *kernel, s.u_span, s.u_coords,
-                         s.q_span, s.q_coords)
-    if which == "G":
-        return _evaluate(s.shift_sum, *kernel, *span_of(s.what),
-                         *span_of(s.vhat))
-    prop, basis, other = ((s.prop_a, s.uhat, s.vhat) if which == "F"
-                          else (s.prop_d, s.what, s.qhat))
-    power = _dense_power(s, prop)
-    rhs = dsda_assemble(s, first) @ other.T
-    corr = scipy.linalg.lu_solve(_kernel_factor(*kernel), rhs,
-                                 check_finite=False)
-    return power - s.shift_sum * (basis @ corr)
+def dsda_mare_eval(s: DsdaMareState, which: str) -> LowRankSolution:
+    """H_k = s * Uhat (I - Y Z)^-1 Qhat^T (``which="H"``) or
+    G_k = s * What (I - Z Y)^-1 Vhat^T (``"G"``); the dense F_k and E_k
+    are :func:`dsda.validate.dsda_mare_dense`."""
+    if which not in ("H", "G"):
+        raise ValueError(f"which must be one of H, G; got {which!r}")
+    first, second = ("Y", "Z") if which == "H" else ("Z", "Y")
+    spans = ((s.u_span, s.u_coords, s.q_span, s.q_coords) if which == "H"
+             else (*span_of(s.what), *span_of(s.vhat)))
+    return _evaluate(s.shift_sum, _edges(s, first)[0], _edges(s, second)[1],
+                     2 ** s.k, -1, *spans)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dsda import decoupled
+from dsda import decoupled, validate
 from dsda.classical import (
     bsep_init,
     bsep_sda_step,
@@ -19,10 +19,7 @@ from dsda.decoupled import (
     _edges,
     _hankel_kernel,
     _schur_solve,
-    bsep_eigen_extract,
     bsep_eval_F,
-    dsda_assemble,
-    dsda_eval_A,
     dsda_eval_G,
     dsda_eval_H,
     dsda_mare_eval,
@@ -30,7 +27,6 @@ from dsda.decoupled import (
     dsda_mare_step,
     dsda_sym_init,
     dsda_sym_step,
-    subspace_angle,
 )
 from dsda.driver import SolveConfig, solve_driver
 from dsda.errors import BudgetExceededError, SingularMatrixError
@@ -43,6 +39,13 @@ from dsda.problems import (
     gen_random_care,
     gen_random_dare,
     gen_random_mare,
+)
+from dsda.validate import (
+    bsep_eigen_extract,
+    dsda_assemble,
+    dsda_eval_A,
+    dsda_mare_dense,
+    subspace_angle,
 )
 
 SCALAR_CARE = CareProblem([[-1.0]], [[1.0]], [[1.0]], gamma=1.0)
@@ -397,8 +400,8 @@ class TestMareDecoupled:
             s = dsda_mare_step(s)
             oracle = mare_sda_step(oracle)
             # With empty kernels both reduce to plain propagator squaring.
-            assert np.array_equal(dsda_mare_eval(s, "E"), oracle.e_k)
-            assert np.array_equal(dsda_mare_eval(s, "F"), oracle.f_k)
+            assert np.array_equal(dsda_mare_dense(s, "E"), oracle.e_k)
+            assert np.array_equal(dsda_mare_dense(s, "F"), oracle.f_k)
 
     def test_adda_equal_shifts_matches_sda_init(self):
         p = gen_random_mare(4, 3, 2, 1, seed=2)
@@ -446,8 +449,8 @@ class TestMareDecoupled:
             s = dsda_mare_step(s)
             assert rel_err(dsda_mare_eval(s, "H").dense(), oracle.h_k) <= 1e-10
             assert rel_err(dsda_mare_eval(s, "G").dense(), oracle.g_k) <= 1e-10
-            assert rel_err(dsda_mare_eval(s, "F"), oracle.f_k) <= 1e-10
-            assert rel_err(dsda_mare_eval(s, "E"), oracle.e_k) <= 1e-10
+            assert rel_err(dsda_mare_dense(s, "F"), oracle.f_k) <= 1e-10
+            assert rel_err(dsda_mare_dense(s, "E"), oracle.e_k) <= 1e-10
 
     def test_budget_refusal(self):
         s = dsda_mare_init(gen_random_mare(6, 6, 2, 2, seed=4))
@@ -455,18 +458,18 @@ class TestMareDecoupled:
             dsda_mare_step(s, column_budget=2)
 
 
-@pytest.mark.parametrize("n", [decoupled.DENSE_EVAL_MAX_DIM,
-                               decoupled.DENSE_EVAL_MAX_DIM + 1])
+@pytest.mark.parametrize("n", [validate.DENSE_EVAL_MAX_DIM,
+                               validate.DENSE_EVAL_MAX_DIM + 1])
 def test_dense_evaluations_are_guarded(n):
     """A_k and the MARE F_k and E_k are dense: refused above the guard."""
     ones = np.ones((n, 1))
     sym = dsda_sym_init(DareProblem(0.5 * np.eye(n), ones, ones.T))
     mare = dsda_mare_init(gen_random_mare(n, 2, 1, 1, seed=2))
     evaluations = [(lambda: dsda_eval_A(sym), (n, n)),
-                   (lambda: dsda_mare_eval(mare, "F"), (n, n)),
-                   (lambda: dsda_mare_eval(mare, "E"), (2, 2))]
+                   (lambda: dsda_mare_dense(mare, "F"), (n, n)),
+                   (lambda: dsda_mare_dense(mare, "E"), (2, 2))]
     for evaluate, shape in evaluations:
-        if n > decoupled.DENSE_EVAL_MAX_DIM:
+        if n > validate.DENSE_EVAL_MAX_DIM:
             with pytest.raises(BudgetExceededError, match="guarded"):
                 evaluate()
         else:
@@ -595,7 +598,7 @@ class TestHankelKernel:
                 gen_random_bsep(6, 2, seed=1))]
         mare = dsda_mare_step(dsda_mare_init(gen_random_mare(5, 4, 2, 1,
                                                              seed=1)))
-        monkeypatch.setattr(decoupled, "dsda_assemble", refuse)
+        monkeypatch.setattr(validate, "dsda_assemble", refuse)
         for s in sym[:2]:
             dsda_eval_H(s)
             dsda_eval_G(s)

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsda import classical, decoupled
-from dsda.decoupled import bsep_eigen_extract
 from dsda.driver import (
     BSEP_SHIFT_RETRIES,
     METHODS,
@@ -32,6 +31,7 @@ from dsda.problems import (
     gen_random_mare,
     gen_scalar_suite,
 )
+from dsda.validate import bsep_eigen_extract
 
 #: alpha I - A is exactly zero, so the first start is singular.
 RETRY_BSEP = BsepProblem([[2.0]], [[1.0]], alpha=2.0)

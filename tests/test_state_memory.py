@@ -26,7 +26,7 @@ from test_sparse_route import (
     heat_mare,
 )
 
-from dsda import decoupled
+from dsda import decoupled, validate
 from dsda.decoupled import (
     PANEL_COLS,
     SWEEP_COLS,
@@ -214,7 +214,7 @@ def test_moments_are_products_of_the_replayed_bases(label, make, init,
         _, s = _run(make, init, step, steps=5)
         for which, left, right in pairs:
             full = getattr(s, left).T @ getattr(s, right)
-            got = decoupled.dsda_assemble(s, which)
+            got = validate.dsda_assemble(s, which)
             assert np.allclose(got, full, rtol=0.0,
                                atol=1e-13 * np.abs(full).max()), (width,
                                                                   which)
