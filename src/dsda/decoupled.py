@@ -59,7 +59,10 @@ the first blocks, M^-1 B and M^-T C^T, and P = I + c M^-1.  A dense LU
 forms P as the explicit n x n :class:`MatrixPropagator`, applied by
 GEMM.  When the problem's operator is sparse (``a_sparse``, see
 ``matkit.SPARSE_MAX_DENSITY``) the sparse LU of M is kept as a
-:class:`ResolventPropagator` and applied as x + c M^-1 x.
+:class:`ResolventPropagator` and applied as x + c M^-1 x.  When M is
+symmetric, P^T = P, and the two chains a propagator drives (u and v,
+or MARE's w and q) grow as one: one sparse solve per block on both
+chains side by side (:func:`_double`).
 
 Each state also keeps, for every basis an evaluated iterate is built
 on, an orthonormal basis Q of its numerical span and its coordinates
@@ -85,11 +88,12 @@ reads, and no n x cols basis.  Of each Krylov chain a state keeps its
 first and last blocks (BSEP's ``uhat`` is ``conj(vhat)``): a step grows
 the chain from the last, and the bases ``uhat``, ``vhat`` (and MARE's
 ``what`` and ``qhat``) are properties that replay the Krylov recursion
-from the first, bit for bit.  Memory is O(n r + r cols) per evaluated
-basis.  An iterate of every family holds its spans and core and nothing
-of its kernel: the BSEP increment compares two cores, the earlier one
-on the leading directions of the later span, and ``dense()`` is
-``Q_l core Q_r^T`` (see :class:`LowRankSolution`).
+from the first, grown as a step grows it, bit for bit.  Memory is
+O(n r + r cols) per evaluated basis.  An iterate of every family holds
+its spans and core and nothing of its kernel: the BSEP increment
+compares two cores, the earlier one on the leading directions of the
+later span, and ``dense()`` is ``Q_l core Q_r^T`` (see
+:class:`LowRankSolution`).
 
 The closed-form statements for the one-kernel families are usually
 quoted for k >= 2 with the first step written out separately; here the
@@ -320,12 +324,17 @@ class MatrixPropagator:
 class ResolventPropagator:
     """Propagator ``I + scale * M^-1`` applied through a sparse LU of M.
 
-    ``apply_t`` uses the plain transpose, also for complex M.
+    ``symmetric`` records that M equals its plain transpose entrywise.
+    Then P^T = P and ``apply_t`` is ``apply``, the very same solve, so
+    that chains grown by P and by P^T can grow as one (:func:`_double`).
+    Otherwise ``apply_t`` solves with the plain transpose, also for
+    complex M.
     """
 
     lu: object          # scipy.sparse.linalg.SuperLU of M
     scale: float
     dtype: np.dtype
+    symmetric: bool
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -335,6 +344,8 @@ class ResolventPropagator:
         return x + self.scale * self.lu.solve(x)
 
     def apply_t(self, x: np.ndarray) -> np.ndarray:
+        if self.symmetric:
+            return self.apply(x)
         return x + self.scale * self.lu.solve(x, trans="T")
 
 
@@ -347,14 +358,16 @@ def _shifted(a, a_sparse, shift: float, scale: float, form=lambda x: x):
 
     ``a_sparse`` (the problem's sparse A, or None) picks the route: a
     sparse LU of M applied as a :class:`ResolventPropagator`, or a dense
-    LU that forms the explicit :class:`MatrixPropagator`.  ``solve(x,
-    trans)`` solves with M (``trans="N"``) or its plain transpose
-    (``"T"``) through the same factor.
+    LU that forms the explicit :class:`MatrixPropagator`.  The sparse LU
+    is ordered for M's structure, and the propagator records whether M
+    is symmetric (:func:`matkit.splu_shifted`).  ``solve(x, trans)``
+    solves with M (``trans="N"``) or its plain transpose (``"T"``)
+    through the same factor.
     """
     if a_sparse is not None:
         op = form(a_sparse)
-        lu = splu_shifted(op, shift)
-        return lu.solve, ResolventPropagator(lu, scale, op.dtype)
+        lu, symmetric = splu_shifted(op, shift)
+        return lu.solve, ResolventPropagator(lu, scale, op.dtype, symmetric)
     m = np.array(form(a), order="F")
     m[np.diag_indices_from(m)] += shift
     factor = lu_factor_checked(m, overwrite_a=True)
@@ -403,20 +416,26 @@ class DsdaSymState:
     v_coords: np.ndarray
     k: int = 0
 
+    def _chains(self, end: str) -> tuple:
+        """(block, propagator, by its transpose) of each Krylov chain, its
+        ``"first"`` or its ``"last"`` block: the u and the v chain, or
+        BSEP's one chain."""
+        v = (getattr(self, f"v_{end}"), self.propagator, self.family != "bsep")
+        if self.family == "bsep":
+            return (v,)
+        return ((getattr(self, f"u_{end}"), self.propagator, False), v)
+
     @property
     def vhat(self) -> np.ndarray:
         """The right basis, formed again on each read (validation only)."""
-        return _extend_basis(self.v_first, self.propagator, 2 ** self.k - 1,
-                             self.y0.shape[1],
-                             transpose=self.family != "bsep")
+        return _replay(self._chains("first"), -1, self.k)
 
     @property
     def uhat(self) -> np.ndarray:
         """The left basis, formed again on each read (validation only)."""
         if self.family == "bsep":
             return self.vhat.conj()
-        return _extend_basis(self.u_first, self.propagator, 2 ** self.k - 1,
-                             self.y0.shape[0])
+        return _replay(self._chains("first"), 0, self.k)
 
     @property
     def basis_cols(self) -> int:
@@ -471,14 +490,9 @@ def dsda_sym_step(s: DsdaSymState,
                   column_budget: int = DEFAULT_COLUMN_BUDGET) -> DsdaSymState:
     """Double the bases, append the new Gram moments and extend the span
     of ``vhat`` and its coordinates."""
-    prop = s.propagator
-    if s.family == "bsep":
-        # uhat = conj(vhat): one chain, its moments v_i^H v_j.
-        chains = ((s.v_last, prop, False),)
-        products = ((s.t_moments, 0, 0, True),)
-    else:
-        chains = ((s.u_last, prop, False), (s.v_last, prop, True))
-        products = ((s.t_moments, 0, 1, False),)
+    chains = s._chains("last")
+    # BSEP: uhat = conj(vhat), one chain, its moments v_i^H v_j.
+    products = ((s.t_moments, 0, len(chains) - 1, s.family == "bsep"),)
     lasts, (t_new,), ((v_span, v_coords),) = _double(
         s.k, column_budget, chains, products,
         ((s.v_span, s.v_coords, len(chains) - 1),))
@@ -493,19 +507,24 @@ def _double(k: int, column_budget: int, chains, products, spans):
     time.
 
     ``chains`` holds each Krylov chain's last block, the propagator that
-    grows it and whether by its transpose; a chunk of a chain is its
-    last block followed by the next ones (:func:`_extend_basis`), a new
-    array that only a copy of its last block outlives.  ``products``
-    lists each moment stack with the positions of its left and right
-    chain and whether the left one enters conjugated, ``spans`` each
-    span with its coordinates and the position of its chain.  With
-    b = 2^k the new blocks are i = b ... 2b - 1, so the new moments
-    M_{2b-1} ... M_{4b-2} are M_{2i-1} = u_i^T v_{i-1} and
-    M_{2i} = u_i^T v_i (:func:`_pair_moments`).  Each chunk's new
-    columns extend their span at the threshold of the doubled basis
-    (:func:`extend_span`) and append their coordinates.  The columns
-    before them get zero coordinates on the directions a chunk adds:
-    they lay within that threshold of the span when they were deflated.
+    grows it and whether by its transpose.  Neighbouring chains that
+    share a symmetric :class:`ResolventPropagator`, whose transpose is
+    itself, grow as one stacked chain: one solve per block on their last
+    blocks side by side, in place of one per chain (the CARE u and v
+    chains, and the MARE u and v or w and q chains).  A chunk of a chain
+    is its last block followed by the next ones (:func:`_extend_basis`),
+    grown stacked and split again if its chain is, a new array that only
+    a copy of its last block outlives.  ``products`` lists each moment
+    stack with the positions of its left and right chain and whether the
+    left one enters conjugated, ``spans`` each span with its coordinates
+    and the position of its chain.  With b = 2^k the new blocks are
+    i = b ... 2b - 1, so the new moments M_{2b-1} ... M_{4b-2} are
+    M_{2i-1} = u_i^T v_{i-1} and M_{2i} = u_i^T v_i
+    (:func:`_pair_moments`).  Each chunk's new columns extend their span
+    at the threshold of the doubled basis (:func:`extend_span`) and
+    append their coordinates.  The columns before them get zero
+    coordinates on the directions a chunk adds: they lay within that
+    threshold of the span when they were deflated.
 
     Returns the new last blocks, moment stacks and (span, coordinates)
     pairs.
@@ -518,13 +537,18 @@ def _double(k: int, column_budget: int, chains, products, spans):
             f"doubling to {2 * blocks * max(widths)} columns exceeds the "
             f"budget of {column_budget}")
     per = max(1, STREAM_COLS // max(1, *widths))
+    growths = _growths(chains)
     stacks = [[moments] for moments, *_ in products]
     qs = [q for q, _, _ in spans]
     coords = [[r] for _, r, _ in spans]
     for first in range(0, blocks, per):
         count = min(per, blocks - first)
-        chunks = [_extend_basis(last, op, count, w, transpose=t)
-                  for last, w, (_, op, t) in zip(lasts, widths, chains)]
+        chunks = [None] * len(chains)
+        for growth in growths:
+            grown = _grow([lasts[i] for i in growth], *chains[growth[0]][1:],
+                          count)
+            for i, chunk in zip(growth, grown):
+                chunks[i] = chunk
         # Copied: a view would keep its whole chunk alive.
         lasts = [chunk[:, chunk.shape[1] - w:].copy()
                  for chunk, w in zip(chunks, widths)]
@@ -537,6 +561,50 @@ def _double(k: int, column_budget: int, chains, products, spans):
     return (lasts, [np.concatenate(stack) for stack in stacks],
             [(q, _stack_coordinates(parts, q.shape[1]))
              for q, parts in zip(qs, coords)])
+
+
+def _growths(chains) -> list[list[int]]:
+    """Positions of the chains that grow together: neighbours that share
+    a symmetric :class:`ResolventPropagator` (P^T = P, so by it or by
+    its transpose alike), and every other chain alone."""
+    growths = []
+    for i, (_, op, _) in enumerate(chains):
+        if (growths and isinstance(op, ResolventPropagator)
+                and op.symmetric and chains[growths[-1][0]][1] is op):
+            growths[-1].append(i)
+        else:
+            growths.append([i])
+    return growths
+
+
+def _grow(lasts: list[np.ndarray], op: Propagator, transpose: bool,
+          blocks: int) -> list[np.ndarray]:
+    """Each chain of ``lasts`` grown by ``blocks`` blocks
+    (:func:`_extend_basis`): one chain from its block as it is, several
+    as one stacked chain, split again into one new array per chain."""
+    if len(lasts) == 1:
+        # On the dense route the layout of a product's operand sets its
+        # rounding, so a lone chain is not copied.
+        return [_extend_basis(lasts[0], op, blocks, lasts[0].shape[1],
+                              transpose=transpose)]
+    sizes = [last.shape[1] for last in lasts]
+    grown = _extend_basis(np.hstack(lasts), op, blocks, sum(sizes),
+                          transpose=transpose)
+    n = grown.shape[0]
+    parts = np.split(grown.reshape(n, blocks + 1, sum(sizes)),
+                     np.cumsum(sizes)[:-1], axis=2)
+    return [part.reshape(n, -1) for part in parts]
+
+
+def _replay(chains, index: int, k: int) -> np.ndarray:
+    """The basis of 2^k blocks of chain ``index`` of ``chains`` (first
+    blocks, as :func:`_double` takes last ones), grown as the steps grow
+    it, so bit for bit the same blocks."""
+    index %= len(chains)
+    growth = next(g for g in _growths(chains) if index in g)
+    grown = _grow([chains[i][0] for i in growth], *chains[growth[0]][1:],
+                  2 ** k - 1)
+    return grown[growth.index(index)]
 
 
 def _pair_moments(left: np.ndarray, right: np.ndarray, count: int,
@@ -667,8 +735,9 @@ def _schur_solve(x: np.ndarray, blocks: int, rhs: np.ndarray) -> np.ndarray:
 
     The block columns are gathered ``PANEL_COLS`` columns at a time, and
     each panel is applied to ``rhs`` at once: a triangular solve with its
-    diagonal block and one product for the rows below it.  Besides
-    ``rhs`` and that product a call holds the generator, its product
+    diagonal block and one product for the rows below it, both BLAS
+    calls that write over ``rhs`` in place (``rhs`` is C-ordered, or
+    copied so).  Besides ``rhs`` a call holds the generator, its product
     with Q and one panel, ``cols * (2 a + PANEL_COLS)`` entries.  A
     non-finite ``x`` is refused before the first step.  The pivots
     ``|diag L|`` are logged; K >= I makes each at least one.
@@ -678,6 +747,7 @@ def _schur_solve(x: np.ndarray, blocks: int, rhs: np.ndarray) -> np.ndarray:
         return rhs
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("kernel generator has non-finite entries")
+    rhs = np.ascontiguousarray(rhs)
     d = cols // blocks
     a = d + m
     gen = np.zeros((cols, a), order="F")
@@ -688,11 +758,16 @@ def _schur_solve(x: np.ndarray, blocks: int, rhs: np.ndarray) -> np.ndarray:
     geqrf, orgqr = scipy.linalg.lapack.get_lapack_funcs(("geqrf", "orgqr"),
                                                         (gen,))
     per = max(1, PANEL_COLS // d)
-    panel = np.empty((cols, min(blocks, per) * d), order="F")
+    # Each panel is a C-ordered view of one buffer, so that its diagonal
+    # block and the rows below it are contiguous operands.
+    buffer = np.empty(cols * min(blocks, per) * d)
+    gemm, trsm = scipy.linalg.blas.get_blas_funcs(("gemm", "trsm"),
+                                                  (buffer, rhs))
     pivots = []
     for first in range(0, blocks, per):
         start, stop = first * d, min(blocks, first + per) * d
-        lower = panel[:cols - start, :stop - start]
+        lower = buffer[:(cols - start) * (stop - start)].reshape(
+            cols - start, stop - start)
         for i in range(start, stop, d):
             # The a x a Q of [top^T, 0]: its last a - d reflectors are
             # the identity.
@@ -705,11 +780,15 @@ def _schur_solve(x: np.ndarray, blocks: int, rhs: np.ndarray) -> np.ndarray:
             gen[i + d:, :d] = out[:cols - i - d, :d]
             gen[i + d:, d:] = out[d:, d:]
         pivots.append(np.abs(np.diagonal(lower[:stop - start])))
-        w = scipy.linalg.solve_triangular(lower[:stop - start],
-                                          rhs[start:stop], lower=True,
-                                          check_finite=False)
-        rhs[start:stop] = w
-        rhs[stop:] -= lower[stop - start:] @ w
+        if not rhs.shape[1]:
+            continue
+        # w = L_00^-1 rhs[start:stop], then rhs[stop:] -= lower[...] @ w,
+        # both written over rhs through the transposes, Fortran-ordered.
+        w_t = rhs[start:stop].T
+        trsm(1.0, lower[:stop - start].T, w_t, side=1, overwrite_b=1)
+        if stop < cols:
+            gemm(-1.0, w_t, lower[stop - start:].T, 1.0, rhs[stop:].T,
+                 overwrite_c=1)
     _log_pivots(blocks, np.concatenate(pivots))
     return rhs
 
@@ -826,27 +905,30 @@ class DsdaMareState:
     q_coords: np.ndarray
     k: int = 0
 
-    def _replay(self, first: np.ndarray, op: Propagator,
-                transpose: bool = False) -> np.ndarray:
-        return _extend_basis(first, op, 2 ** self.k - 1, first.shape[1],
-                             transpose=transpose)
+    def _chains(self, end: str) -> tuple:
+        """(block, propagator, by its transpose) of the u, v, w and q
+        chains, their ``"first"`` or their ``"last"`` block."""
+        return ((getattr(self, f"u_{end}"), self.prop_a, False),
+                (getattr(self, f"v_{end}"), self.prop_a, True),
+                (getattr(self, f"w_{end}"), self.prop_d, False),
+                (getattr(self, f"q_{end}"), self.prop_d, True))
 
     @property
     def uhat(self) -> np.ndarray:
         """Formed again on each read (validation only), as are the others."""
-        return self._replay(self.u_first, self.prop_a)
+        return _replay(self._chains("first"), 0, self.k)
 
     @property
     def vhat(self) -> np.ndarray:
-        return self._replay(self.v_first, self.prop_a, transpose=True)
+        return _replay(self._chains("first"), 1, self.k)
 
     @property
     def what(self) -> np.ndarray:
-        return self._replay(self.w_first, self.prop_d)
+        return _replay(self._chains("first"), 2, self.k)
 
     @property
     def qhat(self) -> np.ndarray:
-        return self._replay(self.q_first, self.prop_d, transpose=True)
+        return _replay(self._chains("first"), 3, self.k)
 
     @property
     def basis_cols(self) -> int:
@@ -889,11 +971,9 @@ def dsda_mare_step(s: DsdaMareState,
     """Double the bases, append the new moments of both Gram blocks
     and extend the spans of ``uhat`` and ``qhat`` and their
     coordinates."""
-    chains = ((s.u_last, s.prop_a, False), (s.v_last, s.prop_a, True),
-              (s.w_last, s.prop_d, False), (s.q_last, s.prop_d, True))
     # T pairs (qhat, what), S pairs (vhat, uhat).
     lasts, (t_new, s_new), ((u_span, u_coords), (q_span, q_coords)) = \
-        _double(s.k, column_budget, chains,
+        _double(s.k, column_budget, s._chains("last"),
                 ((s.t_moments, 3, 2, False), (s.s_moments, 1, 0, False)),
                 ((s.u_span, s.u_coords, 0), (s.q_span, s.q_coords, 3)))
     u_last, v_last, w_last, q_last = lasts

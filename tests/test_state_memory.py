@@ -401,6 +401,45 @@ def test_an_spd_kernel_is_never_formed(p):
     assert peak <= allowed < item * cols ** 2 / 3, (peak, allowed)
 
 
+def test_schur_update_adds_below_each_panel_in_place(monkeypatch):
+    # Eight panels: each adds its product into the rows of the
+    # right-hand side below it, with no (cols - stop) x r temporary, and
+    # agrees with the update written as rhs[stop:] -= lower @ w.
+    blocks, d, m, r = 1024, 2, 3, 256
+    cols, alpha = blocks * d, d + m
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((cols, m)) / np.sqrt(blocks)
+    rhs = rng.standard_normal((cols, r))
+    decoupled._schur_solve(x, blocks, rhs.copy())
+    got = rhs.copy()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        decoupled._schur_solve(x, blocks, got)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # The documented room, with a few columns of slack for the pivots.
+    allowed = got.itemsize * cols * (2 * alpha + PANEL_COLS + 4)
+    assert peak <= allowed < got.itemsize * (
+        cols * (2 * alpha + PANEL_COLS) + (cols - PANEL_COLS) * r), (
+            peak, allowed)
+
+    def subtract(scale, a, b, beta, c, overwrite_c):
+        # c is rhs[stop:].T, a is w.T and b is lower[stop - start:].T.
+        assert (scale, beta, overwrite_c) == (-1.0, 1.0, 1)
+        below = c.T
+        below -= b.T @ a.T
+        return c
+
+    blas = decoupled.scipy.linalg.blas
+    trsm = blas.get_blas_funcs("trsm", (rhs,))
+    monkeypatch.setattr(blas, "get_blas_funcs",
+                        lambda names, arrays: (subtract, trsm))
+    want = decoupled._schur_solve(x, blocks, rhs.copy())
+    assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_dense_symmetrizes_without_an_n_by_n_temporary(dtype):
     # Three panels at n = 600.  The result is the sum of the halved
