@@ -59,10 +59,7 @@ the first blocks, M^-1 B and M^-T C^T, and P = I + c M^-1.  A dense LU
 forms P as the explicit n x n :class:`MatrixPropagator`, applied by
 GEMM.  When the problem's operator is sparse (``a_sparse``, see
 ``matkit.SPARSE_MAX_DENSITY``) the sparse LU of M is kept as a
-:class:`ResolventPropagator` and applied as x + c M^-1 x.  When M is
-symmetric, P^T = P, and the two chains a propagator drives (u and v,
-or MARE's w and q) grow as one: one sparse solve per block on both
-chains side by side (:func:`_double`).
+:class:`ResolventPropagator` and applied as x + c M^-1 x.
 
 Each state also keeps, for every basis an evaluated iterate is built
 on, an orthonormal basis Q of its numerical span and its coordinates
@@ -88,12 +85,11 @@ reads, and no n x cols basis.  Of each Krylov chain a state keeps its
 first and last blocks (BSEP's ``uhat`` is ``conj(vhat)``): a step grows
 the chain from the last, and the bases ``uhat``, ``vhat`` (and MARE's
 ``what`` and ``qhat``) are properties that replay the Krylov recursion
-from the first, grown as a step grows it, bit for bit.  Memory is
-O(n r + r cols) per evaluated basis.  An iterate of every family holds
-its spans and core and nothing of its kernel: the BSEP increment
-compares two cores, the earlier one on the leading directions of the
-later span, and ``dense()`` is ``Q_l core Q_r^T`` (see
-:class:`LowRankSolution`).
+from the first, bit for bit.  Memory is O(n r + r cols) per evaluated
+basis.  An iterate of every family holds its spans and core and nothing
+of its kernel: the BSEP increment compares two cores, the earlier one
+on the leading directions of the later span, and ``dense()`` is
+``Q_l core Q_r^T`` (see :class:`LowRankSolution`).
 
 The closed-form statements for the one-kernel families are usually
 quoted for k >= 2 with the first step written out separately; here the
@@ -324,17 +320,12 @@ class MatrixPropagator:
 class ResolventPropagator:
     """Propagator ``I + scale * M^-1`` applied through a sparse LU of M.
 
-    ``symmetric`` records that M equals its plain transpose entrywise.
-    Then P^T = P and ``apply_t`` is ``apply``, the very same solve, so
-    that chains grown by P and by P^T can grow as one (:func:`_double`).
-    Otherwise ``apply_t`` solves with the plain transpose, also for
-    complex M.
+    ``apply_t`` uses the plain transpose, also for complex M.
     """
 
     lu: object          # scipy.sparse.linalg.SuperLU of M
     scale: float
     dtype: np.dtype
-    symmetric: bool
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -344,8 +335,6 @@ class ResolventPropagator:
         return x + self.scale * self.lu.solve(x)
 
     def apply_t(self, x: np.ndarray) -> np.ndarray:
-        if self.symmetric:
-            return self.apply(x)
         return x + self.scale * self.lu.solve(x, trans="T")
 
 
@@ -359,15 +348,14 @@ def _shifted(a, a_sparse, shift: float, scale: float, form=lambda x: x):
     ``a_sparse`` (the problem's sparse A, or None) picks the route: a
     sparse LU of M applied as a :class:`ResolventPropagator`, or a dense
     LU that forms the explicit :class:`MatrixPropagator`.  The sparse LU
-    is ordered for M's structure, and the propagator records whether M
-    is symmetric (:func:`matkit.splu_shifted`).  ``solve(x, trans)``
-    solves with M (``trans="N"``) or its plain transpose (``"T"``)
-    through the same factor.
+    is ordered for M's structure (:func:`matkit.splu_shifted`).
+    ``solve(x, trans)`` solves with M (``trans="N"``) or its plain
+    transpose (``"T"``) through the same factor.
     """
     if a_sparse is not None:
         op = form(a_sparse)
-        lu, symmetric = splu_shifted(op, shift)
-        return lu.solve, ResolventPropagator(lu, scale, op.dtype, symmetric)
+        lu = splu_shifted(op, shift)
+        return lu.solve, ResolventPropagator(lu, scale, op.dtype)
     m = np.array(form(a), order="F")
     m[np.diag_indices_from(m)] += shift
     factor = lu_factor_checked(m, overwrite_a=True)
@@ -416,26 +404,20 @@ class DsdaSymState:
     v_coords: np.ndarray
     k: int = 0
 
-    def _chains(self, end: str) -> tuple:
-        """(block, propagator, by its transpose) of each Krylov chain, its
-        ``"first"`` or its ``"last"`` block: the u and the v chain, or
-        BSEP's one chain."""
-        v = (getattr(self, f"v_{end}"), self.propagator, self.family != "bsep")
-        if self.family == "bsep":
-            return (v,)
-        return ((getattr(self, f"u_{end}"), self.propagator, False), v)
-
     @property
     def vhat(self) -> np.ndarray:
         """The right basis, formed again on each read (validation only)."""
-        return _replay(self._chains("first"), -1, self.k)
+        return _extend_basis(self.v_first, self.propagator, 2 ** self.k - 1,
+                             self.y0.shape[1],
+                             transpose=self.family != "bsep")
 
     @property
     def uhat(self) -> np.ndarray:
         """The left basis, formed again on each read (validation only)."""
         if self.family == "bsep":
             return self.vhat.conj()
-        return _replay(self._chains("first"), 0, self.k)
+        return _extend_basis(self.u_first, self.propagator, 2 ** self.k - 1,
+                             self.y0.shape[0])
 
     @property
     def basis_cols(self) -> int:
@@ -490,9 +472,14 @@ def dsda_sym_step(s: DsdaSymState,
                   column_budget: int = DEFAULT_COLUMN_BUDGET) -> DsdaSymState:
     """Double the bases, append the new Gram moments and extend the span
     of ``vhat`` and its coordinates."""
-    chains = s._chains("last")
-    # BSEP: uhat = conj(vhat), one chain, its moments v_i^H v_j.
-    products = ((s.t_moments, 0, len(chains) - 1, s.family == "bsep"),)
+    prop = s.propagator
+    if s.family == "bsep":
+        # uhat = conj(vhat): one chain, its moments v_i^H v_j.
+        chains = ((s.v_last, prop, False),)
+        products = ((s.t_moments, 0, 0, True),)
+    else:
+        chains = ((s.u_last, prop, False), (s.v_last, prop, True))
+        products = ((s.t_moments, 0, 1, False),)
     lasts, (t_new,), ((v_span, v_coords),) = _double(
         s.k, column_budget, chains, products,
         ((s.v_span, s.v_coords, len(chains) - 1),))
@@ -507,24 +494,19 @@ def _double(k: int, column_budget: int, chains, products, spans):
     time.
 
     ``chains`` holds each Krylov chain's last block, the propagator that
-    grows it and whether by its transpose.  Neighbouring chains that
-    share a symmetric :class:`ResolventPropagator`, whose transpose is
-    itself, grow as one stacked chain: one solve per block on their last
-    blocks side by side, in place of one per chain (the CARE u and v
-    chains, and the MARE u and v or w and q chains).  A chunk of a chain
-    is its last block followed by the next ones (:func:`_extend_basis`),
-    grown stacked and split again if its chain is, a new array that only
-    a copy of its last block outlives.  ``products`` lists each moment
-    stack with the positions of its left and right chain and whether the
-    left one enters conjugated, ``spans`` each span with its coordinates
-    and the position of its chain.  With b = 2^k the new blocks are
-    i = b ... 2b - 1, so the new moments M_{2b-1} ... M_{4b-2} are
-    M_{2i-1} = u_i^T v_{i-1} and M_{2i} = u_i^T v_i
-    (:func:`_pair_moments`).  Each chunk's new columns extend their span
-    at the threshold of the doubled basis (:func:`extend_span`) and
-    append their coordinates.  The columns before them get zero
-    coordinates on the directions a chunk adds: they lay within that
-    threshold of the span when they were deflated.
+    grows it and whether by its transpose; a chunk of a chain is its
+    last block followed by the next ones (:func:`_extend_basis`), a new
+    array that only a copy of its last block outlives.  ``products``
+    lists each moment stack with the positions of its left and right
+    chain and whether the left one enters conjugated, ``spans`` each
+    span with its coordinates and the position of its chain.  With
+    b = 2^k the new blocks are i = b ... 2b - 1, so the new moments
+    M_{2b-1} ... M_{4b-2} are M_{2i-1} = u_i^T v_{i-1} and
+    M_{2i} = u_i^T v_i (:func:`_pair_moments`).  Each chunk's new
+    columns extend their span at the threshold of the doubled basis
+    (:func:`extend_span`) and append their coordinates.  The columns
+    before them get zero coordinates on the directions a chunk adds:
+    they lay within that threshold of the span when they were deflated.
 
     Returns the new last blocks, moment stacks and (span, coordinates)
     pairs.
@@ -537,18 +519,13 @@ def _double(k: int, column_budget: int, chains, products, spans):
             f"doubling to {2 * blocks * max(widths)} columns exceeds the "
             f"budget of {column_budget}")
     per = max(1, STREAM_COLS // max(1, *widths))
-    growths = _growths(chains)
     stacks = [[moments] for moments, *_ in products]
     qs = [q for q, _, _ in spans]
     coords = [[r] for _, r, _ in spans]
     for first in range(0, blocks, per):
         count = min(per, blocks - first)
-        chunks = [None] * len(chains)
-        for growth in growths:
-            grown = _grow([lasts[i] for i in growth], *chains[growth[0]][1:],
-                          count)
-            for i, chunk in zip(growth, grown):
-                chunks[i] = chunk
+        chunks = [_extend_basis(last, op, count, w, transpose=t)
+                  for last, w, (_, op, t) in zip(lasts, widths, chains)]
         # Copied: a view would keep its whole chunk alive.
         lasts = [chunk[:, chunk.shape[1] - w:].copy()
                  for chunk, w in zip(chunks, widths)]
@@ -561,50 +538,6 @@ def _double(k: int, column_budget: int, chains, products, spans):
     return (lasts, [np.concatenate(stack) for stack in stacks],
             [(q, _stack_coordinates(parts, q.shape[1]))
              for q, parts in zip(qs, coords)])
-
-
-def _growths(chains) -> list[list[int]]:
-    """Positions of the chains that grow together: neighbours that share
-    a symmetric :class:`ResolventPropagator` (P^T = P, so by it or by
-    its transpose alike), and every other chain alone."""
-    growths = []
-    for i, (_, op, _) in enumerate(chains):
-        if (growths and isinstance(op, ResolventPropagator)
-                and op.symmetric and chains[growths[-1][0]][1] is op):
-            growths[-1].append(i)
-        else:
-            growths.append([i])
-    return growths
-
-
-def _grow(lasts: list[np.ndarray], op: Propagator, transpose: bool,
-          blocks: int) -> list[np.ndarray]:
-    """Each chain of ``lasts`` grown by ``blocks`` blocks
-    (:func:`_extend_basis`): one chain from its block as it is, several
-    as one stacked chain, split again into one new array per chain."""
-    if len(lasts) == 1:
-        # On the dense route the layout of a product's operand sets its
-        # rounding, so a lone chain is not copied.
-        return [_extend_basis(lasts[0], op, blocks, lasts[0].shape[1],
-                              transpose=transpose)]
-    sizes = [last.shape[1] for last in lasts]
-    grown = _extend_basis(np.hstack(lasts), op, blocks, sum(sizes),
-                          transpose=transpose)
-    n = grown.shape[0]
-    parts = np.split(grown.reshape(n, blocks + 1, sum(sizes)),
-                     np.cumsum(sizes)[:-1], axis=2)
-    return [part.reshape(n, -1) for part in parts]
-
-
-def _replay(chains, index: int, k: int) -> np.ndarray:
-    """The basis of 2^k blocks of chain ``index`` of ``chains`` (first
-    blocks, as :func:`_double` takes last ones), grown as the steps grow
-    it, so bit for bit the same blocks."""
-    index %= len(chains)
-    growth = next(g for g in _growths(chains) if index in g)
-    grown = _grow([chains[i][0] for i in growth], *chains[growth[0]][1:],
-                  2 ** k - 1)
-    return grown[growth.index(index)]
 
 
 def _pair_moments(left: np.ndarray, right: np.ndarray, count: int,
@@ -905,30 +838,27 @@ class DsdaMareState:
     q_coords: np.ndarray
     k: int = 0
 
-    def _chains(self, end: str) -> tuple:
-        """(block, propagator, by its transpose) of the u, v, w and q
-        chains, their ``"first"`` or their ``"last"`` block."""
-        return ((getattr(self, f"u_{end}"), self.prop_a, False),
-                (getattr(self, f"v_{end}"), self.prop_a, True),
-                (getattr(self, f"w_{end}"), self.prop_d, False),
-                (getattr(self, f"q_{end}"), self.prop_d, True))
+    def _replay(self, first: np.ndarray, op: Propagator,
+                transpose: bool = False) -> np.ndarray:
+        return _extend_basis(first, op, 2 ** self.k - 1, first.shape[1],
+                             transpose=transpose)
 
     @property
     def uhat(self) -> np.ndarray:
         """Formed again on each read (validation only), as are the others."""
-        return _replay(self._chains("first"), 0, self.k)
+        return self._replay(self.u_first, self.prop_a)
 
     @property
     def vhat(self) -> np.ndarray:
-        return _replay(self._chains("first"), 1, self.k)
+        return self._replay(self.v_first, self.prop_a, transpose=True)
 
     @property
     def what(self) -> np.ndarray:
-        return _replay(self._chains("first"), 2, self.k)
+        return self._replay(self.w_first, self.prop_d)
 
     @property
     def qhat(self) -> np.ndarray:
-        return _replay(self._chains("first"), 3, self.k)
+        return self._replay(self.q_first, self.prop_d, transpose=True)
 
     @property
     def basis_cols(self) -> int:
@@ -971,9 +901,11 @@ def dsda_mare_step(s: DsdaMareState,
     """Double the bases, append the new moments of both Gram blocks
     and extend the spans of ``uhat`` and ``qhat`` and their
     coordinates."""
+    chains = ((s.u_last, s.prop_a, False), (s.v_last, s.prop_a, True),
+              (s.w_last, s.prop_d, False), (s.q_last, s.prop_d, True))
     # T pairs (qhat, what), S pairs (vhat, uhat).
     lasts, (t_new, s_new), ((u_span, u_coords), (q_span, q_coords)) = \
-        _double(s.k, column_budget, s._chains("last"),
+        _double(s.k, column_budget, chains,
                 ((s.t_moments, 3, 2, False), (s.s_moments, 1, 0, False)),
                 ((s.u_span, s.u_coords, 0), (s.q_span, s.q_coords, 3)))
     u_last, v_last, w_last, q_last = lasts

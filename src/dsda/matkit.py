@@ -162,8 +162,7 @@ def sparse_form(a: np.ndarray):
 
 def splu_shifted(a, shift: complex):
     """Sparse LU (``scipy.sparse.linalg.SuperLU``) of M = ``a + shift * I``
-    for a square sparse ``a``, and whether M equals its plain transpose
-    entrywise.
+    for a square sparse ``a``.
 
     A structurally symmetric M is ordered by minimum degree on its own
     graph (``MMD_AT_PLUS_A``), which on the five-point heat operators
@@ -186,7 +185,6 @@ def splu_shifted(a, shift: complex):
     rows = m.tocsr()
     structural = (np.array_equal(m.indptr, rows.indptr)
                   and np.array_equal(m.indices, rows.indices))
-    symmetric = structural and np.array_equal(m.data, rows.data)
 
     def factor():
         try:
@@ -198,7 +196,7 @@ def splu_shifted(a, shift: complex):
         return lu, lu.U.diagonal()
 
     return _factor_checked(factor, frobenius_norm(m.data), m.shape,
-                           "sparse matrix"), symmetric
+                           "sparse matrix")
 
 
 def solve_general(k, b) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dsda import decoupled, matkit, validate
+from dsda import decoupled, matkit
 from dsda.decoupled import (
     MatrixPropagator,
     ResolventPropagator,
@@ -210,21 +210,18 @@ def _fill(lu) -> int:
     return lu.L.nnz + lu.U.nnz
 
 
-@pytest.mark.parametrize("a,symmetric,order", [
-    (heat(GRID), True, "MMD_AT_PLUS_A"),
-    (heat(GRID, WIND), False, "MMD_AT_PLUS_A"),
-    (upwind(GRID), False, "COLAMD")], ids=["symmetric", "transport",
-                                           "upwind"])
-def test_structurally_symmetric_shifts_take_the_symmetric_order(
-        a, symmetric, order):
+@pytest.mark.parametrize("a,order", [
+    (heat(GRID), "MMD_AT_PLUS_A"),
+    (heat(GRID, WIND), "MMD_AT_PLUS_A"),
+    (upwind(GRID), "COLAMD")], ids=["symmetric", "transport", "upwind"])
+def test_structurally_symmetric_shifts_take_the_symmetric_order(a, order):
     # A - gamma I with symmetric structure is ordered by minimum degree
     # on its own graph, with less fill than COLAMD; any other keeps
-    # COLAMD.  Only an entrywise symmetric matrix is marked symmetric.
+    # COLAMD.
     from scipy.sparse.linalg import splu
     n = a.shape[0]
     m = sp.csc_array(a) - sp.identity(n, format="csc")
-    lu, got = matkit.splu_shifted(sp.csr_array(a), -1.0)
-    assert got is symmetric
+    lu = matkit.splu_shifted(sp.csr_array(a), -1.0)
     assert _fill(lu) == _fill(splu(m, permc_spec=order))
     if order == "COLAMD":
         assert _fill(lu) == _fill(splu(m))
@@ -232,95 +229,6 @@ def test_structurally_symmetric_shifts_take_the_symmetric_order(
         assert _fill(lu) < 0.7 * _fill(splu(m, permc_spec="COLAMD"))
     x = np.random.default_rng(9).standard_normal((n, 3))
     assert rel(m @ lu.solve(x), x) <= 1e-13
-
-
-class CountingLU:
-    """A sparse LU that records the width and mode of every solve."""
-
-    def __init__(self, lu):
-        self.lu, self.calls = lu, []
-
-    @property
-    def shape(self):
-        return self.lu.shape
-
-    def solve(self, x, trans="N"):
-        self.calls.append((x.shape[1], trans))
-        return self.lu.solve(x, trans=trans)
-
-
-@pytest.mark.parametrize("wind", [0.0, WIND], ids=["symmetric", "transport"])
-@pytest.mark.parametrize("family", ["care", "mare"])
-def test_a_symmetric_resolvent_grows_both_chains_in_one_solve(family, wind):
-    # Chains grown by P and by P^T share one solve per new block when M
-    # is symmetric (P^T = P), and P^T applies the plain solve; otherwise
-    # each chain keeps its own, the transposed one with trans="T".
-    if family == "care":
-        p = heat_care(wind=wind)
-        s, fields, step = dsda_sym_init(p), ("propagator",), dsda_sym_step
-        pairs = [(p.b.shape[1], p.c.shape[0])]
-    else:
-        p = heat_mare(wind=wind)
-        s, step = dsda_mare_init(p), dsda_mare_step
-        fields = ("prop_a", "prop_d")
-        pairs = [(p.b_l.shape[1], p.c_r.shape[1]),
-                 (p.c_l.shape[1], p.b_r.shape[1])]
-    for _ in range(2):
-        s = step(s)
-    assert all(getattr(s, f).symmetric is (wind == 0.0) for f in fields)
-    blocks = 2 ** s.k
-    spies = [CountingLU(getattr(s, f).lu) for f in fields]
-    s = dataclasses.replace(s, **{
-        f: dataclasses.replace(getattr(s, f), lu=spy)
-        for f, spy in zip(fields, spies)})
-    step(s)
-    for spy, (left, right) in zip(spies, pairs):
-        if wind == 0.0:
-            want = [(left + right, "N")] * blocks
-        else:
-            want = [(left, "N")] * blocks + [(right, "T")] * blocks
-        assert sorted(spy.calls) == sorted(want)
-    for f, spy in zip(fields, spies):
-        getattr(s, f).apply_t(np.ones((spy.shape[0], 1)))
-        assert spy.calls[-1] == (1, "N" if wind == 0.0 else "T")
-
-
-@pytest.mark.parametrize("family", ["care", "mare"])
-def test_stacked_chains_are_the_explicit_krylov_chains(family,
-                                                       monkeypatch):
-    # Grown stacked, at any chunk width, a chain's last block is that of
-    # its replayed basis bit for bit, the basis is the propagator applied
-    # to the chain alone to roundoff (a multi-column sparse solve need
-    # not round each column as alone), and the moments are the explicit
-    # products of the replayed bases.
-    if family == "care":
-        s0, step = dsda_sym_init(heat_care(wind=0.0)), dsda_sym_step
-        chains = [("u", s0.propagator), ("v", s0.propagator)]
-        pairs = [("T", "uhat", "vhat")]
-    else:
-        s0, step = dsda_mare_init(heat_mare(wind=0.0)), dsda_mare_step
-        chains = [("u", s0.prop_a), ("v", s0.prop_a), ("w", s0.prop_d),
-                  ("q", s0.prop_d)]
-        pairs = [("T", "qhat", "what"), ("S", "vhat", "uhat")]
-    assert all(op.symmetric for _, op in chains)
-    for width in (decoupled.STREAM_COLS, 1):
-        monkeypatch.setattr(decoupled, "STREAM_COLS", width)
-        s = s0
-        for _ in range(4):
-            s = step(s)
-        for name, op in chains:
-            first = getattr(s, f"{name}_first")
-            want = [first]
-            for _ in range(2 ** s.k - 1):
-                want.append(op.apply(want[-1]))
-            basis = getattr(s, f"{name}hat")
-            assert rel(basis, np.hstack(want)) <= 1e-13, (width, name)
-            assert np.array_equal(getattr(s, f"{name}_last"),
-                                  basis[:, basis.shape[1] - first.shape[1]:])
-        for which, left, right in pairs:
-            full = getattr(s, left).T @ getattr(s, right)
-            assert np.allclose(validate.dsda_assemble(s, which), full,
-                               rtol=0.0, atol=1e-13 * np.abs(full).max())
 
 
 @pytest.mark.parametrize("grid,sparse", [(16, False), (21, False),

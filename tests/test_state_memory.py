@@ -61,7 +61,9 @@ STEPS = 3
 DEFLATING = 6
 
 #: (label, problem builder, init, step) of each family, on the sparse
-#: route (GRID) and the dense one (DENSE_GRID).
+#: route (GRID) and the dense one (DENSE_GRID), and a CARE and a MARE
+#: without transport on the sparse route, whose shifted operators are
+#: symmetric entrywise, as the steel model's are.
 CASES = [
     (f"{label}-{route}", functools.partial(make, grid), init, step)
     for grid, route in ((GRID, "sparse"), (DENSE_GRID, "dense"))
@@ -72,6 +74,13 @@ CASES = [
         ("mare-sda", heat_mare, dsda_mare_init, dsda_mare_step),
         ("mare-adda", heat_mare,
          functools.partial(dsda_mare_init, mode="adda"), dsda_mare_step),
+    )
+] + [
+    (f"{label}-symmetric-sparse", functools.partial(make, GRID, wind=0.0),
+     init, step)
+    for label, make, init, step in (
+        ("care", heat_care, dsda_sym_init, dsda_sym_step),
+        ("mare-sda", heat_mare, dsda_mare_init, dsda_mare_step),
     )
 ]
 IDS = [label for label, *_ in CASES]
