@@ -86,8 +86,9 @@ prev = dsda_assemble(state, "Y")
 state = dsda_sym_step(state)
 y = dsda_assemble(state, "Y")
 half_r, half_c = prev.shape
-print(f"  {state.t_moments.shape[0]} moments of shape "
-      f"{state.t_moments.shape[1:]} stand for a {y.shape[0]}x{y.shape[1]} kernel")
+moments = state.moments["Y"]
+print(f"  {moments.shape[0]} moments of shape "
+      f"{moments.shape[1:]} stand for a {y.shape[0]}x{y.shape[1]} kernel")
 print("  top-right  quadrant identical:",
       np.array_equal(y[:half_r, half_c:], prev))
 print("  bottom-left quadrant identical:",

@@ -28,10 +28,10 @@ report = solve_driver(problem, SolveConfig(tol=1e-13, max_iter=20,
 
 print(f"n = {n}, B: {m} columns, C: {l} rows, tol = 1e-13")
 print(f"status: {report.status}\n")
-print("  k    residual     rank(H_k)   basis cols   ms")
+print("  k    residual     rank(H_k)   basis cols")
 for rec in report.iterations:
     print(f"  {rec.k}    {rec.residual:.3e}    {rec.rank:4d}        "
-          f"{rec.basis_cols:4d}     {rec.elapsed_ms:6.0f}")
+          f"{rec.basis_cols:4d}")
 
 x = report.final_solution
 print(f"\nfinal solution: {x.shape[0]}x{x.shape[1]} dense,"

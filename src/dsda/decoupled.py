@@ -61,35 +61,45 @@ GEMM.  When the problem's operator is sparse (``a_sparse``, see
 ``matkit.SPARSE_MAX_DENSITY``) the sparse LU of M is kept as a
 :class:`ResolventPropagator` and applied as x + c M^-1 x.
 
-Each state also keeps, for every basis an evaluated iterate is built
-on, an orthonormal basis Q of its numerical span and its coordinates
-``R = Q^H basis`` (:func:`extend_span`).  The Krylov spaces are nested,
-so a doubling streams its new blocks into Q and R a chunk at a time
-(:func:`_double`), deflating the columns that lie in the span to
-roundoff.  This is not truncation: deflation drops only directions
-within roundoff of the span, and the moments and kernels never read
-the span.  The moments are formed from pairs of blocks in place of one
-product with the whole right basis, so they agree with the explicit
-products ``Uhat^T Vhat`` to roundoff, not bit for bit.  An evaluator
-factors the kernel and returns the finished iterate, a
+Every family's state is one :class:`DsdaState`, laid out by one table
+(``_LAYOUT``):
+
+    family       chains (grown by)      moments of         spans of
+    care, dare   u (P), v (P^T)         Y: (u, v)          v
+    bsep         v (P)                  Y: (conj v, v)     v
+    mare         u (P_A), v (P_A^T),    Y: (q, w)          u, q
+                 w (P_D), q (P_D^T)     Z: (v, u)
+
+A state holds no basis.  Of each Krylov chain it keeps a :class:`Chain`,
+the first and the last block and the propagator that grows it; the
+BSEP left basis is conj(vhat) and has no chain.  A step grows each
+chain from its last block, and :meth:`Chain.basis` replays the
+recursion from the first, bit for bit, for validation.  Each kernel
+keeps its seed and its moments.  For every basis an evaluated iterate
+is built on, the state keeps an orthonormal basis Q of its numerical
+span and its coordinates ``R = Q^H basis`` (:func:`extend_span`).  The
+Krylov spaces are nested, so one step for every family
+(:func:`dsda_step`) streams the new blocks of each chain into the
+moments and spans a chunk at a time, deflating the columns that lie in
+a span to roundoff.  This is not truncation: deflation drops only
+directions within roundoff of the span, and the moments and kernels
+never read the span.  The moments are formed from pairs of blocks in
+place of one product with the whole right basis, so they agree with the
+explicit products ``Uhat^T Vhat`` to roundoff, not bit for bit.
+Memory is O(n r + r cols) per evaluated basis.
+
+An evaluator factors the kernel and returns the finished iterate, a
 :class:`LowRankSolution` ``Q_l core Q_r^T`` with the small core
 ``scale * R_l K^-1 R_r^T``, formed once (:func:`_evaluate`).  The
 driver measures it from the spans and core at every step without
 forming the n x n matrix, also when the basis has more columns than
-the iterate's order.  A kernel to be built (BSEP, MARE) over
-``KERNEL_MAX_BYTES`` is refused before it is built.  Each factor an
-evaluation forms logs its pivot range at DEBUG (:func:`_log_pivots`).
-
-States and iterates hold only what a later step or measurement
-reads, and no n x cols basis.  Of each Krylov chain a state keeps its
-first and last blocks (BSEP's ``uhat`` is ``conj(vhat)``): a step grows
-the chain from the last, and the bases ``uhat``, ``vhat`` (and MARE's
-``what`` and ``qhat``) are properties that replay the Krylov recursion
-from the first, bit for bit.  Memory is O(n r + r cols) per evaluated
-basis.  An iterate of every family holds its spans and core and nothing
-of its kernel: the BSEP increment compares two cores, the earlier one
-on the leading directions of the later span, and ``dense()`` is
-``Q_l core Q_r^T`` (see :class:`LowRankSolution`).
+the iterate's order.  An iterate of every family holds its spans and
+core and nothing of its kernel: the BSEP increment compares two cores,
+the earlier one on the leading directions of the later span, and
+``dense()`` is ``Q_l core Q_r^T`` (see :class:`LowRankSolution`).  A
+kernel to be built (BSEP, MARE) over ``KERNEL_MAX_BYTES`` is refused
+before it is built.  Each factor an evaluation forms logs its pivot
+range at DEBUG (:func:`_log_pivots`).
 
 The closed-form statements for the one-kernel families are usually
 quoted for k >= 2 with the first step written out separately; here the
@@ -142,7 +152,7 @@ SWEEP_COLS = 32
 PANEL_COLS = 256
 
 #: Columns of each Krylov chain a doubling grows, pairs into moments and
-#: streams into its span together (:func:`_double`).  Narrower chunks
+#: streams into its span together (:func:`dsda_step`).  Narrower chunks
 #: cost more small BLAS calls (64 columns was about 30 % slower on the
 #: steel-sized CARE); wider ones only hold more columns at once.
 STREAM_COLS = 256
@@ -156,7 +166,7 @@ def extend_span(q: np.ndarray, new: np.ndarray, cols: int
 
     The block Krylov spaces are nested, so each doubling extends the
     span by the part of its new columns outside it only, chunk by chunk
-    (:func:`_double`), and the leading columns of the result are ``q``
+    (:func:`dsda_step`), and the leading columns of the result are ``q``
     itself.  A column whose part outside the span is at most
     ``EPS * max(n, cols)`` times its own norm (the rank cutoff of the
     driver, with ``cols`` the width of the whole basis) lies in the
@@ -369,72 +379,111 @@ def _shifted(a, a_sparse, shift: float, scale: float, form=lambda x: x):
 
 
 # ---------------------------------------------------------------------------
-# Symmetric-kernel families: DARE, CARE, BSEP
+# The decoupled state of every family
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DsdaSymState:
-    """Krylov chain ends, kernel seed, Gram moments and span for the
-    one-kernel families.
+#: Per family: each Krylov chain, named for its basis, and whether it
+#: grows by the transpose of its propagator; for each kernel, the chains
+#: whose blocks pair into its moments (left, right) and whether the left
+#: one enters conjugated; and the chains with a span.
+_LAYOUT = {
+    "care": ({"u": False, "v": True}, {"Y": ("u", "v", False)}, ("v",)),
+    "dare": ({"u": False, "v": True}, {"Y": ("u", "v", False)}, ("v",)),
+    "bsep": ({"v": False}, {"Y": ("v", "v", True)}, ("v",)),
+    "mare": ({"u": False, "v": True, "w": False, "q": True},
+             {"Y": ("q", "w", False), "Z": ("v", "u", False)}, ("u", "q")),
+}
 
-    A state holds no basis.  Of each Krylov chain it keeps the first and
-    the last block: ``v_first`` and ``v_last`` of the right basis
-    ``vhat``, n x (2^k l), and ``u_first`` and ``u_last`` of the left
-    basis ``uhat``, n x (2^k m); for the Bethe-Salpeter family ``uhat``
-    is the entrywise conjugate of ``vhat`` and neither of its blocks is
-    kept.  A step grows each chain from its last block, and :attr:`uhat`
-    and :attr:`vhat` replay the Krylov recursion from the first, bit for
-    bit, for validation.  ``y0`` is m x l and ``t_moments[i + j]`` block
-    (i, j) of ``uhat.T @ vhat``, 2^(k+1) - 1 blocks in all (blocks of
-    ``vhat^H vhat`` for BSEP).  The evaluated iterate (H, or F for BSEP)
-    is built on ``vhat``: ``v_span`` is its span (:func:`extend_span`)
-    and ``v_coords`` its coordinates ``v_span^H vhat``, r x (2^k l).
+
+@dataclass(frozen=True)
+class Chain:
+    """A block Krylov chain: its first and last blocks and the
+    propagator it grows by (its plain transpose with ``transpose``).
+
+    A step grows the chain from ``last``; :meth:`basis` replays it from
+    ``first``, bit for bit.
     """
 
-    family: Literal["dare", "care", "bsep"]
-    v_first: np.ndarray
-    v_last: np.ndarray
-    u_first: np.ndarray | None
-    u_last: np.ndarray | None
-    y0: np.ndarray
-    t_moments: np.ndarray
-    propagator: Propagator
+    first: np.ndarray
+    last: np.ndarray
+    op: Propagator
+    transpose: bool
+
+    def basis(self, k: int) -> np.ndarray:
+        """The first 2^k blocks, formed again on each call (validation
+        only)."""
+        return _extend_basis(self.first, self.op, 2 ** k - 1,
+                             self.first.shape[1], transpose=self.transpose)
+
+
+@dataclass(frozen=True)
+class DsdaState:
+    """Krylov chains, kernel seeds and moments, and spans of a decoupled
+    run of any family, laid out as ``_LAYOUT`` says.
+
+    ``chains`` holds each :class:`Chain` by basis name.  ``seeds`` and
+    ``moments`` hold, by kernel name, its seed and the stack of its
+    2^(k+1) - 1 moments: entry i + j is block (i, j) of the product of
+    the kernel's left and right bases (:meth:`gram_bases`).  ``spans``
+    holds, by chain name, the span of its basis (:func:`extend_span`)
+    and the coordinates ``span^H basis``.  ``scale`` is c for the
+    one-kernel families and the shift sum s for MARE.
+    """
+
+    family: Literal["dare", "care", "bsep", "mare"]
+    chains: dict[str, Chain]
+    seeds: dict[str, np.ndarray]
+    moments: dict[str, np.ndarray]
+    spans: dict[str, tuple[np.ndarray, np.ndarray]]
     scale: float
-    v_span: np.ndarray
-    v_coords: np.ndarray
     k: int = 0
 
     @property
-    def vhat(self) -> np.ndarray:
-        """The right basis, formed again on each read (validation only)."""
-        return _extend_basis(self.v_first, self.propagator, 2 ** self.k - 1,
-                             self.y0.shape[1],
-                             transpose=self.family != "bsep")
-
-    @property
-    def uhat(self) -> np.ndarray:
-        """The left basis, formed again on each read (validation only)."""
-        if self.family == "bsep":
-            return self.vhat.conj()
-        return _extend_basis(self.u_first, self.propagator, 2 ** self.k - 1,
-                             self.y0.shape[0])
-
-    @property
     def basis_cols(self) -> int:
-        return self.v_coords.shape[1]
+        return next(iter(self.spans.values()))[1].shape[1]
 
     @property
     def sigma(self) -> int:
-        """Sign of the kernel ``I + sigma Y^T Y``: -1 for BSEP, else +1."""
-        return -1 if self.family == "bsep" else +1
+        """Sign in the kernels: +1 for ``I + Y^T Y`` (CARE, DARE), -1 for
+        ``I - Y^T Y`` (BSEP) and ``I - Y Z`` (MARE)."""
+        return +1 if self.family in ("care", "dare") else -1
 
     @property
     def multiplier(self) -> float:
         """Factor on the moments in the kernel sequence: sigma * scale."""
         return self.sigma * self.scale
 
+    def gram_bases(self, kernel: str) -> tuple[np.ndarray, np.ndarray]:
+        """The replayed bases whose product the moments of ``kernel``
+        hold, left and right (validation only)."""
+        left, right, conj = _LAYOUT[self.family][1][kernel]
+        u = self.chains[left].basis(self.k)
+        return (u.conj() if conj else u), self.chains[right].basis(self.k)
 
-def dsda_sym_init(p: CareProblem | DareProblem | BsepProblem) -> DsdaSymState:
+
+#: One state type serves the one-kernel and the four-matrix families.
+DsdaSymState = DsdaMareState = DsdaState
+
+
+def _start(family: str, firsts: dict, seeds: dict, scale: float
+           ) -> DsdaState:
+    """The k = 0 state of ``family`` from each chain's first block and
+    propagator, ``firsts[name] = (block, op)``: each kernel's first
+    moment and each span, as the layout pairs and spans the chains."""
+    grows, pairs, spanned = _LAYOUT[family]
+    chains = {name: Chain(block, block, op, grows[name])
+              for name, (block, op) in firsts.items()}
+    moments = {}
+    for kernel, (left, right, conj) in pairs.items():
+        u = chains[left].first
+        moments[kernel] = ((u.conj() if conj else u).T
+                           @ chains[right].first)[None]
+    return DsdaState(family, chains, seeds, moments,
+                     {name: span_of(chains[name].first) for name in spanned},
+                     scale)
+
+
+def dsda_sym_init(p: CareProblem | DareProblem | BsepProblem) -> DsdaState:
     """Width-one starting state for the one-kernel families."""
     if isinstance(p, DareProblem):
         u0 = p.b.copy()
@@ -444,100 +493,106 @@ def dsda_sym_init(p: CareProblem | DareProblem | BsepProblem) -> DsdaSymState:
         y0 = np.zeros((u0.shape[1], v0.shape[1]))
         prop = MatrixPropagator(p.a.copy() if p.a_sparse is None
                                 else p.a_sparse)
-        family, c = "dare", 1.0
+        family, c, blocks = "dare", 1.0, {"u": u0, "v": v0}
     elif isinstance(p, CareProblem):
         gamma = p.gamma
         solve, prop = _shifted(p.a, p.a_sparse, -gamma, 2.0 * gamma)
         u0, v0 = solve(p.b), solve(p.c.T, "T")
         y0 = p.b.T @ v0
-        family, c = "care", 2.0 * gamma
+        family, c, blocks = "care", 2.0 * gamma, {"u": u0, "v": v0}
     elif isinstance(p, BsepProblem):
         alpha = p.alpha
-        # V grows with the propagator of M = alpha I - conj(A).
+        # V grows with the propagator of M = alpha I - conj(A); the left
+        # basis is conj(vhat) and has no chain of its own.
         solve, prop = _shifted(p.a, p.a_sparse, alpha, -2.0 * alpha,
                                lambda x: -x.conj())
         v0 = solve(p.l_b.conj())
         y0 = p.l_b.T @ v0
-        u0 = v0.conj()
-        family, c = "bsep", 2.0 * alpha
+        family, c, blocks = "bsep", 2.0 * alpha, {"v": v0}
     else:
         raise TypeError(f"unsupported problem type {type(p).__name__}")
-    kept = None if family == "bsep" else u0
-    v_span, v_coords = span_of(v0)
-    return DsdaSymState(family, v0, v0, kept, kept, y0, (u0.T @ v0)[None],
-                        prop, scale=c, v_span=v_span, v_coords=v_coords)
+    return _start(family, {name: (block, prop)
+                           for name, block in blocks.items()}, {"Y": y0}, c)
 
 
-def dsda_sym_step(s: DsdaSymState,
-                  column_budget: int = DEFAULT_COLUMN_BUDGET) -> DsdaSymState:
-    """Double the bases, append the new Gram moments and extend the span
-    of ``vhat`` and its coordinates."""
-    prop = s.propagator
-    if s.family == "bsep":
-        # uhat = conj(vhat): one chain, its moments v_i^H v_j.
-        chains = ((s.v_last, prop, False),)
-        products = ((s.t_moments, 0, 0, True),)
-    else:
-        chains = ((s.u_last, prop, False), (s.v_last, prop, True))
-        products = ((s.t_moments, 0, 1, False),)
-    lasts, (t_new,), ((v_span, v_coords),) = _double(
-        s.k, column_budget, chains, products,
-        ((s.v_span, s.v_coords, len(chains) - 1),))
-    return dataclasses.replace(
-        s, v_last=lasts[-1], u_last=None if s.family == "bsep" else lasts[0],
-        t_moments=t_new, v_span=v_span, v_coords=v_coords, k=s.k + 1)
+def dsda_mare_init(p: MareProblem, mode: str = "sda") -> DsdaState:
+    """Width-one starting state for the four-basis family.
+
+    ``mode="sda"`` uses the single shift gamma twice; ``mode="adda"``
+    uses alpha for the D side and beta for the A side.  Low-rank factors
+    need not have full column rank: a deficient factor only adds zero
+    eigenvalues to Y Z, so I - Y Z stays nonsingular.  Zero-width
+    factors (an all-zero B or C) degrade every formula gracefully.
+    """
+    alpha, beta = p.shifts(mode)
+    s = alpha + beta
+    solve_a, prop_a = _shifted(p.a, p.a_sparse, beta, -s)
+    solve_d, prop_d = _shifted(p.d, p.d_sparse, alpha, -s)
+    u0, w0 = solve_a(p.b_l), solve_d(p.c_l)
+    firsts = {"u": (u0, prop_a), "v": (solve_a(p.c_r, "T"), prop_a),
+              "w": (w0, prop_d), "q": (solve_d(p.b_r, "T"), prop_d)}
+    # Y = B_r^T D_a^-1 C_l, Z = C_r^T A_b^-1 B_l.
+    return _start("mare", firsts, {"Y": p.b_r.T @ w0, "Z": p.c_r.T @ u0}, s)
 
 
-def _double(k: int, column_budget: int, chains, products, spans):
-    """Budget check, chain growth, moment append and span extension
-    shared by all families, ``STREAM_COLS`` columns of each chain at a
-    time.
+def dsda_step(s: DsdaState,
+              column_budget: int = DEFAULT_COLUMN_BUDGET) -> DsdaState:
+    """Double the state: grow each chain by 2^k blocks, append each
+    kernel's new moments and extend each span and its coordinates,
+    ``STREAM_COLS`` columns of each chain at a time.
 
-    ``chains`` holds each Krylov chain's last block, the propagator that
-    grows it and whether by its transpose; a chunk of a chain is its
-    last block followed by the next ones (:func:`_extend_basis`), a new
-    array that only a copy of its last block outlives.  ``products``
-    lists each moment stack with the positions of its left and right
-    chain and whether the left one enters conjugated, ``spans`` each
-    span with its coordinates and the position of its chain.  With
-    b = 2^k the new blocks are i = b ... 2b - 1, so the new moments
-    M_{2b-1} ... M_{4b-2} are M_{2i-1} = u_i^T v_{i-1} and
+    A chunk of a chain is its last block followed by the next ones
+    (:func:`_extend_basis`), a new array that only a copy of its last
+    block outlives.  With b = 2^k the new blocks are i = b ... 2b - 1,
+    so the new moments M_{2b-1} ... M_{4b-2} of a kernel whose moments
+    pair the chains u and v are M_{2i-1} = u_i^T v_{i-1} and
     M_{2i} = u_i^T v_i (:func:`_pair_moments`).  Each chunk's new
     columns extend their span at the threshold of the doubled basis
     (:func:`extend_span`) and append their coordinates.  The columns
     before them get zero coordinates on the directions a chunk adds:
     they lay within that threshold of the span when they were deflated.
-
-    Returns the new last blocks, moment stacks and (span, coordinates)
-    pairs.
     """
-    blocks = 2 ** k
-    lasts = [last for last, _, _ in chains]
-    widths = [last.shape[1] for last in lasts]
-    if 2 * blocks * max(widths) > column_budget:
+    blocks = 2 ** s.k
+    lasts = {name: chain.last for name, chain in s.chains.items()}
+    widths = {name: last.shape[1] for name, last in lasts.items()}
+    widest = max(widths.values())
+    if 2 * blocks * widest > column_budget:
         raise BudgetExceededError(
-            f"doubling to {2 * blocks * max(widths)} columns exceeds the "
+            f"doubling to {2 * blocks * widest} columns exceeds the "
             f"budget of {column_budget}")
-    per = max(1, STREAM_COLS // max(1, *widths))
-    stacks = [[moments] for moments, *_ in products]
-    qs = [q for q, _, _ in spans]
-    coords = [[r] for _, r, _ in spans]
+    per = max(1, STREAM_COLS // max(1, widest))
+    pairs = _LAYOUT[s.family][1]
+    stacks = {kernel: [moments] for kernel, moments in s.moments.items()}
+    qs = {name: q for name, (q, _) in s.spans.items()}
+    coords = {name: [r] for name, (_, r) in s.spans.items()}
     for first in range(0, blocks, per):
         count = min(per, blocks - first)
-        chunks = [_extend_basis(last, op, count, w, transpose=t)
-                  for last, w, (_, op, t) in zip(lasts, widths, chains)]
+        chunks = {name: _extend_basis(lasts[name], chain.op, count,
+                                      widths[name], transpose=chain.transpose)
+                  for name, chain in s.chains.items()}
         # Copied: a view would keep its whole chunk alive.
-        lasts = [chunk[:, chunk.shape[1] - w:].copy()
-                 for chunk, w in zip(chunks, widths)]
-        for stack, (_, i, j, conj) in zip(stacks, products):
-            stack.append(_pair_moments(chunks[i], chunks[j], count, conj))
-        for t, (_, _, i) in enumerate(spans):
-            qs[t], part = extend_span(qs[t], chunks[i][:, widths[i]:],
-                                      2 * blocks * widths[i])
-            coords[t].append(part)
-    return (lasts, [np.concatenate(stack) for stack in stacks],
-            [(q, _stack_coordinates(parts, q.shape[1]))
-             for q, parts in zip(qs, coords)])
+        lasts = {name: chunk[:, chunk.shape[1] - widths[name]:].copy()
+                 for name, chunk in chunks.items()}
+        for kernel, (left, right, conj) in pairs.items():
+            stacks[kernel].append(_pair_moments(chunks[left], chunks[right],
+                                                count, conj))
+        for name, q in qs.items():
+            w = widths[name]
+            qs[name], part = extend_span(q, chunks[name][:, w:],
+                                         2 * blocks * w)
+            coords[name].append(part)
+    return dataclasses.replace(
+        s, chains={name: dataclasses.replace(chain, last=lasts[name])
+                   for name, chain in s.chains.items()},
+        moments={kernel: np.concatenate(stack)
+                 for kernel, stack in stacks.items()},
+        spans={name: (q, _stack_coordinates(coords[name], q.shape[1]))
+               for name, q in qs.items()},
+        k=s.k + 1)
+
+
+#: One step doubles the state of every family.
+dsda_sym_step = dsda_mare_step = dsda_step
 
 
 def _pair_moments(left: np.ndarray, right: np.ndarray, count: int,
@@ -589,16 +644,15 @@ def _extend_basis(basis: np.ndarray, op: Propagator, blocks: int,
     return np.concatenate([basis] + new, axis=1)
 
 
-def _tail(s: DsdaSymState | DsdaMareState, which: str) -> np.ndarray:
+def _tail(s: DsdaState, which: str) -> np.ndarray:
     """The entries h_{b-1} ... h_{2b-2} of the sequence of kernel ``"Y"``
     or ``"Z"``, the seed followed by the first b - 1 scaled moments;
     the entries below b - 1 vanish."""
-    seed, seq = (s.y0, s.t_moments) if which == "Y" else (s.z0, s.s_moments)
-    return np.concatenate([seed[None], s.multiplier * seq[:2 ** s.k - 1]])
+    return np.concatenate([s.seeds[which][None],
+                           s.multiplier * s.moments[which][:2 ** s.k - 1]])
 
 
-def _edges(s: DsdaSymState | DsdaMareState,
-           which: str) -> tuple[np.ndarray, np.ndarray]:
+def _edges(s: DsdaState, which: str) -> tuple[np.ndarray, np.ndarray]:
     """Last block column and last block row of kernel ``"Y"`` or ``"Z"``.
 
     Both hold the :func:`_tail` of the kernel's sequence: stacked
@@ -760,19 +814,19 @@ def _evaluate(scale: float, col: np.ndarray, row: np.ndarray, blocks: int,
     return LowRankSolution(q_left, core, q_right, cols)
 
 
-def _sym_solution(s: DsdaSymState, side: str) -> LowRankSolution:
+def _sym_solution(s: DsdaState, side: str) -> LowRankSolution:
     """``sigma c * B (I + sigma K)^-1 B^T``: B = Vhat, K = Y^T Y on the
     right side, in the state's span; B = Uhat (replayed), K = Y Y^T on
     the left, whose span is found here."""
     col, row = _edges(s, "Y")
     if side == "right":
-        x, span = row.T, (s.v_span, s.v_coords)
+        x, span = row.T, s.spans["v"]
     else:
-        x, span = col, span_of(s.uhat)
+        x, span = col, span_of(s.chains["u"].basis(s.k))
     return _evaluate(s.multiplier, x, x.T, 2 ** s.k, s.sigma, *span, *span)
 
 
-def dsda_eval_H(s: DsdaSymState) -> LowRankSolution:
+def dsda_eval_H(s: DsdaState) -> LowRankSolution:
     """H_k = c * Vhat (I + Y^T Y)^-1 Vhat^T for the psd-kernel families."""
     if s.sigma != +1:
         raise DimensionMismatchError(
@@ -780,7 +834,7 @@ def dsda_eval_H(s: DsdaSymState) -> LowRankSolution:
     return _sym_solution(s, "right")
 
 
-def dsda_eval_G(s: DsdaSymState) -> LowRankSolution:
+def dsda_eval_G(s: DsdaState) -> LowRankSolution:
     """G_k = c * Uhat (I + Y Y^T)^-1 Uhat^T, mirror of :func:`dsda_eval_H`."""
     if s.sigma != +1:
         raise DimensionMismatchError(
@@ -788,142 +842,22 @@ def dsda_eval_G(s: DsdaSymState) -> LowRankSolution:
     return _sym_solution(s, "left")
 
 
-def bsep_eval_F(s: DsdaSymState) -> LowRankSolution:
+def bsep_eval_F(s: DsdaState) -> LowRankSolution:
     """F_k = -2 alpha Vhat (I - Y^T Y)^-1 Vhat^T (plain transposes)."""
     if s.family != "bsep":
         raise DimensionMismatchError("F evaluation applies to the BSEP family")
     return _sym_solution(s, "right")
 
 
-# ---------------------------------------------------------------------------
-# Four-matrix family: MARE (plain and alternating-directional shifts)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DsdaMareState:
-    """Krylov chain ends, kernel seeds, Gram moments and spans for the
-    MARE family.
-
-    The kernels Y and Z follow from the seeds and the moments, as for
-    the one-kernel families, with multiplier -s.  A state holds no
-    basis.  Of each of the four Krylov chains, ``uhat`` and ``vhat``
-    grown by the A propagator and its transpose, ``what`` and ``qhat``
-    by the D propagator and its transpose, it keeps the first and the
-    last block: a step grows each chain from its last block, and the
-    bases are properties that replay the recursion from the first, bit
-    for bit, for validation.  The evaluated iterate H is built on
-    ``uhat`` and ``qhat``: ``u_span`` and ``q_span`` are their spans
-    (:func:`extend_span`), ``u_coords`` and ``q_coords`` their
-    coordinates.
-    """
-
-    u_first: np.ndarray    # m x m1 blocks of uhat, m x (2^k m1)
-    u_last: np.ndarray
-    v_first: np.ndarray    # m x n1 blocks of vhat, m x (2^k n1)
-    v_last: np.ndarray
-    w_first: np.ndarray    # n x n1 blocks of what, n x (2^k n1)
-    w_last: np.ndarray
-    q_first: np.ndarray    # n x m1 blocks of qhat, n x (2^k m1)
-    q_last: np.ndarray
-    y0: np.ndarray         # m1 x n1
-    z0: np.ndarray         # n1 x m1
-    t_moments: np.ndarray  # (2^(k+1) - 1) x m1 x n1 blocks of qhat.T @ what
-    s_moments: np.ndarray  # (2^(k+1) - 1) x n1 x m1 blocks of vhat.T @ uhat
-    prop_a: Propagator     # m x m
-    prop_d: Propagator     # n x n
-    shift_sum: float
-    u_span: np.ndarray
-    u_coords: np.ndarray
-    q_span: np.ndarray
-    q_coords: np.ndarray
-    k: int = 0
-
-    def _replay(self, first: np.ndarray, op: Propagator,
-                transpose: bool = False) -> np.ndarray:
-        return _extend_basis(first, op, 2 ** self.k - 1, first.shape[1],
-                             transpose=transpose)
-
-    @property
-    def uhat(self) -> np.ndarray:
-        """Formed again on each read (validation only), as are the others."""
-        return self._replay(self.u_first, self.prop_a)
-
-    @property
-    def vhat(self) -> np.ndarray:
-        return self._replay(self.v_first, self.prop_a, transpose=True)
-
-    @property
-    def what(self) -> np.ndarray:
-        return self._replay(self.w_first, self.prop_d)
-
-    @property
-    def qhat(self) -> np.ndarray:
-        return self._replay(self.q_first, self.prop_d, transpose=True)
-
-    @property
-    def basis_cols(self) -> int:
-        return self.u_coords.shape[1]
-
-    @property
-    def multiplier(self) -> float:
-        return -self.shift_sum
-
-
-def dsda_mare_init(p: MareProblem, mode: str = "sda") -> DsdaMareState:
-    """Width-one starting state for the four-basis family.
-
-    ``mode="sda"`` uses the single shift gamma twice; ``mode="adda"``
-    uses alpha for the D side and beta for the A side.  Low-rank factors
-    need not have full column rank: a deficient factor only adds zero
-    eigenvalues to Y Z, so I - Y Z stays nonsingular.  Zero-width
-    factors (an all-zero B or C) degrade every formula gracefully.
-    """
-    alpha, beta = p.shifts(mode)
-    s = alpha + beta
-    solve_a, prop_a = _shifted(p.a, p.a_sparse, beta, -s)
-    solve_d, prop_d = _shifted(p.d, p.d_sparse, alpha, -s)
-    u0, v0 = solve_a(p.b_l), solve_a(p.c_r, "T")
-    w0, q0 = solve_d(p.c_l), solve_d(p.b_r, "T")
-    y0 = p.b_r.T @ w0                    # B_r^T D_a^-1 C_l
-    z0 = p.c_r.T @ u0                    # C_r^T A_b^-1 B_l
-    u_span, u_coords = span_of(u0)
-    q_span, q_coords = span_of(q0)
-    return DsdaMareState(u0, u0, v0, v0, w0, w0, q0, q0, y0, z0,
-                         t_moments=(q0.T @ w0)[None],
-                         s_moments=(v0.T @ u0)[None],
-                         prop_a=prop_a, prop_d=prop_d, shift_sum=s,
-                         u_span=u_span, u_coords=u_coords,
-                         q_span=q_span, q_coords=q_coords, k=0)
-
-
-def dsda_mare_step(s: DsdaMareState,
-                   column_budget: int = DEFAULT_COLUMN_BUDGET) -> DsdaMareState:
-    """Double the bases, append the new moments of both Gram blocks
-    and extend the spans of ``uhat`` and ``qhat`` and their
-    coordinates."""
-    chains = ((s.u_last, s.prop_a, False), (s.v_last, s.prop_a, True),
-              (s.w_last, s.prop_d, False), (s.q_last, s.prop_d, True))
-    # T pairs (qhat, what), S pairs (vhat, uhat).
-    lasts, (t_new, s_new), ((u_span, u_coords), (q_span, q_coords)) = \
-        _double(s.k, column_budget, chains,
-                ((s.t_moments, 3, 2, False), (s.s_moments, 1, 0, False)),
-                ((s.u_span, s.u_coords, 0), (s.q_span, s.q_coords, 3)))
-    u_last, v_last, w_last, q_last = lasts
-    return dataclasses.replace(s, u_last=u_last, v_last=v_last,
-                               w_last=w_last, q_last=q_last,
-                               t_moments=t_new, s_moments=s_new,
-                               u_span=u_span, u_coords=u_coords,
-                               q_span=q_span, q_coords=q_coords, k=s.k + 1)
-
-
-def dsda_mare_eval(s: DsdaMareState, which: str) -> LowRankSolution:
+def dsda_mare_eval(s: DsdaState, which: str) -> LowRankSolution:
     """H_k = s * Uhat (I - Y Z)^-1 Qhat^T (``which="H"``) or
     G_k = s * What (I - Z Y)^-1 Vhat^T (``"G"``); the dense F_k and E_k
     are :func:`dsda.validate.dsda_mare_dense`."""
     if which not in ("H", "G"):
         raise ValueError(f"which must be one of H, G; got {which!r}")
     first, second = ("Y", "Z") if which == "H" else ("Z", "Y")
-    spans = ((s.u_span, s.u_coords, s.q_span, s.q_coords) if which == "H"
-             else (*span_of(s.what), *span_of(s.vhat)))
-    return _evaluate(s.shift_sum, _edges(s, first)[0], _edges(s, second)[1],
-                     2 ** s.k, -1, *spans)
+    spans = ((*s.spans["u"], *s.spans["q"]) if which == "H"
+             else (*span_of(s.chains["w"].basis(s.k)),
+                   *span_of(s.chains["v"].basis(s.k))))
+    return _evaluate(s.scale, _edges(s, first)[0], _edges(s, second)[1],
+                     2 ** s.k, s.sigma, *spans)

@@ -243,38 +243,38 @@ def reduce_control_weight(b, r) -> np.ndarray:
     return b @ (v / np.sqrt(w)) @ v.T
 
 
+def _random_symmetric(n: int, m: int, l: int, seed: int, draw):
+    """A, B, C of a random instance, deterministic per seed: A is the
+    symmetric ``Q diag(draw(rng)) Q^T`` with Q orthogonal, and B and C
+    are dense with full column/row rank almost surely."""
+    if m > n or l > n:
+        raise DimensionMismatchError("block widths must not exceed n")
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q * draw(rng)) @ q.T
+    a = (a + a.T) / 2.0
+    b = 0.3 * rng.standard_normal((n, m)) / math.sqrt(n)
+    c = rng.standard_normal((l, n)) / math.sqrt(n)
+    return a, b, c
+
+
 def gen_random_care(n: int, m: int, l: int, seed: int) -> CareProblem:
     """Random stable continuous-time instance, deterministic per seed.
 
     A is symmetric negative definite (hence stable) with eigenvalues
     drawn from a narrow band, which keeps the doubling residuals on a
-    clean quadratic trajectory; B and C are dense with full column/row
-    rank almost surely.
+    clean quadratic trajectory.
     """
-    if m > n or l > n:
-        raise DimensionMismatchError("block widths must not exceed n")
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    a = -(q * rng.uniform(0.45, 0.55, n)) @ q.T
-    a = (a + a.T) / 2.0
-    b = 0.3 * rng.standard_normal((n, m)) / math.sqrt(n)
-    c = rng.standard_normal((l, n)) / math.sqrt(n)
-    return CareProblem(a, b, c, gamma=1.0)
+    return CareProblem(*_random_symmetric(
+        n, m, l, seed, lambda rng: -rng.uniform(0.45, 0.55, n)), gamma=1.0)
 
 
 def gen_random_dare(n: int, m: int, l: int, seed: int) -> DareProblem:
     """Random discrete-time instance with symmetric A of mixed-sign
     eigenvalue magnitudes drawn from a narrow stable band."""
-    if m > n or l > n:
-        raise DimensionMismatchError("block widths must not exceed n")
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    lam = rng.uniform(0.42, 0.52, n) * rng.choice([-1.0, 1.0], n)
-    a = (q * lam) @ q.T
-    a = (a + a.T) / 2.0
-    b = 0.3 * rng.standard_normal((n, m)) / math.sqrt(n)
-    c = rng.standard_normal((l, n)) / math.sqrt(n)
-    return DareProblem(a, b, c)
+    return DareProblem(*_random_symmetric(
+        n, m, l, seed,
+        lambda rng: rng.uniform(0.42, 0.52, n) * rng.choice([-1.0, 1.0], n)))
 
 
 def gen_random_mare(m: int, n: int, m1: int, n1: int, seed: int) -> MareProblem:

@@ -12,15 +12,18 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .decoupled import DsdaMareState, DsdaSymState, _edges, _kernel_factor, _tail
+from .decoupled import DsdaState, _edges, _kernel_factor, _tail
 from .errors import BudgetExceededError, DimensionMismatchError, SingularMatrixError
 from .matkit import solve_general
 
 #: Largest propagator order whose dense power is formed.
 DENSE_EVAL_MAX_DIM = 512
 
+#: The kernel whose moments make up each Gram block.
+_GRAM_OF = {"T": "Y", "S": "Z"}
 
-def dsda_assemble(s: DsdaSymState | DsdaMareState, which: str) -> np.ndarray:
+
+def dsda_assemble(s: DsdaState, which: str) -> np.ndarray:
     """Kernel ``"Y"`` or ``"Z"``, or Gram block ``"T"`` or ``"S"``, of a state.
 
     T is ``uhat.T @ vhat`` for the one-kernel families and
@@ -29,14 +32,13 @@ def dsda_assemble(s: DsdaSymState | DsdaMareState, which: str) -> np.ndarray:
     (i, j) is entry i + j of a sequence built from the state's seed and
     moments, gathered in one vectorised copy that keeps the dtype.
     """
-    mare = isinstance(s, DsdaMareState)
     b = 2 ** s.k
-    if which == "T" or (which == "S" and mare):
-        seq = s.t_moments if which == "T" else s.s_moments
-    elif which == "Y" or (which == "Z" and mare):
+    if which in s.moments:
         tail = _tail(s, which)
         seq = np.concatenate(
             [np.zeros((b - 1,) + tail.shape[1:], dtype=tail.dtype), tail])
+    elif _GRAM_OF.get(which) in s.moments:
+        seq = s.moments[_GRAM_OF[which]]
     else:
         raise ValueError(f"which must name a matrix of the state; got {which!r}")
     _, r, c = seq.shape
@@ -50,9 +52,7 @@ def _dense_transfer(s, prop, conj, kernel, which, scale, basis, other):
     :func:`dsda.decoupled._kernel_factor` arguments ``kernel`` and X the
     assembled ``which``.  Refused when any propagator of the state has
     order above ``DENSE_EVAL_MAX_DIM``."""
-    props = ((s.prop_a, s.prop_d) if isinstance(s, DsdaMareState)
-             else (s.propagator,))
-    n = max(p.shape[0] for p in props)
+    n = max(chain.op.shape[0] for chain in s.chains.values())
     if n > DENSE_EVAL_MAX_DIM:
         raise BudgetExceededError(
             f"dense propagator-power evaluation is guarded to "
@@ -68,27 +68,31 @@ def _dense_transfer(s, prop, conj, kernel, which, scale, basis, other):
     return power - scale * (basis @ corr)
 
 
-def dsda_eval_A(s: DsdaSymState) -> np.ndarray:
+def dsda_eval_A(s: DsdaState) -> np.ndarray:
     """Dense A_k (E_k for the BSEP family):
     ``P^(2^k) - c * Uhat (I + sigma Y Y^T)^-1 Y Vhat^T``."""
+    if s.family == "mare":
+        raise DimensionMismatchError(
+            "A evaluation applies to the one-kernel families; use "
+            "dsda_mare_dense")
     col = _edges(s, "Y")[0]
-    return _dense_transfer(s, s.propagator, s.family == "bsep",
+    return _dense_transfer(s, s.chains["v"].op, s.family == "bsep",
                            (col, col.T, 2 ** s.k, s.sigma), "Y", s.scale,
-                           s.uhat, s.vhat)
+                           *s.gram_bases("Y"))
 
 
-def dsda_mare_dense(s: DsdaMareState, which: str) -> np.ndarray:
+def dsda_mare_dense(s: DsdaState, which: str) -> np.ndarray:
     """Dense F_k (``which="F"``) or E_k (``"E"``) of the MARE family:
     ``F_k = P_A^(2^k) - s * Uhat (I - Y Z)^-1 Y Vhat^T`` and
     ``E_k = P_D^(2^k) - s * What (I - Z Y)^-1 Z Qhat^T``."""
     if which not in ("F", "E"):
         raise ValueError(f"which must be one of F, E; got {which!r}")
     first, second = ("Y", "Z") if which == "F" else ("Z", "Y")
-    prop, basis, other = ((s.prop_a, s.uhat, s.vhat) if which == "F"
-                          else (s.prop_d, s.what, s.qhat))
-    kernel = (_edges(s, first)[0], _edges(s, second)[1], 2 ** s.k, -1)
-    return _dense_transfer(s, prop, False, kernel, first, s.shift_sum,
-                           basis, other)
+    left, right = (s.chains[name] for name in
+                   (("u", "v") if which == "F" else ("w", "q")))
+    kernel = (_edges(s, first)[0], _edges(s, second)[1], 2 ** s.k, s.sigma)
+    return _dense_transfer(s, left.op, False, kernel, first, s.scale,
+                           left.basis(s.k), right.basis(s.k))
 
 
 def bsep_eigen_extract(f: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

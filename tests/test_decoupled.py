@@ -29,7 +29,11 @@ from dsda.decoupled import (
     dsda_sym_step,
 )
 from dsda.driver import SolveConfig, solve_driver
-from dsda.errors import BudgetExceededError, SingularMatrixError
+from dsda.errors import (
+    BudgetExceededError,
+    DimensionMismatchError,
+    SingularMatrixError,
+)
 from dsda.problems import (
     BsepProblem,
     CareProblem,
@@ -61,6 +65,53 @@ def rel_err(got, want):
     return gap / denom if denom > 0 else gap
 
 
+#: Per family: each chain and whether it grows by the transpose of its
+#: propagator, the kernels and the chains with a span.
+LAYOUT = {
+    "care": ({"u": False, "v": True}, ["Y"], ["v"]),
+    "dare": ({"u": False, "v": True}, ["Y"], ["v"]),
+    "bsep": ({"v": False}, ["Y"], ["v"]),
+    "mare": ({"u": False, "v": True, "w": False, "q": True}, ["Y", "Z"],
+             ["q", "u"]),
+}
+
+
+class TestStateLayout:
+    @pytest.mark.parametrize("case", ["care", "dare", "bsep", "mare-sda",
+                                      "mare-adda"])
+    def test_init_lays_out_the_family(self, case):
+        family, _, mode = case.partition("-")
+        if family == "mare":
+            p = gen_random_mare(6, 5, 2, 2, seed=13)
+            s = dsda_mare_init(p, mode=mode)
+        else:
+            p = {"care": gen_random_care(6, 2, 2, seed=13),
+                 "dare": gen_random_dare(6, 2, 2, seed=13),
+                 "bsep": gen_random_bsep(6, 2, seed=13)}[family]
+            s = dsda_sym_init(p)
+        chains, kernels, spans = LAYOUT[family]
+        assert (s.family, s.k) == (family, 0)
+        assert {name: c.transpose for name, c in s.chains.items()} == chains
+        assert sorted(s.seeds) == sorted(s.moments) == kernels
+        assert sorted(s.spans) == spans
+        ops = {name: c.op for name, c in s.chains.items()}
+        if family == "mare":
+            assert ops["u"] is ops["v"] and ops["u"].shape == p.a.shape
+            assert ops["w"] is ops["q"] and ops["w"].shape == p.d.shape
+        else:
+            assert all(op is ops["v"] for op in ops.values())
+
+    def test_one_kernel_evaluators_refuse_a_mare_state(self):
+        s = dsda_mare_init(gen_random_mare(6, 5, 2, 2, seed=13))
+        for evaluate in (dsda_eval_H, dsda_eval_G, bsep_eval_F, dsda_eval_A):
+            with pytest.raises(DimensionMismatchError):
+                evaluate(s)
+
+    def test_one_state_type_and_one_step_serve_every_family(self):
+        assert decoupled.DsdaSymState is decoupled.DsdaMareState
+        assert dsda_sym_step is dsda_mare_step
+
+
 class TestSymInit:
     def test_dare_k0_reproduces_h0(self):
         p = gen_random_dare(5, 2, 2, seed=1)
@@ -76,7 +127,7 @@ class TestSymInit:
         assert dsda_eval_H(s).dense() == pytest.approx(np.array([[0.4]]))
         # Cayley image of a = -1 at gamma = 1 vanishes; the starting
         # iterate A_0 itself carries the rank-one correction on top.
-        assert s.propagator.apply(np.eye(1)) == pytest.approx(
+        assert s.chains["v"].op.apply(np.eye(1)) == pytest.approx(
             np.array([[0.0]]))
         assert dsda_eval_A(s) == pytest.approx(
             care_init(SCALAR_CARE).a_k)  # = 0.2
@@ -95,7 +146,7 @@ class TestSymStep:
         s = dsda_sym_step(dsda_sym_init(SCALAR_DARE))
         assert np.array_equal(dsda_assemble(s, "Y"),
                               np.array([[0.0, 0.0], [0.0, 1.0]]))
-        assert np.array_equal(s.vhat, np.array([[1.0, 0.5]]))
+        assert np.array_equal(s.chains["v"].basis(s.k), np.array([[1.0, 0.5]]))
         assert dsda_eval_H(s).dense() == pytest.approx(np.array([[1.125]]))
 
     def test_scalar_care_first_step(self):
@@ -144,17 +195,24 @@ class TestSymStep:
         if family == "mare":
             s = dsda_mare_init(gen_random_mare(6, 5, 2, 2, seed=13), mode=mode)
             step = dsda_mare_step
-            products = {"T": ("qhat", "what"), "S": ("vhat", "uhat")}
+            products = {"T": ("q", "w"), "S": ("v", "u")}
         else:
             s = dsda_sym_init({"care": gen_random_care(6, 2, 2, seed=13),
                                "dare": gen_random_dare(6, 2, 2, seed=13),
                                "bsep": gen_random_bsep(6, 2, seed=13)}[family])
             step = dsda_sym_step
-            products = {"T": ("uhat", "vhat")}
+            products = {"T": ("u", "v")}
+
+        def replay(name):
+            # The BSEP left basis is conj(vhat).
+            if (family, name) == ("bsep", "u"):
+                return replay("v").conj()
+            return s.chains[name].basis(s.k)
+
         for _ in range(3):
             s = step(s)
             for which, (left, right) in products.items():
-                full = getattr(s, left).T @ getattr(s, right)
+                full = replay(left).T @ replay(right)
                 assert rel_err(dsda_assemble(s, which), full) <= 1e-13
 
 
@@ -218,7 +276,8 @@ class TestBsepDecoupled:
         s = dsda_sym_init(gen_random_bsep(5, 2, seed=3))
         for _ in range(3):
             s = dsda_sym_step(s)
-            assert np.array_equal(s.uhat, s.vhat.conj())
+            uhat, vhat = s.gram_bases("Y")
+            assert np.array_equal(uhat, vhat.conj())
 
     def test_f_complex_symmetric(self):
         s = dsda_sym_init(gen_random_bsep(5, 2, seed=8))
@@ -292,8 +351,9 @@ class TestKernels:
                 krylov = np.hstack([
                     np.linalg.matrix_power(p.a.T, j) @ p.c.T
                     for j in range(2 ** k)])
-                joint = np.hstack([s.vhat, krylov])
-                r_v = np.linalg.matrix_rank(s.vhat)
+                vhat = s.chains["v"].basis(s.k)
+                joint = np.hstack([vhat, krylov])
+                r_v = np.linalg.matrix_rank(vhat)
                 assert np.linalg.matrix_rank(joint) == r_v
                 assert np.linalg.matrix_rank(krylov) == r_v
 
@@ -410,9 +470,13 @@ class TestMareDecoupled:
                           gamma=gamma, alpha=gamma, beta=gamma)
         s_sda = dsda_mare_init(p_g, mode="sda")
         s_adda = dsda_mare_init(p_g, mode="adda")
-        for name in ("uhat", "vhat", "what", "qhat", "y0", "z0",
-                     "t_moments", "s_moments"):
-            assert np.array_equal(getattr(s_sda, name), getattr(s_adda, name))
+        for name in ("u", "v", "w", "q"):
+            assert np.array_equal(s_sda.chains[name].basis(s_sda.k),
+                                  s_adda.chains[name].basis(s_adda.k))
+        for kernel in ("Y", "Z"):
+            assert np.array_equal(s_sda.seeds[kernel], s_adda.seeds[kernel])
+            assert np.array_equal(s_sda.moments[kernel],
+                                  s_adda.moments[kernel])
 
     def test_rank_deficient_factors_converge(self):
         # Rank-2 factors of the rank-1 B = f f^T: a deficient factor
@@ -529,7 +593,7 @@ def _structured_kernels(s):
     b = 2 ** s.k
     y = dsda_assemble(s, "Y")
     y_col, y_row = _edges(s, "Y")
-    if isinstance(s, decoupled.DsdaMareState):
+    if "Z" in s.moments:
         z = dsda_assemble(s, "Z")
         z_col, z_row = _edges(s, "Z")
         return {"YZ": (_hankel_kernel(y_col, z_row, b, -1),
@@ -684,5 +748,6 @@ class TestCholeskyDense:
             # scale * V K^-1 V^T with K = I + Y^T Y from the assembled Y.
             y = dsda_assemble(s, "Y")
             kern = np.eye(y.shape[1]) + y.T @ y
-            want = s.multiplier * (s.vhat @ np.linalg.solve(kern, s.vhat.T))
+            vhat = s.chains["v"].basis(s.k)
+            want = s.multiplier * (vhat @ np.linalg.solve(kern, vhat.T))
             assert rel_err(got, want) <= 1e-13, label

@@ -247,9 +247,9 @@ def test_a_non_finite_moment_ends_singular_without_a_warning(monkeypatch):
         s = step(s, **kwargs)
         if s.k < 3:
             return s
-        moments = s.t_moments.copy()
+        moments = s.moments["Y"].copy()
         moments[0, 0, 0] = np.nan
-        return dataclasses.replace(s, t_moments=moments)
+        return dataclasses.replace(s, moments={**s.moments, "Y": moments})
 
     monkeypatch.setattr(decoupled, "dsda_sym_step", spoil)
     with warnings.catch_warnings():

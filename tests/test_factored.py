@@ -18,7 +18,6 @@ from test_sparse_route import heat_care, heat_dare, heat_mare
 
 from dsda import decoupled, driver
 from dsda.decoupled import (
-    DsdaMareState,
     LowRankSolution,
     bsep_eval_F,
     dsda_eval_H,
@@ -249,9 +248,7 @@ WIDE_CASES = [pytest.param(p, method, id=f"{family}-{method}")
 
 def spans(s):
     """(basis, span) of each evaluated basis of a state."""
-    if isinstance(s, DsdaMareState):
-        return [(s.uhat, s.u_span), (s.qhat, s.q_span)]
-    return [(s.vhat, s.v_span)]
+    return [(s.chains[name].basis(s.k), q) for name, (q, _) in s.spans.items()]
 
 
 @pytest.mark.parametrize("p,method", WIDE_CASES)

@@ -105,10 +105,10 @@ def propagators(grid=GRID):
     care, dare, bsep = heat_care(grid), heat_dare(grid), heat_bsep(grid)
     eye = np.eye(care.n)
     out = [
-        ("care", dsda_sym_init(care).propagator,
+        ("care", dsda_sym_init(care).chains["v"].op,
          eye + 2.0 * care.gamma * dense_inverse(care.a - care.gamma * eye)),
-        ("dare", dsda_sym_init(dare).propagator, dare.a),
-        ("bsep", dsda_sym_init(bsep).propagator,
+        ("dare", dsda_sym_init(dare).chains["v"].op, dare.a),
+        ("bsep", dsda_sym_init(bsep).chains["v"].op,
          (eye - 2.0 * bsep.alpha * dense_inverse(bsep.alpha * eye - bsep.a))
          .conj()),
     ]
@@ -119,9 +119,9 @@ def propagators(grid=GRID):
         s = dsda_mare_init(mare, mode)
         shift_sum = alpha + beta
         out += [
-            (f"mare-{mode}-A", s.prop_a,
+            (f"mare-{mode}-A", s.chains["u"].op,
              eye - shift_sum * dense_inverse(mare.a + beta * eye)),
-            (f"mare-{mode}-D", s.prop_d,
+            (f"mare-{mode}-D", s.chains["w"].op,
              eye - shift_sum * dense_inverse(mare.d + alpha * eye)),
         ]
     suffix = "" if grid == GRID else "-dense"
@@ -153,20 +153,22 @@ def test_init_blocks_match_dense_solves():
     for grid in (GRID, DENSE_GRID):
         care, bsep, mare = heat_care(grid), heat_bsep(grid), heat_mare(grid)
         eye = np.eye(care.n)
-        s = dsda_sym_init(care)
+        chains = dsda_sym_init(care).chains
         m = care.a - care.gamma * eye
-        checks += [(s.uhat, solve(m, care.b)), (s.vhat, solve(m.T, care.c.T))]
-        s = dsda_sym_init(bsep)
-        checks.append((s.vhat, solve(bsep.alpha * eye - bsep.a.conj(),
-                                     bsep.l_b.conj())))
+        checks += [(chains["u"].first, solve(m, care.b)),
+                   (chains["v"].first, solve(m.T, care.c.T))]
+        chains = dsda_sym_init(bsep).chains
+        checks.append((chains["v"].first,
+                       solve(bsep.alpha * eye - bsep.a.conj(),
+                             bsep.l_b.conj())))
         for mode in ("sda", "adda"):
             alpha, beta = mare.shifts(mode)
             a_b, d_a = mare.a + beta * eye, mare.d + alpha * eye
-            s = dsda_mare_init(mare, mode)
-            checks += [(s.uhat, solve(a_b, mare.b_l)),
-                       (s.vhat, solve(a_b.T, mare.c_r)),
-                       (s.what, solve(d_a, mare.c_l)),
-                       (s.qhat, solve(d_a.T, mare.b_r))]
+            chains = dsda_mare_init(mare, mode).chains
+            checks += [(chains["u"].first, solve(a_b, mare.b_l)),
+                       (chains["v"].first, solve(a_b.T, mare.c_r)),
+                       (chains["w"].first, solve(d_a, mare.c_l)),
+                       (chains["q"].first, solve(d_a.T, mare.b_r))]
     for got, want in checks:
         assert rel(got, want) <= 1e-13
 
@@ -239,7 +241,7 @@ def test_route_follows_the_density(grid, sparse):
     assert (density <= SPARSE_MAX_DENSITY) == sparse
     p = heat_care(grid)
     assert (p.a_sparse is not None) == sparse
-    op = dsda_sym_init(p).propagator
+    op = dsda_sym_init(p).chains["v"].op
     assert isinstance(op, ResolventPropagator if sparse else MatrixPropagator)
 
 
@@ -248,23 +250,28 @@ def test_dense_inputs_take_the_dense_route():
     mare = gen_random_mare(32, 24, 2, 2, seed=0)
     assert care.a_sparse is None
     assert mare.a_sparse is None and mare.d_sparse is None
-    for op in (dsda_sym_init(care).propagator,
-               *(getattr(dsda_mare_init(mare), f) for f in ("prop_a", "prop_d"))):
+    for op in (dsda_sym_init(care).chains["v"].op,
+               *(dsda_mare_init(mare).chains[name].op for name in ("u", "w"))):
         assert isinstance(op, MatrixPropagator)
         assert isinstance(op.matrix, np.ndarray)
 
 
-def _n_by_n_arrays(obj, n: int) -> list[str]:
-    """Names of the fields of a state (or of its propagators) that are
-    n x n arrays."""
-    found = []
-    for field in dataclasses.fields(obj):
-        value = getattr(obj, field.name)
-        if dataclasses.is_dataclass(value):
-            found += [f"{field.name}.{name}" for name in _n_by_n_arrays(value, n)]
-        elif isinstance(value, np.ndarray) and value.shape == (n, n):
-            found.append(field.name)
-    return found
+def _n_by_n_arrays(obj, n: int, path: str = "") -> list[str]:
+    """Paths of the n x n arrays reachable from a state (or from its
+    chains, spans and propagators) through fields, dicts and tuples."""
+    if isinstance(obj, np.ndarray):
+        return [path] if obj.shape == (n, n) else []
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, tuple):
+        items = enumerate(obj)
+    elif dataclasses.is_dataclass(obj):
+        items = ((f.name, getattr(obj, f.name))
+                 for f in dataclasses.fields(obj))
+    else:
+        return []
+    return [found for key, value in items
+            for found in _n_by_n_arrays(value, n, f"{path}.{key}")]
 
 
 @pytest.mark.parametrize("make", [heat_care, heat_dare, heat_bsep, heat_mare],
@@ -286,7 +293,7 @@ def test_heat_care_matches_sda():
     cfg = dict(tol=1e-13, max_iter=12)
     sda = solve_driver(p, SolveConfig(method="sda", **cfg))
     dsda = solve_driver(p, SolveConfig(method="dsda", **cfg))
-    assert isinstance(dsda_sym_init(p).propagator, ResolventPropagator)
+    assert isinstance(dsda_sym_init(p).chains["v"].op, ResolventPropagator)
     assert sda.status == dsda.status == "Converged"
     assert len(sda.iterations) == len(dsda.iterations)
     assert max(abs(a.residual - b.residual) for a, b in

@@ -3,8 +3,8 @@
 A state holds no basis: of each Krylov chain it keeps the first and the
 last block, and of each basis an iterate is built on its span and
 coordinates, which every doubling extends from the new blocks a chunk at
-a time.  The bases are properties that replay their Krylov recursion
-from the first block.  An iterate of every family holds its spans and
+a time.  ``Chain.basis`` replays a chain's Krylov recursion from its
+first block.  An iterate of every family holds its spans and
 core and nothing of its kernel; a CARE/DARE evaluation never forms the
 cols x cols kernel, and ``dense()`` forms no n x n temporary.
 """
@@ -16,6 +16,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from test_decoupled import LAYOUT
 from test_residuals import RANK_ROUTE_CASES
 from test_sparse_route import (
     DENSE_GRID,
@@ -30,7 +31,6 @@ from dsda import decoupled, validate
 from dsda.decoupled import (
     PANEL_COLS,
     SWEEP_COLS,
-    DsdaMareState,
     LowRankSolution,
     MatrixPropagator,
     ResolventPropagator,
@@ -129,13 +129,16 @@ def _krylov(first, apply, blocks):
 
 def _arrays(obj, path=""):
     """(path, array) of every array reachable from a state or an
-    iterate, through fields and tuples.  Propagators, the operators the
-    chains grow by, are not walked."""
+    iterate, through fields, dicts and tuples.  Propagators, the
+    operators the chains grow by, are not walked."""
     if isinstance(obj, np.ndarray):
         yield path, obj
     elif isinstance(obj, tuple):
         for i, value in enumerate(obj):
             yield from _arrays(value, f"{path}[{i}]")
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _arrays(value, f"{path}[{key!r}]")
     elif dataclasses.is_dataclass(obj) and not isinstance(
             obj, (MatrixPropagator, ResolventPropagator)):
         for field in dataclasses.fields(obj):
@@ -156,9 +159,8 @@ def test_state_holds_its_read_bases_in_full_and_single_blocks(
     for k in range(DEFLATING + 1):
         if k:
             s = step(s)
-        spans = [a.shape[1] for name, a in _arrays(s)
-                 if name.endswith("_span")]
-        limits = [(s, max(*s.y0.shape, *spans))]
+        spans = [q.shape[1] for q, _ in s.spans.values()]
+        limits = [(s, max(*s.seeds["Y"].shape, *spans))]
         try:
             sol = EVALUATE[family](s)
         except SingularMatrixError:
@@ -166,7 +168,7 @@ def test_state_holds_its_read_bases_in_full_and_single_blocks(
             # is still checked.
             assert (label, k) == ("mare-adda-sparse", DEFLATING)
         else:
-            limits.append((sol, max(*s.y0.shape, sol.q_left.shape[1],
+            limits.append((sol, max(*s.seeds["Y"].shape, sol.q_left.shape[1],
                                     sol.q_right.shape[1])))
         for obj, limit in limits:
             wide = [name for name, a in _arrays(obj) if a.ndim == 2
@@ -174,20 +176,18 @@ def test_state_holds_its_read_bases_in_full_and_single_blocks(
             assert wide == [], (k, wide)
     assert max(spans) < s.basis_cols
     assert s.basis_cols == 2 ** DEFLATING * (
-        s.y0.shape[0] if family == "mare" else s.y0.shape[1])
+        s.seeds["Y"].shape[0] if family == "mare" else s.seeds["Y"].shape[1])
 
 
 def _chains(s):
-    """(name, replayed basis, last block kept, apply) of each chain."""
-    if isinstance(s, DsdaMareState):
-        return [("uhat", s.uhat, s.u_last, s.prop_a.apply),
-                ("vhat", s.vhat, s.v_last, s.prop_a.apply_t),
-                ("what", s.what, s.w_last, s.prop_d.apply),
-                ("qhat", s.qhat, s.q_last, s.prop_d.apply_t)]
-    if s.family == "bsep":
-        return [("vhat", s.vhat, s.v_last, s.propagator.apply)]
-    return [("uhat", s.uhat, s.u_last, s.propagator.apply),
-            ("vhat", s.vhat, s.v_last, s.propagator.apply_t)]
+    """(name, replayed basis, last block kept, apply) of each chain, the
+    orientation taken from the test's own table, not from the state."""
+    out = []
+    for name, transpose in LAYOUT[s.family][0].items():
+        chain = s.chains[name]
+        out.append((name, chain.basis(s.k), chain.last,
+                    chain.op.apply_t if transpose else chain.op.apply))
+    return out
 
 
 @pytest.mark.parametrize("label,make,init,step", CASES, ids=IDS)
@@ -206,9 +206,9 @@ def test_bases_are_the_explicit_krylov_bases(label, make, init, step,
             assert np.array_equal(
                 last, want[:, want.shape[1] - block.shape[1]:]), (width, name)
         if label.startswith("bsep"):
-            assert np.array_equal(s.uhat, want.conj())
+            assert np.array_equal(s.gram_bases("Y")[0], want.conj())
     # A replayed basis is not cached: each read forms it again.
-    assert s.vhat is not s.vhat
+    assert s.chains["v"].basis(s.k) is not s.chains["v"].basis(s.k)
 
 
 @pytest.mark.parametrize("label,make,init,step", CASES + RANK_CASES,
@@ -217,12 +217,13 @@ def test_moments_are_products_of_the_replayed_bases(label, make, init,
                                                     step, monkeypatch):
     # Each doubling forms its moments from pairs of fresh blocks; they
     # are the explicit Krylov products to within 1e-13 relative.
-    pairs = ((("T", "qhat", "what"), ("S", "vhat", "uhat"))
-             if label.startswith("mare") else (("T", "uhat", "vhat"),))
     for width in _chunk_widths(monkeypatch):
         _, s = _run(make, init, step, steps=5)
-        for which, left, right in pairs:
-            full = getattr(s, left).T @ getattr(s, right)
+        for which, kernel in (("T", "Y"), ("S", "Z")):
+            if kernel not in s.moments:
+                continue
+            left, right = s.gram_bases(kernel)
+            full = left.T @ right
             got = validate.dsda_assemble(s, which)
             assert np.allclose(got, full, rtol=0.0,
                                atol=1e-13 * np.abs(full).max()), (width,
@@ -231,10 +232,8 @@ def test_moments_are_products_of_the_replayed_bases(label, make, init,
 
 def _spans(s):
     """(basis, span, coordinates) of each evaluated basis of a state."""
-    if isinstance(s, DsdaMareState):
-        return [(s.uhat, s.u_span, s.u_coords),
-                (s.qhat, s.q_span, s.q_coords)]
-    return [(s.vhat, s.v_span, s.v_coords)]
+    return [(s.chains[name].basis(s.k), q, r)
+            for name, (q, r) in s.spans.items()]
 
 
 @pytest.mark.parametrize("label,make,init,step", CASES, ids=IDS)
@@ -395,7 +394,7 @@ def test_an_spd_kernel_is_never_formed(p):
     s = dsda_sym_init(p)
     for _ in range(9):
         s = dsda_sym_step(s)
-    cols, alpha = s.basis_cols, sum(s.y0.shape)
+    cols, alpha = s.basis_cols, sum(s.seeds["Y"].shape)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
