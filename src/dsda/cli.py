@@ -110,12 +110,11 @@ def _build_parser() -> _CliParser:
     return parser
 
 
-def emit_report(report: ConvergenceReport, fmt: str, sink,
-                shifts: dict | None = None) -> None:
+def emit_report(report: ConvergenceReport, fmt: str, sink) -> None:
     """Write a report as CSV (4 significant digits) or JSON (full precision).
 
     The JSON ``config`` echoes the solver knobs of the report and the
-    ``shifts`` the problem was built with.
+    shifts of the problem it solved (null where it has none).
     """
     if fmt == "csv":
         sink.write("k,residual,rank,basis_cols,elapsed_ms\n")
@@ -129,7 +128,7 @@ def emit_report(report: ConvergenceReport, fmt: str, sink,
         "method": report.method,
         "init_ms": report.init_ms,
         "final_ms": report.final_ms,
-        "config": ({**dataclasses.asdict(report.config), **(shifts or {})}
+        "config": ({**dataclasses.asdict(report.config), **report.shifts}
                    if report.config else None),
         "iterations": [dataclasses.asdict(rec) for rec in report.iterations],
     }
@@ -183,9 +182,9 @@ def _cmd_solve(args) -> int:
     report = solve_driver(problem, SolveConfig(**settings))
     if args.out_path:
         with open(args.out_path, "w", encoding="utf-8") as sink:
-            emit_report(report, args.output, sink, shifts)
+            emit_report(report, args.output, sink)
     else:
-        emit_report(report, args.output, sys.stdout, shifts)
+        emit_report(report, args.output, sys.stdout)
     return STATUS_EXIT_CODES[report.status]
 
 

@@ -853,6 +853,8 @@ def dsda_mare_eval(s: DsdaState, which: str) -> LowRankSolution:
     """H_k = s * Uhat (I - Y Z)^-1 Qhat^T (``which="H"``) or
     G_k = s * What (I - Z Y)^-1 Vhat^T (``"G"``); the dense F_k and E_k
     are :func:`dsda.validate.dsda_mare_dense`."""
+    if s.family != "mare":
+        raise DimensionMismatchError("H/G evaluation needs a MARE state")
     if which not in ("H", "G"):
         raise ValueError(f"which must be one of H, G; got {which!r}")
     first, second = ("Y", "Z") if which == "H" else ("Z", "Y")

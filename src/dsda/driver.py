@@ -12,17 +12,18 @@ as numerical singularity.
 
 Family and method differ only in data: one table maps each (family,
 method) pair to its init, step, iterate and residual functions, and
-one loop runs them all.
+one loop runs them all.  Each family has one residual, which takes a
+dense iterate or the ``LowRankSolution`` of a decoupled one.
 
-A decoupled iterate ``Q_l core Q_r^T`` comes finished from its
-evaluator and is measured on its small core (``LowRankSolution.core``),
-in the spans its state extends each step: residual (the ``*_factored``
-functions), rank and finiteness come from the core, and no n x n array
-is made, whatever the basis width; the spans are nested, so the
+Every ``sda`` iterate is measured dense.  A decoupled iterate
+``Q_l core Q_r^T`` comes finished from its evaluator; its residual is
+the ``*_factored`` form, in the spans its state extends each step, and
+its rank and finiteness come from its small core, so no n x n array is
+made, whatever the basis width.  The spans are nested, so the
 Bethe-Salpeter increment subtracts the previous core from the leading
-block of the current one.  Every ``sda`` iterate is measured dense.  The
-final solution is formed dense once, from the spans and core, when the
-report is built.  The evaluations log their kernel pivots at DEBUG.
+block of the current one.  The final solution is formed dense once,
+from the spans and core, when the report is built.  The evaluations
+log their kernel pivots at DEBUG.
 """
 
 from __future__ import annotations
@@ -41,25 +42,13 @@ from . import classical, decoupled
 from .decoupled import LowRankSolution
 from .errors import BudgetExceededError, ConfigError, SingularMatrixError
 from .matkit import EPS, frobenius_norm, numerical_rank
-from .problems import FAMILY_TYPES, Problem
-from .residuals import (
-    bsep_increment,
-    bsep_increment_factored,
-    care_residual,
-    care_residual_factored,
-    dare_residual,
-    dare_residual_factored,
-    mare_residual,
-    mare_residual_factored,
-)
+from .problems import FAMILY_TYPES, SHIFTS, Problem
+from .residuals import bsep_increment, care_residual, dare_residual, mare_residual
 
 log = logging.getLogger(__name__)
 
 METHODS = ("sda", "dsda", "adda")
 STATUSES = ("Converged", "MaxIter", "BudgetExceeded", "SingularEncountered")
-
-#: Numerical failures that end a run as ``SingularEncountered``.
-_SINGULAR = (SingularMatrixError, np.linalg.LinAlgError)
 
 #: How many times the shift is doubled when a Bethe-Salpeter
 #: initialization hits a numerically singular matrix.
@@ -123,6 +112,8 @@ class ConvergenceReport:
     ``init_ms`` is the wall time of the set-up before the first step:
     the initial state, any Bethe-Salpeter shift retries and F_0.
     ``final_ms`` is the time taken to form ``final_solution``.
+    ``shifts`` maps each shift name to its value on the problem solved,
+    after any retry (None where that problem has no such shift).
     """
 
     iterations: tuple[IterationRecord, ...]
@@ -134,6 +125,7 @@ class ConvergenceReport:
     config: SolveConfig | None = None
     init_ms: float = 0.0
     final_ms: float = 0.0
+    shifts: dict[str, float | None] = dataclasses.field(default_factory=dict)
 
     @property
     def converged(self) -> bool:
@@ -172,15 +164,6 @@ def _methods(column_budget: int) -> dict[tuple[str, str], _Method]:
     def increment(_p, f, previous):
         return bsep_increment(f, previous)
 
-    def symmetric(residual):
-        return lambda p, sol, _previous: residual(p, sol.q_left, sol.core)
-
-    def mare_factored(p, sol, _previous):
-        return mare_residual_factored(p, sol.q_left, sol.core, sol.q_right)
-
-    def increment_factored(_p, sol, previous):
-        return bsep_increment_factored(sol.core, previous.core)
-
     care, dare, mare = map(equation, (care_residual, dare_residual,
                                       mare_residual))
     h_k, f_k = operator.attrgetter("h_k"), operator.attrgetter("f_k")
@@ -193,29 +176,27 @@ def _methods(column_budget: int) -> dict[tuple[str, str], _Method]:
     return {
         ("care", "sda"): _Method(classical.care_init, sym_sda, h_k, care),
         ("care", "dsda"): _Method(decoupled.dsda_sym_init, sym_step,
-                                  decoupled.dsda_eval_H,
-                                  symmetric(care_residual_factored)),
+                                  decoupled.dsda_eval_H, care),
         ("dare", "sda"): _Method(classical.dare_init, sym_sda, h_k, dare),
         ("dare", "dsda"): _Method(decoupled.dsda_sym_init, sym_step,
-                                  decoupled.dsda_eval_H,
-                                  symmetric(dare_residual_factored)),
+                                  decoupled.dsda_eval_H, dare),
         ("mare", "sda"): _Method(classical.mare_init,
                                  classical.mare_sda_step, h_k, mare),
         ("mare", "dsda"): _Method(decoupled.dsda_mare_init, mare_step,
-                                  mare_h, mare_factored),
+                                  mare_h, mare),
         ("mare", "adda"): _Method(
             functools.partial(decoupled.dsda_mare_init, mode="adda"),
-            mare_step, mare_h, mare_factored),
+            mare_step, mare_h, mare),
         ("bsep", "sda"): _Method(classical.bsep_init,
                                  classical.bsep_sda_step, f_k, increment),
         ("bsep", "dsda"): _Method(decoupled.dsda_sym_init, sym_step,
-                                  decoupled.bsep_eval_F, increment_factored),
+                                  decoupled.bsep_eval_F, increment),
     }
 
 
 def _measure(method: _Method, p: Problem, iterate, previous, hermitian: bool
-             ) -> tuple[float, int]:
-    """Residual and numerical rank of one iterate.
+             ) -> tuple[float, int, int]:
+    """Residual, numerical rank and basis width of one iterate.
 
     A decoupled iterate is measured on its core, any other iterate
     dense.  Either way the rank counts against the cutoff of the dense
@@ -225,13 +206,13 @@ def _measure(method: _Method, p: Problem, iterate, previous, hermitian: bool
     increment measures against.
     """
     if isinstance(iterate, LowRankSolution):
-        operand = iterate.core
+        operand, cols = iterate.core, iterate.basis_cols
         # Non-finite whenever an entry is, and also when the dense
         # iterate, whose norm this is, would overflow.
         if not np.isfinite(frobenius_norm(operand)):
             raise SingularMatrixError("iterate has a non-finite norm")
     else:
-        operand = iterate
+        operand, cols = iterate, iterate.shape[1]
         if not np.all(np.isfinite(operand)):
             raise SingularMatrixError("iterate has non-finite entries")
     residual = method.residual(p, iterate, previous)
@@ -239,7 +220,7 @@ def _measure(method: _Method, p: Problem, iterate, previous, hermitian: bool
         raise SingularMatrixError(f"residual is {residual}")
     rank = numerical_rank(operand, EPS * max(iterate.shape),
                           hermitian=hermitian)
-    return residual, rank
+    return residual, rank, cols
 
 
 def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceReport:
@@ -260,16 +241,6 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
     records: list[IterationRecord] = []
     # The last good iterate, dense or a LowRankSolution.
     final = None
-
-    def report(status: str) -> ConvergenceReport:
-        assert status in STATUSES
-        lowrank = final if isinstance(final, LowRankSolution) else None
-        started = time.perf_counter()
-        solution = final if lowrank is None else lowrank.dense()
-        final_ms = (time.perf_counter() - started) * 1000.0
-        return ConvergenceReport(tuple(records), status, solution, lowrank,
-                                 family, cfg.method, cfg, init_ms, final_ms)
-
     # The eigenvalue family measures the increment between successive
     # iterates, so its run starts from the evaluated F_0.  An
     # inadmissible alpha surfaces in the initial state or in F_0; while
@@ -277,7 +248,8 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
     increment = family == "bsep"
     retries = BSEP_SHIFT_RETRIES if increment else 0
     started = time.perf_counter()
-    status = None
+    ready = None
+    status = "MaxIter"
     try:
         for retry in range(retries + 1):
             try:
@@ -291,43 +263,43 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
                 p = dataclasses.replace(p, alpha=2.0 * p.alpha)
                 log.debug("bsep init singular; retrying with alpha = %g",
                           p.alpha)
-    except _SINGULAR:
-        status = "SingularEncountered"
-    except BudgetExceededError:
-        status = "BudgetExceeded"
-    init_ms = (time.perf_counter() - started) * 1000.0
-    if status is not None:
-        return report(status)
-
-    for _ in range(cfg.max_iter):
-        stamps = [time.perf_counter()]
-        try:
+        ready = time.perf_counter()
+        for _ in range(cfg.max_iter):
+            stamps = [time.perf_counter()]
             state = method.step(state)
             stamps.append(time.perf_counter())
             iterate = method.iterate(state)
             stamps.append(time.perf_counter())
-            residual, rank = _measure(method, p, iterate, final,
-                                      hermitian=family in ("care", "dare"))
-        except BudgetExceededError:
-            return report("BudgetExceeded")
-        except _SINGULAR:
-            return report("SingularEncountered")
-        stamps.append(time.perf_counter())
-        step_ms, eval_ms, measure_ms = (1000.0 * (b - a) for a, b in
-                                        zip(stamps, stamps[1:]))
-        final = iterate
-        records.append(IterationRecord(
-            k=state.k,
-            residual=residual,
-            rank=rank,
-            basis_cols=(iterate.basis_cols
-                        if isinstance(iterate, LowRankSolution)
-                        else iterate.shape[1]),
-            elapsed_ms=step_ms + eval_ms + measure_ms,
-            step_ms=step_ms,
-            eval_ms=eval_ms,
-            measure_ms=measure_ms,
-        ))
-        if residual <= cfg.tol:
-            return report("Converged")
-    return report("MaxIter")
+            residual, rank, cols = _measure(
+                method, p, iterate, final, hermitian=family in ("care", "dare"))
+            stamps.append(time.perf_counter())
+            step_ms, eval_ms, measure_ms = (1000.0 * (b - a) for a, b in
+                                            zip(stamps, stamps[1:]))
+            final = iterate
+            records.append(IterationRecord(
+                k=state.k,
+                residual=residual,
+                rank=rank,
+                basis_cols=cols,
+                elapsed_ms=step_ms + eval_ms + measure_ms,
+                step_ms=step_ms,
+                eval_ms=eval_ms,
+                measure_ms=measure_ms,
+            ))
+            if residual <= cfg.tol:
+                status = "Converged"
+                break
+    except BudgetExceededError:
+        status = "BudgetExceeded"
+    except (SingularMatrixError, np.linalg.LinAlgError):
+        status = "SingularEncountered"
+    init_ms = 1000.0 * ((time.perf_counter() if ready is None else ready)
+                        - started)
+
+    lowrank = final if isinstance(final, LowRankSolution) else None
+    started = time.perf_counter()
+    solution = final if lowrank is None else lowrank.dense()
+    final_ms = (time.perf_counter() - started) * 1000.0
+    return ConvergenceReport(
+        tuple(records), status, solution, lowrank, family, cfg.method, cfg,
+        init_ms, final_ms, {name: getattr(p, name, None) for name in SHIFTS})

@@ -7,16 +7,16 @@ term is nonzero.  The Bethe-Salpeter family has no residual functional
 (the target is an invariant subspace), so a relative increment between
 consecutive iterates stands in.
 
-Every metric comes in two forms: of a dense iterate (the ``sda``
-route), and ``*_factored`` of an iterate ``Q_l core Q_r^T`` with
-orthonormal ``Q_l``, ``Q_r``, the form in which every decoupled
-evaluator returns its iterate (:class:`dsda.decoupled.LowRankSolution`)
-and the driver measures it.  The factored forms
-never make an n x n array: every term of a residual lies in the span of
-Q and of a few thin products, so its norms are those of small
-coefficient matrices in an orthonormal basis of that span (low-rank
-residual norms as in Benner & Saak, GAMM-Mitt. 36, 2013).  The DARE
-inverse is taken in the same Woodbury form, one m x m solve, by both.
+Every metric takes a dense iterate (the ``sda`` route) or the
+:class:`dsda.decoupled.LowRankSolution` ``Q_l core Q_r^T``, with
+orthonormal ``Q_l`` and ``Q_r``, of a decoupled evaluator, which it
+measures by its ``*_factored`` form from the spans and core.  The
+factored forms never make an n x n array: every term of a residual
+lies in the span of Q and of a few thin products, so its norms are
+those of small coefficient matrices in an orthonormal basis of that
+span (low-rank residual norms as in Benner & Saak, GAMM-Mitt. 36,
+2013).  The DARE inverse is taken in the same Woodbury form, one
+m x m solve, by both.
 
 Products with A (and D) use the problem's sparse form when it has one.
 """
@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
+from .decoupled import LowRankSolution
 from .matkit import frobenius_norm
 from .problems import CareProblem, DareProblem, MareProblem
 
@@ -64,7 +65,7 @@ def _coordinates(q: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.vstack([top, np.linalg.qr(z, mode="r")])
 
 
-def care_residual(p: CareProblem, h: np.ndarray) -> float:
+def care_residual(p: CareProblem, h: np.ndarray | LowRankSolution) -> float:
     """rho(H) = ||A^T H + H A - H B B^T H + C^T C||_F
     / (2 ||A^T H||_F + ||H B B^T H||_F + ||C^T C||_F) for symmetric H.
 
@@ -72,6 +73,8 @@ def care_residual(p: CareProblem, h: np.ndarray) -> float:
     X S X^T, one thin product added into A^T H + (A^T H)^T; their norms
     come from the small Gram matrices (H B)^T H B and C C^T.
     """
+    if isinstance(h, LowRankSolution):
+        return care_residual_factored(p, h.q_left, h.core)
     h = np.atleast_2d(np.asarray(h, dtype=float))
     at_h = _operator(p.a, p.a_sparse).T @ h
     hb = h @ p.b
@@ -123,12 +126,14 @@ def _absorbed(h: np.ndarray, b: np.ndarray) -> np.ndarray:
     return h - hb @ np.linalg.solve(gram, b.T @ h)
 
 
-def dare_residual(p: DareProblem, h: np.ndarray) -> float:
+def dare_residual(p: DareProblem, h: np.ndarray | LowRankSolution) -> float:
     """Same normalization pattern for -H + A^T H (I + B B^T H)^-1 A + C^T C.
 
     The middle term is A^T (H - H B (I + B^T H B)^-1 B^T H) A, with one
     m x m solve (:func:`_absorbed`).
     """
+    if isinstance(h, LowRankSolution):
+        return dare_residual_factored(p, h.q_left, h.core)
     h = np.atleast_2d(np.asarray(h, dtype=float))
     a = _operator(p.a, p.a_sparse)
     h0 = p.c.T @ p.c
@@ -160,8 +165,10 @@ def dare_residual_factored(p: DareProblem, q: np.ndarray,
     return _ratio(frobenius_norm(num), den)
 
 
-def mare_residual(p: MareProblem, x: np.ndarray) -> float:
+def mare_residual(p: MareProblem, x: np.ndarray | LowRankSolution) -> float:
     """Same pattern for X C X - X D - A X + B with X of shape m x n."""
+    if isinstance(x, LowRankSolution):
+        return mare_residual_factored(p, x.q_left, x.core, x.q_right)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     b = p.b_dense()
     xcx = x @ p.c_dense() @ x
@@ -198,8 +205,11 @@ def mare_residual_factored(p: MareProblem, q_left: np.ndarray,
     return _ratio(frobenius_norm(num), den)
 
 
-def bsep_increment(f_new: np.ndarray, f_old: np.ndarray) -> float:
+def bsep_increment(f_new: np.ndarray | LowRankSolution,
+                   f_old: np.ndarray | LowRankSolution) -> float:
     """||F_new - F_old||_F / max(||F_new||_F, tiny)."""
+    if isinstance(f_new, LowRankSolution):
+        return bsep_increment_factored(f_new.core, f_old.core)
     f_new = np.atleast_2d(np.asarray(f_new))
     f_old = np.atleast_2d(np.asarray(f_old))
     return frobenius_norm(f_new - f_old) / max(frobenius_norm(f_new), 1e-300)

@@ -85,6 +85,8 @@ def dsda_mare_dense(s: DsdaState, which: str) -> np.ndarray:
     """Dense F_k (``which="F"``) or E_k (``"E"``) of the MARE family:
     ``F_k = P_A^(2^k) - s * Uhat (I - Y Z)^-1 Y Vhat^T`` and
     ``E_k = P_D^(2^k) - s * What (I - Z Y)^-1 Z Qhat^T``."""
+    if s.family != "mare":
+        raise DimensionMismatchError("F/E evaluation needs a MARE state")
     if which not in ("F", "E"):
         raise ValueError(f"which must be one of F, E; got {which!r}")
     first, second = ("Y", "Z") if which == "F" else ("Z", "Y")

@@ -237,6 +237,21 @@ class TestSolve:
         capsys.readouterr()
         assert code == 4
 
+    def test_json_echoes_the_shift_after_a_bsep_retry(self, tmp_path):
+        # alpha = 2 is the eigenvalue of A, so the set-up is singular and
+        # the run goes on with alpha doubled once.
+        save_matrix_market(tmp_path / "a.mtx", np.array([[2.0]]))
+        save_matrix_market(tmp_path / "lb.mtx", np.array([[1.0]]))
+        out_path = tmp_path / "report.json"
+        code = run_cli(["solve", "--family", "bsep", "--alpha", "2",
+                        "--method", "sda", "--A", str(tmp_path / "a.mtx"),
+                        "--L_B", str(tmp_path / "lb.mtx"), "--output", "json",
+                        "--out-path", str(out_path)])
+        payload = json.loads(out_path.read_text())
+        assert code == 0 and payload["status"] == "Converged"
+        assert (payload["config"]["gamma"], payload["config"]["alpha"],
+                payload["config"]["beta"]) == (None, 4.0, None)
+
     def test_complex_matrix_rejected_for_real_family(self, tmp_path, capsys):
         save_matrix_market(tmp_path / "a.mtx", np.eye(2) * (0.5 + 0j))
         save_matrix_market(tmp_path / "b.mtx", np.ones((2, 1)))

@@ -107,6 +107,19 @@ class TestStateLayout:
             with pytest.raises(DimensionMismatchError):
                 evaluate(s)
 
+    @pytest.mark.parametrize("family", ["care", "dare", "bsep"])
+    def test_mare_evaluators_refuse_a_one_kernel_state(self, family):
+        p = {"care": gen_random_care(6, 2, 2, seed=1),
+             "dare": gen_random_dare(6, 2, 2, seed=1),
+             "bsep": gen_random_bsep(6, 2, seed=1)}[family]
+        s = dsda_sym_step(dsda_sym_init(p))
+        for which in ("H", "G"):
+            with pytest.raises(DimensionMismatchError, match="MARE"):
+                dsda_mare_eval(s, which)
+        for which in ("F", "E"):
+            with pytest.raises(DimensionMismatchError, match="MARE"):
+                dsda_mare_dense(s, which)
+
     def test_one_state_type_and_one_step_serve_every_family(self):
         assert decoupled.DsdaSymState is decoupled.DsdaMareState
         assert dsda_sym_step is dsda_mare_step

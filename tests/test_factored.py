@@ -131,6 +131,24 @@ def test_factored_residual_matches_dense(p, method):
     assert_factored_matches_dense(p, method)
 
 
+@pytest.mark.parametrize("family,method", PAIRS)
+def test_family_residual_measures_a_lowrank_iterate_by_its_factored_form(
+        family, method):
+    p = GENERATORS[family](24, 2, 5)
+    equation = {"care": care_residual, "dare": dare_residual,
+                "mare": mare_residual}.get(family)
+    for sol, previous in iterates(p, method, steps=3):
+        factored, _ = factored_and_dense(p, sol, previous)
+        got = (bsep_increment(sol, previous) if equation is None
+               else equation(p, sol))
+        assert got == factored
+    if equation is not None:
+        report = solve_driver(p, SolveConfig(method=method, max_iter=3,
+                                             tol=1e-30))
+        assert (equation(p, report.final_lowrank)
+                == report.iterations[-1].residual)
+
+
 def test_sparse_cases_take_the_sparse_form():
     assert all(p.a_sparse is not None
                for p in (heat_care(), heat_dare(), heat_mare()))
@@ -168,22 +186,30 @@ def thin_problem(family):
 @pytest.mark.parametrize("family,method", PAIRS)
 def test_thin_solve_forms_one_dense_iterate(family, method, monkeypatch):
     formed = []
+    measured = []
     dense = LowRankSolution.dense
 
     def spy(self):
         formed.append(self)
         return dense(self)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a decoupled step called a dense residual")
+    def thin_only(residual):
+        def measure(*args):
+            if any(isinstance(arg, np.ndarray) for arg in args):
+                raise AssertionError("a decoupled step measured a dense "
+                                     "iterate")
+            measured.append(residual)
+            return residual(*args)
+        return measure
 
     monkeypatch.setattr(LowRankSolution, "dense", spy)
     for name in ("care_residual", "dare_residual", "mare_residual",
                  "bsep_increment"):
-        monkeypatch.setattr(driver, name, refuse)
+        monkeypatch.setattr(driver, name, thin_only(getattr(driver, name)))
     report = solve_driver(thin_problem(family),
                           SolveConfig(method=method, max_iter=6, tol=1e-30))
     assert report.status == "MaxIter"
+    assert len(measured) == len(report.iterations) == 6
     order = min(report.final_solution.shape)
     cols = [rec.basis_cols for rec in report.iterations]
     assert 2 * cols[3] <= order < cols[-1]
@@ -222,8 +248,8 @@ def test_nonfinite_thin_core_ends_singular_keeping_last_good(
     for name in ("dsda_eval_H", "bsep_eval_F", "dsda_mare_eval"):
         monkeypatch.setattr(decoupled, name,
                             spoiling(getattr(decoupled, name)))
-    for name in ("care_residual_factored", "dare_residual_factored",
-                 "mare_residual_factored", "bsep_increment_factored"):
+    for name in ("care_residual", "dare_residual", "mare_residual",
+                 "bsep_increment"):
         monkeypatch.setattr(driver, name, counted(getattr(driver, name)))
     report = solve_driver(p, SolveConfig(method=method, max_iter=6,
                                          tol=1e-30))

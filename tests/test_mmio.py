@@ -357,3 +357,28 @@ class TestLoadConfig:
         assert settings["alpha"] == 2.5
         assert settings["beta"] == 3.5
         assert settings["method"] == "adda"
+
+    @pytest.mark.parametrize("text,message,where", [
+        ("family = care\nmethod dsda\n", "expected 'key = value'", ":2:"),
+        ("family = care\ntol = 1e-8\ntol = 1e-9\n", "duplicate key 'tol'",
+         ":3:"),
+        ("family = care\n\nmax_iter =\n", "key 'max_iter' has no value",
+         ":3:"),
+        ("method = dsda\n", "missing required key 'family'", ":"),
+        ("family = lyapunov\n", "unknown family 'lyapunov'", None),
+        ("family = care\ntol = small\n", "key 'tol' needs a number, got "
+         "'small'", None),
+        ("family = care\ncolumn_budget = 0\n",
+         "column_budget must be at least 1, got 0", None),
+        ("family = care\nmethod = fast\n", "method must be one of", None),
+    ], ids=["no-equals", "duplicate", "empty-value", "no-family",
+            "unknown-family", "non-numeric-tol", "zero-budget",
+            "unknown-method"])
+    def test_refused_lines_name_their_place(self, tmp_path, text, message,
+                                            where):
+        path = self.write(tmp_path, text)
+        with pytest.raises(ConfigError) as err:
+            read_config(path)
+        assert message in str(err.value)
+        if where is not None:
+            assert str(err.value).startswith(f"{path}{where}")

@@ -4,7 +4,7 @@
 layer of a solve and reports a target the package no longer has as
 absent.  A renamed or bypassed function would leave its layer empty
 without failing a run, so a traced smoke pass must show each decoupled
-layer in every decoupled solve.
+layer, and one residual per record, in every decoupled solve.
 """
 
 import pathlib
@@ -40,5 +40,9 @@ def test_every_decoupled_solve_shows_its_init_step_and_eval_layers():
             assert layer in names, (op.instance, op.method, layer)
         assert op.error is None and op.residuals, (op.instance, op.method)
         assert names.count("decoupled.step") == len(op.residuals), (
+            op.instance, op.method)
+        # Each record's residual is timed in the residual layer, not
+        # left in the driver's self time.
+        assert names.count("residuals.residual") == len(op.residuals), (
             op.instance, op.method)
     assert decoupled == 5
