@@ -47,9 +47,11 @@ the down-shift by one block, K - J K J^T = G G^T for the generator
 G = [E_0, x], E_0 the identity on the first block.  The SPD kernels of
 CARE and DARE are therefore never formed: the generalized Schur
 algorithm factors them from G in O(cols^2 (d + width)^2 / d) flops and
-O(cols (d + width)) memory (:func:`_schur_solve`).  The indefinite
-BSEP and non-symmetric MARE kernels are built and LU-factored, which
-stays cubic.
+O(cols (d + width)) memory (:func:`_schur_solve`), and its panel
+solves and products run on numpy's BLAS alone, so that an evaluation
+keeps to one of the two OpenBLAS thread pools that numpy and scipy each
+bundle.  The indefinite BSEP and non-symmetric MARE kernels are built
+and LU-factored, which stays cubic.
 
 The propagator P is built once per solve by the init.  For DARE it is
 A itself, dense or in the problem's sparse form.  For the other
@@ -150,6 +152,10 @@ SWEEP_COLS = 32
 #: applied together (:func:`_schur_solve`), and of a one-basis iterate
 #: made exactly symmetric together (:meth:`LowRankSolution.dense`).
 PANEL_COLS = 256
+
+#: Most rows of a diagonal block of a panel that :func:`_forward_solve`
+#: solves by its inverse.
+LEAF_ROWS = 32
 
 #: Columns of each Krylov chain a doubling grows, pairs into moments and
 #: streams into its span together (:func:`dsda_step`).  Narrower chunks
@@ -721,12 +727,22 @@ def _schur_solve(x: np.ndarray, blocks: int, rhs: np.ndarray) -> np.ndarray:
     costs cols^2 a^2 / d flops instead of the kernel's cols^3 / 3.
 
     The block columns are gathered ``PANEL_COLS`` columns at a time, and
-    each panel is applied to ``rhs`` at once: a triangular solve with its
-    diagonal block and one product for the rows below it, both BLAS
-    calls that write over ``rhs`` in place (``rhs`` is C-ordered, or
-    copied so).  Besides ``rhs`` a call holds the generator, its product
-    with Q and one panel, ``cols * (2 a + PANEL_COLS)`` entries.  A
-    non-finite ``x`` is refused before the first step.  The pivots
+    each panel is applied to ``rhs`` at once: a blocked forward
+    substitution with its diagonal block (:func:`_forward_solve`) and
+    one product for the rows below it (:func:`_subtract_product`), both
+    written over ``rhs`` in place (``rhs`` is C-ordered, or copied so).
+    The products go through the room of G Q, which is free between
+    generator steps.  Besides ``rhs`` a call holds the generator, that
+    room (widened to one row of ``rhs`` if that is wider) and one panel,
+    ``cols * (2 a + PANEL_COLS)`` entries.
+
+    All the panel work runs on numpy's BLAS; only the a x a QR of each
+    step, too small to be threaded, calls scipy's LAPACK.  numpy and
+    scipy each bundle an OpenBLAS with its own thread pool, and a scipy
+    BLAS call between numpy products left scipy's threads spinning on
+    the cores that numpy's threads then needed (README, "BLAS threads").
+
+    A non-finite ``x`` is refused before the first step.  The pivots
     ``|diag L|`` are logged; K >= I makes each at least one.
     """
     cols, m = x.shape
@@ -740,21 +756,21 @@ def _schur_solve(x: np.ndarray, blocks: int, rhs: np.ndarray) -> np.ndarray:
     gen = np.zeros((cols, a), order="F")
     gen[:d, :d] = np.eye(d)
     gen[:, d:] = x
-    turned = np.empty_like(gen, order="F")
+    # G Q, and between steps the panel's products with rows of rhs.
+    spare = np.empty(max(cols * a, rhs.shape[1]))
+    turned = spare[:cols * a].reshape((cols, a), order="F")
     top = np.empty((a, a), order="F")
     geqrf, orgqr = scipy.linalg.lapack.get_lapack_funcs(("geqrf", "orgqr"),
                                                         (gen,))
     per = max(1, PANEL_COLS // d)
-    # Each panel is a C-ordered view of one buffer, so that its diagonal
-    # block and the rows below it are contiguous operands.
+    # Each panel is a Fortran-ordered view of one buffer, so that a block
+    # column of L is copied into it from G Q column by column.
     buffer = np.empty(cols * min(blocks, per) * d)
-    gemm, trsm = scipy.linalg.blas.get_blas_funcs(("gemm", "trsm"),
-                                                  (buffer, rhs))
     pivots = []
     for first in range(0, blocks, per):
         start, stop = first * d, min(blocks, first + per) * d
         lower = buffer[:(cols - start) * (stop - start)].reshape(
-            cols - start, stop - start)
+            (cols - start, stop - start), order="F")
         for i in range(start, stop, d):
             # The a x a Q of [top^T, 0]: its last a - d reflectors are
             # the identity.
@@ -769,15 +785,53 @@ def _schur_solve(x: np.ndarray, blocks: int, rhs: np.ndarray) -> np.ndarray:
         pivots.append(np.abs(np.diagonal(lower[:stop - start])))
         if not rhs.shape[1]:
             continue
-        # w = L_00^-1 rhs[start:stop], then rhs[stop:] -= lower[...] @ w,
-        # both written over rhs through the transposes, Fortran-ordered.
-        w_t = rhs[start:stop].T
-        trsm(1.0, lower[:stop - start].T, w_t, side=1, overwrite_b=1)
-        if stop < cols:
-            gemm(-1.0, w_t, lower[stop - start:].T, 1.0, rhs[stop:].T,
-                 overwrite_c=1)
+        w = rhs[start:stop]
+        _forward_solve(lower[:stop - start], w, spare)
+        _subtract_product(rhs[stop:], lower[stop - start:], w, spare)
     _log_pivots(blocks, np.concatenate(pivots))
     return rhs
+
+
+def _forward_solve(l: np.ndarray, b: np.ndarray, spare: np.ndarray) -> None:
+    """Write ``tril(l)^-1 b`` over ``b``, reading only the lower triangle
+    of the square ``l`` (the rest of a panel's diagonal block holds
+    earlier panels' entries).
+
+    The triangle is halved until its diagonal blocks have at most
+    ``LEAF_ROWS`` rows: the top half of ``b`` is solved, its product
+    with the block below the diagonal subtracted from the bottom half
+    (:func:`_subtract_product`), and the bottom half solved.  A leaf is
+    solved by a product with the inverse of its triangle, through a copy
+    in ``spare`` of as many columns of ``b`` as fit.  ``spare`` must hold
+    at least ``max(rows, b.shape[1])`` entries.
+    """
+    rows = l.shape[0]
+    if rows > LEAF_ROWS:
+        half = rows // 2
+        _forward_solve(l[:half, :half], b[:half], spare)
+        _subtract_product(b[half:], l[half:, :half], b[:half], spare)
+        _forward_solve(l[half:, half:], b[half:], spare)
+        return
+    inv = np.linalg.inv(np.tril(l))
+    step = spare.size // rows
+    for j in range(0, b.shape[1], step):
+        part = b[:, j:j + step]
+        copy = spare[:part.size].reshape(part.shape)
+        np.copyto(copy, part)
+        np.matmul(inv, copy, out=part)
+
+
+def _subtract_product(out: np.ndarray, a: np.ndarray, b: np.ndarray,
+                      spare: np.ndarray) -> None:
+    """``out -= a @ b`` in place, the product formed in ``spare`` as many
+    rows at a time as fit; ``out`` must not overlap ``b``, and ``spare``
+    must hold at least one row of ``b``."""
+    cols = b.shape[1]
+    step = spare.size // max(1, cols)
+    for i in range(0, out.shape[0], step):
+        rows = a[i:i + step]
+        product = spare[:len(rows) * cols].reshape(len(rows), cols)
+        out[i:i + step] -= np.matmul(rows, b, out=product)
 
 
 def _log_pivots(blocks: int, pivots: np.ndarray) -> None:

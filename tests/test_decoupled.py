@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,10 @@ from dsda.classical import (
     sym_sda_step,
 )
 from dsda.decoupled import (
+    LEAF_ROWS,
+    PANEL_COLS,
     _edges,
+    _forward_solve,
     _hankel_kernel,
     _schur_solve,
     bsep_eval_F,
@@ -741,6 +745,26 @@ class TestHankelKernel:
         w = _schur_solve(x, b, rhs.copy())
         assert w.shape == rhs.shape
         assert rel_err(w.T @ w, want) <= 1e-13
+
+    @pytest.mark.parametrize("rows", [1, LEAF_ROWS - 5, 75, PANEL_COLS],
+                             ids=["one", "below-leaf", "odd", "panel"])
+    @pytest.mark.parametrize("r", [0, 1, 7])
+    def test_forward_solve_matches_the_triangular_solve(self, rows, r):
+        # A panel's diagonal block holds earlier panels' entries above
+        # its diagonal; NaN there must not reach the result.  The room
+        # is the least the solve takes, so it works in column and row
+        # chunks.
+        rng = np.random.default_rng(rows + r)
+        x = rng.standard_normal((rows, 3)) / math.sqrt(rows)
+        chol = np.linalg.cholesky(np.eye(rows) + x @ x.T)
+        panel = chol.copy()
+        panel[np.triu_indices(rows, 1)] = np.nan
+        rhs = rng.standard_normal((rows, r))
+        want = scipy.linalg.solve_triangular(chol, rhs, lower=True)
+        got = rhs.copy()
+        _forward_solve(panel, got, np.empty(max(rows, r)))
+        assert np.all(np.isfinite(got))
+        assert rel_err(got, want) <= 1e-14
 
     def test_schur_solve_refuses_a_non_finite_generator(self):
         x = np.ones((8, 2))

@@ -10,6 +10,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from dsda import decoupled, matkit
@@ -299,6 +300,31 @@ def test_heat_care_matches_sda():
     assert max(abs(a.residual - b.residual) for a, b in
                zip(sda.iterations, dsda.iterations)) <= 1e-12
     assert rel(dsda.final_solution, sda.final_solution) <= 1e-12
+
+
+@pytest.mark.parametrize("make,residual", [(heat_care, care_residual),
+                                           (heat_dare, dare_residual)],
+                         ids=["care", "dare"])
+def test_evaluation_and_measurement_keep_to_numpys_blas(monkeypatch, make,
+                                                        residual):
+    # numpy and scipy each bundle an OpenBLAS with its own thread pool;
+    # a CARE/DARE evaluation and the measurement that follows call no
+    # scipy BLAS routine, so they wake only numpy's pool.
+    p = make()
+    assert p.a_sparse is not None
+    s = dsda_sym_init(p)
+    for _ in range(4):
+        s = dsda_sym_step(s)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy BLAS routine requested")
+
+    monkeypatch.setattr(scipy.linalg.blas, "get_blas_funcs", refuse)
+    monkeypatch.setattr(scipy.linalg, "get_blas_funcs", refuse)
+    h = decoupled.dsda_eval_H(s)
+    rho = residual(p, h)
+    rank = matkit.numerical_rank(h.core, matkit.EPS * p.n, hermitian=True)
+    assert np.isfinite(rho) and 0 < rank <= h.core.shape[0]
 
 
 @pytest.mark.parametrize("offset", [0.0, 2.0 ** -52], ids=["exact", "floor"])

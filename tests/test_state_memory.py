@@ -411,8 +411,7 @@ def test_an_spd_kernel_is_never_formed(p):
 
 def test_schur_update_adds_below_each_panel_in_place(monkeypatch):
     # Eight panels: each adds its product into the rows of the
-    # right-hand side below it, with no (cols - stop) x r temporary, and
-    # agrees with the update written as rhs[stop:] -= lower @ w.
+    # right-hand side below it, with no (cols - stop) x r temporary.
     blocks, d, m, r = 1024, 2, 3, 256
     cols, alpha = blocks * d, d + m
     rng = np.random.default_rng(10)
@@ -433,19 +432,23 @@ def test_schur_update_adds_below_each_panel_in_place(monkeypatch):
         cols * (2 * alpha + PANEL_COLS) + (cols - PANEL_COLS) * r), (
             peak, allowed)
 
-    def subtract(scale, a, b, beta, c, overwrite_c):
-        # c is rhs[stop:].T, a is w.T and b is lower[stop - start:].T.
-        assert (scale, beta, overwrite_c) == (-1.0, 1.0, 1)
-        below = c.T
-        below -= b.T @ a.T
-        return c
+    # The update below panel p writes into rows p * PANEL_COLS onwards of
+    # the very array it was given; the subtractions inside the panels'
+    # own forward solves write into views of it too.
+    subtract = decoupled._subtract_product
+    starts = []
 
-    blas = decoupled.scipy.linalg.blas
-    trsm = blas.get_blas_funcs("trsm", (rhs,))
-    monkeypatch.setattr(blas, "get_blas_funcs",
-                        lambda names, arrays: (subtract, trsm))
-    want = decoupled._schur_solve(x, blocks, rhs.copy())
-    assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+    def spy(out, a, b, spare):
+        assert out.base is got
+        offset = (out.ctypes.data - got.ctypes.data) // got.strides[0]
+        if offset % PANEL_COLS == 0 and offset + out.shape[0] == cols:
+            starts.append(offset)
+        return subtract(out, a, b, spare)
+
+    monkeypatch.setattr(decoupled, "_subtract_product", spy)
+    got = rhs.copy()
+    assert decoupled._schur_solve(x, blocks, got) is got
+    assert starts == list(range(PANEL_COLS, cols, PANEL_COLS))
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
