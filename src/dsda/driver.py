@@ -93,6 +93,11 @@ class IterationRecord:
     iterate, core) and its measurement (``measure_ms``: finiteness
     checks, residual and rank).  Set-up before the first step is the
     report's ``init_ms``.
+
+    ``span_cols`` is the width of the span the iterate is held in: of
+    ``q_left`` for a decoupled iterate with one basis, the wider of its
+    two spans for MARE, and ``basis_cols`` for a dense iterate.  It lies
+    between ``rank`` and ``basis_cols``.
     """
 
     k: int
@@ -103,6 +108,7 @@ class IterationRecord:
     step_ms: float = 0.0
     eval_ms: float = 0.0
     measure_ms: float = 0.0
+    span_cols: int = 0
 
 
 @dataclass(frozen=True)
@@ -195,8 +201,9 @@ def _methods(column_budget: int) -> dict[tuple[str, str], _Method]:
 
 
 def _measure(method: _Method, p: Problem, iterate, previous, hermitian: bool
-             ) -> tuple[float, int, int]:
-    """Residual, numerical rank and basis width of one iterate.
+             ) -> tuple[float, int, int, int]:
+    """Residual, numerical rank, basis width and span width of one
+    iterate.
 
     A decoupled iterate is measured on its core, any other iterate
     dense.  Either way the rank counts against the cutoff of the dense
@@ -207,12 +214,14 @@ def _measure(method: _Method, p: Problem, iterate, previous, hermitian: bool
     """
     if isinstance(iterate, LowRankSolution):
         operand, cols = iterate.core, iterate.basis_cols
+        span = max(iterate.q_left.shape[1], iterate.q_right.shape[1])
         # Non-finite whenever an entry is, and also when the dense
         # iterate, whose norm this is, would overflow.
         if not np.isfinite(frobenius_norm(operand)):
             raise SingularMatrixError("iterate has a non-finite norm")
     else:
         operand, cols = iterate, iterate.shape[1]
+        span = cols
         if not np.all(np.isfinite(operand)):
             raise SingularMatrixError("iterate has non-finite entries")
     residual = method.residual(p, iterate, previous)
@@ -220,7 +229,7 @@ def _measure(method: _Method, p: Problem, iterate, previous, hermitian: bool
         raise SingularMatrixError(f"residual is {residual}")
     rank = numerical_rank(operand, EPS * max(iterate.shape),
                           hermitian=hermitian)
-    return residual, rank, cols
+    return residual, rank, cols, span
 
 
 def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceReport:
@@ -270,7 +279,7 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
             stamps.append(time.perf_counter())
             iterate = method.iterate(state)
             stamps.append(time.perf_counter())
-            residual, rank, cols = _measure(
+            residual, rank, cols, span = _measure(
                 method, p, iterate, final, hermitian=family in ("care", "dare"))
             stamps.append(time.perf_counter())
             step_ms, eval_ms, measure_ms = (1000.0 * (b - a) for a, b in
@@ -285,6 +294,7 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
                 step_ms=step_ms,
                 eval_ms=eval_ms,
                 measure_ms=measure_ms,
+                span_cols=span,
             ))
             if residual <= cfg.tol:
                 status = "Converged"

@@ -45,7 +45,10 @@ class TestSolve:
         code = run_cli(solve_args(care_files))
         out = capsys.readouterr().out.splitlines()
         assert code == 0
+        # The CSV keeps its columns: a record's span width and phase
+        # times are in the JSON report only.
         assert out[0] == "k,residual,rank,basis_cols,elapsed_ms"
+        assert all(len(line.split(",")) == 5 for line in out)
         assert len(out) > 1
         first = out[1].split(",")
         assert first[0] == "1"
@@ -92,6 +95,8 @@ class TestSolve:
         rec = payload["iterations"][0]
         assert rec["elapsed_ms"] == (rec["step_ms"] + rec["eval_ms"]
                                      + rec["measure_ms"])
+        for rec in payload["iterations"]:
+            assert rec["rank"] <= rec["span_cols"] <= rec["basis_cols"]
 
     def test_budget_exit_code(self, care_files):
         code = run_cli(solve_args(care_files, "--column-budget", "4",

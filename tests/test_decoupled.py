@@ -31,6 +31,7 @@ from dsda.decoupled import (
     dsda_mare_step,
     dsda_sym_init,
     dsda_sym_step,
+    extend_span,
 )
 from dsda.driver import SolveConfig, solve_driver
 from dsda.errors import (
@@ -38,6 +39,7 @@ from dsda.errors import (
     DimensionMismatchError,
     SingularMatrixError,
 )
+from dsda.matkit import EPS
 from dsda.problems import (
     BsepProblem,
     CareProblem,
@@ -55,6 +57,7 @@ from dsda.validate import (
     dsda_mare_dense,
     subspace_angle,
 )
+from test_sparse_route import heat_bsep, heat_care, heat_mare
 
 SCALAR_CARE = CareProblem([[-1.0]], [[1.0]], [[1.0]], gamma=1.0)
 SCALAR_DARE = DareProblem([[0.5]], [[1.0]], [[1.0]])
@@ -788,3 +791,101 @@ class TestCholeskyDense:
             vhat = s.chains["v"].basis(s.k)
             want = s.multiplier * (vhat @ np.linalg.solve(kern, vhat.T))
             assert rel_err(got, want) <= 1e-13, label
+
+
+def _random(rng, shape, dtype):
+    out = rng.standard_normal(shape)
+    if dtype is complex:
+        out = out + 1j * rng.standard_normal(shape)
+    return out
+
+
+class TestExtendSpan:
+    """The contract of ``extend_span`` on one chunk: ``q`` unchanged in
+    front, orthonormal columns, every new column within the threshold
+    of the span, coordinates that rebuild the chunk, and no direction
+    beyond those the chunk has."""
+
+    N, R, COLS = 300, 40, 1000
+
+    def chunk(self, dtype, seed=0):
+        # 96 columns: a part in q plus a part outside it, 24 columns each
+        # at 1e-2, 1e-6 and 1e-10 (below the first round's floor, so
+        # picked in a second round) and at 1e-16, within the threshold.
+        # The columns' own norms span eight orders of magnitude.
+        rng = np.random.default_rng(seed)
+        n = self.N
+        q = np.linalg.qr(_random(rng, (n, self.R), dtype))[0]
+        scales = np.repeat([1e-2, 1e-6, 1e-10, 1e-16], 24)
+        outside = _random(rng, (n, scales.size), dtype) * scales
+        new = q @ _random(rng, (self.R, scales.size), dtype) + outside
+        new *= 10.0 ** rng.uniform(-4.0, 4.0, scales.size)
+        return q, new
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_extends_q_by_orthonormal_directions(self, dtype):
+        q, new = self.chunk(dtype)
+        span, coords = extend_span(q, new, self.COLS)
+        # A direction for each column outside the span, none for those
+        # within the threshold.
+        r = span.shape[1]
+        assert r == self.R + 72
+        assert span.dtype == q.dtype
+        assert np.array_equal(span[:, :self.R], q)
+        gap = np.linalg.norm(span.conj().T @ span - np.eye(r), 2)
+        assert gap <= 4.0 * EPS * math.sqrt(r), gap
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_every_column_lies_within_the_threshold_of_the_span(self,
+                                                                dtype):
+        q, new = self.chunk(dtype)
+        span, coords = extend_span(q, new, self.COLS)
+        tol = EPS * max(self.N, self.COLS)
+        norms = np.linalg.norm(new, axis=0)
+        outside = np.linalg.norm(new - span @ (span.conj().T @ new), axis=0)
+        assert np.all(outside <= tol * norms)
+        assert coords.shape == (span.shape[1], new.shape[1])
+        rebuilt = np.linalg.norm(new - span @ coords, axis=0)
+        assert np.all(rebuilt <= tol * norms)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("rank", [1, 7, 30])
+    def test_adds_exactly_the_rank_outside_the_span(self, dtype, rank):
+        # A rank-rho part outside q, its directions at scales from 1 down
+        # to 1e-8, plus noise at roundoff size: exactly rho directions.
+        rng = np.random.default_rng(rank)
+        n, cols = self.N, 200
+        q = np.linalg.qr(_random(rng, (n, self.R), dtype))[0]
+        part = (_random(rng, (n, rank), dtype)
+                * np.logspace(0.0, -8.0, rank)) @ _random(rng, (rank, cols),
+                                                          dtype)
+        new = q @ _random(rng, (self.R, cols), dtype) + part
+        new += EPS * _random(rng, new.shape, dtype) * (
+            np.linalg.norm(new, axis=0) / math.sqrt(n))
+        span, _ = extend_span(q, new, self.COLS)
+        assert span.shape[1] == self.R + rank
+
+    def test_stops_at_the_order(self):
+        # More independent columns than room: the span fills the space.
+        rng = np.random.default_rng(3)
+        q = np.linalg.qr(rng.standard_normal((30, 20)))[0]
+        new = rng.standard_normal((30, 25))
+        span, coords = extend_span(q, new, 45)
+        assert span.shape == (30, 30)
+        assert np.allclose(span.T @ span, np.eye(30), rtol=0.0, atol=1e-14)
+        assert np.allclose(span @ coords, new, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("make,widest", [
+        (heat_care, (115, 115)),
+        (heat_mare, (89, 79)),
+        (heat_bsep, (107, 107)),
+    ], ids=["care", "mare", "bsep"])
+    def test_heat_spans_stay_narrow(self, make, widest):
+        # The sparse-route heat instances: final spans (left, right) no
+        # wider than pivoting 32 columns at a time left them (CARE 137,
+        # MARE 89 and 79, BSEP 107), the CARE one at most 115.
+        report = solve_driver(make(), SolveConfig(method="dsda"))
+        assert report.status == "Converged"
+        sol = report.final_lowrank
+        widths = (sol.q_left.shape[1], sol.q_right.shape[1])
+        assert all(w <= most for w, most in zip(widths, widest)), widths

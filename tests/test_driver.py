@@ -120,6 +120,28 @@ def test_init_ms_and_records_fit_in_the_wall_time(family, method):
             + report.final_ms) <= wall_ms
 
 
+@pytest.mark.parametrize("family,method", PAIRS)
+def test_each_record_holds_the_width_of_its_span(family, method):
+    # At n = 12 with blocks of three columns the decoupled bases outgrow
+    # the order, so the spans are narrower than the bases.  A decoupled
+    # record holds the width of its iterate's span (the wider of the two
+    # for MARE), a dense one the width of the iterate.
+    report = solve_driver(GENERATORS[family](12, 3, 5),
+                          SolveConfig(method=method))
+    assert report.iterations
+    for rec in report.iterations:
+        assert rec.rank <= rec.span_cols <= rec.basis_cols, rec
+    last = report.iterations[-1]
+    if method == "sda":
+        assert last.span_cols == last.basis_cols == 12
+        return
+    sol = report.final_lowrank
+    assert last.span_cols == max(sol.q_left.shape[1], sol.q_right.shape[1])
+    assert last.span_cols < last.basis_cols
+    if family == "care":
+        assert last.span_cols == sol.q_left.shape[1]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(pair=st.sampled_from(PAIRS), n=st.integers(1, 6),
        width=st.integers(1, 2), seed=st.integers(0, 2 ** 16),

@@ -30,7 +30,6 @@ from test_sparse_route import (
 from dsda import decoupled, validate
 from dsda.decoupled import (
     PANEL_COLS,
-    SWEEP_COLS,
     LowRankSolution,
     MatrixPropagator,
     ResolventPropagator,
@@ -379,7 +378,7 @@ def test_extend_span_allocates_only_what_it_adds():
                        atol=1e-12 * np.abs(new).max())
     item = q.itemsize
     allowed = item * (2 * n * cols + (2 * r + added) * cols
-                      + n * (r + added) + 4 * n * SWEEP_COLS)
+                      + n * (r + added) + 4 * n * 32)
     assert peak <= allowed, (peak, allowed)
 
 
