@@ -48,10 +48,13 @@ G = [E_0, x], E_0 the identity on the first block.  The SPD kernels of
 CARE and DARE are therefore never formed: the generalized Schur
 algorithm factors them from G in O(cols^2 (d + width)^2 / d) flops and
 O(cols (d + width)) memory (:func:`_schur_solve`), and its panel
-solves and products run on numpy's BLAS alone, so that an evaluation
-keeps to one of the two OpenBLAS thread pools that numpy and scipy each
-bundle.  The indefinite BSEP and non-symmetric MARE kernels are built
-and LU-factored, which stays cubic.
+solves and products run on numpy's BLAS alone, so that a solve keeps
+to one of the two OpenBLAS thread pools that numpy and scipy each
+bundle.  The kernel before a doubling is the leading principal block
+of the doubled one (the doubled X's leading block rows are [0, X]), so
+its Cholesky factor is the leading block of the new one.  The
+indefinite BSEP and non-symmetric MARE kernels are built and
+LU-factored, which stays cubic.
 
 The propagator P is built once per solve by the init.  For DARE it is
 A itself, dense or in the problem's sparse form.  For the other
@@ -79,34 +82,46 @@ chain from its last block, and :meth:`Chain.basis` replays the
 recursion from the first, bit for bit, for validation.  Each kernel
 keeps its seed and its moments.  For every basis an evaluated iterate
 is built on, the state keeps an orthonormal basis Q of its numerical
-span and its coordinates ``R = Q^H basis`` (:func:`extend_span`).  The
-Krylov spaces are nested, so one step for every family
+span (:func:`extend_span`) and, for BSEP and MARE, its coordinates
+``R = Q^H basis``.  The Krylov spaces are nested, so one step for every
+family
 (:func:`dsda_step`) streams the new blocks of each chain into the
 moments and spans a chunk at a time, deflating the columns that lie in
 a span to roundoff.  Each chunk is pivoted as a whole: a pivoted
 Cholesky factorization of its Gram matrix picks the directions, which
 are orthonormalized as one block, until every column of the chunk lies
 within roundoff of the span.  On the steel-sized CARE (seed 7) the span
-ends with 289 directions for an iterate of rank 101, and a decoupled
-solve peaks at 30.2 MB.  This is not truncation: deflation drops only
-directions within roundoff of the span, and the moments and kernels
-never read the span.  The moments are formed from pairs of blocks in
-place of one product with the whole right basis, so they agree with the
-explicit products ``Uhat^T Vhat`` to roundoff, not bit for bit.
-Memory is O(n r + r cols) per evaluated basis.
+ends with 289 directions for an iterate of rank 101.  This is not
+truncation: deflation drops only directions within roundoff of the
+span, and the moments and kernels never read the span.  The moments are
+formed from pairs of blocks in place of one product with the whole
+right basis, so they agree with the explicit products ``Uhat^T Vhat``
+to roundoff, not bit for bit.
 
-An evaluator factors the kernel and returns the finished iterate, a
-:class:`LowRankSolution` ``Q_l core Q_r^T`` with the small core
-``scale * R_l K^-1 R_r^T``, formed once (:func:`_evaluate`).  The
-driver measures it from the spans and core at every step without
+An iterate is a :class:`LowRankSolution` ``Q_l core Q_r^T`` with the
+small core ``scale * R_l K^-1 R_r^T``.  For BSEP and MARE the evaluator
+builds and factors the kernel and forms the core once
+(:func:`_evaluate`).  For CARE and DARE the core is ``scale * w^T w``
+with ``w = L^-1 R^T``, L the Cholesky factor, and the step forms it: as
+L's leading block is the factor before the doubling and the earlier
+columns' coordinates are zero on the directions added since, the rows
+of w solved before stay, and the step solves only the rows its new
+columns add and adds their product to the core (:func:`_add_rows`).
+The state carries those row blocks and the core in place of R, each
+block as wide as the span was when it was solved, so the H evaluator
+solves nothing.  Memory is O(n r + r cols) per evaluated basis: Q and
+R, or Q and the rows of w, which hold no zero padding; on the
+steel-sized CARE a decoupled solve peaks at 24.8 MB and on the
+wide-kernel CARE (n = 256, 3072 columns) at 14.2 MB.  The driver
+measures an iterate from the spans and core at every step without
 forming the n x n matrix, also when the basis has more columns than
 the iterate's order.  An iterate of every family holds its spans and
 core and nothing of its kernel: the BSEP increment compares two cores,
 the earlier one on the leading directions of the later span, and
 ``dense()`` is ``Q_l core Q_r^T`` (see :class:`LowRankSolution`).  A
 kernel to be built (BSEP, MARE) over ``KERNEL_MAX_BYTES`` is refused
-before it is built.  Each factor an evaluation forms logs its pivot
-range at DEBUG (:func:`_log_pivots`).
+before it is built.  Each factor an init, step or evaluation forms logs
+its pivot range at DEBUG (:func:`_log_pivots`).
 
 The closed-form statements for the one-kernel families are usually
 quoted for k >= 2 with the first step written out separately; here the
@@ -200,8 +215,11 @@ def extend_span(q: np.ndarray, new: np.ndarray, cols: int
     Every remainder of the group is then projected out of the new
     directions, and the rounds repeat until none is above ``tol``: the
     per-column test alone decides what is deflated, the Gram matrix
-    only the order of the picks.  A later group is first projected out
-    of the directions the earlier ones added.
+    only the order of the picks.  A round that would pick nothing is
+    not run: that is exactly when no remainder's squared norm is above
+    ``tol**2``, which the squared column norms show without the Gram
+    matrix.  A later group is first projected out of the directions
+    the earlier ones added.
 
     Besides the scaled copy of the new columns, the coordinates and the
     result, a call holds one group's Gram matrix and one round's
@@ -225,7 +243,7 @@ def extend_span(q: np.ndarray, new: np.ndarray, cols: int
         group = rest[:, j:j + STREAM_COLS]
         for dirs in added:
             group -= dirs @ (dirs.conj().T @ group)
-        while r < room:
+        while r < room and _squared_norms(group).max() > tol * tol:
             picks = _pivots(group.conj().T @ group, tol, room - r)
             if not picks:
                 break
@@ -274,6 +292,14 @@ def _pivots(gram: np.ndarray, tol: float, most: int) -> list[int]:
     return picks
 
 
+def _squared_norms(a: np.ndarray) -> np.ndarray:
+    """Squared column norms of ``a``, with no temporary of its size."""
+    d = np.einsum("ij,ij->j", a.real, a.real)
+    if np.iscomplexobj(a):
+        d += np.einsum("ij,ij->j", a.imag, a.imag)
+    return d
+
+
 def span_of(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`extend_span` of a whole basis: its span and coordinates."""
     return extend_span(np.zeros((basis.shape[0], 0), dtype=basis.dtype),
@@ -290,9 +316,10 @@ class LowRankSolution:
     ``scale * R_l K^-1 R_r^T`` with the coordinates ``R = Q^H basis``
     and the kernel K.  The core has the iterate's nonzero singular
     values and Frobenius norm (and, for a real iterate with one basis
-    and a symmetric kernel, its nonzero eigenvalues).  The evaluator
-    forms it once, right after factoring the kernel (:func:`_evaluate`),
-    so a singular kernel fails there.
+    and a symmetric kernel, its nonzero eigenvalues).  It is formed
+    once, right after the kernel is factored: by the evaluator for BSEP
+    and MARE (:func:`_evaluate`), by the step for CARE and DARE
+    (:func:`_add_rows`), so a singular kernel fails there.
 
     An iterate of any family holds its spans, its core and the width
     ``basis_cols`` of its bases, and nothing else: every later read
@@ -459,22 +486,34 @@ class DsdaState:
     ``moments`` hold, by kernel name, its seed and the stack of its
     2^(k+1) - 1 moments: entry i + j is block (i, j) of the product of
     the kernel's left and right bases (:meth:`gram_bases`).  ``spans``
-    holds, by chain name, the span of its basis (:func:`extend_span`)
-    and the coordinates ``span^H basis``.  ``scale`` is c for the
-    one-kernel families and the shift sum s for MARE.
+    holds, by chain name, the span Q of its basis (:func:`extend_span`).
+    ``scale`` is c for the one-kernel families and the shift sum s for
+    MARE.
+
+    What the iterate is evaluated from depends on the kernel.  For the
+    LU-factored kernels of BSEP and MARE, ``coords`` holds, by chain
+    name, the coordinates ``R = Q^H basis``.  For the SPD kernel of CARE
+    and DARE, whose Cholesky factor L the step forms, ``rows`` holds
+    ``w = L^-1 R^T`` as the row blocks each doubling added, each as wide
+    as the span was then (zero beyond), and ``core`` holds ``w^T w``
+    (:func:`_add_rows`); ``coords`` is empty.
     """
 
     family: Literal["dare", "care", "bsep", "mare"]
     chains: dict[str, Chain]
     seeds: dict[str, np.ndarray]
     moments: dict[str, np.ndarray]
-    spans: dict[str, tuple[np.ndarray, np.ndarray]]
+    spans: dict[str, np.ndarray]
+    coords: dict[str, np.ndarray]
     scale: float
     k: int = 0
+    rows: tuple[np.ndarray, ...] = ()
+    core: np.ndarray | None = None
 
     @property
     def basis_cols(self) -> int:
-        return next(iter(self.spans.values()))[1].shape[1]
+        name = _LAYOUT[self.family][2][0]
+        return 2 ** self.k * self.chains[name].first.shape[1]
 
     @property
     def sigma(self) -> int:
@@ -503,7 +542,8 @@ def _start(family: str, firsts: dict, seeds: dict, scale: float
            ) -> DsdaState:
     """The k = 0 state of ``family`` from each chain's first block and
     propagator, ``firsts[name] = (block, op)``: each kernel's first
-    moment and each span, as the layout pairs and spans the chains."""
+    moment and each span, as the layout pairs and spans the chains, and
+    the coordinates or, for CARE and DARE, the solved rows and core."""
     grows, pairs, spanned = _LAYOUT[family]
     chains = {name: Chain(block, block, op, grows[name])
               for name, (block, op) in firsts.items()}
@@ -512,9 +552,13 @@ def _start(family: str, firsts: dict, seeds: dict, scale: float
         u = chains[left].first
         moments[kernel] = ((u.conj() if conj else u).T
                            @ chains[right].first)[None]
-    return DsdaState(family, chains, seeds, moments,
-                     {name: span_of(chains[name].first) for name in spanned},
-                     scale)
+    spans = {name: span_of(chains[name].first) for name in spanned}
+    s = DsdaState(family, chains, seeds, moments,
+                  {name: q for name, (q, _) in spans.items()}, {}, scale)
+    if s.sigma > 0:
+        return _add_rows(s, spans["v"][1].T.copy())
+    return dataclasses.replace(s, coords={name: r for name, (_, r)
+                                          in spans.items()})
 
 
 def dsda_sym_init(p: CareProblem | DareProblem | BsepProblem) -> DsdaState:
@@ -582,9 +626,15 @@ def dsda_step(s: DsdaState,
     pair the chains u and v are M_{2i-1} = u_i^T v_{i-1} and
     M_{2i} = u_i^T v_i (:func:`_pair_moments`).  Each chunk's new
     columns extend their span at the threshold of the doubled basis
-    (:func:`extend_span`) and append their coordinates.  The columns
+    (:func:`extend_span`), and their coordinates are kept.  The columns
     before them get zero coordinates on the directions a chunk adds:
     they lay within that threshold of the span when they were deflated.
+    A chunk pair is released before the next one is grown.
+
+    The new columns' coordinates are then appended to the coordinates
+    (BSEP, MARE) or, for CARE and DARE, solved into the rows of
+    ``w = L^-1 R^T`` they add, with L the Cholesky factor of the doubled
+    kernel, and added to the core (:func:`_add_rows`).
     """
     blocks = 2 ** s.k
     lasts = {name: chain.last for name, chain in s.chains.items()}
@@ -597,8 +647,8 @@ def dsda_step(s: DsdaState,
     per = max(1, STREAM_COLS // max(1, widest))
     pairs = _LAYOUT[s.family][1]
     stacks = {kernel: [moments] for kernel, moments in s.moments.items()}
-    qs = {name: q for name, (q, _) in s.spans.items()}
-    coords = {name: [r] for name, (_, r) in s.spans.items()}
+    qs = dict(s.spans)
+    parts = {name: [] for name in qs}
     for first in range(0, blocks, per):
         count = min(per, blocks - first)
         chunks = {name: _extend_basis(lasts[name], chain.op, count,
@@ -611,18 +661,24 @@ def dsda_step(s: DsdaState,
             stacks[kernel].append(_pair_moments(chunks[left], chunks[right],
                                                 count, conj))
         for name, q in qs.items():
-            w = widths[name]
-            qs[name], part = extend_span(q, chunks[name][:, w:],
-                                         2 * blocks * w)
-            coords[name].append(part)
-    return dataclasses.replace(
+            width = widths[name]
+            qs[name], part = extend_span(q, chunks[name][:, width:],
+                                         2 * blocks * width)
+            parts[name].append(part)
+        del chunks, part
+    grown = dataclasses.replace(
         s, chains={name: dataclasses.replace(chain, last=lasts[name])
                    for name, chain in s.chains.items()},
         moments={kernel: np.concatenate(stack)
                  for kernel, stack in stacks.items()},
-        spans={name: (q, _stack_coordinates(coords[name], q.shape[1]))
-               for name, q in qs.items()},
-        k=s.k + 1)
+        spans=qs, k=s.k + 1)
+    if s.sigma > 0:
+        # Stacked before the solve, which then holds no chunk coordinates.
+        return _add_rows(grown, _stack_coordinates(
+            parts.pop("v"), qs["v"].shape[1], order="F").T)
+    return dataclasses.replace(grown, coords={
+        name: _stack_coordinates([s.coords[name]] + parts[name],
+                                 qs[name].shape[1]) for name in qs})
 
 
 #: One step doubles the state of every family.
@@ -647,11 +703,12 @@ def _pair_moments(left: np.ndarray, right: np.ndarray, count: int,
     return out.reshape(2 * count, wl, wr)
 
 
-def _stack_coordinates(parts: list[np.ndarray], rows: int) -> np.ndarray:
+def _stack_coordinates(parts: list[np.ndarray], rows: int,
+                       order: str = "C") -> np.ndarray:
     """The coordinate blocks ``parts`` side by side, each padded with
-    zero rows to ``rows``."""
+    zero rows to ``rows``, in memory ``order``."""
     out = np.zeros((rows, sum(p.shape[1] for p in parts)),
-                   dtype=np.result_type(*parts))
+                   dtype=np.result_type(*parts), order=order)
     start = 0
     for part in parts:
         out[:part.shape[0], start:start + part.shape[1]] = part
@@ -666,16 +723,20 @@ def _extend_basis(basis: np.ndarray, op: Propagator, blocks: int,
 
     ``basis`` may be just a chain's last block: a step grows its chains
     a chunk at a time, and a replayed basis grows from the first.  Each
-    block is applied to as its own array, so a chain's blocks are the
-    same either way.
+    block is applied to as the array the propagator returned, not as its
+    copy in the result, so a chain's blocks are the same either way.
+    The result is allocated once and the blocks written into it.
     """
     apply = op.apply_t if transpose else op.apply
-    new = []
+    cols = basis.shape[1]
+    out = np.empty((basis.shape[0], cols + blocks * width),
+                   dtype=np.result_type(basis, op.dtype))
+    out[:, :cols] = basis
     last = basis[:, -width:]
-    for _ in range(blocks):
+    for i in range(blocks):
         last = apply(last)
-        new.append(last)
-    return np.concatenate([basis] + new, axis=1)
+        out[:, cols + i * width:cols + (i + 1) * width] = last
+    return out
 
 
 def _tail(s: DsdaState, which: str) -> np.ndarray:
@@ -734,7 +795,8 @@ def _kernel_factor(col: np.ndarray, row: np.ndarray, blocks: int,
                              overwrite_a=True)
 
 
-def _schur_solve(x: np.ndarray, blocks: int, rhs: np.ndarray) -> np.ndarray:
+def _schur_solve(x: np.ndarray, blocks: int, rhs: np.ndarray,
+                 solved: tuple[np.ndarray, ...] = ()) -> np.ndarray:
     """``L^-1 rhs``, written over ``rhs``, with ``L L^T`` the Cholesky
     factorization of the kernel ``I + X X^T`` whose X has the last block
     column ``x`` (:func:`_hankel_kernel` of ``x`` and ``x.T``; real
@@ -754,6 +816,14 @@ def _schur_solve(x: np.ndarray, blocks: int, rhs: np.ndarray) -> np.ndarray:
     (Chandrasekaran & Sayed, SIAM J. Matrix Anal. Appl. 17, 1996).  L
     costs cols^2 a^2 / d flops instead of the kernel's cols^3 / 3.
 
+    ``solved`` holds the leading rows of the solution, already solved,
+    as row blocks, each as wide as ``rhs`` or narrower (zero beyond);
+    ``rhs`` is then only the rows below them.  With the solved rows w_1
+    and ``L = [[L_11, 0], [L_21, L_22]]``, the new rows are
+    ``L_22^-1 (rhs - L_21 w_1)``.  The sweep still runs over every block
+    column of L, but keeps of the solved ones only their rows below
+    w_1, whose product with w_1 it subtracts from ``rhs``.
+
     The block columns are gathered ``PANEL_COLS`` columns at a time, and
     each panel is applied to ``rhs`` at once: a blocked forward
     substitution with its diagonal block (:func:`_forward_solve`) and
@@ -761,8 +831,8 @@ def _schur_solve(x: np.ndarray, blocks: int, rhs: np.ndarray) -> np.ndarray:
     written over ``rhs`` in place (``rhs`` is C-ordered, or copied so).
     The products go through the room of G Q, which is free between
     generator steps.  Besides ``rhs`` a call holds the generator, that
-    room (widened to one row of ``rhs`` if that is wider) and one panel,
-    ``cols * (2 a + PANEL_COLS)`` entries.
+    room (widened to one row of ``rhs`` if that is wider) and one panel
+    of the rows of ``rhs``, ``2 cols a + rows * PANEL_COLS`` entries.
 
     All the panel work runs on numpy's BLAS; only the a x a QR of each
     step, too small to be threaded, calls scipy's LAPACK.  numpy and
@@ -781,6 +851,8 @@ def _schur_solve(x: np.ndarray, blocks: int, rhs: np.ndarray) -> np.ndarray:
     rhs = np.ascontiguousarray(rhs)
     d = cols // blocks
     a = d + m
+    # The first row of L that rhs holds.
+    known = cols - rhs.shape[0]
     gen = np.zeros((cols, a), order="F")
     gen[:d, :d] = np.eye(d)
     gen[:, d:] = x
@@ -793,12 +865,14 @@ def _schur_solve(x: np.ndarray, blocks: int, rhs: np.ndarray) -> np.ndarray:
     per = max(1, PANEL_COLS // d)
     # Each panel is a Fortran-ordered view of one buffer, so that a block
     # column of L is copied into it from G Q column by column.
-    buffer = np.empty(cols * min(blocks, per) * d)
-    pivots = []
+    buffer = np.empty((cols - known) * min(blocks, per) * d)
+    pivots = np.empty(cols)
     for first in range(0, blocks, per):
         start, stop = first * d, min(blocks, first + per) * d
-        lower = buffer[:(cols - start) * (stop - start)].reshape(
-            (cols - start, stop - start), order="F")
+        # The panel's rows from the first that rhs holds or its own first.
+        held = max(start, known)
+        lower = buffer[:(cols - held) * (stop - start)].reshape(
+            (cols - held, stop - start), order="F")
         for i in range(start, stop, d):
             # The a x a Q of [top^T, 0]: its last a - d reflectors are
             # the identity.
@@ -806,17 +880,28 @@ def _schur_solve(x: np.ndarray, blocks: int, rhs: np.ndarray) -> np.ndarray:
             top[:, d:] = 0.0
             q = orgqr(*geqrf(top, overwrite_a=True)[:2], overwrite_a=True)[0]
             out = np.matmul(gen[i:], q, out=turned[:cols - i])
-            j = i - start
-            lower[j:, j:j + d] = out[:, :d]
+            pivots[i:i + d] = np.abs(np.diagonal(out[:d, :d]))
+            row = max(i, held)
+            lower[row - held:, i - start:i - start + d] = out[row - i:, :d]
             gen[i + d:, :d] = out[:cols - i - d, :d]
             gen[i + d:, d:] = out[d:, d:]
-        pivots.append(np.abs(np.diagonal(lower[:stop - start])))
         if not rhs.shape[1]:
             continue
-        w = rhs[start:stop]
-        _forward_solve(lower[:stop - start], w, spare)
-        _subtract_product(rhs[stop:], lower[stop - start:], w, spare)
-    _log_pivots(blocks, np.concatenate(pivots))
+        offset = 0
+        for block in solved:
+            lo, hi = max(start, offset), min(stop, offset + len(block))
+            if lo < hi:
+                _subtract_product(rhs[:, :block.shape[1]],
+                                  lower[:, lo - start:hi - start],
+                                  block[lo - offset:hi - offset], spare)
+            offset += len(block)
+        if stop > known:
+            w = rhs[held - known:stop - known]
+            panel = lower[:, held - start:]
+            _forward_solve(panel[:stop - held], w, spare)
+            _subtract_product(rhs[stop - known:], panel[stop - held:], w,
+                              spare)
+    _log_pivots(blocks, pivots)
     return rhs
 
 
@@ -869,6 +954,29 @@ def _log_pivots(blocks: int, pivots: np.ndarray) -> None:
                   blocks.bit_length() - 1, pivots.min(), pivots.max())
 
 
+def _add_rows(s: DsdaState, rhs: np.ndarray) -> DsdaState:
+    """``s`` (CARE or DARE) with the rows of ``w = L^-1 R^T`` that its
+    newest columns add, solved over ``rhs``, their coordinates ``R^T``
+    (zero beyond the directions of the span up to each chunk), and the
+    core ``w^T w``.
+
+    The kernel before a doubling is the leading principal block of the
+    doubled one (module docstring), so its Cholesky factor is the
+    leading block of ``L = [[L_11, 0], [L_21, L_22]]``, and the earlier
+    columns' coordinates are the leading rows of ``R^T``, zero on the
+    directions added since.  So the rows ``s.rows`` solved before are
+    the leading rows of w, the new ones are
+    ``w_new = L_22^-1 (R_new^T - L_21 w)`` (:func:`_schur_solve`), and
+    the core is ``[[core, 0], [0, 0]] + w_new^T w_new``, exactly
+    symmetric.
+    """
+    w = _schur_solve(_edges(s, "Y")[1].T, 2 ** s.k, rhs, s.rows)
+    core = w.T @ w
+    if s.core is not None:
+        core[:len(s.core), :len(s.core)] += s.core
+    return dataclasses.replace(s, rows=s.rows + (w,), core=core)
+
+
 def _evaluate(scale: float, col: np.ndarray, row: np.ndarray, blocks: int,
               sigma: int, q_left: np.ndarray, r_left: np.ndarray,
               q_right: np.ndarray, r_right: np.ndarray) -> LowRankSolution:
@@ -877,13 +985,14 @@ def _evaluate(scale: float, col: np.ndarray, row: np.ndarray, blocks: int,
     and ``q_right`` of its bases, whose coordinates are ``r_left`` and
     ``r_right`` (``R = Q^H basis``; the same arrays for one basis).
 
-    Its core is ``scale * R_l K^-1 R_r^T``.  The SPD kernels
-    (``sigma = +1``: CARE, DARE, one basis, ``row`` is ``col.T``) are
-    never formed: their core is ``scale * w^T w``, exactly symmetric,
-    with ``w = L^-1 R^T`` from the displacement generator of K
-    (:func:`_schur_solve`).  The other kernels (BSEP, MARE) are built
-    and LU-factored (:func:`_kernel_factor`).  Either way the pivots are
-    logged, and the iterate keeps only its spans and core.
+    Its core is ``scale * R_l K^-1 R_r^T``.  An SPD kernel
+    (``sigma = +1``, one basis, ``row`` is ``col.T``; only G of CARE and
+    DARE, which is evaluated for validation) is never formed: its core
+    is ``scale * w^T w``, exactly symmetric, with ``w = L^-1 R^T`` from
+    the displacement generator of K (:func:`_schur_solve`).  The other
+    kernels (BSEP, MARE) are built and LU-factored
+    (:func:`_kernel_factor`).  Either way the pivots are logged, and the
+    iterate keeps only its spans and core.
     """
     cols = r_left.shape[1]
     if sigma == +1:
@@ -898,22 +1007,25 @@ def _evaluate(scale: float, col: np.ndarray, row: np.ndarray, blocks: int,
 
 def _sym_solution(s: DsdaState, side: str) -> LowRankSolution:
     """``sigma c * B (I + sigma K)^-1 B^T``: B = Vhat, K = Y^T Y on the
-    right side, in the state's span; B = Uhat (replayed), K = Y Y^T on
-    the left, whose span is found here."""
+    right side (BSEP), in the state's span; B = Uhat (replayed),
+    K = Y Y^T on the left, whose span is found here."""
     col, row = _edges(s, "Y")
     if side == "right":
-        x, span = row.T, s.spans["v"]
+        x, span = row.T, (s.spans["v"], s.coords["v"])
     else:
         x, span = col, span_of(s.chains["u"].basis(s.k))
     return _evaluate(s.multiplier, x, x.T, 2 ** s.k, s.sigma, *span, *span)
 
 
 def dsda_eval_H(s: DsdaState) -> LowRankSolution:
-    """H_k = c * Vhat (I + Y^T Y)^-1 Vhat^T for the psd-kernel families."""
+    """H_k = c * Vhat (I + Y^T Y)^-1 Vhat^T for the psd-kernel families:
+    ``Q (c core) Q^T`` from the span and the core the state carries, so
+    nothing is solved here (:func:`_add_rows`)."""
     if s.sigma != +1:
         raise DimensionMismatchError(
             "H evaluation applies to the DARE/CARE kernel; use bsep_eval_F")
-    return _sym_solution(s, "right")
+    q = s.spans["v"]
+    return LowRankSolution(q, s.multiplier * s.core, q, s.basis_cols)
 
 
 def dsda_eval_G(s: DsdaState) -> LowRankSolution:
@@ -940,7 +1052,8 @@ def dsda_mare_eval(s: DsdaState, which: str) -> LowRankSolution:
     if which not in ("H", "G"):
         raise ValueError(f"which must be one of H, G; got {which!r}")
     first, second = ("Y", "Z") if which == "H" else ("Z", "Y")
-    spans = ((*s.spans["u"], *s.spans["q"]) if which == "H"
+    spans = ((s.spans["u"], s.coords["u"], s.spans["q"], s.coords["q"])
+             if which == "H"
              else (*span_of(s.chains["w"].basis(s.k)),
                    *span_of(s.chains["v"].basis(s.k))))
     return _evaluate(s.scale, _edges(s, first)[0], _edges(s, second)[1],

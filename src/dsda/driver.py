@@ -22,8 +22,9 @@ its rank and finiteness come from its small core, so no n x n array is
 made, whatever the basis width.  The spans are nested, so the
 Bethe-Salpeter increment subtracts the previous core from the leading
 block of the current one.  The final solution is formed dense once,
-from the spans and core, when the report is built.  The evaluations
-log their kernel pivots at DEBUG.
+from the spans and core, when the report is built.  Each kernel
+factorization (in the CARE and DARE steps, in the other evaluations)
+logs its pivots at DEBUG.
 """
 
 from __future__ import annotations
@@ -91,8 +92,10 @@ class IterationRecord:
     phases: the doubling step (``step_ms``), the evaluation of the
     iterate (``eval_ms``: its kernel, factorization and, for a decoupled
     iterate, core) and its measurement (``measure_ms``: finiteness
-    checks, residual and rank).  Set-up before the first step is the
-    report's ``init_ms``.
+    checks, residual and rank).  A CARE or DARE ``dsda`` step solves
+    with its kernel itself, so there the kernel solve and the core count
+    in ``step_ms``, and ``eval_ms`` only scales the core.  Set-up before
+    the first step is the report's ``init_ms``.
 
     ``span_cols`` is the width of the span the iterate is held in: of
     ``q_left`` for a decoupled iterate with one basis, the wider of its
@@ -306,6 +309,9 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
     init_ms = 1000.0 * ((time.perf_counter() if ready is None else ready)
                         - started)
 
+    # The last state is released before the dense final solution is
+    # formed, which is the largest array of a decoupled run.
+    state = None
     lowrank = final if isinstance(final, LowRankSolution) else None
     started = time.perf_counter()
     solution = final if lowrank is None else lowrank.dense()

@@ -749,6 +749,41 @@ class TestHankelKernel:
         assert w.shape == rhs.shape
         assert rel_err(w.T @ w, want) <= 1e-13
 
+    @settings(max_examples=40, deadline=None)
+    @given(log_b=st.integers(1, 8), d=st.integers(1, 7), m=st.integers(0, 4),
+           r=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+    # 768 columns: the new rows start inside the second panel of 255.
+    @example(log_b=8, d=3, m=2, r=5, seed=0)
+    def test_schur_solve_of_the_new_rows_matches_the_full_solve(
+            self, log_b, d, m, r, seed):
+        # Rows solved as a doubling run solves them: row blocks of d, d,
+        # 2d, 4d, ... rows, each with the kernel of the rows up to it (the
+        # leading block of the next kernel) and the blocks before it, and
+        # each as wide as the span was then (zero beyond).  Every block,
+        # and the rows below the leading half solved on their own, is
+        # the full solve to 1e-13.
+        b = 2 ** log_b
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((b * d, m)) / math.sqrt(b)
+        rhs = rng.standard_normal((b * d, r))
+        sizes = [d] + [d * 2 ** j for j in range(log_b - 1)]
+        widths = np.sort(rng.integers(0, r + 1, len(sizes)))
+        start = 0
+        for size, width in zip(sizes, widths):
+            rhs[start:start + size, width:] = 0.0
+            start += size
+        want = _schur_solve(x, b, rhs.copy())
+        solved, start = (), 0
+        for j, (size, width) in enumerate(zip(sizes, widths)):
+            block = _schur_solve(x[:start + size], 2 ** j,
+                                 rhs[start:start + size, :width].copy(),
+                                 solved)
+            assert rel_err(block, want[start:start + size, :width]) <= 1e-13
+            solved += (block,)
+            start += size
+        got = _schur_solve(x, b, rhs[start:].copy(), solved)
+        assert rel_err(got, want[start:]) <= 1e-13
+
     @pytest.mark.parametrize("rows", [1, LEAF_ROWS - 5, 75, PANEL_COLS],
                              ids=["one", "below-leaf", "odd", "panel"])
     @pytest.mark.parametrize("r", [0, 1, 7])
@@ -880,12 +915,24 @@ class TestExtendSpan:
         (heat_mare, (89, 79)),
         (heat_bsep, (107, 107)),
     ], ids=["care", "mare", "bsep"])
-    def test_heat_spans_stay_narrow(self, make, widest):
+    def test_heat_spans_stay_narrow(self, make, widest, monkeypatch):
         # The sparse-route heat instances: final spans (left, right) no
         # wider than pivoting 32 columns at a time left them (CARE 137,
-        # MARE 89 and 79, BSEP 107), the CARE one at most 115.
+        # MARE 89 and 79, BSEP 107), the CARE one at most 115.  Every
+        # round of the selection picks a direction: a group whose
+        # remainders are all within the threshold forms no Gram matrix.
+        pivots = decoupled._pivots
+        rounds = []
+
+        def spy(*args):
+            picks = pivots(*args)
+            rounds.append(len(picks))
+            return picks
+
+        monkeypatch.setattr(decoupled, "_pivots", spy)
         report = solve_driver(make(), SolveConfig(method="dsda"))
         assert report.status == "Converged"
         sol = report.final_lowrank
         widths = (sol.q_left.shape[1], sol.q_right.shape[1])
         assert all(w <= most for w, most in zip(widths, widest)), widths
+        assert rounds and min(rounds) > 0, rounds

@@ -188,9 +188,10 @@ def _pivot_lines(caplog):
 @pytest.mark.parametrize("family,method", PAIRS)
 def test_debug_logs_the_kernel_pivots_of_every_decoupled_run(
         family, method, caplog):
-    # One line per record for a dsda or adda run, and one more for the
-    # Bethe-Salpeter F_0 at k = 0; none for sda, which factors no
-    # kernel.  The records are those of a run without DEBUG.
+    # One line per record for a dsda or adda run, and one more at k = 0
+    # for the Bethe-Salpeter F_0 and for the k = 0 kernel that a CARE or
+    # DARE init solves; none for sda, which factors no kernel.  The
+    # records are those of a run without DEBUG.
     p = GENERATORS[family](24, 2, 3)
     cfg = SolveConfig(method=method)
     plain = solve_driver(p, cfg)
@@ -203,7 +204,7 @@ def test_debug_logs_the_kernel_pivots_of_every_decoupled_run(
         assert lines == []
         return
     ks = [rec.k for rec in report.iterations]
-    assert [k for k, _, _ in lines] == ([0] + ks if family == "bsep" else ks)
+    assert [k for k, _, _ in lines] == (ks if family == "mare" else [0] + ks)
     for _, lo, hi in lines:
         assert 0.0 < lo <= hi
         if family in ("care", "dare"):
@@ -217,8 +218,9 @@ def test_debug_diagnostic_over_the_kernel_cap_leaves_the_run_as_it_is(
     # A CARE or DARE run never forms its kernel I + Y^T Y, and the DEBUG
     # line reads the factor the evaluation forms, so DEBUG builds no
     # kernel either.  n = 16, l = 3: from k = 3 the kernel would be
-    # 24 x 24 or larger, over the lowered cap; every step still logs its
-    # line and the run goes on exactly as without DEBUG.
+    # 24 x 24 or larger, over the lowered cap; the init (k = 0) and
+    # every step still log their line and the run goes on exactly as
+    # without DEBUG.
     monkeypatch.setattr(decoupled, "KERNEL_MAX_BYTES", 8 * 24 ** 2 - 1)
     kernel = decoupled._hankel_kernel
     built = []
@@ -237,7 +239,8 @@ def test_debug_diagnostic_over_the_kernel_cap_leaves_the_run_as_it_is(
         assert built == []
         assert plain.status == report.status == "MaxIter"
         assert _measured(report) == _measured(plain)
-        assert [k for k, _, _ in _pivot_lines(caplog)] == [1, 2, 3, 4, 5, 6]
+        assert [k for k, _, _ in _pivot_lines(caplog)] == [0, 1, 2, 3, 4, 5,
+                                                           6]
 
 
 def test_a_kernel_over_the_memory_cap_ends_budget_exceeded(monkeypatch):
@@ -258,20 +261,20 @@ def test_a_kernel_over_the_memory_cap_ends_budget_exceeded(monkeypatch):
 
 
 def test_a_non_finite_moment_ends_singular_without_a_warning(monkeypatch):
-    # One NaN moment from k = 3 on: the generator of the k = 3 kernel is
-    # refused before its Schur steps, so no warning is raised and the
-    # last good iterate is the k = 2 one.
+    # One NaN moment from k = 3 on: the step to k = 3, which solves with
+    # the k = 3 kernel, reads it, and the kernel's generator is refused
+    # before its Schur steps, so no warning is raised and the last good
+    # iterate is the k = 2 one.
     p = gen_random_care(16, 2, 3, 3)
     cfg = SolveConfig(tol=1e-30, max_iter=6)
     step = decoupled.dsda_sym_step
 
     def spoil(s, **kwargs):
-        s = step(s, **kwargs)
-        if s.k < 3:
-            return s
-        moments = s.moments["Y"].copy()
-        moments[0, 0, 0] = np.nan
-        return dataclasses.replace(s, moments={**s.moments, "Y": moments})
+        if s.k == 2:
+            moments = s.moments["Y"].copy()
+            moments[0, 0, 0] = np.nan
+            s = dataclasses.replace(s, moments={**s.moments, "Y": moments})
+        return step(s, **kwargs)
 
     monkeypatch.setattr(decoupled, "dsda_sym_step", spoil)
     with warnings.catch_warnings():

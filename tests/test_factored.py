@@ -274,7 +274,7 @@ WIDE_CASES = [pytest.param(p, method, id=f"{family}-{method}")
 
 def spans(s):
     """(basis, span) of each evaluated basis of a state."""
-    return [(s.chains[name].basis(s.k), q) for name, (q, _) in s.spans.items()]
+    return [(s.chains[name].basis(s.k), q) for name, q in s.spans.items()]
 
 
 @pytest.mark.parametrize("p,method", WIDE_CASES)

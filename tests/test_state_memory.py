@@ -42,12 +42,13 @@ from dsda.decoupled import (
     dsda_sym_init,
     dsda_sym_step,
     extend_span,
+    span_of,
 )
 from dsda.driver import SolveConfig, solve_driver
 from dsda.errors import SingularMatrixError
 from dsda.matkit import EPS
 from dsda.problems import (
-    BsepProblem,
+    MareProblem,
     gen_random_bsep,
     gen_random_care,
     gen_random_dare,
@@ -158,7 +159,7 @@ def test_state_holds_its_read_bases_in_full_and_single_blocks(
     for k in range(DEFLATING + 1):
         if k:
             s = step(s)
-        spans = [q.shape[1] for q, _ in s.spans.values()]
+        spans = [q.shape[1] for q in s.spans.values()]
         limits = [(s, max(*s.seeds["Y"].shape, *spans))]
         try:
             sol = EVALUATE[family](s)
@@ -230,9 +231,15 @@ def test_moments_are_products_of_the_replayed_bases(label, make, init,
 
 
 def _spans(s):
-    """(basis, span, coordinates) of each evaluated basis of a state."""
-    return [(s.chains[name].basis(s.k), q, r)
-            for name, (q, r) in s.spans.items()]
+    """(basis, span, coordinates) of each evaluated basis of a state: the
+    coordinates it holds (BSEP, MARE) or, where it holds none but the
+    solved rows of CARE and DARE, those of the replayed basis."""
+    out = []
+    for name, q in s.spans.items():
+        basis = s.chains[name].basis(s.k)
+        r = s.coords[name] if s.coords else q.conj().T @ basis
+        out.append((basis, q, r))
+    return out
 
 
 @pytest.mark.parametrize("label,make,init,step", CASES, ids=IDS)
@@ -334,7 +341,8 @@ def test_an_iterate_is_its_spans_and_core():
 ], ids=["care", "dare", "bsep", "mare-dsda", "mare-adda"])
 def test_a_solve_factors_each_kernel_once(monkeypatch, p, method, routine):
     # The SPD kernels of CARE and DARE are factored from their
-    # generators, the others built and LU-factored.
+    # generators, by the init at k = 0 and by each step, the others
+    # built and LU-factored.
     kernels = []
     factor = getattr(decoupled, routine)
     signature = inspect.signature(factor)
@@ -345,8 +353,9 @@ def test_a_solve_factors_each_kernel_once(monkeypatch, p, method, routine):
 
     monkeypatch.setattr(decoupled, routine, spy)
     report = solve_driver(p, SolveConfig(method=method))
-    # BSEP measures increments from F_0, which the set-up evaluates.
-    first = [1] if isinstance(p, BsepProblem) else []
+    # BSEP measures increments from F_0, which the set-up evaluates; a
+    # CARE or DARE init solves its k = 0 kernel.
+    first = [] if isinstance(p, MareProblem) else [1]
     assert kernels == first + [2 ** rec.k for rec in report.iterations]
     assert np.array_equal(report.final_lowrank.dense(),
                           report.final_solution)
@@ -385,27 +394,69 @@ def test_extend_span_allocates_only_what_it_adds():
 @pytest.mark.parametrize("p", [
     pytest.param(gen_random_care(32, 4, 4, seed=3), id="care"),
     pytest.param(gen_random_dare(32, 4, 4, seed=4), id="dare")])
-def test_an_spd_kernel_is_never_formed(p):
-    # k = 9: 2048 columns at n = 32, a 32 MiB kernel I + Y^T Y.  The
-    # evaluation needs the coordinates R^T (cols x r) and one update of
-    # them, the cols x (l + m) generator twice and one panel of the
-    # kernel's factor, not the kernel.
+def test_a_step_solves_only_its_new_rows(p):
+    # k = 8 -> 9: 2048 columns at n = 32, a 32 MiB kernel I + Y^T Y.  The
+    # step holds the coordinates R_new^T of its 1024 new columns
+    # (c_new x r), one panel of the factor's rows below the old ones
+    # (c_new x PANEL_COLS), the generator and its room with one more of
+    # their size for a product's transients (4 cols x alpha), and the
+    # new moments, their stack and the kernel's edges (3 x the moments).
+    # Neither the kernel, nor the cols x r coordinates of the whole
+    # basis, nor a panel of all its rows; the evaluation after it only
+    # scales the core.
     s = dsda_sym_init(p)
-    for _ in range(9):
+    for _ in range(8):
         s = dsda_sym_step(s)
-    cols, alpha = s.basis_cols, sum(s.seeds["Y"].shape)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
+        s = dsda_sym_step(s)
         sol = dsda_eval_H(s)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    r = sol.q_left.shape[1]
+    cols, alpha = s.basis_cols, sum(s.seeds["Y"].shape)
+    new, r = cols // 2, sol.q_left.shape[1]
     assert cols >= 8 * p.n
+    assert [len(w) for w in s.rows][-2:] == [new // 2, new]
     item = sol.core.itemsize
-    allowed = 2 * item * cols * (r + alpha + PANEL_COLS)
-    assert peak <= allowed < item * cols ** 2 / 3, (peak, allowed)
+    allowed = (item * (new * (r + PANEL_COLS) + 4 * cols * alpha)
+               + 3 * s.moments["Y"].nbytes)
+    # Tighter than a whole-basis evaluation: its coordinates, their
+    # update and a panel of every row of the factor.
+    assert peak <= allowed < 2 * item * cols * (r + alpha + PANEL_COLS), (
+        peak, allowed)
+
+
+#: The CARE and DARE cases, whose states solve their own rows.
+SPD_CASES = [case for case in CASES if case[0].split("-")[0] in ("care",
+                                                                  "dare")]
+
+
+@pytest.mark.parametrize("label,make,init,step", SPD_CASES,
+                         ids=[label for label, *_ in SPD_CASES])
+def test_the_core_is_the_solve_of_the_whole_span(label, make, init, step,
+                                                  monkeypatch):
+    # At every k the core the steps built row block by row block is
+    # scale * w^T w, w = L^-1 R^T solved in one go on the span and
+    # coordinates of the replayed basis, to 1e-13 relative.  That span
+    # is found in other chunks, so it is compared in the state's span,
+    # which holds it.
+    for width in _chunk_widths(monkeypatch):
+        s = init(make())
+        for k in range(DEFLATING + 1):
+            if k:
+                s = step(s)
+            q, r = span_of(s.chains["v"].basis(s.k))
+            w = decoupled._schur_solve(decoupled._edges(s, "Y")[1].T,
+                                       2 ** s.k, r.T.copy())
+            proj = s.spans["v"].T @ q
+            want = s.multiplier * (proj @ (w.T @ w) @ proj.T)
+            got = dsda_eval_H(s).core
+            assert np.array_equal(got, got.T), (width, k)
+            assert (np.linalg.norm(got - want)
+                    <= 1e-13 * np.linalg.norm(want)), (width, k)
+            assert sum(len(w) for w in s.rows) == s.basis_cols
 
 
 def test_schur_update_adds_below_each_panel_in_place(monkeypatch):
