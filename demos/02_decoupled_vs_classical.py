@@ -23,6 +23,7 @@ from dsda import (
     dsda_eval_H,
     dsda_mare_dense,
     dsda_mare_eval,
+    dsda_mare_eval_G,
     dsda_mare_init,
     dsda_mare_step,
     dsda_sym_init,
@@ -66,8 +67,8 @@ p = gen_random_mare(8, 6, 2, 2, seed=7)
 oracle, state = mare_init(p), dsda_mare_init(p)
 for _ in range(4):
     oracle, state = mare_sda_step(oracle), dsda_mare_step(state)
-    print(f"mare    {state.k}   {rel(dsda_mare_eval(state, 'H').dense(), oracle.h_k):.2e}"
-          f"      {rel(dsda_mare_eval(state, 'G').dense(), oracle.g_k):.2e}"
+    print(f"mare    {state.k}   {rel(dsda_mare_eval(state).dense(), oracle.h_k):.2e}"
+          f"      {rel(dsda_mare_eval_G(state).dense(), oracle.g_k):.2e}"
           f"      {rel(dsda_mare_dense(state, 'E'), oracle.e_k):.2e}"
           f"      {state.basis_cols}")
 

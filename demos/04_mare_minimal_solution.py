@@ -34,7 +34,7 @@ prev = np.zeros((p.m, p.n))
 print("\nentrywise monotone growth of H_k:")
 for _ in range(5):
     state = dsda_mare_step(state)
-    h = dsda_mare_eval(state, "H").dense()
+    h = dsda_mare_eval(state).dense()
     print(f"  k={state.k}  min(H_k - H_(k-1)) = {np.min(h - prev):+.2e}"
           f"   |H_k| = {np.linalg.norm(h):.6f}")
     prev = h

@@ -22,11 +22,9 @@ from .classical import (
 )
 from .decoupled import (
     DEFAULT_COLUMN_BUDGET,
-    DsdaMareState,
-    DsdaSymState,
+    DsdaState,
     LowRankSolution,
     bsep_eval_F,
-    dsda_eval_G,
     dsda_eval_H,
     dsda_mare_eval,
     dsda_mare_init,
@@ -68,7 +66,11 @@ from .problems import (
 )
 from .residuals import bsep_increment, care_residual, dare_residual, mare_residual
 from .validate import (bsep_eigen_extract, dsda_assemble, dsda_eval_A,
-                       dsda_mare_dense, subspace_angle)
+                       dsda_eval_G, dsda_mare_dense, dsda_mare_eval_G,
+                       subspace_angle)
+
+#: One state type serves the one-kernel and the four-matrix families.
+DsdaSymState = DsdaMareState = DsdaState
 
 __version__ = "0.1.0"
 
@@ -82,11 +84,11 @@ __all__ = [
     "bsep_eigen_extract", "bsep_eval_F", "bsep_increment", "bsep_init",
     "bsep_sda_step", "care_init", "care_residual", "dare_init",
     "dare_residual", "dsda_assemble", "dsda_eval_A", "dsda_eval_G",
-    "dsda_eval_H", "dsda_mare_dense", "dsda_mare_eval", "dsda_mare_init",
-    "dsda_mare_step", "dsda_sym_init", "dsda_sym_step", "family_of",
-    "frobenius_norm", "gen_random_bsep", "gen_random_care", "gen_random_dare",
-    "gen_random_mare", "gen_scalar_suite", "load_matrix_market", "mare_init",
-    "mare_residual", "mare_sda_step", "numerical_rank",
-    "reduce_control_weight", "save_matrix_market", "solve_driver",
-    "solve_general", "subspace_angle", "sym_sda_step",
+    "dsda_eval_H", "dsda_mare_dense", "dsda_mare_eval", "dsda_mare_eval_G",
+    "dsda_mare_init", "dsda_mare_step", "dsda_sym_init", "dsda_sym_step",
+    "family_of", "frobenius_norm", "gen_random_bsep", "gen_random_care",
+    "gen_random_dare", "gen_random_mare", "gen_scalar_suite",
+    "load_matrix_market", "mare_init", "mare_residual", "mare_sda_step",
+    "numerical_rank", "reduce_control_weight", "save_matrix_market",
+    "solve_driver", "solve_general", "subspace_angle", "sym_sda_step",
 ]

@@ -13,11 +13,9 @@ seed Y_0 when i + j = 2^k - 1 and mu * M_{i+j-2^k} beyond.  A state
 keeps only Y_0 and the moments M_0 ... M_{2^(k+1)-2}.  With b = 2^k, a
 step grows each chain by the blocks i = b ... 2b - 1 and appends the
 new moments from pairs of fresh blocks, M_{2i-1} = u_i^T v_{i-1} and
-M_{2i} = u_i^T v_i.  The iterates of the classical recursions follow:
+M_{2i} = u_i^T v_i.  The iterate a solve reads follows:
 
     H_k = c * Vhat (I + sigma Y^T Y)^-1 Vhat^T
-    G_k = c * Uhat (I + sigma Y Y^T)^-1 Uhat^T
-    A_k = P^(2^k) - c * Uhat (I + sigma Y Y^T)^-1 Y Vhat^T
 
 with family parameters (c, mu, sigma) = (1, 1, +1) for DARE,
 (2g, 2g, +1) for CARE and (2a, -2a, -1) for the Bethe-Salpeter problem,
@@ -25,10 +23,12 @@ whose F_k carries an extra minus sign.  The four-matrix family keeps
 two kernels Y, Z (seeds plus moments of Qhat^T What and Vhat^T Uhat,
 with mu = -s) and four bases (Uhat, Vhat, What, Qhat) with
 
-    H_k = s * Uhat (I - Y Z)^-1 Qhat^T,   G_k = s * What (I - Z Y)^-1 Vhat^T,
+    H_k = s * Uhat (I - Y Z)^-1 Qhat^T,
 
 where the shift sum s is 2g for plain doubling and alpha + beta for the
-alternating-directional variant.
+alternating-directional variant.  The other iterates of the classical
+recursions (G_k, A_k, and the MARE G_k, F_k and E_k) are evaluated for
+validation only, by :mod:`dsda.validate`.
 
 The evaluators never assemble Y or Z.  With b = 2^k, the last block row
 and column of Y both hold the tail h_{b-1} ... h_{2b-2} of its sequence
@@ -78,8 +78,8 @@ Every family's state is one :class:`DsdaState`, laid out by one table
 A state holds no basis.  Of each Krylov chain it keeps a :class:`Chain`,
 the first and the last block and the propagator that grows it; the
 BSEP left basis is conj(vhat) and has no chain.  A step grows each
-chain from its last block, and :meth:`Chain.basis` replays the
-recursion from the first, bit for bit, for validation.  Each kernel
+chain from its last block; :func:`dsda.validate.chain_basis` replays
+the recursion from the first, bit for bit.  Each kernel
 keeps its seed and its moments.  For every basis an evaluated iterate
 is built on, the state keeps an orthonormal basis Q of its numerical
 span (:func:`extend_span`) and, for BSEP and MARE, its coordinates
@@ -461,20 +461,13 @@ class Chain:
     """A block Krylov chain: its first and last blocks and the
     propagator it grows by (its plain transpose with ``transpose``).
 
-    A step grows the chain from ``last``; :meth:`basis` replays it from
-    ``first``, bit for bit.
+    A step grows the chain from ``last``.
     """
 
     first: np.ndarray
     last: np.ndarray
     op: Propagator
     transpose: bool
-
-    def basis(self, k: int) -> np.ndarray:
-        """The first 2^k blocks, formed again on each call (validation
-        only)."""
-        return _extend_basis(self.first, self.op, 2 ** k - 1,
-                             self.first.shape[1], transpose=self.transpose)
 
 
 @dataclass(frozen=True)
@@ -485,10 +478,9 @@ class DsdaState:
     ``chains`` holds each :class:`Chain` by basis name.  ``seeds`` and
     ``moments`` hold, by kernel name, its seed and the stack of its
     2^(k+1) - 1 moments: entry i + j is block (i, j) of the product of
-    the kernel's left and right bases (:meth:`gram_bases`).  ``spans``
-    holds, by chain name, the span Q of its basis (:func:`extend_span`).
-    ``scale`` is c for the one-kernel families and the shift sum s for
-    MARE.
+    the kernel's left and right bases.  ``spans`` holds, by chain name,
+    the span Q of its basis (:func:`extend_span`).  ``scale`` is c for
+    the one-kernel families and the shift sum s for MARE.
 
     What the iterate is evaluated from depends on the kernel.  For the
     LU-factored kernels of BSEP and MARE, ``coords`` holds, by chain
@@ -525,17 +517,6 @@ class DsdaState:
     def multiplier(self) -> float:
         """Factor on the moments in the kernel sequence: sigma * scale."""
         return self.sigma * self.scale
-
-    def gram_bases(self, kernel: str) -> tuple[np.ndarray, np.ndarray]:
-        """The replayed bases whose product the moments of ``kernel``
-        hold, left and right (validation only)."""
-        left, right, conj = _LAYOUT[self.family][1][kernel]
-        u = self.chains[left].basis(self.k)
-        return (u.conj() if conj else u), self.chains[right].basis(self.k)
-
-
-#: One state type serves the one-kernel and the four-matrix families.
-DsdaSymState = DsdaMareState = DsdaState
 
 
 def _start(family: str, firsts: dict, seeds: dict, scale: float
@@ -978,43 +959,19 @@ def _add_rows(s: DsdaState, rhs: np.ndarray) -> DsdaState:
 
 
 def _evaluate(scale: float, col: np.ndarray, row: np.ndarray, blocks: int,
-              sigma: int, q_left: np.ndarray, r_left: np.ndarray,
+              q_left: np.ndarray, r_left: np.ndarray,
               q_right: np.ndarray, r_right: np.ndarray) -> LowRankSolution:
-    """The finished iterate ``scale * left K^-1 right^T``, K the kernel
-    ``I + sigma X W`` (:func:`_hankel_kernel`), in the spans ``q_left``
-    and ``q_right`` of its bases, whose coordinates are ``r_left`` and
-    ``r_right`` (``R = Q^H basis``; the same arrays for one basis).
-
-    Its core is ``scale * R_l K^-1 R_r^T``.  An SPD kernel
-    (``sigma = +1``, one basis, ``row`` is ``col.T``; only G of CARE and
-    DARE, which is evaluated for validation) is never formed: its core
-    is ``scale * w^T w``, exactly symmetric, with ``w = L^-1 R^T`` from
-    the displacement generator of K (:func:`_schur_solve`).  The other
-    kernels (BSEP, MARE) are built and LU-factored
-    (:func:`_kernel_factor`).  Either way the pivots are logged, and the
-    iterate keeps only its spans and core.
-    """
-    cols = r_left.shape[1]
-    if sigma == +1:
-        w = _schur_solve(col, blocks, r_left.T.copy())
-        return LowRankSolution(q_left, scale * (w.T @ w), q_left, cols)
-    factor = _kernel_factor(col, row, blocks, sigma)
+    """The finished iterate ``scale * left K^-1 right^T`` of BSEP or MARE
+    in the spans ``q_left`` and ``q_right`` of its bases, whose
+    coordinates are ``r_left`` and ``r_right`` (``R = Q^H basis``; the
+    same arrays for one basis): the core ``scale * R_l K^-1 R_r^T``,
+    with the kernel ``K = I - X W`` built and LU-factored
+    (:func:`_kernel_factor`) and its pivots logged."""
+    factor = _kernel_factor(col, row, blocks, -1)
     _log_pivots(blocks, np.abs(np.diagonal(factor[0])))
     core = scale * (r_left @ scipy.linalg.lu_solve(factor, r_right.T,
                                                    check_finite=False))
-    return LowRankSolution(q_left, core, q_right, cols)
-
-
-def _sym_solution(s: DsdaState, side: str) -> LowRankSolution:
-    """``sigma c * B (I + sigma K)^-1 B^T``: B = Vhat, K = Y^T Y on the
-    right side (BSEP), in the state's span; B = Uhat (replayed),
-    K = Y Y^T on the left, whose span is found here."""
-    col, row = _edges(s, "Y")
-    if side == "right":
-        x, span = row.T, (s.spans["v"], s.coords["v"])
-    else:
-        x, span = col, span_of(s.chains["u"].basis(s.k))
-    return _evaluate(s.multiplier, x, x.T, 2 ** s.k, s.sigma, *span, *span)
+    return LowRankSolution(q_left, core, q_right, r_left.shape[1])
 
 
 def dsda_eval_H(s: DsdaState) -> LowRankSolution:
@@ -1028,33 +985,21 @@ def dsda_eval_H(s: DsdaState) -> LowRankSolution:
     return LowRankSolution(q, s.multiplier * s.core, q, s.basis_cols)
 
 
-def dsda_eval_G(s: DsdaState) -> LowRankSolution:
-    """G_k = c * Uhat (I + Y Y^T)^-1 Uhat^T, mirror of :func:`dsda_eval_H`."""
-    if s.sigma != +1:
-        raise DimensionMismatchError(
-            "G evaluation applies to the DARE/CARE kernel")
-    return _sym_solution(s, "left")
-
-
 def bsep_eval_F(s: DsdaState) -> LowRankSolution:
-    """F_k = -2 alpha Vhat (I - Y^T Y)^-1 Vhat^T (plain transposes)."""
+    """F_k = -2 alpha Vhat (I - Y^T Y)^-1 Vhat^T (plain transposes), in
+    the state's span of Vhat."""
     if s.family != "bsep":
         raise DimensionMismatchError("F evaluation applies to the BSEP family")
-    return _sym_solution(s, "right")
+    x = _edges(s, "Y")[1].T
+    span = s.spans["v"], s.coords["v"]
+    return _evaluate(s.multiplier, x, x.T, 2 ** s.k, *span, *span)
 
 
-def dsda_mare_eval(s: DsdaState, which: str) -> LowRankSolution:
-    """H_k = s * Uhat (I - Y Z)^-1 Qhat^T (``which="H"``) or
-    G_k = s * What (I - Z Y)^-1 Vhat^T (``"G"``); the dense F_k and E_k
-    are :func:`dsda.validate.dsda_mare_dense`."""
+def dsda_mare_eval(s: DsdaState) -> LowRankSolution:
+    """H_k = s * Uhat (I - Y Z)^-1 Qhat^T in the state's spans of Uhat
+    and Qhat.  G_k is :func:`dsda.validate.dsda_mare_eval_G`, and the
+    dense F_k and E_k are :func:`dsda.validate.dsda_mare_dense`."""
     if s.family != "mare":
-        raise DimensionMismatchError("H/G evaluation needs a MARE state")
-    if which not in ("H", "G"):
-        raise ValueError(f"which must be one of H, G; got {which!r}")
-    first, second = ("Y", "Z") if which == "H" else ("Z", "Y")
-    spans = ((s.spans["u"], s.coords["u"], s.spans["q"], s.coords["q"])
-             if which == "H"
-             else (*span_of(s.chains["w"].basis(s.k)),
-                   *span_of(s.chains["v"].basis(s.k))))
-    return _evaluate(s.scale, _edges(s, first)[0], _edges(s, second)[1],
-                     2 ** s.k, s.sigma, *spans)
+        raise DimensionMismatchError("H evaluation needs a MARE state")
+    return _evaluate(s.scale, _edges(s, "Y")[0], _edges(s, "Z")[1], 2 ** s.k,
+                     s.spans["u"], s.coords["u"], s.spans["q"], s.coords["q"])

@@ -180,7 +180,6 @@ def _methods(column_budget: int) -> dict[tuple[str, str], _Method]:
                                  column_budget=column_budget)
     mare_step = functools.partial(decoupled.dsda_mare_step,
                                   column_budget=column_budget)
-    mare_h = functools.partial(decoupled.dsda_mare_eval, which="H")
     sym_sda = classical.sym_sda_step
     return {
         ("care", "sda"): _Method(classical.care_init, sym_sda, h_k, care),
@@ -192,10 +191,10 @@ def _methods(column_budget: int) -> dict[tuple[str, str], _Method]:
         ("mare", "sda"): _Method(classical.mare_init,
                                  classical.mare_sda_step, h_k, mare),
         ("mare", "dsda"): _Method(decoupled.dsda_mare_init, mare_step,
-                                  mare_h, mare),
+                                  decoupled.dsda_mare_eval, mare),
         ("mare", "adda"): _Method(
             functools.partial(decoupled.dsda_mare_init, mode="adda"),
-            mare_step, mare_h, mare),
+            mare_step, decoupled.dsda_mare_eval, mare),
         ("bsep", "sda"): _Method(classical.bsep_init,
                                  classical.bsep_sda_step, f_k, increment),
         ("bsep", "dsda"): _Method(decoupled.dsda_sym_init, sym_step,

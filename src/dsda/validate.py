@@ -1,10 +1,12 @@
-"""Dense evaluations that check decoupled states against the oracle.
+"""Evaluations that check decoupled states against the oracle.
 
 No solve runs this module: :func:`dsda.solve_driver` calls none of it,
-and :mod:`dsda.decoupled` does not import it.  Everything here forms
-dense arrays (assembled Hankel matrices, n x n iterates, the BSEP
-diagnostics), and an evaluation that raises a propagator to the 2^k is
-refused above order ``DENSE_EVAL_MAX_DIM``.
+and :mod:`dsda.decoupled` does not import it.  It holds what a solve
+never reads: bases replayed from each chain's first block, the G_k
+iterates in the spans of those bases, and dense arrays (assembled
+Hankel matrices, n x n iterates, the BSEP diagnostics).  An evaluation
+that raises a propagator to the 2^k is refused above order
+``DENSE_EVAL_MAX_DIM``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .decoupled import DsdaState, _edges, _kernel_factor, _tail
+from .decoupled import (_LAYOUT, DsdaState, LowRankSolution, _edges,
+                        _evaluate, _extend_basis, _kernel_factor,
+                        _schur_solve, _tail, span_of)
 from .errors import BudgetExceededError, DimensionMismatchError, SingularMatrixError
 from .matkit import solve_general
 
@@ -21,6 +25,44 @@ DENSE_EVAL_MAX_DIM = 512
 
 #: The kernel whose moments make up each Gram block.
 _GRAM_OF = {"T": "Y", "S": "Z"}
+
+
+def chain_basis(s: DsdaState, name: str) -> np.ndarray:
+    """The first 2^k blocks of the chain ``name``, replayed from its
+    first block as a step grows it, bit for bit; formed on each call."""
+    chain = s.chains[name]
+    return _extend_basis(chain.first, chain.op, 2 ** s.k - 1,
+                         chain.first.shape[1], transpose=chain.transpose)
+
+
+def gram_bases(s: DsdaState, kernel: str) -> tuple[np.ndarray, np.ndarray]:
+    """The replayed bases whose product the moments of ``kernel`` hold,
+    left and right."""
+    left, right, conj = _LAYOUT[s.family][1][kernel]
+    u = chain_basis(s, left)
+    return (u.conj() if conj else u), chain_basis(s, right)
+
+
+def dsda_eval_G(s: DsdaState) -> LowRankSolution:
+    """G_k = c * Uhat (I + Y Y^T)^-1 Uhat^T of CARE and DARE in the span
+    of the replayed Uhat: ``c * w^T w`` with ``w = L^-1 R^T``, the kernel
+    never formed (:func:`dsda.decoupled._schur_solve`)."""
+    if s.sigma != +1:
+        raise DimensionMismatchError(
+            "G evaluation applies to the DARE/CARE kernel")
+    q, r = span_of(chain_basis(s, "u"))
+    w = _schur_solve(_edges(s, "Y")[0], 2 ** s.k, r.T.copy())
+    return LowRankSolution(q, s.multiplier * (w.T @ w), q, r.shape[1])
+
+
+def dsda_mare_eval_G(s: DsdaState) -> LowRankSolution:
+    """G_k = s * What (I - Z Y)^-1 Vhat^T of MARE, in the spans of the
+    replayed What and Vhat."""
+    if s.family != "mare":
+        raise DimensionMismatchError("G evaluation needs a MARE state")
+    return _evaluate(s.scale, _edges(s, "Z")[0], _edges(s, "Y")[1], 2 ** s.k,
+                     *span_of(chain_basis(s, "w")),
+                     *span_of(chain_basis(s, "v")))
 
 
 def dsda_assemble(s: DsdaState, which: str) -> np.ndarray:
@@ -78,7 +120,7 @@ def dsda_eval_A(s: DsdaState) -> np.ndarray:
     col = _edges(s, "Y")[0]
     return _dense_transfer(s, s.chains["v"].op, s.family == "bsep",
                            (col, col.T, 2 ** s.k, s.sigma), "Y", s.scale,
-                           *s.gram_bases("Y"))
+                           *gram_bases(s, "Y"))
 
 
 def dsda_mare_dense(s: DsdaState, which: str) -> np.ndarray:
@@ -90,11 +132,11 @@ def dsda_mare_dense(s: DsdaState, which: str) -> np.ndarray:
     if which not in ("F", "E"):
         raise ValueError(f"which must be one of F, E; got {which!r}")
     first, second = ("Y", "Z") if which == "F" else ("Z", "Y")
-    left, right = (s.chains[name] for name in
-                   (("u", "v") if which == "F" else ("w", "q")))
+    left, right = ("u", "v") if which == "F" else ("w", "q")
     kernel = (_edges(s, first)[0], _edges(s, second)[1], 2 ** s.k, s.sigma)
-    return _dense_transfer(s, left.op, False, kernel, first, s.scale,
-                           left.basis(s.k), right.basis(s.k))
+    return _dense_transfer(s, s.chains[left].op, False, kernel, first,
+                           s.scale, chain_basis(s, left),
+                           chain_basis(s, right))
 
 
 def bsep_eigen_extract(f: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

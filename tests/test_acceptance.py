@@ -24,7 +24,6 @@ from dsda.classical import (
 )
 from dsda.decoupled import (
     bsep_eval_F,
-    dsda_eval_G,
     dsda_eval_H,
     dsda_mare_eval,
     dsda_mare_init,
@@ -46,7 +45,14 @@ from dsda.problems import (
     gen_random_mare,
     gen_scalar_suite,
 )
-from dsda.validate import bsep_eigen_extract, dsda_eval_A, dsda_mare_dense
+from dsda.validate import (
+    bsep_eigen_extract,
+    chain_basis,
+    dsda_eval_A,
+    dsda_eval_G,
+    dsda_mare_dense,
+    dsda_mare_eval_G,
+)
 
 N_INSTANCES = 20
 EQUIV_TOL = 1e-10
@@ -108,8 +114,8 @@ def test_criterion_1_oracle_equivalence():
                 state = dsda_mare_step(state)
                 worst = max(
                     worst,
-                    rel_err(dsda_mare_eval(state, "H").dense(), oracle.h_k),
-                    rel_err(dsda_mare_eval(state, "G").dense(), oracle.g_k),
+                    rel_err(dsda_mare_eval(state).dense(), oracle.h_k),
+                    rel_err(dsda_mare_eval_G(state).dense(), oracle.g_k),
                     rel_err(dsda_mare_dense(state, "F"), oracle.f_k),
                     rel_err(dsda_mare_dense(state, "E"), oracle.e_k))
 
@@ -236,7 +242,7 @@ def test_criterion_5_krylov_span():
             state = dsda_sym_step(state)
             krylov = np.hstack([np.linalg.matrix_power(p.a.T, j) @ p.c.T
                                 for j in range(2 ** k)])
-            vhat = state.chains["v"].basis(state.k)
+            vhat = chain_basis(state, "v")
             rank_v = np.linalg.matrix_rank(vhat)
             rank_joint = np.linalg.matrix_rank(np.hstack([vhat, krylov]))
             assert rank_joint == rank_v, (seed, k)
@@ -287,7 +293,7 @@ def test_criterion_7_mare_nonnegative_monotone():
         prev = np.zeros((p.m, p.n))
         for _ in range(5):
             state = dsda_mare_step(state)
-            h = dsda_mare_eval(state, "H").dense()
+            h = dsda_mare_eval(state).dense()
             assert np.min(h) >= -1e-12, seed
             assert np.min(h - prev) >= -1e-12, seed
             prev = h

@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dsda
 from dsda import decoupled, validate
 from dsda.classical import (
     bsep_init,
@@ -24,7 +25,6 @@ from dsda.decoupled import (
     _hankel_kernel,
     _schur_solve,
     bsep_eval_F,
-    dsda_eval_G,
     dsda_eval_H,
     dsda_mare_eval,
     dsda_mare_init,
@@ -52,9 +52,13 @@ from dsda.problems import (
 )
 from dsda.validate import (
     bsep_eigen_extract,
+    chain_basis,
     dsda_assemble,
     dsda_eval_A,
+    dsda_eval_G,
     dsda_mare_dense,
+    dsda_mare_eval_G,
+    gram_bases,
     subspace_angle,
 )
 from test_sparse_route import heat_bsep, heat_care, heat_mare
@@ -120,15 +124,15 @@ class TestStateLayout:
              "dare": gen_random_dare(6, 2, 2, seed=1),
              "bsep": gen_random_bsep(6, 2, seed=1)}[family]
         s = dsda_sym_step(dsda_sym_init(p))
-        for which in ("H", "G"):
+        for evaluate in (dsda_mare_eval, dsda_mare_eval_G):
             with pytest.raises(DimensionMismatchError, match="MARE"):
-                dsda_mare_eval(s, which)
+                evaluate(s)
         for which in ("F", "E"):
             with pytest.raises(DimensionMismatchError, match="MARE"):
                 dsda_mare_dense(s, which)
 
     def test_one_state_type_and_one_step_serve_every_family(self):
-        assert decoupled.DsdaSymState is decoupled.DsdaMareState
+        assert dsda.DsdaSymState is dsda.DsdaMareState is decoupled.DsdaState
         assert dsda_sym_step is dsda_mare_step
 
 
@@ -166,7 +170,7 @@ class TestSymStep:
         s = dsda_sym_step(dsda_sym_init(SCALAR_DARE))
         assert np.array_equal(dsda_assemble(s, "Y"),
                               np.array([[0.0, 0.0], [0.0, 1.0]]))
-        assert np.array_equal(s.chains["v"].basis(s.k), np.array([[1.0, 0.5]]))
+        assert np.array_equal(chain_basis(s, "v"), np.array([[1.0, 0.5]]))
         assert dsda_eval_H(s).dense() == pytest.approx(np.array([[1.125]]))
 
     def test_scalar_care_first_step(self):
@@ -227,7 +231,7 @@ class TestSymStep:
             # The BSEP left basis is conj(vhat).
             if (family, name) == ("bsep", "u"):
                 return replay("v").conj()
-            return s.chains[name].basis(s.k)
+            return chain_basis(s, name)
 
         for _ in range(3):
             s = step(s)
@@ -296,7 +300,7 @@ class TestBsepDecoupled:
         s = dsda_sym_init(gen_random_bsep(5, 2, seed=3))
         for _ in range(3):
             s = dsda_sym_step(s)
-            uhat, vhat = s.gram_bases("Y")
+            uhat, vhat = gram_bases(s, "Y")
             assert np.array_equal(uhat, vhat.conj())
 
     def test_f_complex_symmetric(self):
@@ -371,7 +375,7 @@ class TestKernels:
                 krylov = np.hstack([
                     np.linalg.matrix_power(p.a.T, j) @ p.c.T
                     for j in range(2 ** k)])
-                vhat = s.chains["v"].basis(s.k)
+                vhat = chain_basis(s, "v")
                 joint = np.hstack([vhat, krylov])
                 r_v = np.linalg.matrix_rank(vhat)
                 assert np.linalg.matrix_rank(joint) == r_v
@@ -447,7 +451,7 @@ class TestSubspaceAngle:
 class TestMareDecoupled:
     def test_scalar_init(self):
         s = dsda_mare_init(SCALAR_MARE)
-        assert dsda_mare_eval(s, "H").dense() == pytest.approx(
+        assert dsda_mare_eval(s).dense() == pytest.approx(
             np.array([[6.0 / 29.0]]))
 
     def test_zero_b_gives_zero_h(self):
@@ -457,9 +461,9 @@ class TestMareDecoupled:
                         np.zeros((2, 0)), np.zeros((2, 0)))
         s = dsda_mare_init(p)
         assert dsda_assemble(s, "Y").shape == (0, 0)
-        assert np.array_equal(dsda_mare_eval(s, "H").dense(), np.zeros((2, 2)))
+        assert np.array_equal(dsda_mare_eval(s).dense(), np.zeros((2, 2)))
         s = dsda_mare_step(s)
-        assert np.array_equal(dsda_mare_eval(s, "H").dense(), np.zeros((2, 2)))
+        assert np.array_equal(dsda_mare_eval(s).dense(), np.zeros((2, 2)))
 
     def test_zero_c_gives_zero_g(self):
         a = np.array([[2.0, -0.5], [-0.25, 3.0]])
@@ -467,7 +471,7 @@ class TestMareDecoupled:
         p = MareProblem(a, d, np.ones((2, 1)), np.ones((2, 1)),
                         np.zeros((2, 0)), np.zeros((2, 0)))
         s = dsda_mare_step(dsda_mare_init(p))
-        assert np.array_equal(dsda_mare_eval(s, "G").dense(), np.zeros((2, 2)))
+        assert np.array_equal(dsda_mare_eval_G(s).dense(), np.zeros((2, 2)))
 
     def test_zero_coupling_dense_evals_match_oracle_exactly(self):
         a = np.array([[2.0, -0.5], [-0.25, 3.0]])
@@ -491,8 +495,8 @@ class TestMareDecoupled:
         s_sda = dsda_mare_init(p_g, mode="sda")
         s_adda = dsda_mare_init(p_g, mode="adda")
         for name in ("u", "v", "w", "q"):
-            assert np.array_equal(s_sda.chains[name].basis(s_sda.k),
-                                  s_adda.chains[name].basis(s_adda.k))
+            assert np.array_equal(chain_basis(s_sda, name),
+                                  chain_basis(s_adda, name))
         for kernel in ("Y", "Z"):
             assert np.array_equal(s_sda.seeds[kernel], s_adda.seeds[kernel])
             assert np.array_equal(s_sda.moments[kernel],
@@ -520,7 +524,7 @@ class TestMareDecoupled:
     def test_scalar_step_matches_oracle(self):
         oracle = mare_sda_step(mare_init(SCALAR_MARE))
         s = dsda_mare_step(dsda_mare_init(SCALAR_MARE))
-        assert rel_err(dsda_mare_eval(s, "H").dense(), oracle.h_k) <= 1e-12
+        assert rel_err(dsda_mare_eval(s).dense(), oracle.h_k) <= 1e-12
 
     @pytest.mark.parametrize("mode", ["sda", "adda"])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -531,8 +535,8 @@ class TestMareDecoupled:
         for _ in range(3):
             oracle = mare_sda_step(oracle)
             s = dsda_mare_step(s)
-            assert rel_err(dsda_mare_eval(s, "H").dense(), oracle.h_k) <= 1e-10
-            assert rel_err(dsda_mare_eval(s, "G").dense(), oracle.g_k) <= 1e-10
+            assert rel_err(dsda_mare_eval(s).dense(), oracle.h_k) <= 1e-10
+            assert rel_err(dsda_mare_eval_G(s).dense(), oracle.g_k) <= 1e-10
             assert rel_err(dsda_mare_dense(s, "F"), oracle.f_k) <= 1e-10
             assert rel_err(dsda_mare_dense(s, "E"), oracle.e_k) <= 1e-10
 
@@ -574,8 +578,8 @@ def _low_rank_iterates(steps):
     return [("care", sym(gen_random_care(16, 2, 3, seed=3), dsda_eval_H)),
             ("dare", sym(gen_random_dare(16, 3, 2, seed=4), dsda_eval_H)),
             ("bsep", sym(gen_random_bsep(16, 2, seed=5), bsep_eval_F)),
-            ("mare-H", dsda_mare_eval(s, "H")),
-            ("mare-G", dsda_mare_eval(s, "G"))]
+            ("mare-H", dsda_mare_eval(s)),
+            ("mare-G", dsda_mare_eval_G(s))]
 
 
 class TestLowRankCore:
@@ -687,8 +691,8 @@ class TestHankelKernel:
             dsda_eval_H(s)
             dsda_eval_G(s)
         bsep_eval_F(sym[2])
-        dsda_mare_eval(mare, "H")
-        dsda_mare_eval(mare, "G")
+        dsda_mare_eval(mare)
+        dsda_mare_eval_G(mare)
 
     def test_a_kernel_over_the_cap_is_refused_before_it_is_built(self):
         # 24 576 columns (steel-care at a 32 768-column budget): a 4.8 GB
@@ -823,7 +827,7 @@ class TestCholeskyDense:
             # scale * V K^-1 V^T with K = I + Y^T Y from the assembled Y.
             y = dsda_assemble(s, "Y")
             kern = np.eye(y.shape[1]) + y.T @ y
-            vhat = s.chains["v"].basis(s.k)
+            vhat = chain_basis(s, "v")
             want = s.multiplier * (vhat @ np.linalg.solve(kern, vhat.T))
             assert rel_err(got, want) <= 1e-13, label
 

@@ -48,6 +48,7 @@ from dsda.residuals import (
     mare_residual,
     mare_residual_factored,
 )
+from dsda.validate import chain_basis
 
 #: Largest gap allowed between a factored and a dense residual.
 GAP = 1e-12
@@ -87,7 +88,7 @@ def iterates(p, method, steps=5):
         evaluate = dsda_eval_H
     else:
         def evaluate(s):
-            return dsda_mare_eval(s, "H")
+            return dsda_mare_eval(s)
     sols = [evaluate(s) for s in states(p, method, steps)]
     return list(zip(sols[1:], sols))
 
@@ -274,7 +275,7 @@ WIDE_CASES = [pytest.param(p, method, id=f"{family}-{method}")
 
 def spans(s):
     """(basis, span) of each evaluated basis of a state."""
-    return [(s.chains[name].basis(s.k), q) for name, q in s.spans.items()]
+    return [(chain_basis(s, name), q) for name, q in s.spans.items()]
 
 
 @pytest.mark.parametrize("p,method", WIDE_CASES)

@@ -3,8 +3,8 @@
 A state holds no basis: of each Krylov chain it keeps the first and the
 last block, and of each basis an iterate is built on its span and
 coordinates, which every doubling extends from the new blocks a chunk at
-a time.  ``Chain.basis`` replays a chain's Krylov recursion from its
-first block.  An iterate of every family holds its spans and
+a time.  ``validate.chain_basis`` replays a chain's Krylov recursion from
+its first block.  An iterate of every family holds its spans and
 core and nothing of its kernel; a CARE/DARE evaluation never forms the
 cols x cols kernel, and ``dense()`` forms no n x n temporary.
 """
@@ -34,7 +34,6 @@ from dsda.decoupled import (
     MatrixPropagator,
     ResolventPropagator,
     bsep_eval_F,
-    dsda_eval_G,
     dsda_eval_H,
     dsda_mare_eval,
     dsda_mare_init,
@@ -54,6 +53,7 @@ from dsda.problems import (
     gen_random_dare,
     gen_random_mare,
 )
+from dsda.validate import chain_basis, dsda_eval_G, gram_bases
 
 STEPS = 3
 
@@ -98,7 +98,7 @@ RANK_CASES = [
 
 #: The evaluator of each family's iterate.
 EVALUATE = {"care": dsda_eval_H, "dare": dsda_eval_H, "bsep": bsep_eval_F,
-            "mare": functools.partial(dsda_mare_eval, which="H")}
+            "mare": dsda_mare_eval}
 
 
 def _run(make, init, step, steps=STEPS):
@@ -185,7 +185,7 @@ def _chains(s):
     out = []
     for name, transpose in LAYOUT[s.family][0].items():
         chain = s.chains[name]
-        out.append((name, chain.basis(s.k), chain.last,
+        out.append((name, chain_basis(s, name), chain.last,
                     chain.op.apply_t if transpose else chain.op.apply))
     return out
 
@@ -206,9 +206,9 @@ def test_bases_are_the_explicit_krylov_bases(label, make, init, step,
             assert np.array_equal(
                 last, want[:, want.shape[1] - block.shape[1]:]), (width, name)
         if label.startswith("bsep"):
-            assert np.array_equal(s.gram_bases("Y")[0], want.conj())
+            assert np.array_equal(gram_bases(s, "Y")[0], want.conj())
     # A replayed basis is not cached: each read forms it again.
-    assert s.chains["v"].basis(s.k) is not s.chains["v"].basis(s.k)
+    assert chain_basis(s, "v") is not chain_basis(s, "v")
 
 
 @pytest.mark.parametrize("label,make,init,step", CASES + RANK_CASES,
@@ -222,7 +222,7 @@ def test_moments_are_products_of_the_replayed_bases(label, make, init,
         for which, kernel in (("T", "Y"), ("S", "Z")):
             if kernel not in s.moments:
                 continue
-            left, right = s.gram_bases(kernel)
+            left, right = gram_bases(s, kernel)
             full = left.T @ right
             got = validate.dsda_assemble(s, which)
             assert np.allclose(got, full, rtol=0.0,
@@ -236,7 +236,7 @@ def _spans(s):
     solved rows of CARE and DARE, those of the replayed basis."""
     out = []
     for name, q in s.spans.items():
-        basis = s.chains[name].basis(s.k)
+        basis = chain_basis(s, name)
         r = s.coords[name] if s.coords else q.conj().T @ basis
         out.append((basis, q, r))
     return out
@@ -447,7 +447,7 @@ def test_the_core_is_the_solve_of_the_whole_span(label, make, init, step,
         for k in range(DEFLATING + 1):
             if k:
                 s = step(s)
-            q, r = span_of(s.chains["v"].basis(s.k))
+            q, r = span_of(chain_basis(s, "v"))
             w = decoupled._schur_solve(decoupled._edges(s, "Y")[1].T,
                                        2 ** s.k, r.T.copy())
             proj = s.spans["v"].T @ q

@@ -5,10 +5,13 @@ Hankel matrices to check a decoupled state against the classical
 recursions.  No solve may reach it: a solve whose every call into it
 raises returns what an untouched solve returns, ``dsda.decoupled``
 holds nothing of it, and the package still exports every name it
-exported when these evaluations lived in ``dsda.decoupled``.
+exported when these evaluations lived in ``dsda.decoupled``.  The other
+way round, every function of ``dsda.decoupled`` is reached by some
+solve: what only a check calls lives here.
 """
 
 import inspect
+import sys
 
 import numpy as np
 import pytest
@@ -114,6 +117,29 @@ def test_no_solve_calls_validate(route, family, problem, methods, max_iter,
         status, records, final = _answer(problem, m, max_iter)
         assert (status, records) == want[m][:2], m
         assert np.array_equal(final, want[m][2]), m
+
+
+def test_every_solver_function_is_reached_by_some_solve():
+    # Counted per function object, so that an alias (one step serves
+    # every family under three names) counts once.
+    functions = {getattr(decoupled, name)
+                 for name in _own_functions(decoupled)}
+    called = set()
+
+    def trace(frame, _event, _arg):
+        # Called on entry to each Python frame; None traces no lines.
+        called.add(frame.f_code)
+
+    earlier = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        for _, _, problem, methods, max_iter in ROUTES:
+            for m in methods:
+                solve_driver(problem, SolveConfig(method=m, max_iter=max_iter))
+    finally:
+        sys.settrace(earlier)
+    missed = sorted(f.__name__ for f in functions if f.__code__ not in called)
+    assert missed == []
 
 
 @pytest.mark.parametrize("module", [decoupled, driver])
