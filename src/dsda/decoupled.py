@@ -896,8 +896,11 @@ def _forward_solve(l: np.ndarray, b: np.ndarray, spare: np.ndarray) -> None:
     with the block below the diagonal subtracted from the bottom half
     (:func:`_subtract_product`), and the bottom half solved.  A leaf is
     solved by a product with the inverse of its triangle, through a copy
-    in ``spare`` of as many columns of ``b`` as fit.  ``spare`` must hold
-    at least ``max(rows, b.shape[1])`` entries.
+    in ``spare`` of as many columns of ``b`` as fit.  The inverse comes
+    from an LU with partial pivoting, which can leave roundoff above its
+    diagonal, so only its lower triangle is kept: a leaf's later rows
+    then never reach its earlier ones.  ``spare`` must hold at least
+    ``max(rows, b.shape[1])`` entries.
     """
     rows = l.shape[0]
     if rows > LEAF_ROWS:
@@ -906,7 +909,7 @@ def _forward_solve(l: np.ndarray, b: np.ndarray, spare: np.ndarray) -> None:
         _subtract_product(b[half:], l[half:, :half], b[:half], spare)
         _forward_solve(l[half:, half:], b[half:], spare)
         return
-    inv = np.linalg.inv(np.tril(l))
+    inv = np.tril(np.linalg.inv(np.tril(l)))
     step = spare.size // rows
     for j in range(0, b.shape[1], step):
         part = b[:, j:j + step]

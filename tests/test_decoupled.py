@@ -808,6 +808,19 @@ class TestHankelKernel:
         assert np.all(np.isfinite(got))
         assert rel_err(got, want) <= 1e-14
 
+    def test_schur_solve_keeps_zero_leading_rows_exactly_zero(self):
+        # A forward substitution reads no later row into an earlier one,
+        # so rows that are zero in the right-hand side stay exactly zero
+        # (21 of the first 2000 seeds leaked up to 4.9e-16 into them
+        # while a leaf's inverse kept its roundoff above the diagonal).
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((10, 1)) / math.sqrt(2)
+            rhs = rng.standard_normal((10, 1))
+            rhs[:5] = 0.0
+            w = _schur_solve(x, 2, rhs)
+            assert np.all(w[:5] == 0.0), seed
+
     def test_schur_solve_refuses_a_non_finite_generator(self):
         x = np.ones((8, 2))
         x[5, 1] = np.nan
