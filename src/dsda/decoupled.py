@@ -61,13 +61,15 @@ A itself, dense or in the problem's sparse form.  For the other
 families one checked factorization of the shifted operator M
 (A - gamma I, alpha I - conj(A), A + beta I or D + alpha I) gives both
 the first blocks, M^-1 B and M^-T C^T, and P = I + c M^-1.  A dense LU
-forms P as the explicit n x n :class:`MatrixPropagator`, applied by
-GEMM.  When the problem's operator is sparse (``a_sparse``, see
+forms P as an explicit n x n array, applied by GEMM.  When the
+problem's operator is sparse (``a_sparse``, see
 ``matkit.SPARSE_MAX_DENSITY``) the sparse LU of M is kept as a
-:class:`ResolventPropagator` and applied as x + c M^-1 x.
+:class:`ResolventPropagator`, applied as x + c M^-1 x.  The init fixes
+each chain's operator: P or its transpose view ``P.T``, so a chain
+grows by ``op @ last`` and the two chains of one P share its memory.
 
-Every family's state is one :class:`DsdaState`, laid out by one table
-(``_LAYOUT``):
+Every family's state is one :class:`DsdaState`.  The inits give each
+chain its operator, and one table (``_LAYOUT``) pairs and spans them:
 
     family       chains (grown by)      moments of         spans of
     care, dare   u (P), v (P^T)         Y: (u, v)          v
@@ -76,7 +78,7 @@ Every family's state is one :class:`DsdaState`, laid out by one table
                  w (P_D), q (P_D^T)     Z: (v, u)
 
 A state holds no basis.  Of each Krylov chain it keeps a :class:`Chain`,
-the first and the last block and the propagator that grows it; the
+the first and the last block and the operator that grows it; the
 BSEP left basis is conj(vhat) and has no chain.  A step grows each
 chain from its last block; :func:`dsda.validate.chain_basis` replays
 the recursion from the first, bit for bit.  Each kernel
@@ -154,8 +156,10 @@ from .problems import BsepProblem, CareProblem, DareProblem, MareProblem
 
 log = logging.getLogger(__name__)
 
-#: Default cap on basis columns; the bases double every step and no
-#: truncation is performed, so runaway growth must fail cleanly.
+#: Default cap on a Krylov chain's columns, which double every step with
+#: no truncation.  No state holds a basis, but the columns set a step's
+#: operator applications, solved rows (CARE, DARE) or coordinates (BSEP,
+#: MARE), and the order of a BSEP or MARE kernel: growth must fail cleanly.
 DEFAULT_COLUMN_BUDGET = 4096
 
 #: Largest kernel, in bytes, that is built: 2 GiB, a quarter of an
@@ -367,49 +371,28 @@ class LowRankSolution:
 
 
 @dataclass(frozen=True)
-class MatrixPropagator:
-    """Propagator held as a matrix: dense, or scipy sparse for a sparse DARE."""
-
-    matrix: np.ndarray      # or a scipy sparse array
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.matrix.dtype
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
-
-    def apply_t(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix.T @ x
-
-
-@dataclass(frozen=True)
 class ResolventPropagator:
-    """Propagator ``I + scale * M^-1`` applied through a sparse LU of M.
-
-    ``apply_t`` uses the plain transpose, also for complex M.
+    """Propagator ``I + scale * M^-1`` applied through a sparse LU of M,
+    used as a matrix: ``op @ x`` applies it, and ``op.T`` is its plain
+    transpose (also for complex M), solved through the same factor.
     """
 
     lu: object          # scipy.sparse.linalg.SuperLU of M
     scale: float
     dtype: np.dtype
+    trans: Literal["N", "T"] = "N"
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.lu.shape
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return x + self.scale * self.lu.solve(x)
+    @property
+    def T(self) -> ResolventPropagator:
+        return dataclasses.replace(self, trans="T" if self.trans == "N"
+                                   else "N")
 
-    def apply_t(self, x: np.ndarray) -> np.ndarray:
-        return x + self.scale * self.lu.solve(x, trans="T")
-
-
-Propagator = MatrixPropagator | ResolventPropagator
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return x + self.scale * self.lu.solve(x, trans=self.trans)
 
 
 def _shifted(a, a_sparse, shift: float, scale: float, form=lambda x: x):
@@ -418,7 +401,7 @@ def _shifted(a, a_sparse, shift: float, scale: float, form=lambda x: x):
 
     ``a_sparse`` (the problem's sparse A, or None) picks the route: a
     sparse LU of M applied as a :class:`ResolventPropagator`, or a dense
-    LU that forms the explicit :class:`MatrixPropagator`.  The sparse LU
+    LU that forms the propagator as an explicit array.  The sparse LU
     is ordered for M's structure (:func:`matkit.splu_shifted`).
     ``solve(x, trans)`` solves with M (``trans="N"``) or its plain
     transpose (``"T"``) through the same factor.
@@ -436,38 +419,35 @@ def _shifted(a, a_sparse, shift: float, scale: float, form=lambda x: x):
                                      check_finite=False)
 
     eye = np.eye(m.shape[0], dtype=m.dtype)
-    return solve, MatrixPropagator(eye + scale * solve(eye))
+    return solve, eye + scale * solve(eye)
 
 
 # ---------------------------------------------------------------------------
 # The decoupled state of every family
 # ---------------------------------------------------------------------------
 
-#: Per family: each Krylov chain, named for its basis, and whether it
-#: grows by the transpose of its propagator; for each kernel, the chains
-#: whose blocks pair into its moments (left, right) and whether the left
-#: one enters conjugated; and the chains with a span.
+#: Per family: for each kernel, the Krylov chains, named for their
+#: bases, whose blocks pair into its moments (left, right) and whether
+#: the left one enters conjugated; and the chains with a span.
 _LAYOUT = {
-    "care": ({"u": False, "v": True}, {"Y": ("u", "v", False)}, ("v",)),
-    "dare": ({"u": False, "v": True}, {"Y": ("u", "v", False)}, ("v",)),
-    "bsep": ({"v": False}, {"Y": ("v", "v", True)}, ("v",)),
-    "mare": ({"u": False, "v": True, "w": False, "q": True},
-             {"Y": ("q", "w", False), "Z": ("v", "u", False)}, ("u", "q")),
+    "care": ({"Y": ("u", "v", False)}, ("v",)),
+    "dare": ({"Y": ("u", "v", False)}, ("v",)),
+    "bsep": ({"Y": ("v", "v", True)}, ("v",)),
+    "mare": ({"Y": ("q", "w", False), "Z": ("v", "u", False)}, ("u", "q")),
 }
 
 
 @dataclass(frozen=True)
 class Chain:
-    """A block Krylov chain: its first and last blocks and the
-    propagator it grows by (its plain transpose with ``transpose``).
-
-    A step grows the chain from ``last``.
+    """A block Krylov chain: its first and last blocks and the operator
+    it grows by, ``next = op @ last``, fixed by the init: a propagator P
+    (a dense array, a sparse DARE's A or a :class:`ResolventPropagator`)
+    or its transpose ``P.T``.  A step grows the chain from ``last``.
     """
 
     first: np.ndarray
     last: np.ndarray
-    op: Propagator
-    transpose: bool
+    op: object
 
 
 @dataclass(frozen=True)
@@ -504,7 +484,7 @@ class DsdaState:
 
     @property
     def basis_cols(self) -> int:
-        name = _LAYOUT[self.family][2][0]
+        name = _LAYOUT[self.family][1][0]
         return 2 ** self.k * self.chains[name].first.shape[1]
 
     @property
@@ -522,11 +502,11 @@ class DsdaState:
 def _start(family: str, firsts: dict, seeds: dict, scale: float
            ) -> DsdaState:
     """The k = 0 state of ``family`` from each chain's first block and
-    propagator, ``firsts[name] = (block, op)``: each kernel's first
+    operator, ``firsts[name] = (block, op)``: each kernel's first
     moment and each span, as the layout pairs and spans the chains, and
     the coordinates or, for CARE and DARE, the solved rows and core."""
-    grows, pairs, spanned = _LAYOUT[family]
-    chains = {name: Chain(block, block, op, grows[name])
+    pairs, spanned = _LAYOUT[family]
+    chains = {name: Chain(block, block, op)
               for name, (block, op) in firsts.items()}
     moments = {}
     for kernel, (left, right, conj) in pairs.items():
@@ -550,15 +530,17 @@ def dsda_sym_init(p: CareProblem | DareProblem | BsepProblem) -> DsdaState:
         # Zero seed: the generic recursion then reproduces
         # Y_1 = [[0, 0], [0, B^T C^T]] because T_0 = B^T C^T.
         y0 = np.zeros((u0.shape[1], v0.shape[1]))
-        prop = MatrixPropagator(p.a.copy() if p.a_sparse is None
-                                else p.a_sparse)
-        family, c, blocks = "dare", 1.0, {"u": u0, "v": v0}
+        # A C-ordered copy of a Fortran-ordered A: GEMM rounds by layout.
+        prop = (np.ascontiguousarray(p.a) if p.a_sparse is None
+                else p.a_sparse)
+        family, c, firsts = "dare", 1.0, {"u": (u0, prop), "v": (v0, prop.T)}
     elif isinstance(p, CareProblem):
         gamma = p.gamma
         solve, prop = _shifted(p.a, p.a_sparse, -gamma, 2.0 * gamma)
         u0, v0 = solve(p.b), solve(p.c.T, "T")
         y0 = p.b.T @ v0
-        family, c, blocks = "care", 2.0 * gamma, {"u": u0, "v": v0}
+        family, c = "care", 2.0 * gamma
+        firsts = {"u": (u0, prop), "v": (v0, prop.T)}
     elif isinstance(p, BsepProblem):
         alpha = p.alpha
         # V grows with the propagator of M = alpha I - conj(A); the left
@@ -567,11 +549,10 @@ def dsda_sym_init(p: CareProblem | DareProblem | BsepProblem) -> DsdaState:
                                lambda x: -x.conj())
         v0 = solve(p.l_b.conj())
         y0 = p.l_b.T @ v0
-        family, c, blocks = "bsep", 2.0 * alpha, {"v": v0}
+        family, c, firsts = "bsep", 2.0 * alpha, {"v": (v0, prop)}
     else:
         raise TypeError(f"unsupported problem type {type(p).__name__}")
-    return _start(family, {name: (block, prop)
-                           for name, block in blocks.items()}, {"Y": y0}, c)
+    return _start(family, firsts, {"Y": y0}, c)
 
 
 def dsda_mare_init(p: MareProblem, mode: str = "sda") -> DsdaState:
@@ -588,8 +569,8 @@ def dsda_mare_init(p: MareProblem, mode: str = "sda") -> DsdaState:
     solve_a, prop_a = _shifted(p.a, p.a_sparse, beta, -s)
     solve_d, prop_d = _shifted(p.d, p.d_sparse, alpha, -s)
     u0, w0 = solve_a(p.b_l), solve_d(p.c_l)
-    firsts = {"u": (u0, prop_a), "v": (solve_a(p.c_r, "T"), prop_a),
-              "w": (w0, prop_d), "q": (solve_d(p.b_r, "T"), prop_d)}
+    firsts = {"u": (u0, prop_a), "v": (solve_a(p.c_r, "T"), prop_a.T),
+              "w": (w0, prop_d), "q": (solve_d(p.b_r, "T"), prop_d.T)}
     # Y = B_r^T D_a^-1 C_l, Z = C_r^T A_b^-1 B_l.
     return _start("mare", firsts, {"Y": p.b_r.T @ w0, "Z": p.c_r.T @ u0}, s)
 
@@ -626,14 +607,14 @@ def dsda_step(s: DsdaState,
             f"doubling to {2 * blocks * widest} columns exceeds the "
             f"budget of {column_budget}")
     per = max(1, STREAM_COLS // max(1, widest))
-    pairs = _LAYOUT[s.family][1]
+    pairs = _LAYOUT[s.family][0]
     stacks = {kernel: [moments] for kernel, moments in s.moments.items()}
     qs = dict(s.spans)
     parts = {name: [] for name in qs}
     for first in range(0, blocks, per):
         count = min(per, blocks - first)
         chunks = {name: _extend_basis(lasts[name], chain.op, count,
-                                      widths[name], transpose=chain.transpose)
+                                      widths[name])
                   for name, chain in s.chains.items()}
         # Copied: a view would keep its whole chunk alive.
         lasts = {name: chunk[:, chunk.shape[1] - widths[name]:].copy()
@@ -697,25 +678,24 @@ def _stack_coordinates(parts: list[np.ndarray], rows: int,
     return out
 
 
-def _extend_basis(basis: np.ndarray, op: Propagator, blocks: int,
-                  width: int, *, transpose: bool = False) -> np.ndarray:
-    """``basis`` with ``blocks`` new blocks appended, each the
-    propagator (its transpose with ``transpose``) applied to the last.
+def _extend_basis(basis: np.ndarray, op, blocks: int,
+                  width: int) -> np.ndarray:
+    """``basis`` with ``blocks`` new blocks appended, each ``op @`` the
+    last, ``op`` a chain's operator (:class:`Chain`).
 
     ``basis`` may be just a chain's last block: a step grows its chains
     a chunk at a time, and a replayed basis grows from the first.  Each
-    block is applied to as the array the propagator returned, not as its
+    block is applied to as the array the operator returned, not as its
     copy in the result, so a chain's blocks are the same either way.
     The result is allocated once and the blocks written into it.
     """
-    apply = op.apply_t if transpose else op.apply
     cols = basis.shape[1]
     out = np.empty((basis.shape[0], cols + blocks * width),
                    dtype=np.result_type(basis, op.dtype))
     out[:, :cols] = basis
     last = basis[:, -width:]
     for i in range(blocks):
-        last = apply(last)
+        last = op @ last
         out[:, cols + i * width:cols + (i + 1) * width] = last
     return out
 
@@ -739,9 +719,9 @@ def _edges(s: DsdaState, which: str) -> tuple[np.ndarray, np.ndarray]:
     return tail.reshape(b * r, c), tail.transpose(1, 0, 2).reshape(r, b * c)
 
 
-def _hankel_kernel(col: np.ndarray, row: np.ndarray, blocks: int,
-                   sigma: int) -> np.ndarray:
-    """``I + sigma X W`` from X's last block column and W's last block row.
+def _hankel_kernel(col: np.ndarray, row: np.ndarray,
+                   blocks: int) -> np.ndarray:
+    """``I - X W`` from X's last block column and W's last block row.
 
     X and W are block Hankel with ``blocks`` block rows and sequences
     that vanish below index ``blocks - 1``, so XW is the block-diagonal
@@ -749,8 +729,9 @@ def _hankel_kernel(col: np.ndarray, row: np.ndarray, blocks: int,
     run on the product's own buffer, built transposed so the returned
     kernel is Fortran-ordered and a factorization can overwrite it; a
     ``col`` that is ``row.T`` (or the reverse) gives an exactly
-    symmetric kernel.  A kernel larger than ``KERNEL_MAX_BYTES`` is
-    refused before its product is formed.
+    symmetric kernel; a negated ``col`` gives ``I + X W``.  A kernel
+    larger than ``KERNEL_MAX_BYTES`` is refused before its product is
+    formed.
     """
     size = row.shape[1] * col.shape[0] * np.result_type(row, col).itemsize
     if size > KERNEL_MAX_BYTES:
@@ -762,25 +743,16 @@ def _hankel_kernel(col: np.ndarray, row: np.ndarray, blocks: int,
                       blocks, out_t.shape[1] // blocks)
     for i in range(1, blocks):
         g[i, :, 1:] += g[i - 1, :, :-1]
-    if sigma < 0:
-        np.negative(out_t, out=out_t)
+    np.negative(out_t, out=out_t)
     out_t.reshape(-1)[::out_t.shape[0] + 1] += 1.0
     return out_t.T
-
-
-def _kernel_factor(col: np.ndarray, row: np.ndarray, blocks: int,
-                   sigma: int) -> tuple:
-    """Pivoted LU ``(lu, piv)`` of the kernel ``I + sigma X W``
-    (:func:`_hankel_kernel`), written over it."""
-    return lu_factor_checked(_hankel_kernel(col, row, blocks, sigma),
-                             overwrite_a=True)
 
 
 def _schur_solve(x: np.ndarray, blocks: int, rhs: np.ndarray,
                  solved: tuple[np.ndarray, ...] = ()) -> np.ndarray:
     """``L^-1 rhs``, written over ``rhs``, with ``L L^T`` the Cholesky
     factorization of the kernel ``I + X X^T`` whose X has the last block
-    column ``x`` (:func:`_hankel_kernel` of ``x`` and ``x.T``; real
+    column ``x`` (:func:`_hankel_kernel` of ``-x`` and ``x.T``; real
     ``x``), without forming the kernel.
 
     With ``d = cols / blocks`` rows per block, ``a = d + x.shape[1]``
@@ -968,9 +940,10 @@ def _evaluate(scale: float, col: np.ndarray, row: np.ndarray, blocks: int,
     in the spans ``q_left`` and ``q_right`` of its bases, whose
     coordinates are ``r_left`` and ``r_right`` (``R = Q^H basis``; the
     same arrays for one basis): the core ``scale * R_l K^-1 R_r^T``,
-    with the kernel ``K = I - X W`` built and LU-factored
-    (:func:`_kernel_factor`) and its pivots logged."""
-    factor = _kernel_factor(col, row, blocks, -1)
+    with the kernel ``K = I - X W`` built (:func:`_hankel_kernel`) and
+    LU-factored over itself, and its pivots logged."""
+    factor = lu_factor_checked(_hankel_kernel(col, row, blocks),
+                               overwrite_a=True)
     _log_pivots(blocks, np.abs(np.diagonal(factor[0])))
     core = scale * (r_left @ scipy.linalg.lu_solve(factor, r_right.T,
                                                    check_finite=False))

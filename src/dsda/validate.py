@@ -15,10 +15,10 @@ import numpy as np
 import scipy.linalg
 
 from .decoupled import (_LAYOUT, DsdaState, LowRankSolution, _edges,
-                        _evaluate, _extend_basis, _kernel_factor,
+                        _evaluate, _extend_basis, _hankel_kernel,
                         _schur_solve, _tail, span_of)
 from .errors import BudgetExceededError, DimensionMismatchError, SingularMatrixError
-from .matkit import solve_general
+from .matkit import lu_factor_checked, solve_general
 
 #: Largest propagator order whose dense power is formed.
 DENSE_EVAL_MAX_DIM = 512
@@ -32,13 +32,13 @@ def chain_basis(s: DsdaState, name: str) -> np.ndarray:
     first block as a step grows it, bit for bit; formed on each call."""
     chain = s.chains[name]
     return _extend_basis(chain.first, chain.op, 2 ** s.k - 1,
-                         chain.first.shape[1], transpose=chain.transpose)
+                         chain.first.shape[1])
 
 
 def gram_bases(s: DsdaState, kernel: str) -> tuple[np.ndarray, np.ndarray]:
     """The replayed bases whose product the moments of ``kernel`` hold,
     left and right."""
-    left, right, conj = _LAYOUT[s.family][1][kernel]
+    left, right, conj = _LAYOUT[s.family][0][kernel]
     u = chain_basis(s, left)
     return (u.conj() if conj else u), chain_basis(s, right)
 
@@ -90,36 +90,39 @@ def dsda_assemble(s: DsdaState, which: str) -> np.ndarray:
 
 def _dense_transfer(s, prop, conj, kernel, which, scale, basis, other):
     """``P^(2^k) - scale * basis K^-1 X other^T``, P the dense ``prop``
-    (conjugated with ``conj``) squared k times, K the kernel of the
-    :func:`dsda.decoupled._kernel_factor` arguments ``kernel`` and X the
-    assembled ``which``.  Refused when any propagator of the state has
-    order above ``DENSE_EVAL_MAX_DIM``."""
+    (conjugated with ``conj``) squared k times, K the kernel
+    ``I - X W`` of the :func:`dsda.decoupled._hankel_kernel` arguments
+    ``kernel`` and X the assembled ``which``.  Refused when any
+    propagator of the state has order above ``DENSE_EVAL_MAX_DIM``."""
     n = max(chain.op.shape[0] for chain in s.chains.values())
     if n > DENSE_EVAL_MAX_DIM:
         raise BudgetExceededError(
             f"dense propagator-power evaluation is guarded to "
             f"n <= {DENSE_EVAL_MAX_DIM}, got n = {n}")
-    power = prop.apply(np.eye(prop.shape[0], dtype=prop.dtype))
+    power = prop @ np.eye(prop.shape[0], dtype=prop.dtype)
     if conj:
         power = power.conj()
     for _ in range(s.k):
         power = power @ power
     rhs = dsda_assemble(s, which) @ other.T
-    corr = scipy.linalg.lu_solve(_kernel_factor(*kernel), rhs,
-                                 check_finite=False)
+    factor = lu_factor_checked(_hankel_kernel(*kernel), overwrite_a=True)
+    corr = scipy.linalg.lu_solve(factor, rhs, check_finite=False)
     return power - scale * (basis @ corr)
 
 
 def dsda_eval_A(s: DsdaState) -> np.ndarray:
     """Dense A_k (E_k for the BSEP family):
-    ``P^(2^k) - c * Uhat (I + sigma Y Y^T)^-1 Y Vhat^T``."""
+    ``P^(2^k) - c * Uhat (I + sigma Y Y^T)^-1 Y Vhat^T``, P the operator
+    of the chain that grows by it untransposed: u, or v for BSEP.  The
+    kernel is built as ``I - (-sigma Y) Y^T``; negation is exact."""
     if s.family == "mare":
         raise DimensionMismatchError(
             "A evaluation applies to the one-kernel families; use "
             "dsda_mare_dense")
     col = _edges(s, "Y")[0]
-    return _dense_transfer(s, s.chains["v"].op, s.family == "bsep",
-                           (col, col.T, 2 ** s.k, s.sigma), "Y", s.scale,
+    bsep = s.family == "bsep"
+    return _dense_transfer(s, s.chains["v" if bsep else "u"].op, bsep,
+                           (-s.sigma * col, col.T, 2 ** s.k), "Y", s.scale,
                            *gram_bases(s, "Y"))
 
 
@@ -133,7 +136,7 @@ def dsda_mare_dense(s: DsdaState, which: str) -> np.ndarray:
         raise ValueError(f"which must be one of F, E; got {which!r}")
     first, second = ("Y", "Z") if which == "F" else ("Z", "Y")
     left, right = ("u", "v") if which == "F" else ("w", "q")
-    kernel = (_edges(s, first)[0], _edges(s, second)[1], 2 ** s.k, s.sigma)
+    kernel = (_edges(s, first)[0], _edges(s, second)[1], 2 ** s.k)
     return _dense_transfer(s, s.chains[left].op, False, kernel, first,
                            s.scale, chain_basis(s, left),
                            chain_basis(s, right))

@@ -61,7 +61,7 @@ from dsda.validate import (
     gram_bases,
     subspace_angle,
 )
-from test_sparse_route import heat_bsep, heat_care, heat_mare
+from test_sparse_route import heat_bsep, heat_care, heat_dare, heat_mare
 
 SCALAR_CARE = CareProblem([[-1.0]], [[1.0]], [[1.0]], gamma=1.0)
 SCALAR_DARE = DareProblem([[0.5]], [[1.0]], [[1.0]])
@@ -86,6 +86,31 @@ LAYOUT = {
              ["q", "u"]),
 }
 
+#: The chain that grows by the transpose of each chain's propagator.
+PARTNER = {"u": "v", "v": "u", "w": "q", "q": "w"}
+
+
+def _dense_propagators(p, mode):
+    """The dense propagator P each chain of ``p``'s state grows by (or by
+    its transpose), by chain name, from explicit inverses."""
+    def resolvent(m, shift, scale):
+        """I + scale (m + shift I)^-1."""
+        eye = np.eye(m.shape[0])
+        return eye + scale * np.linalg.inv(m + shift * eye)
+
+    if isinstance(p, MareProblem):
+        alpha, beta = p.shifts(mode)
+        p_a = resolvent(p.a, beta, -(alpha + beta))
+        p_d = resolvent(p.d, alpha, -(alpha + beta))
+        return {"u": p_a, "v": p_a, "w": p_d, "q": p_d}
+    if isinstance(p, DareProblem):
+        prop = p.a
+    elif isinstance(p, CareProblem):
+        prop = resolvent(p.a, -p.gamma, 2.0 * p.gamma)
+    else:
+        prop = resolvent(-p.a.conj(), p.alpha, -2.0 * p.alpha)
+    return {"u": prop, "v": prop}
+
 
 class TestStateLayout:
     @pytest.mark.parametrize("case", ["care", "dare", "bsep", "mare-sda",
@@ -96,21 +121,48 @@ class TestStateLayout:
             p = gen_random_mare(6, 5, 2, 2, seed=13)
             s = dsda_mare_init(p, mode=mode)
         else:
-            p = {"care": gen_random_care(6, 2, 2, seed=13),
-                 "dare": gen_random_dare(6, 2, 2, seed=13),
+            # The random CARE and DARE operators are symmetric, so these
+            # two take a 3 x 3 heat grid with transport.
+            p = {"care": heat_care(3), "dare": heat_dare(3),
                  "bsep": gen_random_bsep(6, 2, seed=13)}[family]
             s = dsda_sym_init(p)
         chains, kernels, spans = LAYOUT[family]
         assert (s.family, s.k) == (family, 0)
-        assert {name: c.transpose for name, c in s.chains.items()} == chains
+        assert sorted(s.chains) == sorted(chains)
         assert sorted(s.seeds) == sorted(s.moments) == kernels
         assert sorted(s.spans) == spans
-        ops = {name: c.op for name, c in s.chains.items()}
-        if family == "mare":
-            assert ops["u"] is ops["v"] and ops["u"].shape == p.a.shape
-            assert ops["w"] is ops["q"] and ops["w"].shape == p.d.shape
-        else:
-            assert all(op is ops["v"] for op in ops.values())
+        # Each chain grows by its propagator P, or by P^T where the table
+        # says so, and each pair of chains by the one operator and its
+        # transpose, bit for bit.  No P here is symmetric.
+        props = _dense_propagators(p, mode)
+        rng = np.random.default_rng(0)
+        for name, transpose in chains.items():
+            op, prop = s.chains[name].op, props[name]
+            assert not np.allclose(prop, prop.T)
+            x = rng.standard_normal((prop.shape[0], 2))
+            want = (prop.T if transpose else prop) @ x
+            assert rel_err(op @ x, want) <= 1e-12, name
+            partner = PARTNER.get(name)
+            if partner in chains:
+                assert chains[partner] != transpose
+                assert np.array_equal(op @ x, s.chains[partner].op.T @ x)
+
+    def test_each_dense_propagator_is_held_once(self):
+        # The chains that grow by P and P^T share one array, and a DARE
+        # grows by the problem's A itself when that is C-ordered; a
+        # Fortran-ordered A is copied to C order once.
+        care = dsda_sym_init(gen_random_care(6, 2, 2, seed=13)).chains
+        assert np.shares_memory(care["v"].op, care["u"].op)
+        mare = dsda_mare_init(gen_random_mare(6, 5, 2, 2, seed=13)).chains
+        assert np.shares_memory(mare["v"].op, mare["u"].op)
+        assert np.shares_memory(mare["q"].op, mare["w"].op)
+        p = gen_random_dare(6, 2, 2, seed=13)
+        assert p.a.flags.c_contiguous
+        assert dsda_sym_init(p).chains["u"].op is p.a
+        fortran = DareProblem(np.asfortranarray(p.a), p.b, p.c)
+        assert not fortran.a.flags.c_contiguous
+        op = dsda_sym_init(fortran).chains["u"].op
+        assert op.flags.c_contiguous and np.array_equal(op, p.a)
 
     def test_one_kernel_evaluators_refuse_a_mare_state(self):
         s = dsda_mare_init(gen_random_mare(6, 5, 2, 2, seed=13))
@@ -151,7 +203,7 @@ class TestSymInit:
         assert dsda_eval_H(s).dense() == pytest.approx(np.array([[0.4]]))
         # Cayley image of a = -1 at gamma = 1 vanishes; the starting
         # iterate A_0 itself carries the rank-one correction on top.
-        assert s.chains["v"].op.apply(np.eye(1)) == pytest.approx(
+        assert s.chains["u"].op @ np.eye(1) == pytest.approx(
             np.array([[0.0]]))
         assert dsda_eval_A(s) == pytest.approx(
             care_init(SCALAR_CARE).a_k)  # = 0.2
@@ -317,8 +369,7 @@ class TestKernels:
         for _ in range(4):
             s = dsda_sym_step(s)
             row = _edges(s, "Y")[1]
-            w = np.linalg.eigvalsh(_hankel_kernel(row.T, row, 2 ** s.k,
-                                                  s.sigma))
+            w = np.linalg.eigvalsh(_hankel_kernel(-row.T, row, 2 ** s.k))
             assert w[0] >= 1.0 - 1e-12   # I + Y^T Y has spectrum >= 1
 
     def test_derivation_identity_second_step(self):
@@ -620,13 +671,13 @@ def _structured_kernels(s):
     if "Z" in s.moments:
         z = dsda_assemble(s, "Z")
         z_col, z_row = _edges(s, "Z")
-        return {"YZ": (_hankel_kernel(y_col, z_row, b, -1),
+        return {"YZ": (_hankel_kernel(y_col, z_row, b),
                        np.eye(y.shape[0]) - y @ z),
-                "ZY": (_hankel_kernel(z_col, y_row, b, -1),
+                "ZY": (_hankel_kernel(z_col, y_row, b),
                        np.eye(z.shape[0]) - z @ y)}
-    return {"YtY": (_hankel_kernel(y_row.T, y_row, b, s.sigma),
+    return {"YtY": (_hankel_kernel(-s.sigma * y_row.T, y_row, b),
                     np.eye(y.shape[1]) + s.sigma * (y.T @ y)),
-            "YYt": (_hankel_kernel(y_col, y_col.T, b, s.sigma),
+            "YYt": (_hankel_kernel(-s.sigma * y_col, y_col.T, b),
                     np.eye(y.shape[0]) + s.sigma * (y @ y.T))}
 
 
@@ -700,7 +751,7 @@ class TestHankelKernel:
         edge = np.zeros((24576, 6))
         assert 8 * 24576 ** 2 > decoupled.KERNEL_MAX_BYTES
         with pytest.raises(BudgetExceededError, match="over the cap"):
-            _hankel_kernel(edge, edge.T, 4096, +1)
+            _hankel_kernel(-edge, edge.T, 4096)
 
     @settings(max_examples=60, deadline=None)
     @given(log_b=st.integers(0, 6), r=st.integers(0, 4), c1=st.integers(0, 4),
@@ -722,8 +773,8 @@ class TestHankelKernel:
 
         x = _hankel(sequence(r, c1), b)
         w = _hankel(sequence(c1, r), b)
-        got = _hankel_kernel(x[:, x.shape[1] - c1:], w[w.shape[0] - c1:],
-                             b, sigma)
+        got = _hankel_kernel(-sigma * x[:, x.shape[1] - c1:],
+                             w[w.shape[0] - c1:], b)
         want = np.eye(b * r) + sigma * (x @ w)
         assert rel_err(got, want) <= 1e-13
 
@@ -747,7 +798,7 @@ class TestHankelKernel:
         if zero_first:
             x[:d] = 0.0
         rhs = rng.standard_normal((b * d, r))
-        kern = _hankel_kernel(x, x.T, b, +1)
+        kern = _hankel_kernel(-x, x.T, b)
         want = rhs.T @ np.linalg.solve(kern, rhs)
         w = _schur_solve(x, b, rhs.copy())
         assert w.shape == rhs.shape

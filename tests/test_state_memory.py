@@ -16,7 +16,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from test_decoupled import LAYOUT
+from test_decoupled import LAYOUT, PARTNER
 from test_residuals import RANK_ROUTE_CASES
 from test_sparse_route import (
     DENSE_GRID,
@@ -30,9 +30,8 @@ from test_sparse_route import (
 from dsda import decoupled, validate
 from dsda.decoupled import (
     PANEL_COLS,
+    Chain,
     LowRankSolution,
-    MatrixPropagator,
-    ResolventPropagator,
     bsep_eval_F,
     dsda_eval_H,
     dsda_mare_eval,
@@ -129,8 +128,8 @@ def _krylov(first, apply, blocks):
 
 def _arrays(obj, path=""):
     """(path, array) of every array reachable from a state or an
-    iterate, through fields, dicts and tuples.  Propagators, the
-    operators the chains grow by, are not walked."""
+    iterate, through fields, dicts and tuples.  A chain's ``op``, the
+    propagator it grows by, is not walked."""
     if isinstance(obj, np.ndarray):
         yield path, obj
     elif isinstance(obj, tuple):
@@ -139,9 +138,10 @@ def _arrays(obj, path=""):
     elif isinstance(obj, dict):
         for key, value in obj.items():
             yield from _arrays(value, f"{path}[{key!r}]")
-    elif dataclasses.is_dataclass(obj) and not isinstance(
-            obj, (MatrixPropagator, ResolventPropagator)):
+    elif dataclasses.is_dataclass(obj):
         for field in dataclasses.fields(obj):
+            if isinstance(obj, Chain) and field.name == "op":
+                continue
             yield from _arrays(getattr(obj, field.name),
                                f"{path}.{field.name}")
 
@@ -180,13 +180,19 @@ def test_state_holds_its_read_bases_in_full_and_single_blocks(
 
 
 def _chains(s):
-    """(name, replayed basis, last block kept, apply) of each chain, the
-    orientation taken from the test's own table, not from the state."""
+    """(name, replayed basis, last block kept, apply) of each chain.
+    ``apply`` is the operator of the chain's partner (of its own for
+    BSEP), transposed when the test's own table gives the two chains
+    opposite orientations, so the orientation is not the state's."""
+    grows = LAYOUT[s.family][0]
     out = []
-    for name, transpose in LAYOUT[s.family][0].items():
-        chain = s.chains[name]
-        out.append((name, chain_basis(s, name), chain.last,
-                    chain.op.apply_t if transpose else chain.op.apply))
+    for name, transpose in grows.items():
+        partner = PARTNER[name] if PARTNER[name] in grows else name
+        op = s.chains[partner].op
+        if grows[partner] != transpose:
+            op = op.T
+        out.append((name, chain_basis(s, name), s.chains[name].last,
+                    op.__matmul__))
     return out
 
 
@@ -335,9 +341,9 @@ def test_an_iterate_is_its_spans_and_core():
 @pytest.mark.parametrize("p,method,routine", [
     (gen_random_care(24, 2, 3, seed=3), "dsda", "_schur_solve"),
     (gen_random_dare(24, 3, 2, seed=4), "dsda", "_schur_solve"),
-    (gen_random_bsep(24, 2, seed=5), "dsda", "_kernel_factor"),
-    (gen_random_mare(20, 24, 2, 3, seed=1), "dsda", "_kernel_factor"),
-    (gen_random_mare(20, 24, 2, 3, seed=1), "adda", "_kernel_factor"),
+    (gen_random_bsep(24, 2, seed=5), "dsda", "_hankel_kernel"),
+    (gen_random_mare(20, 24, 2, 3, seed=1), "dsda", "_hankel_kernel"),
+    (gen_random_mare(20, 24, 2, 3, seed=1), "adda", "_hankel_kernel"),
 ], ids=["care", "dare", "bsep", "mare-dsda", "mare-adda"])
 def test_a_solve_factors_each_kernel_once(monkeypatch, p, method, routine):
     # The SPD kernels of CARE and DARE are factored from their

@@ -4,7 +4,8 @@
 layer of a solve and reports a target the package no longer has as
 absent.  A renamed or bypassed function would leave its layer empty
 without failing a run, so a traced smoke pass must show each decoupled
-layer, and one residual per record, in every decoupled solve.
+layer, one residual per record and a count of the basis flops in every
+decoupled solve, and no count probe may fail.
 """
 
 import pathlib
@@ -28,6 +29,10 @@ def test_every_decoupled_solve_shows_its_init_step_and_eval_layers():
     with tracer.installed():
         ops = harness.run_pass(instances, "families", tracer)
     assert set(tracer.absent) <= ABSENT
+    # Every count probe still fits the function it reads: a changed
+    # signature or an operator without shape and dtype would otherwise
+    # leave the count of its layer absent without failing the run.
+    assert tracer.probe_failures == {}
     assert len(ops) == len(tracer.solves)
     decoupled = 0
     for index, (op, info) in enumerate(zip(ops, tracer.solves)):
@@ -41,6 +46,7 @@ def test_every_decoupled_solve_shows_its_init_step_and_eval_layers():
         assert op.error is None and op.residuals, (op.instance, op.method)
         assert names.count("decoupled.step") == len(op.residuals), (
             op.instance, op.method)
+        assert info.extend_flop > 0, (op.instance, op.method)
         # Each record's residual is timed in the residual layer, not
         # left in the driver's self time.
         assert names.count("residuals.residual") == len(op.residuals), (
