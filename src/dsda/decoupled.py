@@ -56,17 +56,19 @@ its Cholesky factor is the leading block of the new one.  The
 indefinite BSEP and non-symmetric MARE kernels are built and
 LU-factored, which stays cubic.
 
-The propagator P is built once per solve by the init.  For DARE it is
-A itself, dense or in the problem's sparse form.  For the other
-families one checked factorization of the shifted operator M
-(A - gamma I, alpha I - conj(A), A + beta I or D + alpha I) gives both
-the first blocks, M^-1 B and M^-T C^T, and P = I + c M^-1.  A dense LU
-forms P as an explicit n x n array, applied by GEMM.  When the
-problem's operator is sparse (``a_sparse``, see
-``matkit.SPARSE_MAX_DENSITY``) the sparse LU of M is kept as a
-:class:`ResolventPropagator`, applied as x + c M^-1 x.  The init fixes
-each chain's operator: P or its transpose view ``P.T``, so a chain
-grows by ``op @ last`` and the two chains of one P share its memory.
+The propagator P is built once per solve by the init, from the one
+form of the operator that the problem decides on (``a_op``, ``d_op``;
+see ``matkit.SPARSE_MAX_DENSITY``).  For DARE it is A itself, dense or
+in CSR form.  For the other families one checked factorization of the
+shifted operator M (A - gamma I, alpha I - conj(A), A + beta I or
+D + alpha I) gives both the first blocks, M^-1 B and M^-T C^T, and
+P = I + c M^-1.  For a dense operator the LU solves M^-1 into a
+Fortran-ordered identity and P is finished in that same buffer, one
+Fortran-ordered n x n array applied by GEMM.  For a sparse one the
+sparse LU of M is kept as a :class:`ResolventPropagator`, applied as
+x + c M^-1 x.  The init fixes each chain's operator: P or its
+transpose view ``P.T``, so a chain grows by ``op @ last`` and the two
+chains of one P share its memory.
 
 Every family's state is one :class:`DsdaState`.  The inits give each
 chain its operator, and one table (``_LAYOUT``) pairs and spans them:
@@ -395,22 +397,26 @@ class ResolventPropagator:
         return x + self.scale * self.lu.solve(x, trans=self.trans)
 
 
-def _shifted(a, a_sparse, shift: float, scale: float, form=lambda x: x):
+def _shifted(op, shift: float, scale: float, form=lambda x: x):
     """Solve with, and propagator ``I + scale * M^-1`` of, the shifted
-    operator ``M = form(A) + shift * I``, from one checked factorization.
+    operator ``M = form(op) + shift * I``, from one checked factorization.
 
-    ``a_sparse`` (the problem's sparse A, or None) picks the route: a
-    sparse LU of M applied as a :class:`ResolventPropagator`, or a dense
-    LU that forms the propagator as an explicit array.  The sparse LU
-    is ordered for M's structure (:func:`matkit.splu_shifted`).
+    ``op`` is the problem's operator form (``a_op`` or ``d_op``), and its
+    type picks the route: a sparse LU of M applied as a
+    :class:`ResolventPropagator`, or, for a dense array, a dense LU that
+    forms the propagator as an explicit array.  The sparse LU is ordered
+    for M's structure (:func:`matkit.splu_shifted`).  The dense P is
+    solved into a Fortran-ordered identity and finished in place, so it
+    is one n x n buffer, Fortran-ordered at every n.  ``form`` is applied
+    here, so that its copy of the operator is freed once M is built.
     ``solve(x, trans)`` solves with M (``trans="N"``) or its plain
     transpose (``"T"``) through the same factor.
     """
-    if a_sparse is not None:
-        op = form(a_sparse)
+    if not isinstance(op, np.ndarray):
+        op = form(op)
         lu = splu_shifted(op, shift)
         return lu.solve, ResolventPropagator(lu, scale, op.dtype)
-    m = np.array(form(a), order="F")
+    m = np.array(form(op), order="F")
     m[np.diag_indices_from(m)] += shift
     factor = lu_factor_checked(m, overwrite_a=True)
 
@@ -418,8 +424,12 @@ def _shifted(a, a_sparse, shift: float, scale: float, form=lambda x: x):
         return scipy.linalg.lu_solve(factor, x, trans={"N": 0, "T": 1}[trans],
                                      check_finite=False)
 
-    eye = np.eye(m.shape[0], dtype=m.dtype)
-    return solve, eye + scale * solve(eye)
+    prop = scipy.linalg.lu_solve(
+        factor, np.eye(m.shape[0], dtype=m.dtype, order="F"),
+        overwrite_b=True, check_finite=False)
+    prop *= scale
+    prop[np.diag_indices_from(prop)] += 1.0
+    return solve, prop
 
 
 # ---------------------------------------------------------------------------
@@ -531,12 +541,12 @@ def dsda_sym_init(p: CareProblem | DareProblem | BsepProblem) -> DsdaState:
         # Y_1 = [[0, 0], [0, B^T C^T]] because T_0 = B^T C^T.
         y0 = np.zeros((u0.shape[1], v0.shape[1]))
         # A C-ordered copy of a Fortran-ordered A: GEMM rounds by layout.
-        prop = (np.ascontiguousarray(p.a) if p.a_sparse is None
-                else p.a_sparse)
+        prop = (np.ascontiguousarray(p.a_op) if isinstance(p.a_op, np.ndarray)
+                else p.a_op)
         family, c, firsts = "dare", 1.0, {"u": (u0, prop), "v": (v0, prop.T)}
     elif isinstance(p, CareProblem):
         gamma = p.gamma
-        solve, prop = _shifted(p.a, p.a_sparse, -gamma, 2.0 * gamma)
+        solve, prop = _shifted(p.a_op, -gamma, 2.0 * gamma)
         u0, v0 = solve(p.b), solve(p.c.T, "T")
         y0 = p.b.T @ v0
         family, c = "care", 2.0 * gamma
@@ -545,7 +555,7 @@ def dsda_sym_init(p: CareProblem | DareProblem | BsepProblem) -> DsdaState:
         alpha = p.alpha
         # V grows with the propagator of M = alpha I - conj(A); the left
         # basis is conj(vhat) and has no chain of its own.
-        solve, prop = _shifted(p.a, p.a_sparse, alpha, -2.0 * alpha,
+        solve, prop = _shifted(p.a_op, alpha, -2.0 * alpha,
                                lambda x: -x.conj())
         v0 = solve(p.l_b.conj())
         y0 = p.l_b.T @ v0
@@ -566,8 +576,8 @@ def dsda_mare_init(p: MareProblem, mode: str = "sda") -> DsdaState:
     """
     alpha, beta = p.shifts(mode)
     s = alpha + beta
-    solve_a, prop_a = _shifted(p.a, p.a_sparse, beta, -s)
-    solve_d, prop_d = _shifted(p.d, p.d_sparse, alpha, -s)
+    solve_a, prop_a = _shifted(p.a_op, beta, -s)
+    solve_d, prop_d = _shifted(p.d_op, alpha, -s)
     u0, w0 = solve_a(p.b_l), solve_d(p.c_l)
     firsts = {"u": (u0, prop_a), "v": (solve_a(p.c_r, "T"), prop_a.T),
               "w": (w0, prop_d), "q": (solve_d(p.b_r, "T"), prop_d.T)}

@@ -2,16 +2,17 @@
 
 Small-matrix primitives the doubling iterations are built from: the
 pivoted general solve with its one singularity test (applied to dense
-and to sparse LU factors alike), the rule that decides when an
-operator is kept sparse, an overflow-safe Frobenius norm and the
-numerical rank.  The rank counts the singular
-values above ``eps * max(rows, cols)`` times the largest one; for a
-Hermitian matrix they are the eigenvalue magnitudes, which
-``eigvalsh`` finds several times faster than an SVD.  SPD kernels are
-factored from their generators (``decoupled._schur_solve``).  Everything
-works on plain 2-D numpy arrays (real float64, or complex128 where
-noted) and raises the package exceptions on failure instead of letting
-numpy/scipy errors escape.
+and to sparse LU factors alike), the density below which a problem
+keeps its operator in sparse form (``SPARSE_MAX_DENSITY``, read by
+:mod:`dsda.problems`), an overflow-safe Frobenius norm and the
+numerical rank.  The rank counts the singular values above
+``eps * max(rows, cols)`` times the largest one; for a Hermitian matrix
+they are the eigenvalue magnitudes, which ``eigvalsh`` finds several
+times faster than an SVD.  SPD kernels are factored from their
+generators (``decoupled._schur_solve``).  Everything works on plain 2-D
+numpy arrays (real float64, or complex128 where noted) and raises the
+package exceptions on failure instead of letting numpy/scipy errors
+escape.
 """
 
 from __future__ import annotations
@@ -31,15 +32,16 @@ _TINY = float(np.finfo(np.float64).tiny)
 #: concrete detection threshold has to be fixed somewhere; this is it.
 SINGULARITY_RTOL = 1e-14
 
-#: Largest share of nonzero entries for which an operator is applied in
-#: sparse form.  Measured on five-point heat operators (2 CPUs,
-#: OpenBLAS): one propagator application to an n x w block costs, as a
-#: dense GEMM against a solve with a sparse LU of the shifted operator,
-#: 1.7-3.2 ms against 0.72 ms at n = 1369 (0.36 % nonzero, w = 7),
-#: 0.19-0.23 ms against 0.13 ms at n = 576 (0.84 %, w = 3), 0.04 ms
-#: against 0.11 ms at n = 400 (1.2 %, w = 4) and 0.05 ms against
-#: 0.15-0.21 ms at n = 256 (1.9 %, w = 12); the range is one to two
-#: BLAS threads.  The crossover lies between 0.84 % and 1.2 %.
+#: Largest share of nonzero entries for which a problem applies and
+#: factors its operator in sparse form (``problems._operator_of``).
+#: Measured on five-point heat operators (2 CPUs, OpenBLAS): one
+#: propagator application to an n x w block costs, as a dense GEMM
+#: against a solve with a sparse LU of the shifted operator, 1.7-3.2 ms
+#: against 0.72 ms at n = 1369 (0.36 % nonzero, w = 7), 0.19-0.23 ms
+#: against 0.13 ms at n = 576 (0.84 %, w = 3), 0.04 ms against 0.11 ms
+#: at n = 400 (1.2 %, w = 4) and 0.05 ms against 0.15-0.21 ms at
+#: n = 256 (1.9 %, w = 12); the range is one to two BLAS threads.  The
+#: crossover lies between 0.84 % and 1.2 %.
 SPARSE_MAX_DENSITY = 0.01
 
 
@@ -149,15 +151,6 @@ def lu_factor_checked(k: np.ndarray, *,
         return (lu, piv), np.diag(lu)
 
     return _factor_checked(factor, frobenius_norm(k), k.shape, "matrix")
-
-
-def sparse_form(a: np.ndarray):
-    """CSR copy of a 2-D array with at most ``SPARSE_MAX_DENSITY`` of its
-    entries nonzero; None for any other (and for an empty) array."""
-    if a.size == 0 or np.count_nonzero(a) > SPARSE_MAX_DENSITY * a.size:
-        return None
-    import scipy.sparse
-    return scipy.sparse.csr_array(a)
 
 
 def splu_shifted(a, shift: complex):

@@ -13,11 +13,12 @@ The generators are pure functions of their arguments (including the
 seed) and produce instances that satisfy the standing assumptions of
 the doubling iterations by construction.
 
-Matrices are held dense.  Each problem derives, on first use, the
-sparse form of its operator (``a_sparse``, and ``d_sparse`` for the
-four-matrix family): a CSR copy when at most
-``matkit.SPARSE_MAX_DENSITY`` of the entries are nonzero, else None.
-The decoupled inits and the residuals apply the operator through it.
+Matrices are held dense.  Each problem also decides, once and on first
+use, the one form in which its operator is applied and factored
+(``a_op``, and ``d_op`` for the four-matrix family): a CSR copy when at
+most ``matkit.SPARSE_MAX_DENSITY`` of the entries are nonzero, else the
+dense array itself.  The decoupled inits and the residuals read only
+that form.
 """
 
 from __future__ import annotations
@@ -30,15 +31,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, InvalidShiftError
-from .matkit import as_matrix, frobenius_norm, sparse_form
+from .matkit import SPARSE_MAX_DENSITY, as_matrix, frobenius_norm
 
 
-def _sparse_form_of(field: str) -> functools.cached_property:
-    """Cached sparse form of matrix ``field`` (see :func:`matkit.sparse_form`)."""
+def _operator_of(field: str) -> functools.cached_property:
+    """Cached operator form of matrix ``field``: a CSR copy when at most
+    ``SPARSE_MAX_DENSITY`` of its entries are nonzero, else (and for an
+    empty matrix) the dense array itself.  ``scipy.sparse`` is imported
+    only to build a CSR copy, so a dense problem never loads it."""
     def derive(self):
-        return sparse_form(getattr(self, field))
-    derive.__doc__ = (f"CSR copy of ``{field}`` when it is sparse enough to "
-                      "be applied in sparse form, else None.")
+        a = getattr(self, field)
+        if a.size == 0 or np.count_nonzero(a) > SPARSE_MAX_DENSITY * a.size:
+            return a
+        import scipy.sparse
+        return scipy.sparse.csr_array(a)
+    derive.__doc__ = (f"``{field}`` in the form it is applied and factored "
+                      "in: a CSR copy when sparse enough, else the array.")
     return functools.cached_property(derive)
 
 
@@ -80,7 +88,7 @@ class CareProblem:
         if not self.gamma > 0.0:
             raise InvalidShiftError(f"gamma must be positive, got {self.gamma}")
 
-    a_sparse = _sparse_form_of("a")
+    a_op = _operator_of("a")
 
     @property
     def n(self) -> int:
@@ -98,7 +106,7 @@ class DareProblem:
     def __post_init__(self):
         _coerce_abc(self)
 
-    a_sparse = _sparse_form_of("a")
+    a_op = _operator_of("a")
 
     @property
     def n(self) -> int:
@@ -154,8 +162,8 @@ class MareProblem:
                     f"{name} = {value} is below {_MARE_FLOORS[name]} "
                     f"= {floors[name]}")
 
-    a_sparse = _sparse_form_of("a")
-    d_sparse = _sparse_form_of("d")
+    a_op = _operator_of("a")
+    d_op = _operator_of("d")
 
     def shift_floors(self) -> dict[str, float]:
         """Smallest admissible value of each shift, which is also its default."""
@@ -211,7 +219,7 @@ class BsepProblem:
         if not self.alpha > 0.0:
             raise InvalidShiftError(f"alpha must be positive, got {self.alpha}")
 
-    a_sparse = _sparse_form_of("a")
+    a_op = _operator_of("a")
 
     @property
     def n(self) -> int:

@@ -18,7 +18,8 @@ span (low-rank residual norms as in Benner & Saak, GAMM-Mitt. 36,
 2013).  The DARE inverse is taken in the same Woodbury form, one
 m x m solve, by both.
 
-Products with A (and D) use the problem's sparse form when it has one.
+Products with A (and D) use the problem's operator form, ``a_op`` (and
+``d_op``): its CSR copy when it is sparse, else the dense array.
 """
 
 from __future__ import annotations
@@ -35,11 +36,6 @@ def _ratio(num: float, den: float) -> float:
     if den == 0.0:
         return 0.0 if num == 0.0 else np.inf
     return num / den
-
-
-def _operator(dense: np.ndarray, sparse):
-    """The form a product with the matrix should use."""
-    return dense if sparse is None else sparse
 
 
 def _coordinates(q: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -76,7 +72,7 @@ def care_residual(p: CareProblem, h: np.ndarray | LowRankSolution) -> float:
     if isinstance(h, LowRankSolution):
         return care_residual_factored(p, h.q_left, h.core)
     h = np.atleast_2d(np.asarray(h, dtype=float))
-    at_h = _operator(p.a, p.a_sparse).T @ h
+    at_h = p.a_op.T @ h
     hb = h @ p.b
     m = hb.shape[1]
     x = np.hstack([hb, p.c.T])
@@ -100,8 +96,7 @@ def care_residual_factored(p: CareProblem, q: np.ndarray,
     (A^T Q) core Q^T and H B B^T H is Q (core Q^T B)(core Q^T B)^T Q^T.
     """
     r = q.shape[1]
-    coords = _coordinates(q, np.hstack([_operator(p.a, p.a_sparse).T @ q,
-                                        p.c.T]))
+    coords = _coordinates(q, np.hstack([p.a_op.T @ q, p.c.T]))
     at_h = coords[:, :r] @ core
     hb = core @ (q.T @ p.b)
     hbb_h = hb @ hb.T
@@ -135,9 +130,8 @@ def dare_residual(p: DareProblem, h: np.ndarray | LowRankSolution) -> float:
     if isinstance(h, LowRankSolution):
         return dare_residual_factored(p, h.q_left, h.core)
     h = np.atleast_2d(np.asarray(h, dtype=float))
-    a = _operator(p.a, p.a_sparse)
     h0 = p.c.T @ p.c
-    middle = a.T @ (_absorbed(h, p.b) @ a)
+    middle = p.a_op.T @ (_absorbed(h, p.b) @ p.a_op)
     num = frobenius_norm(-h + middle + h0)
     den = frobenius_norm(h) + frobenius_norm(middle) + frobenius_norm(h0)
     return _ratio(num, den)
@@ -153,8 +147,7 @@ def dare_residual_factored(p: DareProblem, q: np.ndarray,
     (A^T Q) s (A^T Q)^T.
     """
     r = q.shape[1]
-    coords = _coordinates(q, np.hstack([_operator(p.a, p.a_sparse).T @ q,
-                                        p.c.T]))
+    coords = _coordinates(q, np.hstack([p.a_op.T @ q, p.c.T]))
     s = _absorbed(core, q.T @ p.b)
     at_q, ct = coords[:, :r], coords[:, r:]
     middle = at_q @ s @ at_q.T
@@ -172,8 +165,8 @@ def mare_residual(p: MareProblem, x: np.ndarray | LowRankSolution) -> float:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     b = p.b_dense()
     xcx = x @ p.c_dense() @ x
-    xd = x @ _operator(p.d, p.d_sparse)
-    ax = _operator(p.a, p.a_sparse) @ x
+    xd = x @ p.d_op
+    ax = p.a_op @ x
     num = frobenius_norm(xcx - xd - ax + b)
     den = (frobenius_norm(xcx) + frobenius_norm(xd) + frobenius_norm(ax)
            + frobenius_norm(b))
@@ -188,10 +181,8 @@ def mare_residual_factored(p: MareProblem, q_left: np.ndarray,
     that of Q_r, D^T Q_r and B_r.
     """
     rl, rr = core.shape
-    left = _coordinates(q_left, np.hstack(
-        [_operator(p.a, p.a_sparse) @ q_left, p.b_l]))
-    right = _coordinates(q_right, np.hstack(
-        [_operator(p.d, p.d_sparse).T @ q_right, p.b_r]))
+    left = _coordinates(q_left, np.hstack([p.a_op @ q_left, p.b_l]))
+    right = _coordinates(q_right, np.hstack([p.d_op.T @ q_right, p.b_r]))
     xcx = core @ (q_right.T @ p.c_l) @ (p.c_r.T @ q_left) @ core
     xd = core @ right[:, :rr].T
     ax = left[:, :rl] @ core

@@ -243,7 +243,7 @@ def test_route_follows_the_density(grid, sparse):
     density = np.count_nonzero(a) / a.size
     assert (density <= SPARSE_MAX_DENSITY) == sparse
     p = heat_care(grid)
-    assert (p.a_sparse is not None) == sparse
+    assert sp.issparse(p.a_op) == sparse
     op = dsda_sym_init(p).chains["v"].op
     assert isinstance(op, ResolventPropagator if sparse else np.ndarray)
 
@@ -251,11 +251,33 @@ def test_route_follows_the_density(grid, sparse):
 def test_dense_inputs_take_the_dense_route():
     care = gen_random_care(32, 2, 2, seed=0)
     mare = gen_random_mare(32, 24, 2, 2, seed=0)
-    assert care.a_sparse is None
-    assert mare.a_sparse is None and mare.d_sparse is None
+    assert not sp.issparse(care.a_op)
+    assert not (sp.issparse(mare.a_op) or sp.issparse(mare.d_op))
+    # A dense operator is applied and factored as the array itself.
+    bsep = heat_bsep(DENSE_GRID)
+    assert care.a_op is care.a and bsep.a_op is bsep.a
+    assert mare.a_op is mare.a and mare.d_op is mare.d
     for op in (dsda_sym_init(care).chains["v"].op,
                *(dsda_mare_init(mare).chains[name].op for name in ("u", "w"))):
         assert isinstance(op, np.ndarray)
+
+
+def test_a_sparse_operator_form_is_an_equal_csr_copy():
+    mare, bsep = heat_mare(), heat_bsep()
+    for op, a in ((mare.a_op, mare.a), (mare.d_op, mare.d),
+                  (bsep.a_op, bsep.a)):
+        assert isinstance(op, sp.csr_array) and op.dtype == a.dtype
+        assert np.array_equal(op.toarray(), a)
+
+
+def test_replace_derives_the_operator_form_again():
+    # The driver's BSEP shift retry makes its problem this way.
+    p = heat_bsep()
+    retried = dataclasses.replace(p, alpha=2.0 * p.alpha)
+    assert sp.issparse(retried.a_op) and retried.a_op is not p.a_op
+    assert np.array_equal(retried.a_op.toarray(), p.a_op.toarray())
+    dense = dataclasses.replace(p, a=p.a + 1e-3)
+    assert dense.a_op is dense.a
 
 
 def _n_by_n_arrays(obj, n: int, path: str = "") -> list[str]:
@@ -312,7 +334,7 @@ def test_evaluation_and_measurement_keep_to_numpys_blas(monkeypatch, make,
     # a CARE/DARE evaluation and the measurement that follows call no
     # scipy BLAS routine, so they wake only numpy's pool.
     p = make()
-    assert p.a_sparse is not None
+    assert sp.issparse(p.a_op)
     s = dsda_sym_init(p)
     for _ in range(4):
         s = dsda_sym_step(s)
@@ -337,7 +359,7 @@ def test_singular_shift_ends_the_run(method, offset):
     d[0] = gamma * (1.0 + offset)
     b, c = factors(n, 2, 2, seed=6)
     p = CareProblem(np.diag(d), b, c.T, gamma=gamma)
-    assert p.a_sparse is not None
+    assert sp.issparse(p.a_op)
     if method == "dsda":
         with pytest.raises(SingularMatrixError):
             dsda_sym_init(p)
@@ -352,7 +374,7 @@ def test_bsep_singular_start_retries_on_the_sparse_route():
     n = 200
     (l_b,) = factors(n, 1, seed=7, complex_=True)
     p = BsepProblem(2.0 * np.eye(n), l_b, alpha=2.0)
-    assert p.a_sparse is not None
+    assert sp.issparse(p.a_op)
     with pytest.raises(SingularMatrixError):
         dsda_sym_init(p)
     first = [solve_driver(p, SolveConfig(method=method, max_iter=1))
@@ -368,7 +390,7 @@ def test_residuals_use_the_sparse_form():
     q = rng.standard_normal((n, 5)) / n
     h = q @ q.T
     x = rng.uniform(0.0, 1.0, (n, n)) / n ** 2
-    assert all(p.a_sparse is not None for p in (care, dare, mare))
+    assert all(sp.issparse(p.a_op) for p in (care, dare, mare))
 
     a = care.a
     at_h = a.T @ h

@@ -507,6 +507,45 @@ def test_schur_update_adds_below_each_panel_in_place(monkeypatch):
     assert starts == list(range(PANEL_COLS, cols, PANEL_COLS))
 
 
+#: Per family on the dense route: a problem builder, its init, the
+#: chains that grow by P itself (the others grow by ``P.T``) and the
+#: most n x n buffers the init may peak at.  Each P has its LU factor
+#: beside it; MARE makes two of each.
+DENSE_INITS = {
+    "care": (lambda n: gen_random_care(n, 2, 2, seed=3), dsda_sym_init,
+             ("u",), 2.5),
+    "bsep": (lambda n: gen_random_bsep(n, 2, seed=3), dsda_sym_init,
+             ("v",), 2.5),
+    "mare": (lambda n: gen_random_mare(n, n, 2, 2, seed=3), dsda_mare_init,
+             ("u", "w"), 4.5),
+}
+
+
+@pytest.mark.parametrize("n", [48, 200])
+@pytest.mark.parametrize("family", DENSE_INITS)
+def test_a_dense_propagator_is_one_fortran_ordered_buffer(family, n):
+    # The init solves M^-1 into a Fortran-ordered identity and finishes
+    # P in that buffer: no identity and no sum beside it, and one layout
+    # at every n, so that GEMM rounds each chain alike whatever n is.
+    make, init, by_p, buffers = DENSE_INITS[family]
+    p = make(n)
+    ops = [p.a_op] + ([p.d_op] if isinstance(p, MareProblem) else [])
+    assert all(isinstance(op, np.ndarray) for op in ops)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        s = init(p)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    for name in by_p:
+        prop = s.chains[name].op
+        assert prop.shape == (n, n) and prop.flags.f_contiguous
+    if n == 200:
+        allowed = buffers * n * n * p.a.itemsize
+        assert peak <= allowed, (peak / (n * n * p.a.itemsize), buffers)
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_dense_symmetrizes_without_an_n_by_n_temporary(dtype):
     # Three panels at n = 600.  The result is the sum of the halved

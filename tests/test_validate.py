@@ -103,7 +103,7 @@ def _answer(problem, method, max_iter):
                               for route, family, *_ in ROUTES])
 def test_no_solve_calls_validate(route, family, problem, methods, max_iter,
                                  monkeypatch):
-    assert (problem.a_sparse is None) == (route == "dense")
+    assert sp.issparse(problem.a_op) == (route == "sparse")
     want = {m: _answer(problem, m, max_iter) for m in methods}
 
     def refuse(*args, **kwargs):
