@@ -86,12 +86,16 @@ chain from its last block; :func:`dsda.validate.chain_basis` replays
 the recursion from the first, bit for bit.  Each kernel
 keeps its seed and its moments.  For every basis an evaluated iterate
 is built on, the state keeps an orthonormal basis Q of its numerical
-span (:func:`extend_span`) and, for BSEP and MARE, its coordinates
-``R = Q^H basis``.  The Krylov spaces are nested, so one step for every
-family
-(:func:`dsda_step`) streams the new blocks of each chain into the
-moments and spans a chunk at a time, deflating the columns that lie in
-a span to roundoff.  Each chunk is pivoted as a whole: a pivoted
+span (:func:`extend_span`) and a tuple of blocks, one per chunk the
+span was extended by: for BSEP and MARE the chunk's coordinates
+``Q^H chunk`` as they were found, stacked into ``R = Q^H basis`` when
+the iterate is evaluated, and for CARE and DARE the rows of w they
+were solved into (below).  The Krylov spaces are nested, so one step
+for every family (:func:`dsda_step`) streams the new blocks of each
+chain into the moments and spans a chunk at a time, deflating the
+columns that lie in a span to roundoff, and the init and every step
+append their coordinates in one tail (:func:`_append`).  Each chunk is
+pivoted as a whole: a pivoted
 Cholesky factorization of its Gram matrix picks the directions, which
 are orthonormalized as one block, until every column of the chunk lies
 within roundoff of the span.  On the steel-sized CARE (seed 7) the span
@@ -114,7 +118,7 @@ columns add and adds their product to the core (:func:`_add_rows`).
 The state carries those row blocks and the core in place of R, each
 block as wide as the span was when it was solved, so the H evaluator
 solves nothing.  Memory is O(n r + r cols) per evaluated basis: Q and
-R, or Q and the rows of w, which hold no zero padding; on the
+the blocks of R or of w, which hold no zero padding; on the
 steel-sized CARE a decoupled solve peaks at 24.8 MB and on the
 wide-kernel CARE (n = 256, 3072 columns) at 14.2 MB.  The driver
 measures an iterate from the spans and core at every step without
@@ -181,8 +185,8 @@ PANEL_COLS = 256
 LEAF_ROWS = 32
 
 #: Columns of each Krylov chain a doubling grows, pairs into moments and
-#: streams into its span together (:func:`dsda_step`), and most columns
-#: :func:`extend_span` pivots as one group.  Narrower chunks
+#: streams into its span together (:func:`dsda_step`), one block at
+#: least, and of a whole basis :func:`span_of` streams.  Narrower chunks
 #: cost more small BLAS calls (64 columns was about 30 % slower on the
 #: steel-sized CARE); wider ones only hold more columns at once.
 STREAM_COLS = 256
@@ -191,8 +195,8 @@ STREAM_COLS = 256
 def extend_span(q: np.ndarray, new: np.ndarray, cols: int
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis (``Q^H Q = I``) of the numerical span of ``q``
-    and the columns ``new`` of a basis with ``cols`` columns, and the
-    coordinates ``Q^H new`` of those columns in it.
+    and the chunk ``new`` of a basis with ``cols`` columns, and the
+    coordinates ``Q^H new`` of the chunk in it.
 
     The block Krylov spaces are nested, so each doubling extends the
     span by the part of its new columns outside it only, chunk by chunk
@@ -206,9 +210,8 @@ def extend_span(q: np.ndarray, new: np.ndarray, cols: int
 
     The new columns, scaled to unit norm, are projected out of ``q`` in
     one product, which leaves each remainder accurate to well within
-    the threshold.  Groups of at most ``STREAM_COLS`` of them, each
-    streamed chunk as a whole, are then pivoted in rounds.  A round
-    forms the Gram matrix of the group's remainders and picks the
+    the threshold.  The chunk is then pivoted as a whole, in rounds.  A
+    round forms the Gram matrix of the remainders and picks the
     directions by a pivoted Cholesky factorization of it, largest
     remainder first, down to a floor that follows from EPS
     (:func:`_pivots`).  The picks are orthonormalized as one block: a
@@ -218,17 +221,15 @@ def extend_span(q: np.ndarray, new: np.ndarray, cols: int
     the first projection left along ``q``; a QR after the projection
     would scale that roundoff by the picks' condition, and in that order
     the span of the steel-sized CARE grew to all n = 1369 directions.
-    Every remainder of the group is then projected out of the new
-    directions, and the rounds repeat until none is above ``tol``: the
-    per-column test alone decides what is deflated, the Gram matrix
-    only the order of the picks.  A round that would pick nothing is
-    not run: that is exactly when no remainder's squared norm is above
-    ``tol**2``, which the squared column norms show without the Gram
-    matrix.  A later group is first projected out of the directions
-    the earlier ones added.
+    Every remainder is then projected out of the new directions, and
+    the rounds repeat until none is above ``tol``: the per-column test
+    alone decides what is deflated, the Gram matrix only the order of
+    the picks.  A round that would pick nothing is not run: that is
+    exactly when no remainder's squared norm is above ``tol**2``, which
+    the squared column norms show without the Gram matrix.
 
-    Besides the scaled copy of the new columns, the coordinates and the
-    result, a call holds one group's Gram matrix and one round's
+    Besides the scaled copy of the chunk, the coordinates and the
+    result, a call holds the chunk's Gram matrix and one round's
     directions at a time.
     """
     n = q.shape[0]
@@ -245,22 +246,18 @@ def extend_span(q: np.ndarray, new: np.ndarray, cols: int
     tol = EPS * max(n, cols)
     added = []
     r = 0
-    for j in range(0, rest.shape[1], STREAM_COLS):
-        group = rest[:, j:j + STREAM_COLS]
-        for dirs in added:
-            group -= dirs @ (dirs.conj().T @ group)
-        while r < room and _squared_norms(group).max() > tol * tol:
-            picks = _pivots(group.conj().T @ group, tol, room - r)
-            if not picks:
-                break
-            dirs = np.linalg.qr(group[:, picks])[0]
-            dirs -= q @ (q_h @ dirs)
-            for done in added:
-                dirs -= done @ (done.conj().T @ dirs)
-            dirs = np.linalg.qr(dirs)[0]
-            group -= dirs @ (dirs.conj().T @ group)
-            added.append(dirs)
-            r += dirs.shape[1]
+    while r < room and _squared_norms(rest).max() > tol * tol:
+        picks = _pivots(rest.conj().T @ rest, tol, room - r)
+        if not picks:
+            break
+        dirs = np.linalg.qr(rest[:, picks])[0]
+        dirs -= q @ (q_h @ dirs)
+        for done in added:
+            dirs -= done @ (done.conj().T @ dirs)
+        dirs = np.linalg.qr(dirs)[0]
+        rest -= dirs @ (dirs.conj().T @ rest)
+        added.append(dirs)
+        r += dirs.shape[1]
     if not added:
         return q, top
     return (np.hstack([q] + added),
@@ -307,9 +304,16 @@ def _squared_norms(a: np.ndarray) -> np.ndarray:
 
 
 def span_of(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`extend_span` of a whole basis: its span and coordinates."""
-    return extend_span(np.zeros((basis.shape[0], 0), dtype=basis.dtype),
-                       basis, basis.shape[1])
+    """The span and coordinates of a whole basis, which is streamed
+    through :func:`extend_span` ``STREAM_COLS`` columns at a time, as a
+    step streams its chunks."""
+    q, parts = np.zeros((basis.shape[0], 0), dtype=basis.dtype), []
+    cols = basis.shape[1]
+    # One call also for no columns, so that the coordinates are 0 x 0.
+    for j in range(0, max(1, cols), STREAM_COLS):
+        q, part = extend_span(q, basis[:, j:j + STREAM_COLS], cols)
+        parts.append(part)
+    return q, _stack_coordinates(parts, q.shape[1])
 
 
 @dataclass(frozen=True)
@@ -472,13 +476,15 @@ class DsdaState:
     the span Q of its basis (:func:`extend_span`).  ``scale`` is c for
     the one-kernel families and the shift sum s for MARE.
 
-    What the iterate is evaluated from depends on the kernel.  For the
-    LU-factored kernels of BSEP and MARE, ``coords`` holds, by chain
-    name, the coordinates ``R = Q^H basis``.  For the SPD kernel of CARE
-    and DARE, whose Cholesky factor L the step forms, ``rows`` holds
-    ``w = L^-1 R^T`` as the row blocks each doubling added, each as wide
-    as the span was then (zero beyond), and ``core`` holds ``w^T w``
-    (:func:`_add_rows`); ``coords`` is empty.
+    ``rows`` holds, by the same chain names, a tuple of blocks, one per
+    chunk the init and the steps extended the span by
+    (:func:`_append`), each over the directions the span had then (zero
+    beyond).  For the LU-factored kernels of BSEP and MARE a block is
+    the chunk's coordinates ``Q^H chunk``; the evaluator stacks them
+    into ``R = Q^H basis``.  For the SPD kernel of CARE and DARE, whose
+    Cholesky factor L the step forms, a block is the rows of
+    ``w = L^-1 R^T`` a doubling added, and ``core`` holds ``w^T w``
+    (:func:`_add_rows`).
     """
 
     family: Literal["dare", "care", "bsep", "mare"]
@@ -486,10 +492,9 @@ class DsdaState:
     seeds: dict[str, np.ndarray]
     moments: dict[str, np.ndarray]
     spans: dict[str, np.ndarray]
-    coords: dict[str, np.ndarray]
+    rows: dict[str, tuple[np.ndarray, ...]]
     scale: float
     k: int = 0
-    rows: tuple[np.ndarray, ...] = ()
     core: np.ndarray | None = None
 
     @property
@@ -514,7 +519,7 @@ def _start(family: str, firsts: dict, seeds: dict, scale: float
     """The k = 0 state of ``family`` from each chain's first block and
     operator, ``firsts[name] = (block, op)``: each kernel's first
     moment and each span, as the layout pairs and spans the chains, and
-    the coordinates or, for CARE and DARE, the solved rows and core."""
+    the coordinates appended as a step appends its own."""
     pairs, spanned = _LAYOUT[family]
     chains = {name: Chain(block, block, op)
               for name, (block, op) in firsts.items()}
@@ -525,11 +530,9 @@ def _start(family: str, firsts: dict, seeds: dict, scale: float
                            @ chains[right].first)[None]
     spans = {name: span_of(chains[name].first) for name in spanned}
     s = DsdaState(family, chains, seeds, moments,
-                  {name: q for name, (q, _) in spans.items()}, {}, scale)
-    if s.sigma > 0:
-        return _add_rows(s, spans["v"][1].T.copy())
-    return dataclasses.replace(s, coords={name: r for name, (_, r)
-                                          in spans.items()})
+                  {name: q for name, (q, _) in spans.items()},
+                  dict.fromkeys(spans, ()), scale)
+    return _append(s, {name: [r] for name, (_, r) in spans.items()})
 
 
 def dsda_sym_init(p: CareProblem | DareProblem | BsepProblem) -> DsdaState:
@@ -603,10 +606,8 @@ def dsda_step(s: DsdaState,
     they lay within that threshold of the span when they were deflated.
     A chunk pair is released before the next one is grown.
 
-    The new columns' coordinates are then appended to the coordinates
-    (BSEP, MARE) or, for CARE and DARE, solved into the rows of
-    ``w = L^-1 R^T`` they add, with L the Cholesky factor of the doubled
-    kernel, and added to the core (:func:`_add_rows`).
+    The chunks' coordinates are then appended as the init appends its
+    own (:func:`_append`).
     """
     blocks = 2 ** s.k
     lasts = {name: chain.last for name, chain in s.chains.items()}
@@ -638,23 +639,32 @@ def dsda_step(s: DsdaState,
                                          2 * blocks * width)
             parts[name].append(part)
         del chunks, part
-    grown = dataclasses.replace(
+    return _append(dataclasses.replace(
         s, chains={name: dataclasses.replace(chain, last=lasts[name])
                    for name, chain in s.chains.items()},
         moments={kernel: np.concatenate(stack)
                  for kernel, stack in stacks.items()},
-        spans=qs, k=s.k + 1)
-    if s.sigma > 0:
-        # Stacked before the solve, which then holds no chunk coordinates.
-        return _add_rows(grown, _stack_coordinates(
-            parts.pop("v"), qs["v"].shape[1], order="F").T)
-    return dataclasses.replace(grown, coords={
-        name: _stack_coordinates([s.coords[name]] + parts[name],
-                                 qs[name].shape[1]) for name in qs})
+        spans=qs, k=s.k + 1), parts)
 
 
 #: One step doubles the state of every family.
 dsda_sym_step = dsda_mare_step = dsda_step
+
+
+def _append(s: DsdaState, parts: dict[str, list[np.ndarray]]) -> DsdaState:
+    """``s`` with the coordinates ``parts`` of each spanned chain's
+    newest columns, ``Q^H chunk`` chunk by chunk, appended to its
+    ``rows``: as they are (BSEP, MARE) or, for CARE and DARE, stacked
+    and solved into the rows of ``w = L^-1 R^T`` they add, with L the
+    Cholesky factor of the state's kernel, and added to the core
+    (:func:`_add_rows`).  The init and every step end here."""
+    if s.sigma > 0:
+        # Popped and stacked before the solve, which then holds no chunk
+        # coordinates.
+        return _add_rows(s, _stack_coordinates(
+            parts.pop("v"), s.spans["v"].shape[1], order="F").T)
+    return dataclasses.replace(s, rows={
+        name: s.rows[name] + tuple(blocks) for name, blocks in parts.items()})
 
 
 def _pair_moments(left: np.ndarray, right: np.ndarray, count: int,
@@ -930,17 +940,17 @@ def _add_rows(s: DsdaState, rhs: np.ndarray) -> DsdaState:
     doubled one (module docstring), so its Cholesky factor is the
     leading block of ``L = [[L_11, 0], [L_21, L_22]]``, and the earlier
     columns' coordinates are the leading rows of ``R^T``, zero on the
-    directions added since.  So the rows ``s.rows`` solved before are
+    directions added since.  So the rows ``s.rows["v"]`` solved before are
     the leading rows of w, the new ones are
     ``w_new = L_22^-1 (R_new^T - L_21 w)`` (:func:`_schur_solve`), and
     the core is ``[[core, 0], [0, 0]] + w_new^T w_new``, exactly
     symmetric.
     """
-    w = _schur_solve(_edges(s, "Y")[1].T, 2 ** s.k, rhs, s.rows)
+    w = _schur_solve(_edges(s, "Y")[1].T, 2 ** s.k, rhs, s.rows["v"])
     core = w.T @ w
     if s.core is not None:
         core[:len(s.core), :len(s.core)] += s.core
-    return dataclasses.replace(s, rows=s.rows + (w,), core=core)
+    return dataclasses.replace(s, rows={"v": s.rows["v"] + (w,)}, core=core)
 
 
 def _evaluate(scale: float, col: np.ndarray, row: np.ndarray, blocks: int,
@@ -977,7 +987,8 @@ def bsep_eval_F(s: DsdaState) -> LowRankSolution:
     if s.family != "bsep":
         raise DimensionMismatchError("F evaluation applies to the BSEP family")
     x = _edges(s, "Y")[1].T
-    span = s.spans["v"], s.coords["v"]
+    q = s.spans["v"]
+    span = q, _stack_coordinates(s.rows["v"], q.shape[1])
     return _evaluate(s.multiplier, x, x.T, 2 ** s.k, *span, *span)
 
 
@@ -987,5 +998,7 @@ def dsda_mare_eval(s: DsdaState) -> LowRankSolution:
     dense F_k and E_k are :func:`dsda.validate.dsda_mare_dense`."""
     if s.family != "mare":
         raise DimensionMismatchError("H evaluation needs a MARE state")
+    u, q = s.spans["u"], s.spans["q"]
     return _evaluate(s.scale, _edges(s, "Y")[0], _edges(s, "Z")[1], 2 ** s.k,
-                     s.spans["u"], s.coords["u"], s.spans["q"], s.coords["q"])
+                     u, _stack_coordinates(s.rows["u"], u.shape[1]),
+                     q, _stack_coordinates(s.rows["q"], q.shape[1]))

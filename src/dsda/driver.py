@@ -32,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import logging
+import numbers
 import operator
 import time
 from dataclasses import dataclass
@@ -72,13 +73,16 @@ class SolveConfig:
     method: str = "dsda"
 
     def validate(self) -> None:
+        if not isinstance(self.tol, numbers.Real):
+            raise ConfigError(f"tol must be a number, got {self.tol!r}")
         if not self.tol > 0.0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.column_budget < 1:
-            raise ConfigError(
-                f"column_budget must be at least 1, got {self.column_budget}")
+        for key in ("max_iter", "column_budget"):
+            value = getattr(self, key)
+            if not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+            if value < 1:
+                raise ConfigError(f"{key} must be at least 1, got {value}")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got "
                               f"'{self.method}'")

@@ -21,7 +21,7 @@ from dsda.driver import (
     SolveConfig,
     solve_driver,
 )
-from dsda.errors import SingularMatrixError
+from dsda.errors import ConfigError, SingularMatrixError
 from dsda.problems import (
     FAMILY_MATRIX_KEYS,
     BsepProblem,
@@ -286,6 +286,17 @@ def test_a_non_finite_moment_ends_singular_without_a_warning(monkeypatch):
     last = solve_driver(p, dataclasses.replace(cfg, max_iter=2))
     assert _measured(report) == _measured(last)
     assert np.array_equal(report.final_solution, last.final_solution)
+
+
+@pytest.mark.parametrize("knob,value", [
+    ("max_iter", 2.5), ("column_budget", 64.5), ("tol", "1e-3"),
+    ("max_iter", 0), ("tol", 0.0)])
+def test_a_bad_knob_is_a_config_error(knob, value):
+    # A count that is not an integer, or a tolerance that is not a real
+    # number, is refused before the solve, as an out-of-range one is.
+    p = gen_random_care(8, 1, 1, seed=0)
+    with pytest.raises(ConfigError, match=knob):
+        solve_driver(p, SolveConfig(**{knob: value}))
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -7,6 +7,11 @@ init checks cover too."""
 
 import dataclasses
 import functools
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -414,3 +419,34 @@ def test_residuals_use_the_sparse_form():
     expected = (np.linalg.norm(terms[0] - terms[1] - terms[2] + terms[3])
                 / sum(np.linalg.norm(t) for t in terms))
     assert mare_residual(mare, x) == pytest.approx(expected, rel=1e-13)
+
+
+def test_a_dense_solve_never_imports_scipy_sparse():
+    # Importing scipy.sparse takes 11-15 ms of set-up, which a problem on
+    # the dense route never needs.  A fresh interpreter is the only one
+    # in which no other test has imported it.
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from dsda.driver import SolveConfig, solve_driver
+        from dsda.problems import (gen_random_bsep, gen_random_care,
+                                   gen_random_dare, gen_random_mare)
+        runs = [(gen_random_care(32, 2, 2, 1), ("sda", "dsda")),
+                (gen_random_dare(32, 2, 2, 2), ("sda", "dsda")),
+                (gen_random_bsep(32, 2, 3), ("sda", "dsda")),
+                (gen_random_mare(32, 32, 2, 2, 4), ("sda", "dsda", "adda"))]
+        for p, methods in runs:
+            assert isinstance(p.a_op, np.ndarray), type(p)
+            for method in methods:
+                solve_driver(p, SolveConfig(method=method))
+        print(sorted(name for name in sys.modules
+                     if name.startswith("scipy.sparse")))
+    """)
+    src = str(pathlib.Path(decoupled.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src] + ([path] if path else []))}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]", done.stdout

@@ -243,7 +243,8 @@ def _spans(s):
     out = []
     for name, q in s.spans.items():
         basis = chain_basis(s, name)
-        r = s.coords[name] if s.coords else q.conj().T @ basis
+        r = (decoupled._stack_coordinates(s.rows[name], q.shape[1])
+             if s.sigma < 0 else q.conj().T @ basis)
         out.append((basis, q, r))
     return out
 
@@ -424,7 +425,7 @@ def test_a_step_solves_only_its_new_rows(p):
     cols, alpha = s.basis_cols, sum(s.seeds["Y"].shape)
     new, r = cols // 2, sol.q_left.shape[1]
     assert cols >= 8 * p.n
-    assert [len(w) for w in s.rows][-2:] == [new // 2, new]
+    assert [len(w) for w in s.rows["v"]][-2:] == [new // 2, new]
     item = sol.core.itemsize
     allowed = (item * (new * (r + PANEL_COLS) + 4 * cols * alpha)
                + 3 * s.moments["Y"].nbytes)
@@ -462,7 +463,7 @@ def test_the_core_is_the_solve_of_the_whole_span(label, make, init, step,
             assert np.array_equal(got, got.T), (width, k)
             assert (np.linalg.norm(got - want)
                     <= 1e-13 * np.linalg.norm(want)), (width, k)
-            assert sum(len(w) for w in s.rows) == s.basis_cols
+            assert sum(len(w) for w in s.rows["v"]) == s.basis_cols
 
 
 def test_schur_update_adds_below_each_panel_in_place(monkeypatch):
