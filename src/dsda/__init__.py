@@ -44,6 +44,7 @@ from .errors import (
     ConfigError,
     DimensionMismatchError,
     InvalidShiftError,
+    NonFiniteError,
     ParseError,
     SingularMatrixError,
     SolverError,
@@ -79,10 +80,10 @@ __all__ = [
     "ConvergenceReport", "CareProblem", "DEFAULT_COLUMN_BUDGET", "DareProblem",
     "DimensionMismatchError", "DsdaMareState", "DsdaSymState",
     "InvalidShiftError", "IterationRecord", "LowRankSolution", "MareProblem",
-    "MareSdaState", "ParseError", "SingularMatrixError", "SolveConfig",
-    "SolverError", "SymSdaState", "UnsupportedFieldError", "assemble_problem",
-    "bsep_eigen_extract", "bsep_eval_F", "bsep_increment", "bsep_init",
-    "bsep_sda_step", "care_init", "care_residual", "dare_init",
+    "MareSdaState", "NonFiniteError", "ParseError", "SingularMatrixError",
+    "SolveConfig", "SolverError", "SymSdaState", "UnsupportedFieldError",
+    "assemble_problem", "bsep_eigen_extract", "bsep_eval_F", "bsep_increment",
+    "bsep_init", "bsep_sda_step", "care_init", "care_residual", "dare_init",
     "dare_residual", "dsda_assemble", "dsda_eval_A", "dsda_eval_G",
     "dsda_eval_H", "dsda_mare_dense", "dsda_mare_eval", "dsda_mare_eval_G",
     "dsda_mare_init", "dsda_mare_step", "dsda_sym_init", "dsda_sym_step",

@@ -93,18 +93,18 @@ the iterate is evaluated, and for CARE and DARE the rows of w they
 were solved into (below).  The Krylov spaces are nested, so one step
 for every family (:func:`dsda_step`) streams the new blocks of each
 chain into the moments and spans a chunk at a time, deflating the
-columns that lie in a span to roundoff, and the init and every step
-append their coordinates in one tail (:func:`_append`).  Each chunk is
-pivoted as a whole: a pivoted
+columns that lie within ``EPS * n`` of a span, relative to their own
+norms, and the init and every step append their coordinates in one
+tail (:func:`_append`).  Each chunk is pivoted as a whole: a pivoted
 Cholesky factorization of its Gram matrix picks the directions, which
 are orthonormalized as one block, until every column of the chunk lies
-within roundoff of the span.  On the steel-sized CARE (seed 7) the span
-ends with 289 directions for an iterate of rank 101.  This is not
-truncation: deflation drops only directions within roundoff of the
-span, and the moments and kernels never read the span.  The moments are
-formed from pairs of blocks in place of one product with the whole
-right basis, so they agree with the explicit products ``Uhat^T Vhat``
-to roundoff, not bit for bit.
+within that threshold of the span.  On the steel-sized CARE (seed 7)
+the span ends with 295 directions for an iterate of rank 101.  This is
+not truncation: deflation drops only directions within the rank cutoff
+of order n, and the moments and kernels never read the span.  The
+moments are formed from pairs of blocks in place of one product with
+the whole right basis, so they agree with the explicit products
+``Uhat^T Vhat`` to roundoff, not bit for bit.
 
 An iterate is a :class:`LowRankSolution` ``Q_l core Q_r^T`` with the
 small core ``scale * R_l K^-1 R_r^T``.  For BSEP and MARE the evaluator
@@ -119,7 +119,7 @@ The state carries those row blocks and the core in place of R, each
 block as wide as the span was when it was solved, so the H evaluator
 solves nothing.  Memory is O(n r + r cols) per evaluated basis: Q and
 the blocks of R or of w, which hold no zero padding; on the
-steel-sized CARE a decoupled solve peaks at 24.8 MB and on the
+steel-sized CARE a decoupled solve peaks at 25.0 MB and on the
 wide-kernel CARE (n = 256, 3072 columns) at 14.2 MB.  The driver
 measures an iterate from the spans and core at every step without
 forming the n x n matrix, also when the basis has more columns than
@@ -186,47 +186,53 @@ LEAF_ROWS = 32
 
 #: Columns of each Krylov chain a doubling grows, pairs into moments and
 #: streams into its span together (:func:`dsda_step`), one block at
-#: least, and of a whole basis :func:`span_of` streams.  Narrower chunks
-#: cost more small BLAS calls (64 columns was about 30 % slower on the
-#: steel-sized CARE); wider ones only hold more columns at once.
+#: least, and of a whole replayed basis :func:`dsda.validate.span_of`
+#: streams.  Narrower chunks cost more small BLAS calls (64 columns was
+#: about 30 % slower on the steel-sized CARE); wider ones only hold more
+#: columns at once.  The deflation threshold does not depend on it.
 STREAM_COLS = 256
 
 
-def extend_span(q: np.ndarray, new: np.ndarray, cols: int
+def extend_span(q: np.ndarray, new: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis (``Q^H Q = I``) of the numerical span of ``q``
-    and the chunk ``new`` of a basis with ``cols`` columns, and the
-    coordinates ``Q^H new`` of the chunk in it.
+    and the chunk ``new``, and the coordinates ``Q^H new`` of the chunk
+    in it.
 
     The block Krylov spaces are nested, so each doubling extends the
     span by the part of its new columns outside it only, chunk by chunk
     (:func:`dsda_step`), and the leading columns of the result are ``q``
     itself.  A column whose part outside the span is at most
-    ``tol = EPS * max(n, cols)`` times its own norm (the rank cutoff of
-    the driver, with ``cols`` the width of the whole basis) lies in the
-    span to roundoff and is deflated; measuring against each column's
-    own norm keeps the directions of small columns that meet large ones
-    of the other basis in a two-sided iterate.
+    ``tol = EPS * n`` times its own norm, n the order ``q.shape[0]``, is
+    deflated: that is the cutoff :func:`dsda.matkit.numerical_rank`
+    applies to a matrix of order n, the same for every chunk of every
+    basis, however wide the basis has grown.  Measuring against each
+    column's own norm keeps the directions of small columns that meet
+    large ones of the other basis in a two-sided iterate.
 
     The new columns, scaled to unit norm, are projected out of ``q`` in
     one product, which leaves each remainder accurate to well within
-    the threshold.  The chunk is then pivoted as a whole, in rounds.  A
-    round forms the Gram matrix of the remainders and picks the
-    directions by a pivoted Cholesky factorization of it, largest
-    remainder first, down to a floor that follows from EPS
-    (:func:`_pivots`).  The picks are orthonormalized as one block: a
-    QR, a projection out of ``q`` and the directions added before, and
-    a QR again (two passes are enough; Björck, LAA 197-198, 1994).  The
-    QR comes first because a pick may be small next to the roundoff
-    the first projection left along ``q``; a QR after the projection
-    would scale that roundoff by the picks' condition, and in that order
-    the span of the steel-sized CARE grew to all n = 1369 directions.
-    Every remainder is then projected out of the new directions, and
-    the rounds repeat until none is above ``tol``: the per-column test
-    alone decides what is deflated, the Gram matrix only the order of
-    the picks.  A round that would pick nothing is not run: that is
-    exactly when no remainder's squared norm is above ``tol**2``, which
-    the squared column norms show without the Gram matrix.
+    the threshold: after both projections (this one and the one out of
+    the added directions, below) the roundoff in a remainder measured at
+    most 9.6 EPS of its column's norm on the steel-sized CARE and the
+    grid-37 heat MARE, under 1 % of ``tol`` at n = 1369.  The chunk is
+    then pivoted as a whole, in rounds.  A round forms the Gram matrix
+    of the remainders and picks the directions by a pivoted Cholesky
+    factorization of it, largest remainder first, down to a floor that
+    follows from EPS (:func:`_pivots`).  The picks are orthonormalized
+    as one block: a QR, a projection out of ``q`` and the directions
+    added before, and a QR again (two passes are enough; Björck, LAA
+    197-198, 1994).  The QR comes first because a pick may be small
+    next to the roundoff the first projection left along ``q``; a QR
+    after the projection would scale that roundoff by the picks'
+    condition, and in that order the span of the steel-sized CARE grew
+    to all n = 1369 directions.  Every remainder is then projected out
+    of the new directions, and the rounds repeat until none is above
+    ``tol``: the per-column test alone decides what is deflated, the
+    Gram matrix only the order of the picks.  A round that would pick
+    nothing is not run: that is exactly when no remainder's squared norm
+    is above ``tol**2``, which the squared column norms show without the
+    Gram matrix.
 
     Besides the scaled copy of the chunk, the coordinates and the
     result, a call holds the chunk's Gram matrix and one round's
@@ -243,7 +249,7 @@ def extend_span(q: np.ndarray, new: np.ndarray, cols: int
     rest -= q @ top
     # The coordinates on q are those of the scaled columns, scaled back.
     top *= scale
-    tol = EPS * max(n, cols)
+    tol = EPS * n
     added = []
     r = 0
     while r < room and _squared_norms(rest).max() > tol * tol:
@@ -274,9 +280,12 @@ def _pivots(gram: np.ndarray, tol: float, most: int) -> list[int]:
     matrix-vector product.  Picking stops at an entry of at most
     ``tol`` times the largest diagonal entry of ``gram``: the entries
     of a Gram matrix, inner products of length n, carry roundoff of
-    about EPS n times that entry, which ``tol >= EPS * n`` covers, so no
-    pick is decided by it.  An entry of at most ``tol**2`` is never
-    picked: for columns of unit norm it is one within the threshold.
+    about EPS n times that entry, which the ``tol = EPS * n`` of
+    :func:`extend_span` covers, so no pick is decided by it.  This floor
+    is the Gram matrix's own and only orders the picks; the per-column
+    test of :func:`extend_span` decides what is deflated.  An entry of
+    at most ``tol**2`` is never picked: for columns of unit norm it is
+    one within the threshold.
     """
     d = gram.diagonal().real.copy()
     floor = max(tol * d.max(), tol * tol)
@@ -301,19 +310,6 @@ def _squared_norms(a: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(a):
         d += np.einsum("ij,ij->j", a.imag, a.imag)
     return d
-
-
-def span_of(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The span and coordinates of a whole basis, which is streamed
-    through :func:`extend_span` ``STREAM_COLS`` columns at a time, as a
-    step streams its chunks."""
-    q, parts = np.zeros((basis.shape[0], 0), dtype=basis.dtype), []
-    cols = basis.shape[1]
-    # One call also for no columns, so that the coordinates are 0 x 0.
-    for j in range(0, max(1, cols), STREAM_COLS):
-        q, part = extend_span(q, basis[:, j:j + STREAM_COLS], cols)
-        parts.append(part)
-    return q, _stack_coordinates(parts, q.shape[1])
 
 
 @dataclass(frozen=True)
@@ -518,8 +514,10 @@ def _start(family: str, firsts: dict, seeds: dict, scale: float
            ) -> DsdaState:
     """The k = 0 state of ``family`` from each chain's first block and
     operator, ``firsts[name] = (block, op)``: each kernel's first
-    moment and each span, as the layout pairs and spans the chains, and
-    the coordinates appended as a step appends its own."""
+    moment and each span, as the layout pairs and spans the chains, the
+    first block spanned as one chunk from the empty span of its order
+    by the call a step makes (:func:`extend_span`), and the coordinates
+    appended as a step appends its own."""
     pairs, spanned = _LAYOUT[family]
     chains = {name: Chain(block, block, op)
               for name, (block, op) in firsts.items()}
@@ -528,7 +526,8 @@ def _start(family: str, firsts: dict, seeds: dict, scale: float
         u = chains[left].first
         moments[kernel] = ((u.conj() if conj else u).T
                            @ chains[right].first)[None]
-    spans = {name: span_of(chains[name].first) for name in spanned}
+    spans = {name: extend_span(chains[name].first[:, :0], chains[name].first)
+             for name in spanned}
     s = DsdaState(family, chains, seeds, moments,
                   {name: q for name, (q, _) in spans.items()},
                   dict.fromkeys(spans, ()), scale)
@@ -600,10 +599,10 @@ def dsda_step(s: DsdaState,
     so the new moments M_{2b-1} ... M_{4b-2} of a kernel whose moments
     pair the chains u and v are M_{2i-1} = u_i^T v_{i-1} and
     M_{2i} = u_i^T v_i (:func:`_pair_moments`).  Each chunk's new
-    columns extend their span at the threshold of the doubled basis
-    (:func:`extend_span`), and their coordinates are kept.  The columns
-    before them get zero coordinates on the directions a chunk adds:
-    they lay within that threshold of the span when they were deflated.
+    columns extend their span (:func:`extend_span`), and their
+    coordinates are kept.  The columns before them get zero coordinates
+    on the directions a chunk adds: they lay within the threshold of the
+    span when they were deflated.
     A chunk pair is released before the next one is grown.
 
     The chunks' coordinates are then appended as the init appends its
@@ -634,9 +633,7 @@ def dsda_step(s: DsdaState,
             stacks[kernel].append(_pair_moments(chunks[left], chunks[right],
                                                 count, conj))
         for name, q in qs.items():
-            width = widths[name]
-            qs[name], part = extend_span(q, chunks[name][:, width:],
-                                         2 * blocks * width)
+            qs[name], part = extend_span(q, chunks[name][:, widths[name]:])
             parts[name].append(part)
         del chunks, part
     return _append(dataclasses.replace(

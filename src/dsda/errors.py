@@ -9,6 +9,10 @@ class DimensionMismatchError(SolverError):
     """Operands have incompatible shapes."""
 
 
+class NonFiniteError(SolverError, ValueError):
+    """An input matrix has a NaN or infinite entry."""
+
+
 class SingularMatrixError(SolverError):
     """A matrix required to be invertible is numerically singular."""
 

@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatchError, SingularMatrixError
+from .errors import DimensionMismatchError, NonFiniteError, SingularMatrixError
 
 EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
@@ -50,7 +50,8 @@ def as_matrix(a, name: str = "matrix", *, finite: bool = True) -> np.ndarray:
 
     Scalars become 1 x 1 and 1-D arrays of length n become 1 x n rows,
     so the scalar worked examples need no ceremony.  Non-finite entries
-    raise ``ValueError`` unless ``finite`` is false.
+    raise :class:`dsda.errors.NonFiniteError` (a ``ValueError``) unless
+    ``finite`` is false.
     """
     arr = np.atleast_2d(np.asarray(a))
     if arr.ndim != 2:
@@ -60,7 +61,7 @@ def as_matrix(a, name: str = "matrix", *, finite: bool = True) -> np.ndarray:
     else:
         arr = arr.astype(np.float64, copy=False)
     if finite and arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     return arr
 
 

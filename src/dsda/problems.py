@@ -255,8 +255,8 @@ def _random_symmetric(n: int, m: int, l: int, seed: int, draw):
     """A, B, C of a random instance, deterministic per seed: A is the
     symmetric ``Q diag(draw(rng)) Q^T`` with Q orthogonal, and B and C
     are dense with full column/row rank almost surely."""
-    if m > n or l > n:
-        raise DimensionMismatchError("block widths must not exceed n")
+    if not (0 <= m <= n and 0 <= l <= n):
+        raise DimensionMismatchError("block widths must lie in [0, n]")
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     a = (q * draw(rng)) @ q.T
@@ -293,8 +293,9 @@ def gen_random_mare(m: int, n: int, m1: int, n1: int, seed: int) -> MareProblem:
     matrix ``[[D, -C], [-B, A]]`` is strictly diagonally dominant with
     positive diagonal, i.e. a nonsingular M-matrix.
     """
-    if m1 > min(m, n) or n1 > min(m, n):
-        raise DimensionMismatchError("factor ranks must not exceed min(m, n)")
+    if not (0 <= m1 <= min(m, n) and 0 <= n1 <= min(m, n)):
+        raise DimensionMismatchError(
+            "factor ranks must lie in [0, min(m, n)]")
     rng = np.random.default_rng(seed)
     b_l = rng.uniform(0.0, 1.0, (m, m1))
     b_r = rng.uniform(0.0, 1.0, (n, m1))
@@ -321,8 +322,8 @@ def gen_random_bsep(n: int, p: int, seed: int) -> BsepProblem:
     invariant subspace of the assembled Hamiltonian is a well-behaved
     graph subspace, so the doubling iteration converges.
     """
-    if p > n:
-        raise DimensionMismatchError("p must not exceed n")
+    if not 0 <= p <= n:
+        raise DimensionMismatchError("p must lie in [0, n]")
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     a = -(w @ w.conj().T / (2.0 * n) + np.eye(n))

@@ -2,11 +2,11 @@
 
 No solve runs this module: :func:`dsda.solve_driver` calls none of it,
 and :mod:`dsda.decoupled` does not import it.  It holds what a solve
-never reads: bases replayed from each chain's first block, the G_k
-iterates in the spans of those bases, and dense arrays (assembled
-Hankel matrices, n x n iterates, the BSEP diagnostics).  An evaluation
-that raises a propagator to the 2^k is refused above order
-``DENSE_EVAL_MAX_DIM``.
+never reads: bases replayed from each chain's first block, their
+spans (:func:`span_of`), the G_k iterates in those spans, and dense
+arrays (assembled Hankel matrices, n x n iterates, the BSEP
+diagnostics).  An evaluation that raises a propagator to the 2^k is
+refused above order ``DENSE_EVAL_MAX_DIM``.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
+from . import decoupled
 from .decoupled import (_LAYOUT, DsdaState, LowRankSolution, _edges,
                         _evaluate, _extend_basis, _hankel_kernel,
-                        _schur_solve, _tail, span_of)
+                        _schur_solve, _stack_coordinates, _tail, extend_span)
 from .errors import BudgetExceededError, DimensionMismatchError, SingularMatrixError
 from .matkit import lu_factor_checked, solve_general
 
@@ -25,6 +26,19 @@ DENSE_EVAL_MAX_DIM = 512
 
 #: The kernel whose moments make up each Gram block.
 _GRAM_OF = {"T": "Y", "S": "Z"}
+
+
+def span_of(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The span and coordinates of a whole basis, which is streamed
+    through :func:`dsda.decoupled.extend_span` ``STREAM_COLS`` columns
+    at a time (read on each call), as a step streams its chunks, and at
+    the same threshold."""
+    q, parts = np.zeros((basis.shape[0], 0), dtype=basis.dtype), []
+    # One call also for no columns, so that the coordinates are 0 x 0.
+    for j in range(0, max(1, basis.shape[1]), decoupled.STREAM_COLS):
+        q, part = extend_span(q, basis[:, j:j + decoupled.STREAM_COLS])
+        parts.append(part)
+    return q, _stack_coordinates(parts, q.shape[1])
 
 
 def chain_basis(s: DsdaState, name: str) -> np.ndarray:

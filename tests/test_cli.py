@@ -269,6 +269,21 @@ class TestSolve:
         assert code == 1
         assert "complex" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_matrix_exit_1(self, tmp_path, capsys, bad):
+        # The reader returns the entry as it is; the problem refuses it,
+        # and the one error line names the matrix.
+        for name, entry in (("a", bad), ("b", "1"), ("c", "1")):
+            (tmp_path / f"{name}.mtx").write_text(
+                f"%%MatrixMarket matrix array real general\n1 1\n{entry}\n")
+        code = run_cli(["solve", "--family", "care", "--gamma", "1",
+                        "--A", str(tmp_path / "a.mtx"),
+                        "--B", str(tmp_path / "b.mtx"),
+                        "--C", str(tmp_path / "c.mtx")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: A contains non-finite entries\n"
+
 
 class TestSelftest:
     def test_passes(self, capsys):
@@ -292,6 +307,16 @@ class TestGen:
         code = run_cli(["solve", "--config", cfg_path])
         capsys.readouterr()
         assert code == 0
+
+    @pytest.mark.parametrize("family,flag", [
+        ("care", "--n"), ("care", "--m"), ("dare", "--l"), ("mare", "--m1"),
+        ("mare", "--n1"), ("bsep", "--p")])
+    def test_negative_width_exit_1(self, family, flag, tmp_path, capsys):
+        code = run_cli(["gen", "--family", family, "--out-dir",
+                        str(tmp_path), flag, "-1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "[0, " in err
 
     def test_deterministic(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"

@@ -909,7 +909,7 @@ class TestExtendSpan:
     of the span, coordinates that rebuild the chunk, and no direction
     beyond those the chunk has."""
 
-    N, R, COLS = 300, 40, 1000
+    N, R = 300, 40
 
     def chunk(self, dtype, seed=0):
         # 96 columns: a part in q plus a part outside it, 24 columns each
@@ -928,7 +928,7 @@ class TestExtendSpan:
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_extends_q_by_orthonormal_directions(self, dtype):
         q, new = self.chunk(dtype)
-        span, coords = extend_span(q, new, self.COLS)
+        span, coords = extend_span(q, new)
         # A direction for each column outside the span, none for those
         # within the threshold.
         r = span.shape[1]
@@ -942,8 +942,8 @@ class TestExtendSpan:
     def test_every_column_lies_within_the_threshold_of_the_span(self,
                                                                 dtype):
         q, new = self.chunk(dtype)
-        span, coords = extend_span(q, new, self.COLS)
-        tol = EPS * max(self.N, self.COLS)
+        span, coords = extend_span(q, new)
+        tol = EPS * self.N
         norms = np.linalg.norm(new, axis=0)
         outside = np.linalg.norm(new - span @ (span.conj().T @ new), axis=0)
         assert np.all(outside <= tol * norms)
@@ -965,15 +965,37 @@ class TestExtendSpan:
         new = q @ _random(rng, (self.R, cols), dtype) + part
         new += EPS * _random(rng, new.shape, dtype) * (
             np.linalg.norm(new, axis=0) / math.sqrt(n))
-        span, _ = extend_span(q, new, self.COLS)
+        span, _ = extend_span(q, new)
         assert span.shape[1] == self.R + rank
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_deflates_at_eps_n_of_each_columns_norm(self, dtype):
+        # Two unit columns whose parts outside q are 3 EPS n and EPS n / 3
+        # of their norm, n the order: the first gets a direction, the
+        # second is deflated.  The threshold reads only the order.
+        rng = np.random.default_rng(5)
+        n = self.N
+        q = np.linalg.qr(_random(rng, (n, self.R), dtype))[0]
+        outside = _random(rng, (n, 2), dtype)
+        for _ in range(2):
+            outside -= q @ (q.conj().T @ outside)
+        outside /= np.linalg.norm(outside, axis=0)
+        inside = q @ _random(rng, (self.R, 2), dtype)
+        inside /= np.linalg.norm(inside, axis=0)
+        ratios = EPS * n * np.array([3.0, 1.0 / 3.0])
+        new = inside * np.sqrt(1.0 - ratios ** 2) + outside * ratios
+        span, coords = extend_span(q, new)
+        assert span.shape[1] == self.R + 1
+        assert abs(np.vdot(span[:, -1], outside[:, 0])) >= 0.99
+        rebuilt = np.linalg.norm(new - span @ coords, axis=0)
+        assert np.all(rebuilt <= EPS * n)
 
     def test_stops_at_the_order(self):
         # More independent columns than room: the span fills the space.
         rng = np.random.default_rng(3)
         q = np.linalg.qr(rng.standard_normal((30, 20)))[0]
         new = rng.standard_normal((30, 25))
-        span, coords = extend_span(q, new, 45)
+        span, coords = extend_span(q, new)
         assert span.shape == (30, 30)
         assert np.allclose(span.T @ span, np.eye(30), rtol=0.0, atol=1e-14)
         assert np.allclose(span @ coords, new, rtol=0.0, atol=1e-13)

@@ -70,6 +70,18 @@ class TestGenerators:
         assert np.allclose(p.a, p.a.conj().T)
         assert np.max(np.linalg.eigvalsh(p.a)) < 0.0
 
+    @pytest.mark.parametrize("make,args", [
+        (gen_random_care, (4, -1, 1)), (gen_random_care, (4, 1, -1)),
+        (gen_random_dare, (4, -1, 1)), (gen_random_dare, (4, 1, -1)),
+        (gen_random_mare, (4, 4, -1, 1)), (gen_random_mare, (4, 4, 1, -1)),
+        (gen_random_bsep, (4, -1))],
+        ids=["care-m", "care-l", "dare-m", "dare-l", "mare-m1", "mare-n1",
+             "bsep-p"])
+    def test_negative_widths_rejected(self, make, args):
+        # Refused next to the upper bound, before numpy sees the shape.
+        with pytest.raises(DimensionMismatchError, match=r"in \[0, "):
+            make(*args, seed=0)
+
 
 class TestScalarSuite:
     def test_reference_values(self):
