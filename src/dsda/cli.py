@@ -6,7 +6,8 @@ Three subcommands:
   report.  The exit code encodes the terminal status (0 Converged,
   2 MaxIter, 3 BudgetExceeded, 4 SingularEncountered); usage, config
   and parse errors and malformed input (a non-finite matrix entry, a
-  ``gen`` width out of range) exit with 1 and one ``error:`` line.
+  problem of order 0, a ``gen`` width out of range) exit with 1 and one
+  ``error:`` line.
 * ``selftest`` -- run the built-in scalar instances with closed-form
   answers through both the classical and decoupled methods.
 * ``gen``      -- write a seeded random problem (matrices plus a config

@@ -95,9 +95,10 @@ for every family (:func:`dsda_step`) streams the new blocks of each
 chain into the moments and spans a chunk at a time, deflating the
 columns that lie within ``EPS * n`` of a span, relative to their own
 norms, and the init and every step append their coordinates in one
-tail (:func:`_append`).  Each chunk is pivoted as a whole: a pivoted
-Cholesky factorization of its Gram matrix picks the directions, which
-are orthonormalized as one block, until every column of the chunk lies
+tail (:func:`_append`).  Each chunk is pivoted as a whole, in rounds:
+in each, LAPACK's pivoted Cholesky factorization ``?pstrf`` of the Gram
+matrix of the chunk's remainders picks the directions, which are
+orthonormalized as one block, until every column of the chunk lies
 within that threshold of the span.  On the steel-sized CARE (seed 7)
 the span ends with 295 directions for an iterate of rank 101.  This is
 not truncation: deflation drops only directions within the rank cutoff
@@ -217,22 +218,22 @@ def extend_span(q: np.ndarray, new: np.ndarray
     most 9.6 EPS of its column's norm on the steel-sized CARE and the
     grid-37 heat MARE, under 1 % of ``tol`` at n = 1369.  The chunk is
     then pivoted as a whole, in rounds.  A round forms the Gram matrix
-    of the remainders and picks the directions by a pivoted Cholesky
-    factorization of it, largest remainder first, down to a floor that
-    follows from EPS (:func:`_pivots`).  The picks are orthonormalized
-    as one block: a QR, a projection out of ``q`` and the directions
-    added before, and a QR again (two passes are enough; Björck, LAA
-    197-198, 1994).  The QR comes first because a pick may be small
-    next to the roundoff the first projection left along ``q``; a QR
-    after the projection would scale that roundoff by the picks'
-    condition, and in that order the span of the steel-sized CARE grew
-    to all n = 1369 directions.  Every remainder is then projected out
-    of the new directions, and the rounds repeat until none is above
-    ``tol``: the per-column test alone decides what is deflated, the
-    Gram matrix only the order of the picks.  A round that would pick
-    nothing is not run: that is exactly when no remainder's squared norm
-    is above ``tol**2``, which the squared column norms show without the
-    Gram matrix.
+    of the remainders and picks the directions by one call of LAPACK's
+    pivoted Cholesky factorization ``?pstrf`` on it, largest remainder
+    first, down to a floor that follows from EPS (:func:`_pivots`).  The
+    picks are orthonormalized as one block: a QR, a projection out of
+    ``q`` and the directions added before, and a QR again (two passes
+    are enough; Björck, LAA 197-198, 1994).  The QR comes first because
+    a pick may be small next to the roundoff the first projection left
+    along ``q``; a QR after the projection would scale that roundoff by
+    the picks' condition, and in that order the span of the steel-sized
+    CARE grew to all n = 1369 directions.  Every remainder is then
+    projected out of the new directions, and the rounds repeat until
+    none is above ``tol``: the per-column test alone decides what is
+    deflated, the Gram matrix only the order of the picks.  A round
+    that would pick nothing is not run: that is exactly when no
+    remainder's squared norm is above ``tol**2``, which the squared
+    column norms show without the Gram matrix.
 
     Besides the scaled copy of the chunk, the coordinates and the
     result, a call holds the chunk's Gram matrix and one round's
@@ -271,37 +272,30 @@ def extend_span(q: np.ndarray, new: np.ndarray
 
 
 def _pivots(gram: np.ndarray, tol: float, most: int) -> list[int]:
-    """Pivot order of a pivoted Cholesky factorization of the Gram
-    matrix ``gram`` of some columns, at most ``most`` pivots.
+    """The leading pivots, at most ``most`` of them and 0-based, of
+    LAPACK's pivoted Cholesky factorization ``?pstrf`` of the Gram matrix
+    ``gram`` of some columns: each step picks the column with the
+    largest diagonal entry of the Schur complement, the squared norm of
+    its part outside the columns picked before.
 
-    Each step picks the column with the largest diagonal entry of the
-    Schur complement, the squared norm of its part outside the columns
-    picked before, and forms its row of the factor with one
-    matrix-vector product.  Picking stops at an entry of at most
-    ``tol`` times the largest diagonal entry of ``gram``: the entries
-    of a Gram matrix, inner products of length n, carry roundoff of
-    about EPS n times that entry, which the ``tol = EPS * n`` of
-    :func:`extend_span` covers, so no pick is decided by it.  This floor
-    is the Gram matrix's own and only orders the picks; the per-column
-    test of :func:`extend_span` decides what is deflated.  An entry of
-    at most ``tol**2`` is never picked: for columns of unit norm it is
-    one within the threshold.
+    Picking stops at an entry of at most ``tol`` times the largest
+    diagonal entry of ``gram``: the entries of a Gram matrix, inner
+    products of length n, carry roundoff of about EPS n times that
+    entry, which the ``tol = EPS * n`` of :func:`extend_span` covers, so
+    no pick is decided by it.  This floor is the Gram matrix's own and
+    only orders the picks; the per-column test of :func:`extend_span`
+    decides what is deflated.  An entry of at most ``tol**2`` is never
+    picked: for columns of unit norm it is one within the threshold.
+    ``?pstrf`` tests its first pivot against zero only, so a diagonal
+    all at or below the floor is refused here.
     """
-    d = gram.diagonal().real.copy()
-    floor = max(tol * d.max(), tol * tol)
-    rows = np.empty((min(most, d.size), d.size), dtype=gram.dtype)
-    picks = []
-    for i in range(rows.shape[0]):
-        p = int(np.argmax(d))
-        if not d[p] > floor:
-            break
-        row = rows[i]
-        np.subtract(gram[:, p], rows[:i, p].conj() @ rows[:i], out=row)
-        row /= np.sqrt(d[p])
-        d -= (row * row.conj()).real
-        d[p] = 0.0
-        picks.append(p)
-    return picks
+    top = gram.diagonal().real.max()
+    floor = max(tol * top, tol * tol)
+    if not top > floor:
+        return []
+    pstrf, = scipy.linalg.lapack.get_lapack_funcs(("pstrf",), (gram,))
+    _, piv, rank, _ = pstrf(gram, tol=floor, lower=1)
+    return (piv[:min(rank, most)] - 1).tolist()
 
 
 def _squared_norms(a: np.ndarray) -> np.ndarray:

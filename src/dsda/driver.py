@@ -10,10 +10,13 @@ matching report status and the last successful iterate is kept as the
 final solution.  An iterate or residual with non-finite entries counts
 as numerical singularity.
 
-Family and method differ only in data: one table maps each (family,
-method) pair to its init, step, iterate and residual functions, and
-one loop runs them all.  Each family has one residual, which takes a
-dense iterate or the ``LowRankSolution`` of a decoupled one.
+One table maps each (family, method) pair to its init, step, iterate
+and residual functions, and one loop runs them all.  Each family has
+one residual, which takes a dense iterate or the ``LowRankSolution`` of
+a decoupled one.  The loop itself knows two facts of a family: a
+Bethe-Salpeter run (``bsep``) starts from the evaluated F_0 and doubles
+alpha while its start is singular, and the rank of a CARE or DARE
+iterate, real symmetric, is counted by eigenvalue magnitudes.
 
 Every ``sda`` iterate is measured dense.  A decoupled iterate
 ``Q_l core Q_r^T`` comes finished from its evaluator; its residual is

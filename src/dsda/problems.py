@@ -61,11 +61,13 @@ def _coerce(p, names, dtype=None) -> None:
 
 def _coerce_abc(p) -> None:
     """Coerce a Riccati problem's A, B, C to matrices in place and check
-    that A is n x n, B n x m and C l x n with m, l <= n."""
+    that A is n x n, B n x m and C l x n with m, l <= n and n >= 1."""
     _coerce(p, ("A", "B", "C"))
     n = p.a.shape[0]
     if p.a.shape != (n, n):
         raise DimensionMismatchError(f"A must be square, got {p.a.shape}")
+    if not n:
+        raise DimensionMismatchError("A must have order at least 1")
     if p.b.shape[0] != n:
         raise DimensionMismatchError(f"B must have {n} rows, got {p.b.shape}")
     if p.c.shape[1] != n:
@@ -145,6 +147,8 @@ class MareProblem:
         n = self.d.shape[0]
         if self.a.shape != (m, m) or self.d.shape != (n, n):
             raise DimensionMismatchError("A and D must be square")
+        if not (m and n):
+            raise DimensionMismatchError("A and D must have order at least 1")
         m1 = self.b_l.shape[1]
         n1 = self.c_l.shape[1]
         if self.b_l.shape != (m, m1) or self.b_r.shape != (n, m1):
@@ -210,6 +214,8 @@ class BsepProblem:
         n = a.shape[0]
         if a.shape != (n, n):
             raise DimensionMismatchError(f"A must be square, got {a.shape}")
+        if not n:
+            raise DimensionMismatchError("A must have order at least 1")
         if l_b.shape[0] != n or l_b.shape[1] > n:
             raise DimensionMismatchError(
                 f"L_B must be {n} x p with p <= {n}, got {l_b.shape}")

@@ -284,6 +284,20 @@ class TestSolve:
         assert code == 1
         assert err == "error: A contains non-finite entries\n"
 
+    def test_order_zero_problem_exit_1(self, tmp_path, capsys):
+        # The reader returns a 0 x 0 matrix as it is; the problem refuses
+        # order 0 before the solve.
+        for name in "abc":
+            (tmp_path / f"{name}.mtx").write_text(
+                "%%MatrixMarket matrix coordinate real general\n0 0 0\n")
+        code = run_cli(["solve", "--family", "care", "--gamma", "1",
+                        "--A", str(tmp_path / "a.mtx"),
+                        "--B", str(tmp_path / "b.mtx"),
+                        "--C", str(tmp_path / "c.mtx")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: A must have order at least 1\n"
+
 
 class TestSelftest:
     def test_passes(self, capsys):
@@ -317,6 +331,13 @@ class TestGen:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and "[0, " in err
+
+    def test_order_zero_exit_1(self, tmp_path, capsys):
+        code = run_cli(["gen", "--family", "mare", "--out-dir", str(tmp_path),
+                        "--n", "0", "--m", "0", "--m1", "0", "--n1", "0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: A and D must have order at least 1\n"
 
     def test_deterministic(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"

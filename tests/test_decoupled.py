@@ -1026,3 +1026,99 @@ class TestExtendSpan:
         widths = (sol.q_left.shape[1], sol.q_right.shape[1])
         assert all(w <= most for w, most in zip(widths, widest)), widths
         assert rounds and min(rounds) > 0, rounds
+
+
+class TestPivots:
+    """The contract of ``_pivots`` on the Gram matrix of some columns:
+    picks in the order of the largest diagonal entry of the Schur
+    complement, none at or below ``max(tol * max diag, tol**2)`` and at
+    most ``most`` of them."""
+
+    N = 40
+
+    def gram(self, coords, dtype):
+        # Columns with the coordinates ``coords`` in an orthonormal basis
+        # of N rows: their Gram matrix is ``coords^H coords`` to roundoff.
+        coords = np.asarray(coords, dtype=dtype)
+        rng = np.random.default_rng(11)
+        q = np.linalg.qr(_random(rng, (self.N, coords.shape[0]), dtype))[0]
+        cols = q @ coords
+        return cols.conj().T @ cols
+
+    @staticmethod
+    def greedy(cols, floor, most):
+        # The reference: Gram-Schmidt on the columns themselves, each
+        # time picking the one with the largest part outside the picks.
+        rest = cols.copy()
+        picks = []
+        while len(picks) < most:
+            d = np.linalg.norm(rest, axis=0) ** 2
+            p = int(np.argmax(d))
+            if not d[p] > floor:
+                break
+            u = rest[:, p] / math.sqrt(d[p])
+            rest -= np.outer(u, u.conj() @ rest)
+            rest[:, p] = 0.0
+            picks.append(p)
+        return picks
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_picks_the_largest_schur_complement_diagonal(self, dtype):
+        # Squared norms 9, 8.42 and 0.25, but the second column is nearly
+        # the first: once that is picked, 0.25 is left of the third and
+        # 0.01 of the second.
+        i = 1j if dtype is complex else 1.0
+        gram = self.gram([[3.0, 2.9 * i, 0.0],
+                          [0.0, 0.1, 0.0],
+                          [0.0, 0.0, 0.5 * i]], dtype)
+        assert decoupled._pivots(gram, 1e-10, 3) == [0, 2, 1]
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_gram_schmidt_on_the_columns(self, dtype):
+        # Twelve random columns at scales from 1 to 1e-5, nine apart in
+        # squared norm, and two combinations of them, which lie within
+        # roundoff of the picks: twelve picks, in the reference's order.
+        rng = np.random.default_rng(4)
+        cols = _random(rng, (self.N, 12), dtype) * rng.permutation(
+            np.logspace(0.0, -5.0, 12))
+        cols = np.hstack([cols, cols[:, :6] @ _random(rng, (6, 2), dtype)])
+        gram = cols.conj().T @ cols
+        tol = EPS * self.N
+        floor = max(tol * gram.diagonal().real.max(), tol * tol)
+        picks = decoupled._pivots(gram, tol, cols.shape[1])
+        assert picks == self.greedy(cols, floor, cols.shape[1])
+        assert len(picks) == 12
+        assert decoupled._pivots(gram, tol, 5) == picks[:5]
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stops_at_the_floor(self, dtype):
+        # Orthogonal columns, so each diagonal entry is its own Schur
+        # complement.  At tol = 1e-5 the floor is tol times the largest
+        # entry, 4e-5: 1e-3 is picked, 1e-7 is not.
+        gram = self.gram(np.diag(np.sqrt([1.0, 4.0, 1e-7, 1e-3])), dtype)
+        assert decoupled._pivots(gram, 1e-5, 4) == [1, 0, 3]
+        # At tol = 1e-4 and entries of at most 4e-8 the floor is tol**2,
+        # 1e-8: 5e-9 is not picked.
+        gram = self.gram(np.diag(np.sqrt([2e-8, 5e-9, 4e-8])), dtype)
+        assert decoupled._pivots(gram, 1e-4, 3) == [2, 0]
+        # Nothing above tol**2, not even the largest entry: no pick.
+        gram = self.gram(np.diag(np.sqrt([1e-9, 5e-10])), dtype)
+        assert decoupled._pivots(gram, 1e-4, 2) == []
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("most", [1, 2, 5])
+    def test_at_most_most_picks(self, dtype, most):
+        rng = np.random.default_rng(most)
+        cols = _random(rng, (self.N, 5), dtype)
+        gram = cols.conj().T @ cols
+        picks = decoupled._pivots(gram, EPS * self.N, most)
+        assert len(picks) == most
+        assert picks == decoupled._pivots(gram, EPS * self.N, 5)[:most]
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_equal_columns_give_one_pick(self, dtype):
+        rng = np.random.default_rng(6)
+        col = _random(rng, (self.N, 1), dtype)
+        cols = np.hstack([col, col])
+        assert len(decoupled._pivots(cols.conj().T @ cols, EPS * self.N,
+                                     2)) == 1

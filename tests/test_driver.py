@@ -142,6 +142,33 @@ def test_each_record_holds_the_width_of_its_span(family, method):
         assert last.span_cols == sol.q_left.shape[1]
 
 
+#: An instance of order 6 with a zero constant term, so a zero solution:
+#: C with no rows (CARE, DARE), L_B with no columns (BSEP), B_l and B_r
+#: with no columns (MARE).
+ZERO_CONSTANT = {
+    "care": lambda: gen_random_care(6, 2, 0, 1),
+    "dare": lambda: gen_random_dare(6, 2, 0, 1),
+    "mare": lambda: dataclasses.replace(
+        gen_random_mare(6, 6, 2, 2, 1), b_l=np.zeros((6, 0)),
+        b_r=np.zeros((6, 0))),
+    "bsep": lambda: gen_random_bsep(6, 0, 1),
+}
+
+
+@pytest.mark.parametrize("family,method", PAIRS)
+def test_a_zero_constant_term_converges_on_the_first_record(family, method):
+    # A decoupled run grows bases of no columns, and a CARE or DARE step
+    # solves with a kernel of order zero.
+    report = solve_driver(ZERO_CONSTANT[family](), SolveConfig(method=method))
+    assert report.status == "Converged"
+    (rec,) = report.iterations
+    assert (rec.k, rec.residual, rec.rank) == (1, 0.0, 0)
+    if method != "sda":
+        assert rec.basis_cols == 0
+    assert report.final_solution.shape == (6, 6)
+    assert not np.any(report.final_solution)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(pair=st.sampled_from(PAIRS), n=st.integers(1, 6),
        width=st.integers(1, 2), seed=st.integers(0, 2 ** 16),

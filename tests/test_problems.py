@@ -128,6 +128,20 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="non-finite"):
             BsepProblem(**data)
 
+    @pytest.mark.parametrize("make", [
+        lambda e: CareProblem(e(0, 0), e(0, 0), e(0, 0)),
+        lambda e: DareProblem(e(0, 0), e(0, 1), e(1, 0)),
+        lambda e: MareProblem(e(0, 0), e(0, 0), e(0, 0), e(0, 0), e(0, 0),
+                              e(0, 0)),
+        lambda e: MareProblem(-np.eye(2), e(0, 0), e(2, 0), e(0, 0),
+                              e(0, 0), e(2, 0)),
+        lambda e: BsepProblem(e(0, 0), e(0, 0)),
+    ], ids=["care", "dare", "mare", "mare-d", "bsep"])
+    def test_order_zero_rejected(self, make):
+        # Refused when the problem is built, so that no solve meets one.
+        with pytest.raises(DimensionMismatchError, match="order at least 1"):
+            make(lambda *shape: np.zeros(shape))
+
     def test_wide_b_rejected(self):
         with pytest.raises(DimensionMismatchError):
             DareProblem(np.eye(2), np.ones((2, 3)), np.ones((1, 2)))
