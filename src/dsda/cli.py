@@ -6,8 +6,12 @@ Three subcommands:
   report.  The exit code encodes the terminal status (0 Converged,
   2 MaxIter, 3 BudgetExceeded, 4 SingularEncountered); usage, config
   and parse errors and malformed input (a non-finite matrix entry, a
-  problem of order 0, a ``gen`` width out of range) exit with 1 and one
-  ``error:`` line.
+  problem of order 0, complex data for a real family, a size line whose
+  matrix cannot be allocated, a ``gen`` width out of range) exit with 1
+  and one ``error:`` line.  The eight setting flags (``--family`` to
+  ``--beta``) are generated from ``config.SETTINGS``, the keys of a
+  config file; each problem and ``SolveConfig`` checks its own values
+  as it is built.
 * ``selftest`` -- run the built-in scalar instances with closed-form
   answers through both the classical and decoupled methods.
 * ``gen``      -- write a seeded random problem (matrices plus a config
@@ -28,6 +32,7 @@ import sys
 from .config import SETTINGS, read_config
 from .driver import (
     METHODS,
+    STATUSES,
     ConvergenceReport,
     SolveConfig,
     family_of,
@@ -50,12 +55,7 @@ from .problems import (
 )
 from .validate import bsep_eigen_extract
 
-STATUS_EXIT_CODES = {
-    "Converged": 0,
-    "MaxIter": 2,
-    "BudgetExceeded": 3,
-    "SingularEncountered": 4,
-}
+STATUS_EXIT_CODES = dict(zip(STATUSES, (0, 2, 3, 4)))
 
 #: Seeded instance of each family from the ``gen`` arguments.
 _GENERATORS = {
@@ -79,17 +79,13 @@ def _build_parser() -> _CliParser:
 
     solve = sub.add_parser("solve", help="solve one problem from matrix files")
     solve.add_argument("--config", help="key=value config file")
-    solve.add_argument("--family", choices=tuple(FAMILY_MATRIX_KEYS))
-    solve.add_argument("--method", choices=METHODS)
+    choices = {"family": tuple(FAMILY_MATRIX_KEYS), "method": METHODS}
+    for key, kind in SETTINGS.items():
+        solve.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind,
+                           choices=choices.get(key))
     for flag in MATRIX_KEYS:
         solve.add_argument(f"--{flag}", metavar="PATH", dest=f"mat_{flag}",
                            help=f"Matrix Market file for {flag}")
-    solve.add_argument("--gamma", type=float)
-    solve.add_argument("--alpha", type=float)
-    solve.add_argument("--beta", type=float)
-    solve.add_argument("--tol", type=float)
-    solve.add_argument("--max-iter", type=int, dest="max_iter")
-    solve.add_argument("--column-budget", type=int, dest="column_budget")
     solve.add_argument("--output", choices=("csv", "json"), default="csv")
     solve.add_argument("--out-path", help="report destination (default stdout)")
 

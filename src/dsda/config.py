@@ -8,6 +8,11 @@ needs (A, B, C, D, B_l, B_r, C_l, C_r, L_B).  Matrix paths are resolved
 relative to the config file's directory.  Unknown keys are rejected --
 in particular anything related to basis truncation, which this package
 deliberately does not implement.
+
+``SETTINGS`` types each setting once: the reader casts a value with it,
+and the CLI generates its ``solve`` flags from it.  A value's type is
+checked here; whether the solver knobs are admissible is checked by
+``SolveConfig`` as it is built.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from .driver import SolveConfig
 from .errors import ConfigError
 from .problems import FAMILY_MATRIX_KEYS, MATRIX_KEYS, SHIFTS
 
-#: Type of each setting; the names double as the CLI flag destinations.
+#: Type of each setting.  Each is also a ``solve`` flag: ``--`` and the
+#: key with ``-`` for ``_``, parsed to this type into the key.
 SETTINGS = {"family": str, "method": str, "tol": float, "max_iter": int,
             "column_budget": int, **dict.fromkeys(SHIFTS, float)}
 
@@ -42,7 +48,9 @@ def read_config(path) -> tuple[dict, dict[str, str]]:
 
     The settings hold only the keys the file sets, already typed, so a
     key set to its default value is told from one left unset.  The
-    family must be set; the solver knobs are validated here.
+    family must be set, and the solver knobs the file sets must make a
+    valid ``SolveConfig``, so a bad one is refused before any matrix is
+    read.
     """
     values: dict[str, str] = {}
     try:
@@ -74,7 +82,7 @@ def read_config(path) -> tuple[dict, dict[str, str]]:
     settings = {key: _typed(key, value) for key, value in values.items()
                 if key in SETTINGS}
     SolveConfig(**{key: settings[key] for key in _SOLVER_KEYS
-                   if key in settings}).validate()
+                   if key in settings})
     base = os.path.dirname(os.path.abspath(path))
     paths = {key: os.path.join(base, value) for key, value in values.items()
              if key in MATRIX_KEYS}

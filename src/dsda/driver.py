@@ -65,9 +65,13 @@ class SolveConfig:
     """The four knobs of the iteration; defaults follow the benchmark
     setup (tol 1e-13, 20 iterations).
 
-    Shifts are not knobs: they are part of the transformed problem and
-    live on it (``dataclasses.replace(problem, gamma=...)``), and the
-    family is the problem's type.
+    A config checks itself when it is built, as every problem does:
+    a ``tol`` that is not a positive real number, a count that is not
+    an integer of at least 1 or an unknown ``method`` raises
+    ``ConfigError``.  Shifts are not knobs: they are part of the
+    transformed problem and live on it
+    (``dataclasses.replace(problem, gamma=...)``), and the family is the
+    problem's type.
     """
 
     tol: float = 1e-13
@@ -75,7 +79,7 @@ class SolveConfig:
     column_budget: int = decoupled.DEFAULT_COLUMN_BUDGET
     method: str = "dsda"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not isinstance(self.tol, numbers.Real):
             raise ConfigError(f"tol must be a number, got {self.tol!r}")
         if not self.tol > 0.0:
@@ -251,7 +255,6 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
     last successfully evaluated iterate.
     """
     cfg = cfg or SolveConfig()
-    cfg.validate()
     family = family_of(p)
     method = _methods(cfg.column_budget).get((family, cfg.method))
     if method is None:

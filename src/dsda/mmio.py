@@ -5,8 +5,9 @@ complex fields and general/symmetric/hermitian symmetry, which covers
 the benchmark data this package consumes.  Matrices are returned dense.
 The reader rejects pattern and skew-symmetric data, entries above the
 diagonal in symmetric storage, a non-real diagonal entry in hermitian
-storage and any byte outside ASCII, each with the file and line.  A
-coordinate entry given twice keeps its last value.
+storage, a size that cannot be allocated and any byte outside ASCII,
+each with the file and line.  A coordinate entry given twice keeps its
+last value.
 The writer emits the array format with 17 significant digits so a
 written matrix reloads bit-identically.
 """
@@ -37,8 +38,9 @@ def load_matrix_market(path) -> np.ndarray:
 
     Symmetric/hermitian storage (lower triangle) is expanded to the full
     matrix.  Raises ``ParseError`` with the offending line number on
-    malformed input and ``UnsupportedFieldError`` for pattern data or an
-    unsupported symmetry.
+    malformed input or a size line whose matrix cannot be allocated,
+    and ``UnsupportedFieldError`` for pattern data or an unsupported
+    symmetry.
     """
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         text = fh.read()
@@ -126,7 +128,10 @@ def load_matrix_market(path) -> np.ndarray:
     bad = np.flatnonzero((r == c) & (vals.imag != 0.0))
     if sym == "hermitian" and bad.size:
         _fail(path, linenos[bad[0]], "hermitian diagonal entries must be real")
-    mat = np.zeros((rows, cols), dtype=vals.dtype)
+    try:
+        mat = np.zeros((rows, cols), dtype=vals.dtype)
+    except (ValueError, MemoryError):
+        _fail(path, lineno, f"cannot allocate a {rows} x {cols} matrix")
     mat[r, c] = vals
     if sym != "general":
         lower = np.tril(mat, -1)

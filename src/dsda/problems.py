@@ -9,6 +9,15 @@ Four equation families are modelled:
 * ``BsepProblem``  -- Bethe-Salpeter eigenvalue problem for the 2n x 2n
   Hamiltonian-like matrix ``[[A, B], [-conj(B), -conj(A)]]`` with ``B = L_B L_B^T``
 
+Each problem type checks its data once, when it is built, and a
+descriptor that exists is valid: every matrix is finite and 2-D (its
+entries cast to float64, complex128 for ``BsepProblem``), the shapes
+fit together, the order is at least 1, and each shift given is
+admissible.  The CARE and DARE share their A, B, C data and its checks
+in one base class.  The three Riccati families are real, so complex
+data for them raises ``ConfigError``; ``BsepProblem`` also checks that
+A is Hermitian.
+
 The generators are pure functions of their arguments (including the
 seed) and produce instances that satisfy the standing assumptions of
 the doubling iterations by construction.
@@ -50,69 +59,64 @@ def _operator_of(field: str) -> functools.cached_property:
     return functools.cached_property(derive)
 
 
-def _coerce(p, names, dtype=None) -> None:
+def _coerce(p, names, dtype=np.float64) -> None:
     """Set each named field of ``p`` (the name in lower case) to
-    :func:`as_matrix` of it under that name, cast to ``dtype`` if given."""
+    :func:`as_matrix` of it under that name, cast to ``dtype``.  Complex
+    data for a real ``dtype`` raises ``ConfigError``."""
     for name in names:
         arr = as_matrix(getattr(p, name.lower()), name)
-        object.__setattr__(p, name.lower(), arr if dtype is None
-                           else arr.astype(dtype, copy=False))
-
-
-def _coerce_abc(p) -> None:
-    """Coerce a Riccati problem's A, B, C to matrices in place and check
-    that A is n x n, B n x m and C l x n with m, l <= n and n >= 1."""
-    _coerce(p, ("A", "B", "C"))
-    n = p.a.shape[0]
-    if p.a.shape != (n, n):
-        raise DimensionMismatchError(f"A must be square, got {p.a.shape}")
-    if not n:
-        raise DimensionMismatchError("A must have order at least 1")
-    if p.b.shape[0] != n:
-        raise DimensionMismatchError(f"B must have {n} rows, got {p.b.shape}")
-    if p.c.shape[1] != n:
-        raise DimensionMismatchError(f"C must have {n} columns, got {p.c.shape}")
-    if p.b.shape[1] > n or p.c.shape[0] > n:
-        raise DimensionMismatchError("B and C^T may have at most n columns")
+        if not np.can_cast(arr.dtype, dtype):
+            raise ConfigError(f"matrix '{name}' is complex but "
+                              f"{type(p).__name__} is real")
+        object.__setattr__(p, name.lower(), arr.astype(dtype, copy=False))
 
 
 @dataclass(frozen=True)
-class CareProblem:
-    """Continuous-time Riccati data A (n x n), B (n x m), C (l x n)."""
+class _RiccatiData:
+    """Riccati data A (n x n), B (n x m), C (l x n), real, with
+    m, l <= n and n >= 1."""
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
+
+    def __post_init__(self):
+        _coerce(self, ("A", "B", "C"))
+        a, b, c = self.a, self.b, self.c
+        n = a.shape[0]
+        if a.shape != (n, n):
+            raise DimensionMismatchError(f"A must be square, got {a.shape}")
+        if not n:
+            raise DimensionMismatchError("A must have order at least 1")
+        if b.shape[0] != n:
+            raise DimensionMismatchError(f"B must have {n} rows, got {b.shape}")
+        if c.shape[1] != n:
+            raise DimensionMismatchError(f"C must have {n} columns, got {c.shape}")
+        if b.shape[1] > n or c.shape[0] > n:
+            raise DimensionMismatchError("B and C^T may have at most n columns")
+
+    a_op = _operator_of("a")
+
+    @property
+    def n(self) -> int:
+        return self.a.shape[0]
+
+
+@dataclass(frozen=True)
+class CareProblem(_RiccatiData):
+    """Continuous-time Riccati data A (n x n), B (n x m), C (l x n)."""
+
     gamma: float = 1.0
 
     def __post_init__(self):
-        _coerce_abc(self)
+        super().__post_init__()
         if not self.gamma > 0.0:
             raise InvalidShiftError(f"gamma must be positive, got {self.gamma}")
 
-    a_op = _operator_of("a")
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
 
 @dataclass(frozen=True)
-class DareProblem:
+class DareProblem(_RiccatiData):
     """Discrete-time Riccati data A (n x n), B (n x m), C (l x n)."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        _coerce_abc(self)
-
-    a_op = _operator_of("a")
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
 
 
 #: The diagonal maximum each MARE shift must reach.
@@ -392,8 +396,10 @@ def assemble_problem(family: str, matrices: dict[str, np.ndarray],
     """Build a problem descriptor from named matrices.
 
     Of the shifts given, those the family's problem type has are set;
-    the others are ignored.  Raises ``ConfigError`` when a required
-    matrix is missing or a real family receives complex data.
+    the others are ignored.  Raises ``ConfigError`` for an unknown
+    family or a missing matrix; every other check, complex data for a
+    real family included, is the problem type's own, made as it is
+    built.
     """
     if family not in FAMILY_MATRIX_KEYS:
         raise ConfigError(f"unknown family '{family}'")
@@ -401,11 +407,6 @@ def assemble_problem(family: str, matrices: dict[str, np.ndarray],
     missing = [k for k in needed if k not in matrices]
     if missing:
         raise ConfigError(f"family '{family}' needs matrices {missing}")
-    if family != "bsep":
-        for key in needed:
-            if np.iscomplexobj(matrices[key]):
-                raise ConfigError(
-                    f"matrix '{key}' is complex but family '{family}' is real")
     problem_type = FAMILY_TYPES[family]
     given = {"gamma": gamma, "alpha": alpha, "beta": beta}
     shifts = {name: given[name] for name in shift_fields(problem_type)

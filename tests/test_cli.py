@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from dsda.cli import emit_report, run_cli
+from dsda.cli import _build_parser, emit_report, run_cli
+from dsda.config import SETTINGS
 from dsda.driver import ConvergenceReport, IterationRecord
 from dsda.mmio import save_matrix_market
 from dsda.problems import FAMILY_MATRIX_KEYS, gen_random_care, gen_random_mare
@@ -258,16 +259,21 @@ class TestSolve:
                 payload["config"]["beta"]) == (None, 4.0, None)
 
     def test_complex_matrix_rejected_for_real_family(self, tmp_path, capsys):
-        save_matrix_market(tmp_path / "a.mtx", np.eye(2) * (0.5 + 0j))
-        save_matrix_market(tmp_path / "b.mtx", np.ones((2, 1)))
-        save_matrix_market(tmp_path / "c.mtx", np.ones((1, 2)))
-        code = run_cli(["solve", "--family", "dare",
-                        "--A", str(tmp_path / "a.mtx"),
-                        "--B", str(tmp_path / "b.mtx"),
-                        "--C", str(tmp_path / "c.mtx")])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "complex" in err
+        # The problem refuses the complex A as it is built, before any
+        # solve, with one error line.
+        header = "%%MatrixMarket matrix array {} general\n1 1\n{}\n"
+        for name, field, entry in (("a", "complex", "-1 0.5"),
+                                   ("b", "real", "1"), ("c", "real", "1")):
+            (tmp_path / f"{name}.mtx").write_text(header.format(field, entry))
+        for family, shift in (("care", ["--gamma", "1"]), ("dare", [])):
+            code = run_cli(["solve", "--family", family, *shift,
+                            "--A", str(tmp_path / "a.mtx"),
+                            "--B", str(tmp_path / "b.mtx"),
+                            "--C", str(tmp_path / "c.mtx")])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err == (f"error: matrix 'A' is complex but "
+                           f"{family.capitalize()}Problem is real\n")
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
     def test_non_finite_matrix_exit_1(self, tmp_path, capsys, bad):
@@ -297,6 +303,35 @@ class TestSolve:
         err = capsys.readouterr().err
         assert code == 1
         assert err == "error: A must have order at least 1\n"
+
+    def test_unallocatable_size_exit_1(self, tmp_path, capsys):
+        # numpy refuses a 3e9 x 3e9 array without allocating it.
+        for name in "abc":
+            (tmp_path / f"{name}.mtx").write_text(
+                "%%MatrixMarket matrix coordinate real general\n"
+                "3000000000 3000000000 0\n")
+        code = run_cli(["solve", "--family", "care", "--gamma", "1",
+                        "--A", str(tmp_path / "a.mtx"),
+                        "--B", str(tmp_path / "b.mtx"),
+                        "--C", str(tmp_path / "c.mtx")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"error: {tmp_path / 'a.mtx'}:2: cannot allocate a "
+                       "3000000000 x 3000000000 matrix\n")
+
+
+@pytest.mark.parametrize("key", SETTINGS)
+def test_every_setting_is_a_solve_flag(key):
+    # The flags are the config keys, parsed to the same types.
+    kind = SETTINGS[key]
+    raw = {"family": "mare", "method": "adda", int: "7", float: "0.25"}
+    value = raw.get(key, raw.get(kind))
+    args = _build_parser().parse_args(
+        ["solve", f"--{key.replace('_', '-')}", value])
+    assert getattr(args, key) == kind(value)
+    assert type(getattr(args, key)) is kind
+    assert {name for name in SETTINGS if getattr(args, name) is not None} \
+        == {key}
 
 
 class TestSelftest:

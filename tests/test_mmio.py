@@ -286,16 +286,35 @@ def test_reader_corpus(tmp_path, text, want):
                  "2: symmetric matrices must be square", id="wide-symmetric"),
     pytest.param(_hdr("coordinate real hermitian").encode() + b"3 2 1\n3 1 2\n",
                  "2: symmetric matrices must be square", id="tall-hermitian"),
+    # numpy refuses this size (8 * 9e18 bytes) without allocating.
+    pytest.param(_hdr("coordinate real general").encode()
+                 + b"% huge\n3000000000 3000000000 0\n",
+                 "3: cannot allocate a 3000000000 x 3000000000 matrix",
+                 id="unallocatable"),
 ])
 def test_reader_rejects_bytes_and_sizes(tmp_path, data, where):
-    """Non-ASCII bytes, negative sizes and non-square symmetric
-    coordinate storage are malformed input too."""
+    """Non-ASCII bytes, negative sizes, non-square symmetric coordinate
+    storage and a size numpy cannot allocate are malformed input too."""
     path = tmp_path / "m.mtx"
     path.write_bytes(data)
     with pytest.raises(ParseError) as info:
         load_matrix_market(path)
     assert type(info.value) is ParseError
     assert str(info.value) == f"{path}:{where}"
+
+
+def test_reader_turns_out_of_memory_into_a_parse_error(tmp_path, monkeypatch):
+    # An allocator that runs out of memory stands in for a size numpy
+    # accepts but the machine cannot hold, which is never allocated here.
+    def exhausted(shape, dtype=float):
+        raise MemoryError(f"cannot allocate {shape}")
+
+    path = tmp_path / "m.mtx"
+    path.write_text(_hdr("coordinate real general") + "40 30 1\n2 3 1.5\n")
+    monkeypatch.setattr(np, "zeros", exhausted)
+    with pytest.raises(ParseError) as info:
+        load_matrix_market(path)
+    assert str(info.value) == f"{path}:2: cannot allocate a 40 x 30 matrix"
 
 class TestRoundTrip:
     def test_real_bit_identical(self, tmp_path):

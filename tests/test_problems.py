@@ -142,6 +142,29 @@ class TestProblemValidation:
         with pytest.raises(DimensionMismatchError, match="order at least 1"):
             make(lambda *shape: np.zeros(shape))
 
+    @pytest.mark.parametrize("family,key", [
+        (family, key) for family in ("care", "dare", "mare")
+        for key in FAMILY_MATRIX_KEYS[family]])
+    def test_complex_data_rejected_for_real_family(self, family, key):
+        # Refused when the problem is built, in the library as on the
+        # command line, so that no solve casts the imaginary part away.
+        problem_type = FAMILY_TYPES[family]
+        source = next(p for p, _ in gen_scalar_suite()
+                      if type(p) is problem_type)
+        data = {k.lower(): getattr(source, k.lower())
+                for k in FAMILY_MATRIX_KEYS[family]}
+        data[key.lower()] = data[key.lower()] + 0.5j
+        with pytest.raises(ConfigError, match=(
+                f"(?i)matrix '{key}' is complex but "
+                f"{problem_type.__name__} is real")):
+            problem_type(**data)
+
+    def test_bsep_takes_complex_data(self):
+        p = BsepProblem([[-2.0 + 0.0j, 0.5j], [-0.5j, -2.0]],
+                        [[1.0], [1.0j]])
+        assert p.a.dtype == p.l_b.dtype == np.complex128
+        assert p.a[0, 1] == 0.5j and p.l_b[1, 0] == 1.0j
+
     def test_wide_b_rejected(self):
         with pytest.raises(DimensionMismatchError):
             DareProblem(np.eye(2), np.ones((2, 3)), np.ones((1, 2)))

@@ -96,13 +96,19 @@ class TestSolveConfig:
         assert [f.name for f in dataclasses.fields(SolveConfig)] == \
             ["tol", "max_iter", "column_budget", "method"]
 
+    # A config checks itself when it is built, so no invalid one exists
+    # for a solve to meet.
     def test_zero_max_iter_rejected(self):
-        with pytest.raises(ConfigError):
-            SolveConfig(max_iter=0).validate()
+        with pytest.raises(ConfigError, match="max_iter must be at least 1"):
+            SolveConfig(max_iter=0)
 
     def test_zero_tol_rejected(self):
-        with pytest.raises(ConfigError):
-            SolveConfig(tol=0.0).validate()
+        with pytest.raises(ConfigError, match="tol must be positive"):
+            SolveConfig(tol=0.0)
+
+    def test_replace_checks_too(self):
+        with pytest.raises(ConfigError, match="method must be one of"):
+            dataclasses.replace(SolveConfig(), method="fast")
 
     def test_adda_requires_mare(self):
         for problem in (SCALAR_CARE, SCALAR_DARE,
