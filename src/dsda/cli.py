@@ -5,13 +5,14 @@ Three subcommands:
 * ``solve``    -- load matrices, run the solve loop, emit a CSV or JSON
   report.  The exit code encodes the terminal status (0 Converged,
   2 MaxIter, 3 BudgetExceeded, 4 SingularEncountered); usage, config
-  and parse errors and malformed input (a non-finite matrix entry, a
-  problem of order 0, complex data for a real family, a size line whose
-  matrix cannot be allocated, a ``gen`` width out of range) exit with 1
-  and one ``error:`` line.  The eight setting flags (``--family`` to
-  ``--beta``) are generated from ``config.SETTINGS``, the keys of a
-  config file; each problem and ``SolveConfig`` checks its own values
-  as it is built.
+  and parse errors and malformed input (a non-finite matrix entry,
+  shift or tolerance, a problem of order 0, complex data for a real
+  family, a size line whose matrix cannot be allocated, a ``gen`` width
+  out of range) exit with 1 and one ``error:`` line.  The eight setting
+  flags (``--family`` to ``--beta``) are generated from
+  ``config.SETTINGS``, the keys of a config file; each problem and
+  ``SolveConfig`` checks its own values as it is built, the
+  ``SolveConfig`` before any matrix is read.
 * ``selftest`` -- run the built-in scalar instances with closed-form
   answers through both the classical and decoupled methods.
 * ``gen``      -- write a seeded random problem (matrices plus a config
@@ -156,6 +157,8 @@ def _cmd_solve(args) -> int:
     if family is None:
         raise SolverError("solve needs --family (or a config file naming one)")
     shifts = {name: settings.pop(name, None) for name in SHIFTS}
+    # The knobs left are checked before any matrix is read.
+    cfg = SolveConfig(**settings)
     taken = shift_fields(FAMILY_TYPES[family])
     stray = [name for name in SHIFTS
              if shifts[name] is not None and name not in taken]
@@ -177,7 +180,7 @@ def _cmd_solve(args) -> int:
     matrices = {key: load_matrix_market(paths[key])
                 for key in FAMILY_MATRIX_KEYS[family]}
     problem = assemble_problem(family, matrices, **shifts)
-    report = solve_driver(problem, SolveConfig(**settings))
+    report = solve_driver(problem, cfg)
     if args.out_path:
         with open(args.out_path, "w", encoding="utf-8") as sink:
             emit_report(report, args.output, sink)

@@ -7,22 +7,25 @@ the family's convergence measure drops below tolerance, the iteration
 cap or column budget is hit, or a kernel turns numerically singular.
 Numerical failures never escape: they terminate the loop with the
 matching report status and the last successful iterate is kept as the
-final solution.  An iterate or residual with non-finite entries counts
-as numerical singularity.
+final solution.  An iterate whose norm is not finite (a non-finite
+entry, or entries so large that the norm overflows) or a non-finite
+residual counts as numerical singularity.
 
 One table maps each (family, method) pair to its init, step, iterate
-and residual functions, and one loop runs them all.  Each family has
-one residual, which takes a dense iterate or the ``LowRankSolution`` of
-a decoupled one.  The loop itself knows two facts of a family: a
-Bethe-Salpeter run (``bsep``) starts from the evaluated F_0 and doubles
-alpha while its start is singular, and the rank of a CARE or DARE
-iterate, real symmetric, is counted by eigenvalue magnitudes.
+and residual functions, and one loop runs them all.  The residual is
+the family's own, which measures a dense iterate or the
+``LowRankSolution`` of a decoupled one.  The loop itself knows two
+facts of a family: a Bethe-Salpeter run (``bsep``) starts from the
+evaluated F_0, doubles alpha while its start is singular and measures
+each iterate by its increment over the one before, and the rank of a
+CARE or DARE iterate, real symmetric, is counted by eigenvalue
+magnitudes.
 
 Every ``sda`` iterate is measured dense.  A decoupled iterate
 ``Q_l core Q_r^T`` comes finished from its evaluator; its residual is
-the ``*_factored`` form, in the spans its state extends each step, and
-its rank and finiteness come from its small core, so no n x n array is
-made, whatever the basis width.  The spans are nested, so the
+measured in the spans its state extends each step, and its rank and
+finiteness come from its small core, so no n x n array is made,
+whatever the basis width.  The spans are nested, so the
 Bethe-Salpeter increment subtracts the previous core from the leading
 block of the current one.  The final solution is formed dense once,
 from the spans and core, when the report is built.  Each kernel
@@ -35,6 +38,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import logging
+import math
 import numbers
 import operator
 import time
@@ -55,8 +59,9 @@ log = logging.getLogger(__name__)
 METHODS = ("sda", "dsda", "adda")
 STATUSES = ("Converged", "MaxIter", "BudgetExceeded", "SingularEncountered")
 
-#: How many times the shift is doubled when a Bethe-Salpeter
-#: initialization hits a numerically singular matrix.
+#: How many times, at most, the shift is doubled when a Bethe-Salpeter
+#: initialization hits a numerically singular matrix; it is never
+#: doubled past the largest finite float.
 BSEP_SHIFT_RETRIES = 8
 
 
@@ -66,10 +71,10 @@ class SolveConfig:
     setup (tol 1e-13, 20 iterations).
 
     A config checks itself when it is built, as every problem does:
-    a ``tol`` that is not a positive real number, a count that is not
-    an integer of at least 1 or an unknown ``method`` raises
-    ``ConfigError``.  Shifts are not knobs: they are part of the
-    transformed problem and live on it
+    a ``tol`` that is not a positive finite real number, a count that
+    is not an integer of at least 1 (a bool is neither) or an unknown
+    ``method`` raises ``ConfigError``.  Shifts are not knobs: they are
+    part of the transformed problem and live on it
     (``dataclasses.replace(problem, gamma=...)``), and the family is the
     problem's type.
     """
@@ -80,13 +85,16 @@ class SolveConfig:
     method: str = "dsda"
 
     def __post_init__(self):
-        if not isinstance(self.tol, numbers.Real):
-            raise ConfigError(f"tol must be a number, got {self.tol!r}")
-        if not self.tol > 0.0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+        # A bool is an Integral to Python, but no count or tolerance.
+        tol = self.tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+            raise ConfigError(f"tol must be a number, got {tol!r}")
+        if not 0.0 < tol < math.inf:
+            raise ConfigError(f"tol must be positive and finite, got {tol}")
         for key in ("max_iter", "column_budget"):
             value = getattr(self, key)
-            if not isinstance(value, numbers.Integral):
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
             if value < 1:
                 raise ConfigError(f"{key} must be at least 1, got {value}")
@@ -169,7 +177,7 @@ class _Method(NamedTuple):
     init: Callable      # problem -> state
     step: Callable      # state -> state
     iterate: Callable   # state -> dense H (F for bsep) or its LowRankSolution
-    residual: Callable  # (problem, iterate, previous iterate) -> float
+    residual: Callable  # (problem, iterate), bsep (iterate, previous) -> float
 
 
 def _methods(column_budget: int) -> dict[tuple[str, str], _Method]:
@@ -178,38 +186,31 @@ def _methods(column_budget: int) -> dict[tuple[str, str], _Method]:
     Built per solve, so that every function is the module attribute as
     it stands when the run starts.
     """
-    def equation(residual):
-        return lambda p, x, _previous: residual(p, x)
-
-    def increment(_p, f, previous):
-        return bsep_increment(f, previous)
-
-    care, dare, mare = map(equation, (care_residual, dare_residual,
-                                      mare_residual))
     h_k, f_k = operator.attrgetter("h_k"), operator.attrgetter("f_k")
     sym_step = functools.partial(decoupled.dsda_sym_step,
                                  column_budget=column_budget)
     mare_step = functools.partial(decoupled.dsda_mare_step,
                                   column_budget=column_budget)
-    sym_sda = classical.sym_sda_step
     return {
-        ("care", "sda"): _Method(classical.care_init, sym_sda, h_k, care),
+        ("care", "sda"): _Method(classical.care_init, classical.sym_sda_step,
+                                 h_k, care_residual),
         ("care", "dsda"): _Method(decoupled.dsda_sym_init, sym_step,
-                                  decoupled.dsda_eval_H, care),
-        ("dare", "sda"): _Method(classical.dare_init, sym_sda, h_k, dare),
+                                  decoupled.dsda_eval_H, care_residual),
+        ("dare", "sda"): _Method(classical.dare_init, classical.sym_sda_step,
+                                 h_k, dare_residual),
         ("dare", "dsda"): _Method(decoupled.dsda_sym_init, sym_step,
-                                  decoupled.dsda_eval_H, dare),
+                                  decoupled.dsda_eval_H, dare_residual),
         ("mare", "sda"): _Method(classical.mare_init,
-                                 classical.mare_sda_step, h_k, mare),
+                                 classical.mare_sda_step, h_k, mare_residual),
         ("mare", "dsda"): _Method(decoupled.dsda_mare_init, mare_step,
-                                  decoupled.dsda_mare_eval, mare),
+                                  decoupled.dsda_mare_eval, mare_residual),
         ("mare", "adda"): _Method(
             functools.partial(decoupled.dsda_mare_init, mode="adda"),
-            mare_step, decoupled.dsda_mare_eval, mare),
+            mare_step, decoupled.dsda_mare_eval, mare_residual),
         ("bsep", "sda"): _Method(classical.bsep_init,
-                                 classical.bsep_sda_step, f_k, increment),
+                                 classical.bsep_sda_step, f_k, bsep_increment),
         ("bsep", "dsda"): _Method(decoupled.dsda_sym_init, sym_step,
-                                  decoupled.bsep_eval_F, increment),
+                                  decoupled.bsep_eval_F, bsep_increment),
     }
 
 
@@ -219,25 +220,26 @@ def _measure(method: _Method, p: Problem, iterate, previous, hermitian: bool
     iterate.
 
     A decoupled iterate is measured on its core, any other iterate
-    dense.  Either way the rank counts against the cutoff of the dense
-    iterate, by eigenvalue magnitudes for the real symmetric iterates
-    of CARE and DARE (``hermitian``), by singular values for the others.
-    ``previous`` is the last good iterate, which the Bethe-Salpeter
-    increment measures against.
+    dense.  Either way it is non-finite, and the step singular, when
+    the norm of that operand is: whenever an entry is, and also when
+    the norm of the dense iterate, which is the core's, would overflow.
+    The rank counts against the cutoff of the dense iterate, by
+    eigenvalue magnitudes for the real symmetric iterates of CARE and
+    DARE (``hermitian``), by singular values for the others.
+    ``previous`` is the last good iterate for the Bethe-Salpeter
+    increment, which measures against it, and None for an equation
+    residual.
     """
     if isinstance(iterate, LowRankSolution):
         operand, cols = iterate.core, iterate.basis_cols
         span = max(iterate.q_left.shape[1], iterate.q_right.shape[1])
-        # Non-finite whenever an entry is, and also when the dense
-        # iterate, whose norm this is, would overflow.
-        if not np.isfinite(frobenius_norm(operand)):
-            raise SingularMatrixError("iterate has a non-finite norm")
     else:
         operand, cols = iterate, iterate.shape[1]
         span = cols
-        if not np.all(np.isfinite(operand)):
-            raise SingularMatrixError("iterate has non-finite entries")
-    residual = method.residual(p, iterate, previous)
+    if not np.isfinite(frobenius_norm(operand)):
+        raise SingularMatrixError("iterate has a non-finite norm")
+    residual = (method.residual(p, iterate) if previous is None
+                else method.residual(iterate, previous))
     if not np.isfinite(residual):
         raise SingularMatrixError(f"residual is {residual}")
     rank = numerical_rank(operand, EPS * max(iterate.shape),
@@ -265,7 +267,8 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
     # The eigenvalue family measures the increment between successive
     # iterates, so its run starts from the evaluated F_0.  An
     # inadmissible alpha surfaces in the initial state or in F_0; while
-    # either is singular, alpha is doubled.
+    # either is singular, alpha is doubled, as long as the double is
+    # finite.
     increment = family == "bsep"
     retries = BSEP_SHIFT_RETRIES if increment else 0
     started = time.perf_counter()
@@ -279,7 +282,7 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
                     final = method.iterate(state)
                 break
             except SingularMatrixError:
-                if retry == retries:
+                if retry == retries or p.alpha > np.finfo(float).max / 2.0:
                     raise
                 p = dataclasses.replace(p, alpha=2.0 * p.alpha)
                 log.debug("bsep init singular; retrying with alpha = %g",
@@ -292,7 +295,8 @@ def solve_driver(p: Problem, cfg: SolveConfig | None = None) -> ConvergenceRepor
             iterate = method.iterate(state)
             stamps.append(time.perf_counter())
             residual, rank, cols, span = _measure(
-                method, p, iterate, final, hermitian=family in ("care", "dare"))
+                method, p, iterate, final if increment else None,
+                hermitian=family in ("care", "dare"))
             stamps.append(time.perf_counter())
             step_ms, eval_ms, measure_ms = (1000.0 * (b - a) for a, b in
                                             zip(stamps, stamps[1:]))

@@ -11,12 +11,12 @@ Four equation families are modelled:
 
 Each problem type checks its data once, when it is built, and a
 descriptor that exists is valid: every matrix is finite and 2-D (its
-entries cast to float64, complex128 for ``BsepProblem``), the shapes
-fit together, the order is at least 1, and each shift given is
+entries cast to float64, complex128 for ``BsepProblem``), the shapes fit
+together, the order is at least 1, and each shift given is finite and
 admissible.  The CARE and DARE share their A, B, C data and its checks
-in one base class.  The three Riccati families are real, so complex
-data for them raises ``ConfigError``; ``BsepProblem`` also checks that
-A is Hermitian.
+in one base class.  The three Riccati families are real, so complex data
+for them raises ``ConfigError``; ``BsepProblem`` also checks that A is
+Hermitian.
 
 The generators are pure functions of their arguments (including the
 seed) and produce instances that satisfy the standing assumptions of
@@ -110,8 +110,9 @@ class CareProblem(_RiccatiData):
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.gamma > 0.0:
-            raise InvalidShiftError(f"gamma must be positive, got {self.gamma}")
+        if not 0.0 < self.gamma < math.inf:
+            raise InvalidShiftError(
+                f"gamma must be positive and finite, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,8 @@ class MareProblem:
     (n x m).  Shifts are optional; when left unset the doubling inits
     use the diagonal maxima of A and D.  Those maxima are also the
     floors below which a shift given here is inadmissible: gamma must
-    reach both, alpha that of A and beta that of D.
+    reach both, alpha that of A and beta that of D, and each must be
+    finite.
     """
 
     a: np.ndarray
@@ -146,7 +148,7 @@ class MareProblem:
     beta: float | None = None
 
     def __post_init__(self):
-        _coerce(self, ("a", "d", "b_l", "b_r", "c_l", "c_r"))
+        _coerce(self, FAMILY_MATRIX_KEYS["mare"])
         m = self.a.shape[0]
         n = self.d.shape[0]
         if self.a.shape != (m, m) or self.d.shape != (n, n):
@@ -165,6 +167,8 @@ class MareProblem:
         floors = self.shift_floors() if given else {}
         for name in given:
             value = getattr(self, name)
+            if not value < math.inf:
+                raise InvalidShiftError(f"{name} must be finite, got {value}")
             if not value >= floors[name]:
                 raise InvalidShiftError(
                     f"{name} = {value} is below {_MARE_FLOORS[name]} "
@@ -226,8 +230,9 @@ class BsepProblem:
         herm_gap = frobenius_norm(a - a.conj().T)
         if herm_gap > 1e-12 * max(1.0, frobenius_norm(a)):
             raise DimensionMismatchError("A must be Hermitian")
-        if not self.alpha > 0.0:
-            raise InvalidShiftError(f"alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < math.inf:
+            raise InvalidShiftError(
+                f"alpha must be positive and finite, got {self.alpha}")
 
     a_op = _operator_of("a")
 

@@ -4,11 +4,17 @@ import math
 import numpy as np
 import pytest
 
+from dsda import cli
 from dsda.cli import _build_parser, emit_report, run_cli
 from dsda.config import SETTINGS
 from dsda.driver import ConvergenceReport, IterationRecord
-from dsda.mmio import save_matrix_market
-from dsda.problems import FAMILY_MATRIX_KEYS, gen_random_care, gen_random_mare
+from dsda.mmio import load_matrix_market, save_matrix_market
+from dsda.problems import (
+    FAMILY_MATRIX_KEYS,
+    gen_random_bsep,
+    gen_random_care,
+    gen_random_mare,
+)
 
 
 @pytest.fixture
@@ -257,6 +263,64 @@ class TestSolve:
         assert code == 0 and payload["status"] == "Converged"
         assert (payload["config"]["gamma"], payload["config"]["alpha"],
                 payload["config"]["beta"]) == (None, 4.0, None)
+
+    def test_json_echoes_a_finite_shift_when_the_retry_stops(self,
+                                                             tmp_path):
+        # The start at alpha = 1e308 is singular and its double would
+        # overflow, so the run stops there and echoes it as JSON can.
+        p = gen_random_bsep(4, 2, 0)
+        save_matrix_market(tmp_path / "a.mtx", p.a)
+        save_matrix_market(tmp_path / "lb.mtx", p.l_b)
+        out_path = tmp_path / "report.json"
+        code = run_cli(["solve", "--family", "bsep", "--alpha", "1e308",
+                        "--A", str(tmp_path / "a.mtx"),
+                        "--L_B", str(tmp_path / "lb.mtx"), "--output", "json",
+                        "--out-path", str(out_path)])
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        payload = json.loads(out_path.read_text(), parse_constant=refuse)
+        assert code == 4 and payload["status"] == "SingularEncountered"
+        assert payload["config"]["alpha"] == 1e308
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--tol", "inf"], "tol must be positive and finite, got inf"),
+        (["--tol", "nan"], "tol must be positive and finite, got nan"),
+        (["--gamma", "inf"], "gamma must be positive and finite, got inf"),
+    ], ids=["tol-inf", "tol-nan", "gamma-inf"])
+    def test_non_finite_knob_or_shift_exit_1(self, care_files, capsys,
+                                             flags, message):
+        code = run_cli(solve_args(care_files, *flags))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_knobs_checked_before_any_matrix_is_read(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def refuse(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(cli, "load_matrix_market", refuse)
+        code = run_cli(["solve", "--family", "care", "--gamma", "1",
+                        "--tol", "0", "--A", str(tmp_path / "missing.mtx"),
+                        "--B", str(tmp_path / "b.mtx"),
+                        "--C", str(tmp_path / "c.mtx")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: tol must be positive and finite, got 0.0\n")
+
+    def test_mare_error_names_the_key(self, tmp_path, capsys):
+        # The message names the matrix as its flag and config key do.
+        assert run_cli(["gen", "--family", "mare", "--n", "6",
+                        "--out-dir", str(tmp_path)]) == 0
+        d = load_matrix_market(tmp_path / "D.mtx")
+        d[0, 0] = np.nan
+        save_matrix_market(tmp_path / "D.mtx", d)
+        capsys.readouterr()
+        code = run_cli(["solve", "--config", str(tmp_path / "problem.cfg")])
+        assert code == 1
+        assert (capsys.readouterr().err
+                == "error: D contains non-finite entries\n")
 
     def test_complex_matrix_rejected_for_real_family(self, tmp_path, capsys):
         # The problem refuses the complex A as it is built, before any

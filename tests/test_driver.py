@@ -78,6 +78,36 @@ def test_bsep_start_gives_up_after_the_retries(module, name, method,
     assert report.iterations == () and report.final_solution is None
 
 
+@pytest.mark.parametrize("module,name,method", BSEP_INITS)
+def test_bsep_start_does_not_double_alpha_past_the_largest_float(
+        module, name, method, monkeypatch):
+    # Every start is singular; alpha is doubled while its double is
+    # finite, and the report echoes the last alpha tried.
+    alphas = []
+
+    def singular(p):
+        alphas.append(p.alpha)
+        raise SingularMatrixError("always singular")
+
+    monkeypatch.setattr(module, name, singular)
+    big = np.finfo(float).max / 3.0
+    p = dataclasses.replace(gen_random_bsep(4, 2, 0), alpha=big)
+    report = solve_driver(p, SolveConfig(method=method))
+    assert alphas == [big, 2.0 * big]
+    assert report.status == "SingularEncountered"
+    assert report.shifts["alpha"] == 2.0 * big
+
+
+@pytest.mark.parametrize("method", ["sda", "dsda"])
+def test_bsep_singular_start_at_a_huge_alpha_keeps_it_finite(method):
+    # alpha = 1e308 makes the start singular, and its double overflows.
+    p = dataclasses.replace(gen_random_bsep(4, 2, 0), alpha=1e308)
+    report = solve_driver(p, SolveConfig(method=method))
+    assert report.status == "SingularEncountered"
+    assert report.iterations == () and report.final_solution is None
+    assert report.shifts["alpha"] == 1e308
+
+
 # -- the failure contract on scaled random instances -----------------------
 
 PAIRS = [(family, method) for family in FAMILY_MATRIX_KEYS
@@ -317,10 +347,12 @@ def test_a_non_finite_moment_ends_singular_without_a_warning(monkeypatch):
 
 @pytest.mark.parametrize("knob,value", [
     ("max_iter", 2.5), ("column_budget", 64.5), ("tol", "1e-3"),
-    ("max_iter", 0), ("tol", 0.0)])
+    ("max_iter", 0), ("tol", 0.0), ("tol", np.inf), ("tol", np.nan),
+    ("tol", True), ("max_iter", True), ("column_budget", True)])
 def test_a_bad_knob_is_a_config_error(knob, value):
     # A count that is not an integer, or a tolerance that is not a real
-    # number, is refused before the solve, as an out-of-range one is.
+    # number, is refused before the solve, as an out-of-range one is;
+    # a bool is neither, and an infinite tolerance accepts any residual.
     p = gen_random_care(8, 1, 1, seed=0)
     with pytest.raises(ConfigError, match=knob):
         solve_driver(p, SolveConfig(**{knob: value}))

@@ -2,9 +2,9 @@
 
 The driver measures every decoupled iterate as ``Q_l core Q_r^T``, with
 ``Q`` the span its state extends each step: residual, rank and
-finiteness come from the core and the factored residuals, also when the
-basis has more columns than the iterate's order, and no n x n array is
-formed until the report asks for the final solution.
+finiteness come from the spans and core, also when the basis has more
+columns than the iterate's order, and no n x n array is formed until
+the report asks for the final solution.
 """
 
 import dataclasses
@@ -41,13 +41,9 @@ from dsda.problems import (
 )
 from dsda.residuals import (
     bsep_increment,
-    bsep_increment_factored,
     care_residual,
-    care_residual_factored,
     dare_residual,
-    dare_residual_factored,
     mare_residual,
-    mare_residual_factored,
 )
 from dsda.validate import chain_basis
 
@@ -95,19 +91,15 @@ def iterates(p, method, steps=5):
 
 
 def factored_and_dense(p, sol, previous):
-    """The driver's measure of ``sol`` from its core and dense."""
-    core = sol.core
+    """The driver's measure of ``sol`` from its spans and core, and dense."""
     if isinstance(p, BsepProblem):
-        return (bsep_increment_factored(core, previous.core),
+        return (bsep_increment(sol, previous),
                 bsep_increment(sol.dense(), previous.dense()))
     if isinstance(p, CareProblem):
-        return (care_residual_factored(p, sol.q_left, core),
-                care_residual(p, sol.dense()))
+        return care_residual(p, sol), care_residual(p, sol.dense())
     if isinstance(p, DareProblem):
-        return (dare_residual_factored(p, sol.q_left, core),
-                dare_residual(p, sol.dense()))
-    return (mare_residual_factored(p, sol.q_left, core, sol.q_right),
-            mare_residual(p, sol.dense()))
+        return dare_residual(p, sol), dare_residual(p, sol.dense())
+    return mare_residual(p, sol), mare_residual(p, sol.dense())
 
 
 def assert_factored_matches_dense(p, method, steps=5):
@@ -174,7 +166,7 @@ def test_bsep_increment_across_nested_bases():
     for k, (sol, previous) in enumerate(iterates(p, "dsda"), start=1):
         a = previous.q_left.shape[1]
         assert np.array_equal(sol.q_left[:, :a], previous.q_left), k
-        factored = bsep_increment_factored(sol.core, previous.core)
+        factored = bsep_increment(sol, previous)
         dense = bsep_increment(sol.dense(), previous.dense())
         assert abs(factored - dense) <= GAP, (k, factored, dense)
 

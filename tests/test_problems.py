@@ -193,6 +193,20 @@ class TestProblemValidation:
         assert q.shifts("adda") == p.shifts("adda")
 
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("family,shift", [
+        ("care", "gamma"), ("mare", "gamma"), ("mare", "alpha"),
+        ("mare", "beta"), ("bsep", "alpha")])
+    def test_non_finite_shift_rejected(self, family, shift, bad):
+        # A non-finite shift is refused when the problem is built, so a
+        # solve never starts from one.
+        p = {"care": gen_random_care(6, 1, 1, seed=0),
+             "mare": gen_random_mare(5, 4, 2, 2, seed=1),
+             "bsep": gen_random_bsep(6, 2, seed=2)}[family]
+        with pytest.raises(InvalidShiftError, match=shift):
+            dataclasses.replace(p, **{shift: bad})
+
+
 class TestAssembleProblem:
     def test_care_roundtrip(self):
         p = gen_random_care(4, 1, 1, seed=0)
